@@ -48,8 +48,7 @@ class StepRecord:
 def original_energy(phi: Field, potential: Potential) -> float:
     """E[phi]: spectral gradient seminorm plus quadrature of the bulk density."""
     grid = phi.grid
-    hat = grid.forward(phi.values)
-    return 0.5 * quad_form_hat(grid, hat, grid.lap_sym) + bulk_quad(potential, phi)
+    return 0.5 * quad_form_hat(grid, phi.spectrum(), grid.lap_sym) + bulk_quad(potential, phi)
 
 
 def e2_from_parts(half_sq_n, half_sq_star, F_n, F_nm1, S, diff_sq):
@@ -82,8 +81,8 @@ def e2_energy(phi_n: Field, phi_nm1: Field, potential: Potential, S: float) -> f
     grid = phi_n.grid
     if phi_nm1.grid != grid:
         raise ValueError("fields live on different grids")
-    hat_n = grid.forward(phi_n.values)
-    hat_m = grid.forward(phi_nm1.values)
+    hat_n = phi_n.spectrum()
+    hat_m = phi_nm1.spectrum()
     return e2_from_parts(
         0.5 * quad_form_hat(grid, hat_n, grid.lap_sym),
         0.5 * quad_form_hat(grid, 2.0 * hat_n - hat_m, grid.lap_sym),
@@ -112,23 +111,24 @@ def record_step(state, params, sym=None) -> StepRecord:
     Decrement quantities need the previous energies and the chemical
     potential of the step that produced the state; those travel on the state
     itself, so this works on the initial state (D fields None) and after any
-    completed step.
+    completed step. The energy parts and mu's spectrum are taken from the
+    state when the step computed them, so a record costs no transform.
     """
     grid = state.phi_n.grid
     sym = sym or operator_symbols(grid, params.alpha, params.gamma)
     values = state.phi_n.values
-    hat = grid.forward(values)
-    e_lin = 0.5 * quad_form_hat(grid, hat, sym.lap)
-    F = bulk_quad(params.potential, state.phi_n)
+    e_lin, F = state.e_lin_n, state.F_n
+    if F is None:
+        e_lin = 0.5 * quad_form_hat(grid, state.phi_n.spectrum(), sym.lap)
+        F = bulk_quad(params.potential, state.phi_n)
     E_orig = e_lin + F
     E_mod = e_lin + state.r_report**2 if state.r_report is not None else None
     r_drift = None
     if state.r_report is not None:
         r_drift = math.sqrt(F) - state.r_report if F > 0 else math.nan
     ghalf_sq = None
-    if state.last_mu is not None:
-        mu_hat = grid.forward(state.last_mu.values)
-        ghalf_sq = quad_form_hat(grid, mu_hat, sym.g_sym)
+    if state.mu_hat is not None:
+        ghalf_sq = quad_form_hat(grid, state.mu_hat, sym.g_sym)
     D_be = None
     if ghalf_sq is not None and state.prev_E_orig is not None:
         D_be = E_orig - state.prev_E_orig + params.tau * ghalf_sq

@@ -81,7 +81,7 @@ class DoubleWell(Potential):
 
     def f(self, phi):
         p = _as_array(phi)
-        return _as_input((p**3 - p) / self.eps**2, phi)
+        return _as_input((p * p * p - p) / self.eps**2, phi)
 
     def fprime(self, phi):
         p = _as_array(phi)

@@ -36,6 +36,7 @@ from .spectral import (
     OperatorSymbols,
     apply_symbol,
     dealias_mask,
+    inner_hat,
     operator_symbols,
     quad_form_hat,
 )
@@ -122,9 +123,11 @@ class SchemeState:
     The SAV family carries its discrete auxiliary scalar in r_n (and r_nm1
     for the BDF variant). The improved schemes carry no scalar between
     steps; r_report only records the most recently reconstructed value for
-    diagnostics. last_mu, phi_prev and the energy scalars exist so a fully
-    populated record can be produced from the state alone; they are None on
-    the fast path used for long reference runs.
+    diagnostics. mu_hat (the spectrum of the chemical potential of the step
+    that produced the state), phi_prev and the energy scalars exist so a
+    fully populated record can be produced from the state alone; they are
+    None on the fast path used for long reference runs. e_lin_n and F_n are
+    the gradient and bulk parts of the original energy at phi_n.
     """
 
     scheme: Scheme
@@ -134,27 +137,41 @@ class SchemeState:
     r_n: float | None = None
     r_nm1: float | None = None
     r_report: float | None = None
-    last_mu: Field | None = None
+    mu_hat: np.ndarray | None = None
     phi_prev: Field | None = None
-    E_orig_n: float | None = None
+    e_lin_n: float | None = None
+    F_n: float | None = None
     prev_E_orig: float | None = None
     E2_n: float | None = None
     prev_E2: float | None = None
+
+    @property
+    def E_orig_n(self) -> float | None:
+        """Original energy at phi_n, when the step computed its parts."""
+        return None if self.F_n is None else self.e_lin_n + self.F_n
+
+    @property
+    def last_mu(self) -> Field | None:
+        """Chemical potential of the step that produced this state."""
+        if self.mu_hat is None:
+            return None
+        grid = self.phi_n.grid
+        return Field(grid, grid.inverse(self.mu_hat), self.mu_hat)
 
 
 def make_initial_state(scheme: Scheme, phi0: Field, potential: Potential) -> SchemeState:
     """State at t=0. BDF schemes additionally need bootstrap_bdf afterwards."""
     scheme = Scheme(scheme)
-    r0 = math.sqrt(bulk_energy(potential, phi0))
-    hat = phi0.grid.forward(phi0.values)
-    e_lin = 0.5 * quad_form_hat(phi0.grid, hat, phi0.grid.lap_sym)
+    F0 = bulk_energy(potential, phi0)
+    r0 = math.sqrt(F0)
     return SchemeState(
         scheme=scheme,
         phi_n=phi0,
         step_index=0,
         r_n=r0 if not scheme.is_improved else None,
         r_report=r0,
-        E_orig_n=e_lin + bulk_quad(potential, phi0),
+        e_lin_n=0.5 * quad_form_hat(phi0.grid, phi0.spectrum(), phi0.grid.lap_sym),
+        F_n=F0,
     )
 
 
@@ -180,18 +197,17 @@ class RankOneSystem:
     w: float
 
 
-def _rank_one_core(grid: Grid, diag, gb_hat, b_values, rhs_hat, w):
-    """Shared solve; returns (phi_values, phi_hat, <b, phi>)."""
-    z1_hat = gb_hat / diag
-    z2_hat = rhs_hat / diag
-    z1 = grid.inverse(z1_hat)
-    z2 = grid.inverse(z2_hat)
-    s1 = grid.quad(b_values * z1)
-    s2 = grid.quad(b_values * z2)
+def _rank_one_core(grid: Grid, z1_hat, z2_hat, b_hat, w):
+    """Sherman-Morrison step shared by every solve, entirely on the half
+    spectrum: z1 = diag^{-1} gb and z2 = diag^{-1} rhs are the two diagonal
+    solves, <b, z1> and <b, z2> are Parseval sums, and the only transform is
+    the inverse of the solution. Returns (phi_values, phi_hat, <b, phi>).
+    """
+    s1 = inner_hat(grid, b_hat, z1_hat)
+    s2 = inner_hat(grid, b_hat, z2_hat)
     bracket = s2 / (1.0 + w * s1)
-    phi = z2 - w * bracket * z1
-    phi_hat = z2_hat - w * bracket * z1_hat
-    return phi, phi_hat, bracket
+    phi_hat = z2_hat - (w * bracket) * z1_hat
+    return grid.inverse(phi_hat), phi_hat, bracket
 
 
 def rank_one_solve(sys: RankOneSystem) -> Field:
@@ -199,15 +215,14 @@ def rank_one_solve(sys: RankOneSystem) -> Field:
     g = sys.rhs.grid
     if sys.diag.shape != g.spectral_shape:
         raise ValueError("diag symbol does not match the grid's spectral layout")
-    phi, _, _ = _rank_one_core(
+    phi, phi_hat, _ = _rank_one_core(
         g,
-        sys.diag,
-        g.forward(sys.gb.values),
-        sys.b.values,
-        g.forward(sys.rhs.values),
+        sys.gb.spectrum() / sys.diag,
+        sys.rhs.spectrum() / sys.diag,
+        sys.b.spectrum(),
         sys.w,
     )
-    return Field(g, phi)
+    return Field(g, phi, phi_hat)
 
 
 def dense_solve_oracle(sys: RankOneSystem) -> Field:
@@ -237,11 +252,38 @@ def dense_solve_oracle(sys: RankOneSystem) -> Field:
 # ---------------------------------------------------------------------------
 
 
-def _nonlinear_weight(params: ModelParams, grid: Grid, phi_values):
+def _solve_factors(sym: OperatorSymbols, tau, S, bdf):
+    """Diagonal-solve quotients, built once per run for each (tau, S, family).
+
+    Returns (G/diag, c_n/diag, c_nm1/diag): c_n and c_nm1 are the symbols
+    that multiply phi^n and phi^{n-1} on the right-hand side (c_nm1 is None
+    for the two-level schemes). The key carries S because BDF runs take
+    their bootstrap step with a different S than the run itself.
+    """
+    key = (tau, S, bdf)
+    out = sym.solve_factors.get(key)
+    if out is not None:
+        return out
+    g = sym.g_sym
+    if bdf:
+        inv_diag = 1.0 / (3.0 + 2.0 * tau * g * (sym.lap + S))
+        out = (
+            g * inv_diag,
+            (4.0 + 4.0 * tau * S * g) * inv_diag,
+            (1.0 + 2.0 * tau * S * g) * inv_diag,
+        )
+    else:
+        inv_diag = 1.0 / (1.0 + tau * g * (sym.lap + S))
+        out = (g * inv_diag, (1.0 + tau * S * g) * inv_diag, None)
+    sym.solve_factors[key] = out
+    return out
+
+
+def _nonlinear_weight(params: ModelParams, phi: Field):
     """f(phi)/sqrt(int F(phi)) with its transform and sqrt(int F)."""
-    Fq = bulk_energy(params.potential, Field(grid, phi_values))
-    r_func = math.sqrt(Fq)
-    b = params.potential.f(phi_values) / r_func
+    grid = phi.grid
+    r_func = math.sqrt(bulk_energy(params.potential, phi))
+    b = params.potential.f(phi.values) / r_func
     b_hat = grid.forward(b)
     if params.dealias:
         b_hat = b_hat * dealias_mask(grid)
@@ -250,11 +292,15 @@ def _nonlinear_weight(params: ModelParams, grid: Grid, phi_values):
 
 
 def _finish_step(state, params, sym, new_values, new_hat, mu_hat, stash, record):
-    """Assemble the successor state and, unless skipped, its record."""
+    """Assemble the successor state and, unless skipped, its record.
+
+    The new field carries the spectrum the solve produced, and the record
+    is built from spectra already in hand, so it costs no transform.
+    """
     grid = state.phi_n.grid
     new_state = SchemeState(
         scheme=state.scheme,
-        phi_n=Field(grid, new_values),
+        phi_n=Field(grid, new_values, new_hat),
         step_index=state.step_index + 1,
         phi_nm1=state.phi_n if state.scheme.is_bdf else None,
         r_n=stash.get("r_n"),
@@ -264,17 +310,18 @@ def _finish_step(state, params, sym, new_values, new_hat, mu_hat, stash, record)
     )
     if not record:
         return new_state, None
-    new_state.last_mu = Field(grid, grid.inverse(mu_hat))
+    new_state.mu_hat = mu_hat
     new_state.prev_E_orig = state.E_orig_n
     new_state.prev_E2 = state.E2_n
     e_lin = 0.5 * quad_form_hat(grid, new_hat, sym.lap)
     F_new = bulk_quad(params.potential, new_state.phi_n)
-    new_state.E_orig_n = e_lin + F_new
+    new_state.e_lin_n = e_lin
+    new_state.F_n = F_new
     if state.scheme.is_bdf:
         S_eff = params.S if state.scheme.is_improved else 0.0
-        e_lin_star = 0.5 * quad_form_hat(grid, 2.0 * new_hat - stash["phi_hat"], sym.lap)
+        e_lin_star = 0.5 * quad_form_hat(grid, 2.0 * new_hat - state.phi_n.spectrum(), sym.lap)
         diff_sq = grid.quad((new_values - state.phi_n.values) ** 2)
-        F_n = stash.get("F_n")
+        F_n = stash.get("F_n", state.F_n)
         if F_n is None:
             F_n = bulk_quad(params.potential, state.phi_n)
         new_state.E2_n = e2_from_parts(e_lin, e_lin_star, F_new, F_n, S_eff, diff_sq)
@@ -321,21 +368,18 @@ def step_sav_be(state, params, sym=None, record=True):
     grid = state.phi_n.grid
     sym = sym or params.symbols(grid)
     tau = params.tau
-    phi = state.phi_n.values
-    b, b_hat, _ = _nonlinear_weight(params, grid, phi)
-    phi_hat = grid.forward(phi)
-    ip_b_phi = grid.quad(b * phi)
-    diag = 1.0 + tau * sym.g_sym * sym.lap
-    gb_hat = sym.g_sym * b_hat
-    rhs_hat = phi_hat - tau * (state.r_n - 0.5 * ip_b_phi) * gb_hat
-    new_values, new_hat, bracket = _rank_one_core(grid, diag, gb_hat, b, rhs_hat, 0.5 * tau)
+    b, b_hat, _ = _nonlinear_weight(params, state.phi_n)
+    phi_hat = state.phi_n.spectrum()
+    ip_b_phi = grid.quad(b * state.phi_n.values)
+    g_d, c_d, _ = _solve_factors(sym, tau, 0.0, False)
+    z1_hat = g_d * b_hat
+    z2_hat = c_d * phi_hat - tau * (state.r_n - 0.5 * ip_b_phi) * z1_hat
+    new_values, new_hat, bracket = _rank_one_core(grid, z1_hat, z2_hat, b_hat, 0.5 * tau)
     r_new = state.r_n + 0.5 * (bracket - ip_b_phi)
-    mu_hat = sym.lap * new_hat + r_new * b_hat
-    stash = {
-        "r_n": r_new,
-        "r_report": r_new,
-        "e_lin_old": 0.5 * quad_form_hat(grid, phi_hat, sym.lap),
-    }
+    mu_hat = sym.lap * new_hat + r_new * b_hat if record else None
+    stash = {"r_n": r_new, "r_report": r_new}
+    if params.assert_energy:
+        stash["e_lin_old"] = 0.5 * quad_form_hat(grid, phi_hat, sym.lap)
     return _finish_step(state, params, sym, new_values, new_hat, mu_hat, stash, record)
 
 
@@ -356,16 +400,15 @@ def step_isav_be(state, params, sym=None, record=True):
     grid = state.phi_n.grid
     sym = sym or params.symbols(grid)
     tau, S = params.tau, params.S
-    phi = state.phi_n.values
-    b, b_hat, r_func = _nonlinear_weight(params, grid, phi)
-    phi_hat = grid.forward(phi)
-    ip_b_phi = grid.quad(b * phi)
-    diag = 1.0 + tau * sym.g_sym * (sym.lap + S)
-    gb_hat = sym.g_sym * b_hat
-    rhs_hat = (1.0 + tau * S * sym.g_sym) * phi_hat - tau * (r_func - 0.5 * ip_b_phi) * gb_hat
-    new_values, new_hat, bracket = _rank_one_core(grid, diag, gb_hat, b, rhs_hat, 0.5 * tau)
+    b, b_hat, r_func = _nonlinear_weight(params, state.phi_n)
+    phi_hat = state.phi_n.spectrum()
+    ip_b_phi = grid.quad(b * state.phi_n.values)
+    g_d, c_d, _ = _solve_factors(sym, tau, S, False)
+    z1_hat = g_d * b_hat
+    z2_hat = c_d * phi_hat - tau * (r_func - 0.5 * ip_b_phi) * z1_hat
+    new_values, new_hat, bracket = _rank_one_core(grid, z1_hat, z2_hat, b_hat, 0.5 * tau)
     r_tilde = r_func + 0.5 * (bracket - ip_b_phi)
-    mu_hat = sym.lap * new_hat + r_tilde * b_hat + S * (new_hat - phi_hat)
+    mu_hat = sym.lap * new_hat + r_tilde * b_hat + S * (new_hat - phi_hat) if record else None
     stash = {"r_report": r_tilde}
     if params.assert_energy:
         stash["E_orig_old"] = state.E_orig_n
@@ -393,24 +436,20 @@ def _bdf_common(state, params):
         raise ValueError("BDF step requires two history levels; bootstrap first")
     phi = state.phi_n.values
     phim = state.phi_nm1.values
-    star = 2.0 * phi - phim
-    b, b_hat, _ = _nonlinear_weight(params, grid, star)
-    phi_hat = grid.forward(phi)
-    phim_hat = grid.forward(phim)
+    b, b_hat, _ = _nonlinear_weight(params, Field(grid, 2.0 * phi - phim))
     ip_b_hist = grid.quad(b * (4.0 * phi - phim))
-    return grid, b, b_hat, phi_hat, phim_hat, ip_b_hist
+    return grid, b_hat, state.phi_n.spectrum(), state.phi_nm1.spectrum(), ip_b_hist
 
 
-def _bdf_solve(grid, params, sym, S, b, b_hat, phi_hat, phim_hat, c):
+def _bdf_solve(grid, params, sym, S, b_hat, phi_hat, phim_hat, c):
     """Solve [3 + 2*tau*G*(L+S)] phi + tau <b,phi> G b = rhs (the 2*tau-scaled
-    form of the three-level update)."""
+    form of the three-level update), where
+    rhs = (4 + 4*tau*S*G) phi^n - (1 + 2*tau*S*G) phi^{n-1} - 2*tau*c*G b."""
     tau = params.tau
-    diag = 3.0 + 2.0 * tau * sym.g_sym * (sym.lap + S)
-    gb_hat = sym.g_sym * b_hat
-    rhs_hat = 4.0 * phi_hat - phim_hat - 2.0 * tau * c * gb_hat
-    if S != 0.0:
-        rhs_hat = rhs_hat + 2.0 * tau * S * sym.g_sym * (2.0 * phi_hat - phim_hat)
-    return _rank_one_core(grid, diag, gb_hat, b, rhs_hat, tau)
+    g_d, cn_d, cm_d = _solve_factors(sym, tau, S, True)
+    z1_hat = g_d * b_hat
+    z2_hat = cn_d * phi_hat - cm_d * phim_hat - (2.0 * tau * c) * z1_hat
+    return _rank_one_core(grid, z1_hat, z2_hat, b_hat, tau)
 
 
 def step_sav_bdf(state, params, sym=None, record=True):
@@ -423,19 +462,12 @@ def step_sav_bdf(state, params, sym=None, record=True):
     if state.scheme != Scheme.SAV_BDF:
         raise ValueError(f"state carries scheme {state.scheme}, expected sav-bdf")
     sym = sym or params.symbols(state.phi_n.grid)
-    grid, b, b_hat, phi_hat, phim_hat, ip_b_hist = _bdf_common(state, params)
+    grid, b_hat, phi_hat, phim_hat, ip_b_hist = _bdf_common(state, params)
     c = (4.0 * state.r_n - state.r_nm1) / 3.0 - ip_b_hist / 6.0
-    new_values, new_hat, bracket = _bdf_solve(
-        grid, params, sym, 0.0, b, b_hat, phi_hat, phim_hat, c
-    )
+    new_values, new_hat, bracket = _bdf_solve(grid, params, sym, 0.0, b_hat, phi_hat, phim_hat, c)
     r_new = c + 0.5 * bracket
-    mu_hat = sym.lap * new_hat + r_new * b_hat
-    stash = {
-        "r_n": r_new,
-        "r_nm1": state.r_n,
-        "r_report": r_new,
-        "phi_hat": phi_hat,
-    }
+    mu_hat = sym.lap * new_hat + r_new * b_hat if record else None
+    stash = {"r_n": r_new, "r_nm1": state.r_n, "r_report": r_new}
     return _finish_step(state, params, sym, new_values, new_hat, mu_hat, stash, record)
 
 
@@ -450,20 +482,22 @@ def step_isav_bdf(state, params, sym=None, record=True):
     if state.scheme != Scheme.ISAV_BDF:
         raise ValueError(f"state carries scheme {state.scheme}, expected isav-bdf")
     sym = sym or params.symbols(state.phi_n.grid)
-    grid, b, b_hat, phi_hat, phim_hat, ip_b_hist = _bdf_common(state, params)
+    grid, b_hat, phi_hat, phim_hat, ip_b_hist = _bdf_common(state, params)
     F_n = bulk_energy(params.potential, state.phi_n)
     F_m = bulk_energy(params.potential, state.phi_nm1)
     c = (4.0 * math.sqrt(F_n) - math.sqrt(F_m)) / 3.0 - ip_b_hist / 6.0
     new_values, new_hat, bracket = _bdf_solve(
-        grid, params, sym, params.S, b, b_hat, phi_hat, phim_hat, c
+        grid, params, sym, params.S, b_hat, phi_hat, phim_hat, c
     )
     r_tilde = c + 0.5 * bracket
-    mu_hat = (
-        sym.lap * new_hat
-        + r_tilde * b_hat
-        + params.S * (new_hat - 2.0 * phi_hat + phim_hat)
-    )
-    stash = {"r_report": r_tilde, "phi_hat": phi_hat, "F_n": F_n}
+    mu_hat = None
+    if record:
+        mu_hat = (
+            sym.lap * new_hat
+            + r_tilde * b_hat
+            + params.S * (new_hat - 2.0 * phi_hat + phim_hat)
+        )
+    stash = {"r_report": r_tilde, "F_n": F_n}
     return _finish_step(state, params, sym, new_values, new_hat, mu_hat, stash, record)
 
 
@@ -487,24 +521,22 @@ def bootstrap_bdf(be_state: SchemeState, params: ModelParams, scheme: Scheme) ->
         phi_nm1=phi0,
         step_index=be_state.step_index,
         r_report=be_state.r_report,
-        last_mu=be_state.last_mu,
+        mu_hat=be_state.mu_hat,
         phi_prev=phi0,
-        E_orig_n=be_state.E_orig_n,
+        e_lin_n=be_state.e_lin_n,
+        F_n=be_state.F_n,
         prev_E_orig=be_state.prev_E_orig,
     )
     if scheme == Scheme.SAV_BDF:
         state.r_n = be_state.r_report
         state.r_nm1 = math.sqrt(bulk_energy(params.potential, phi0))
-    if be_state.E_orig_n is not None:
+    if be_state.F_n is not None:
         grid = phi1.grid
-        sym = params.symbols(grid)
         S_eff = params.S if scheme.is_improved else 0.0
-        hat1 = grid.forward(phi1.values)
-        hat0 = grid.forward(phi0.values)
         state.E2_n = e2_from_parts(
-            0.5 * quad_form_hat(grid, hat1, sym.lap),
-            0.5 * quad_form_hat(grid, 2.0 * hat1 - hat0, sym.lap),
-            bulk_quad(params.potential, phi1),
+            be_state.e_lin_n,
+            0.5 * quad_form_hat(grid, 2.0 * phi1.spectrum() - phi0.spectrum(), grid.lap_sym),
+            be_state.F_n,
             bulk_quad(params.potential, phi0),
             S_eff,
             grid.quad((phi1.values - phi0.values) ** 2),

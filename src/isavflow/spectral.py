@@ -11,7 +11,7 @@ of the wavenumber.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -27,6 +27,7 @@ __all__ = [
     "inner",
     "norms",
     "quad_form_hat",
+    "inner_hat",
     "dealias_mask",
     "resample",
 ]
@@ -112,10 +113,17 @@ class Field:
     Values are stored row-major over (x, y); NaN/Inf entries are rejected
     at construction, which also covers every transform round-trip since
     those return new Fields.
+
+    hat optionally carries the rfft2 spectrum of the values, so a field is
+    transformed at most once: a solver that already holds the spectrum
+    passes it in, otherwise spectrum() fills it on first use. Fields are
+    never written in place (arithmetic builds new Fields without a
+    spectrum), so the carried spectrum cannot go stale.
     """
 
     grid: Grid
     values: np.ndarray
+    hat: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -124,6 +132,12 @@ class Field:
         if not np.isfinite(v).all():
             raise ValueError("field contains NaN or Inf entries")
         self.values = v
+
+    def spectrum(self) -> np.ndarray:
+        """The rfft2 spectrum of the values, transformed on first use only."""
+        if self.hat is None:
+            self.hat = self.grid.forward(self.values)
+        return self.hat
 
     def copy(self) -> "Field":
         return Field(self.grid, self.values.copy())
@@ -155,6 +169,10 @@ class OperatorSymbols:
     gamma*|k|^(2*alpha), and sqrt_l / sqrt_g their square roots (used for
     seminorms). Arrays are laid out on the rfft2 half-spectrum,
     shape (nx, ny//2 + 1).
+
+    solve_factors holds symbols the time steppers derive from these once
+    per (tau, S, scheme family); a run passes one OperatorSymbols to every
+    step, so they are built once per run and freed with it.
     """
 
     alpha: float
@@ -163,6 +181,7 @@ class OperatorSymbols:
     g_sym: np.ndarray
     sqrt_l: np.ndarray
     sqrt_g: np.ndarray
+    solve_factors: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def operator_symbols(grid: Grid, alpha: float, gamma: float) -> OperatorSymbols:
@@ -203,7 +222,7 @@ def apply_symbol(field: Field, symbol: np.ndarray, sign: float = 1.0) -> Field:
         raise ValueError(
             f"symbol shape {symbol.shape} does not match spectral layout {g.spectral_shape}"
         )
-    out = g.inverse(symbol * g.forward(field.values))
+    out = g.inverse(symbol * field.spectrum())
     return Field(g, sign * out)
 
 
@@ -224,6 +243,15 @@ def quad_form_hat(grid: Grid, hat: np.ndarray, symbol: np.ndarray | None = None)
     return float(grid.spectral_scale * p.sum())
 
 
+def inner_hat(grid: Grid, u_hat: np.ndarray, v_hat: np.ndarray) -> float:
+    """L2 inner product <u, v> from the two half spectra (Parseval).
+
+    Equals inner(u, v) up to rounding: the mode weights count each interior
+    column twice, the second time for its conjugate partner.
+    """
+    return float(grid.spectral_scale * np.vdot(grid.mode_weight * u_hat, v_hat).real)
+
+
 class FieldNorms(NamedTuple):
     l2: float
     grad_l2: float
@@ -233,7 +261,7 @@ class FieldNorms(NamedTuple):
 
 def norms(u: Field, sym: OperatorSymbols) -> FieldNorms:
     """L2 norm, gradient seminorm, H1 norm, and the mobility seminorm of u."""
-    hat = u.grid.forward(u.values)
+    hat = u.spectrum()
     l2_sq = quad_form_hat(u.grid, hat)
     grad_sq = quad_form_hat(u.grid, hat, sym.lap)
     g_half_sq = quad_form_hat(u.grid, hat, sym.g_sym)

@@ -150,6 +150,17 @@ class TestRecordStep:
         assert rec.D_be == pytest.approx(e_new - e_old + p.tau * ghalf**2, rel=1e-10, abs=1e-12)
         assert rec.E_orig == pytest.approx(e_new, rel=1e-12)
 
+    def test_record_of_a_state_stepped_without_records(self, rng):
+        # a fast-path state carries no energy parts; the record rebuilds them
+        # and lands on the values the recording step computed
+        g, pot, p, state = self.setup_state(rng)
+        fast, none = step_isav_be(state, p, record=False)
+        _, rec = step_isav_be(state, p)
+        late = record_step(fast, p)
+        assert none is None
+        assert (late.E_orig, late.E_mod, late.r_drift) == (rec.E_orig, rec.E_mod, rec.r_drift)
+        assert late.D_be is None
+
     def test_drift_sign_convention(self, rng):
         from isavflow import bulk_energy
 

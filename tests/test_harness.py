@@ -3,15 +3,17 @@
 import json
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from isavflow import ConfigError, SchemeRuntimeError, make_grid
+from isavflow import ConfigError, ModelParams, Scheme, SchemeRuntimeError, make_grid, step
 from isavflow.cli import main
 from isavflow.config import config_from_dict, initial_field, load_config, preset_names
 from isavflow.harness import (
     SERIES_COLUMNS,
+    _initial_states,
     compare_schemes,
     convergence_study,
     read_snapshot,
@@ -19,7 +21,7 @@ from isavflow.harness import (
     write_snapshot,
 )
 
-from conftest import TWO_PI, random_field
+from conftest import TWO_PI, ex1_config, random_field
 
 
 def write_cfg(tmp_path, doc, name="cfg.json"):
@@ -243,6 +245,28 @@ class TestRunSimulation:
         res = run_simulation(cfg)
         steps = [r.step for r in res.records]
         assert steps == [0, 2, 4, 5] or steps == [0, 2, 4]
+
+    @pytest.mark.parametrize("scheme", [s.value for s in Scheme])
+    def test_records_never_change_the_trajectory(self, scheme):
+        # the record flag only adds diagnostics; the field must be bit-identical
+        base = ex1_config(scheme, alpha=1.0, tau=0.01, nx=16, t_end=0.3)
+        finals = [
+            run_simulation(
+                replace(base, outputs={**base.outputs, "record_every": every}),
+                write_outputs=False,
+            ).final_state.phi_n.values
+            for every in (1, 10)
+        ]
+        grid = base.make_grid()
+        params = ModelParams(alpha=1.0, gamma=base.model["gamma"], S=base.S,
+                             tau=base.tau, potential=base.make_potential())
+        sym = params.symbols(grid)
+        state, _, done = _initial_states(base, params, grid, sym, record=False)
+        for _ in range(done + 1, base.n_steps() + 1):
+            state, rec = step(state, params, sym, record=False)
+            assert rec is None
+        for values in finals:
+            assert np.array_equal(values, state.phi_n.values)
 
     def test_runtime_failure_reports_step_and_writes_partial(self, tmp_path):
         # zero damping on a stiff well with assertions on trips quickly

@@ -113,6 +113,36 @@ class TestStateDiscipline:
         assert np.abs(outs[0] - outs[1]).max() < 0.1
 
 
+class TestCarriedSpectrum:
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_spectrum_matches_values_after_many_steps(self, scheme, rng):
+        # the solver's spectrum rides on phi_n instead of a fresh transform;
+        # it must stay the transform of the values it travels with
+        g = make_grid(16, 12, TWO_PI, TWO_PI)
+        pot = DoubleWell(eps=0.5, c_add=1.0)
+        p = ModelParams(alpha=1.0, gamma=0.1, S=2.0, tau=0.02, potential=pot)
+        phi0 = Field(g, rng.uniform(-0.8, 0.8, g.shape))
+        if scheme.is_bdf:
+            be, _ = step_isav_be(make_initial_state(Scheme.ISAV_BE, phi0, pot), p)
+            state = bootstrap_bdf(be, p, scheme)
+        else:
+            state = make_initial_state(scheme, phi0, pot)
+        for _ in range(50):
+            state, _ = step(state, p)
+        carried = state.phi_n.hat
+        assert carried is not None
+        fresh = g.forward(state.phi_n.values)
+        assert np.abs(carried - fresh).max() <= 1e-12 * np.abs(fresh).max()
+
+    def test_arithmetic_builds_fields_without_spectrum(self, rng):
+        g = make_grid(8, 8, 1.0, 1.0)
+        u, v = random_field(g, rng), random_field(g, rng)
+        u.spectrum()
+        v.spectrum()
+        for w in (u + v, u - v, 2.0 * u, u * 0.5):
+            assert w.hat is None
+
+
 class TestConservation:
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_mean_preserved_for_conserved_flow(self, scheme, rng):

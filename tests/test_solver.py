@@ -12,6 +12,7 @@ from isavflow import (
     make_grid,
     rank_one_solve,
 )
+from isavflow.spectral import inner_hat
 
 from conftest import even_symbol, random_field
 
@@ -72,6 +73,32 @@ class TestRankOneSolve:
 
     def test_matches_dense_oracle(self, rng):
         g = make_grid(8, 8, 1.0, 1.0)
+        for _ in range(10):
+            sys_ = random_system(g, rng)
+            fast = rank_one_solve(sys_)
+            dense = dense_solve_oracle(sys_)
+            scale = np.abs(dense.values).max()
+            assert np.abs(fast.values - dense.values).max() <= 1e-10 * scale
+
+
+# Non-square grids, each axis with its own Nyquist mode: the half-spectrum
+# weights of the ky=0 and ky=Nyquist columns are where a Parseval slip hides.
+NON_SQUARE = [(8, 12), (12, 6)]
+
+
+class TestNonSquareGrids:
+    @pytest.mark.parametrize("nx,ny", NON_SQUARE)
+    def test_spectral_inner_product(self, nx, ny, rng):
+        g = make_grid(nx, ny, 1.0, 2.5)
+        for _ in range(10):
+            b, z = random_field(g, rng), random_field(g, rng)
+            nodal = g.quad(b.values * z.values)
+            spectral = inner_hat(g, g.forward(b.values), g.forward(z.values))
+            assert spectral == pytest.approx(nodal, rel=1e-12, abs=1e-13)
+
+    @pytest.mark.parametrize("nx,ny", NON_SQUARE)
+    def test_matches_dense_oracle(self, nx, ny, rng):
+        g = make_grid(nx, ny, 1.0, 2.5)
         for _ in range(10):
             sys_ = random_system(g, rng)
             fast = rank_one_solve(sys_)
