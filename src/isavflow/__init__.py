@@ -4,7 +4,6 @@ from .config import ConfigError, RunConfig, config_from_dict, initial_field, loa
 from .diagnostics import StepRecord, e2_energy, h1_error, original_energy, record_step
 from .harness import (
     SchemeRuntimeError,
-    SimulationResult,
     compare_schemes,
     convergence_study,
     read_snapshot,
@@ -31,15 +30,10 @@ from .schemes import (
     make_initial_state,
     rank_one_solve,
     step,
-    step_isav_bdf,
-    step_isav_be,
-    step_sav_bdf,
-    step_sav_be,
 )
 from .spectral import (
     Field,
     Grid,
-    OperatorSymbols,
     apply_symbol,
     inner,
     make_grid,

@@ -79,9 +79,7 @@ def main(argv=None) -> int:
             cfg = load_config(args.config)
             taus = _parse_list(args.taus, float) if args.taus else None
             grids = _parse_list(args.grids, int) if args.grids else None
-            out = args.out
-            if not os.path.isabs(out):
-                out = os.path.join(resolve_outdir(args.outdir), out)
+            out = os.path.join(resolve_outdir(args.outdir), args.out)
             rows = convergence_study(
                 cfg, taus=taus, grids=grids,
                 ref_tau=args.ref_tau, ref_grid_n=args.ref_nx, out_path=out,
@@ -93,9 +91,7 @@ def main(argv=None) -> int:
         elif args.command == "compare":
             cfg_a = load_config(args.config_a)
             cfg_b = load_config(args.config_b)
-            out = args.out
-            if not os.path.isabs(out):
-                out = os.path.join(resolve_outdir(args.outdir), out)
+            out = os.path.join(resolve_outdir(args.outdir), args.out)
             rows = compare_schemes(cfg_a, cfg_b, out_path=out)
             print(f"wrote {len(rows)} rows to {out}")
         elif args.command == "presets":

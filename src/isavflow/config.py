@@ -19,7 +19,7 @@ import numpy as np
 
 from .potentials import DoubleWell, FloryHugginsRegularized, Potential
 from .schemes import Scheme
-from .spectral import Field, Grid, make_grid
+from .spectral import Field, Grid, NonFiniteFieldError, make_grid
 
 __all__ = [
     "ConfigError",
@@ -29,7 +29,6 @@ __all__ = [
     "initial_field",
     "preset_names",
     "preset_summary",
-    "PRESETS",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -178,6 +177,12 @@ def _split_preset(name: str):
     return name, None
 
 
+def is_step_multiple(t_end: float, tau: float) -> bool:
+    """Whether t_end is an integer multiple of tau, to 4 ulp of the step count."""
+    steps = t_end / tau
+    return abs(steps - round(steps)) <= 4 * np.finfo(float).eps * max(1.0, steps)
+
+
 def _expect(cond, path, msg):
     if not cond:
         raise ConfigError(f"{path}: {msg}")
@@ -268,9 +273,8 @@ def config_from_dict(doc: dict) -> RunConfig:
 
     tau = _number(doc.get("tau"), "tau", positive=True)
     t_end = _number(doc.get("t_end"), "t_end", positive=True)
-    steps = t_end / tau
-    _expect(abs(steps - round(steps)) <= 4 * np.finfo(float).eps * max(1.0, steps),
-            "t_end", f"must be an integer multiple of tau (t_end/tau = {steps})")
+    _expect(is_step_multiple(t_end, tau), "t_end",
+            f"must be an integer multiple of tau (t_end/tau = {t_end / tau})")
 
     init = dict(doc.get("init") or {})
     kind_i = init.get("kind")
@@ -360,7 +364,10 @@ def initial_field(init: dict, grid: Grid) -> Field:
     if kind == "file":
         from .harness import read_snapshot
 
-        f, _ = read_snapshot(init["path"])
+        try:
+            f, _ = read_snapshot(init["path"])
+        except NonFiniteFieldError as exc:
+            raise ConfigError(f"init.path: {exc}") from exc
         if f.grid != grid:
             raise ConfigError(
                 f"init.path: snapshot grid {f.grid.shape} does not match config grid {grid.shape}"

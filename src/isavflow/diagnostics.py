@@ -23,7 +23,6 @@ __all__ = [
     "e2_energy",
     "h1_error",
     "record_step",
-    "e2_from_parts",
 ]
 
 
@@ -105,42 +104,50 @@ def h1_error(u: Field, ref: Field) -> float:
     )
 
 
+def energy_parts(state, sym, potential):
+    """(1/2 ||L^{1/2} phi_n||^2, int F(phi_n)) of a state: taken from its
+    diagnostics carry when the step that produced it recorded, else
+    computed."""
+    if state.diag is not None:
+        return state.diag.e_lin, state.F_n
+    phi = state.phi_n
+    return 0.5 * quad_form_hat(phi.grid, phi.spectrum(), sym.lap), bulk_quad(potential, phi)
+
+
 def record_step(state, params, sym=None) -> StepRecord:
     """Build the full record for a state snapshot.
 
     Decrement quantities need the previous energies and the chemical
-    potential of the step that produced the state; those travel on the state
-    itself, so this works on the initial state (D fields None) and after any
-    completed step. The energy parts and mu's spectrum are taken from the
-    state when the step computed them, so a record costs no transform.
+    potential of the step that produced the state; those travel in the
+    state's diagnostics carry, so this works on the initial state (D fields
+    None) and after any completed step. The energy parts and mu's spectrum
+    are taken from that carry when present, so a record costs no transform.
     """
     grid = state.phi_n.grid
     sym = sym or operator_symbols(grid, params.alpha, params.gamma)
     values = state.phi_n.values
-    e_lin, F = state.e_lin_n, state.F_n
-    if F is None:
-        e_lin = 0.5 * quad_form_hat(grid, state.phi_n.spectrum(), sym.lap)
-        F = bulk_quad(params.potential, state.phi_n)
+    e_lin, F = energy_parts(state, sym, params.potential)
     E_orig = e_lin + F
     E_mod = e_lin + state.r_report**2 if state.r_report is not None else None
     r_drift = None
     if state.r_report is not None:
         r_drift = math.sqrt(F) - state.r_report if F > 0 else math.nan
+    diag = state.diag
     ghalf_sq = None
-    if state.mu_hat is not None:
-        ghalf_sq = quad_form_hat(grid, state.mu_hat, sym.g_sym)
+    if diag is not None and diag.mu_hat is not None:
+        ghalf_sq = quad_form_hat(grid, diag.mu_hat, sym.g_sym)
     D_be = None
-    if ghalf_sq is not None and state.prev_E_orig is not None:
-        D_be = E_orig - state.prev_E_orig + params.tau * ghalf_sq
+    if ghalf_sq is not None and diag.prev_E_orig is not None:
+        D_be = E_orig - diag.prev_E_orig + params.tau * ghalf_sq
     D_bdf = None
-    if ghalf_sq is not None and state.E2_n is not None and state.prev_E2 is not None:
-        D_bdf = state.E2_n - state.prev_E2 + params.tau * ghalf_sq
+    if ghalf_sq is not None and diag.E2 is not None and diag.prev_E2 is not None:
+        D_bdf = diag.E2 - diag.prev_E2 + params.tau * ghalf_sq
     return StepRecord(
         step=state.step_index,
         t=state.step_index * params.tau,
         E_orig=E_orig,
         E_mod=E_mod,
-        E2=state.E2_n,
+        E2=None if diag is None else diag.E2,
         D_be=D_be,
         D_bdf=D_bdf,
         r_drift=r_drift,

@@ -13,12 +13,12 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, initial_field
-from .diagnostics import h1_error, record_step
+from .config import ConfigError, RunConfig, initial_field, is_step_multiple
+from .diagnostics import StepRecord, h1_error, record_step
 from .potentials import NonPositiveBulkEnergyError
 from .schemes import (
     EnergyLawViolation,
@@ -28,13 +28,11 @@ from .schemes import (
     bootstrap_bdf,
     make_initial_state,
     step,
-    step_isav_be,
 )
-from .spectral import Field, Grid, make_grid
+from .spectral import Field, NonFiniteFieldError, make_grid
 
 __all__ = [
     "SchemeRuntimeError",
-    "SimulationResult",
     "run_simulation",
     "convergence_study",
     "compare_schemes",
@@ -44,17 +42,22 @@ __all__ = [
     "resolve_outdir",
 ]
 
-SERIES_COLUMNS = (
-    "step", "t", "E_orig", "E_mod", "E2", "D_be", "D_bdf",
-    "r_drift", "mass", "min_phi", "max_phi",
-)
+SERIES_COLUMNS = tuple(f.name for f in fields(StepRecord))
 
 OUTDIR_ENV = "ISAVFLOW_OUTDIR"
 
+# The BDF bootstrap step. It is the same function as the loop's step, bound
+# to its own name so perfbench/tracing.py can tell the two call sites apart.
+step_isav_be = step
+
+# What a step raises when the scheme itself fails, as opposed to bad input.
+SCHEME_FAILURES = (NonPositiveBulkEnergyError, EnergyLawViolation, NonFiniteFieldError)
+
 
 class SchemeRuntimeError(RuntimeError):
-    """A scheme failed mid-run (nonpositive bulk integral or a violated
-    energy-law assertion); carries the failing step index."""
+    """A scheme failed mid-run (nonpositive bulk integral, a violated
+    energy-law assertion or a non-finite field); carries the failing step
+    index."""
 
     def __init__(self, step_index: int, cause: Exception):
         super().__init__(f"scheme failed at step {step_index}: {cause}")
@@ -64,42 +67,37 @@ class SchemeRuntimeError(RuntimeError):
 
 @dataclass
 class SimulationResult:
-    config: RunConfig
     records: list
     final_state: SchemeState
-    grid: Grid
     series_path: str | None = None
     snapshot_paths: list | None = None
 
 
 def resolve_outdir(outdir=None) -> str:
     """Directory for relative output paths; the environment wins over the
-    caller, which wins over the working directory."""
+    caller, which wins over the working directory. Join paths onto it with
+    os.path.join, which leaves absolute paths as they are."""
     return os.environ.get(OUTDIR_ENV) or (str(outdir) if outdir is not None else ".")
-
-
-def _resolve(path: str, outdir: str) -> str:
-    return path if os.path.isabs(path) else os.path.join(outdir, path)
 
 
 def _fmt(x) -> str:
     if x is None:
         return ""
+    if isinstance(x, int):
+        return str(x)
     return repr(float(x))
 
 
-def write_series_csv(path, records) -> None:
-    """Fixed-order, locale-free CSV of step records."""
+def write_series_csv(path, rows, columns=SERIES_COLUMNS) -> None:
+    """Fixed-order, locale-free CSV: a header of columns, then one line per
+    mapping in rows with its cells taken by column name. Integers print as
+    such, other numbers as repr(float), None as an empty cell."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(SERIES_COLUMNS)
-        for r in records:
-            w.writerow(
-                [r.step, _fmt(r.t), _fmt(r.E_orig), _fmt(r.E_mod), _fmt(r.E2),
-                 _fmt(r.D_be), _fmt(r.D_bdf), _fmt(r.r_drift), _fmt(r.mass),
-                 _fmt(r.min_phi), _fmt(r.max_phi)]
-            )
+        w.writerow(columns)
+        for row in rows:
+            w.writerow([_fmt(row[c]) for c in columns])
 
 
 def write_snapshot(path, field: Field, t: float) -> None:
@@ -164,13 +162,16 @@ def _snapshot_steps(cfg: RunConfig) -> dict:
     return out
 
 
-def run_simulation(cfg: RunConfig, outdir=None, write_outputs=True) -> SimulationResult:
+def run_simulation(cfg: RunConfig, outdir=None, write_outputs=True, record=True) -> SimulationResult:
     """Integrate from t=0 to t_end, recording diagnostics along the way.
 
     With the default record_every=1 the series holds n_steps+1 rows
-    including t=0. A nonpositive bulk integral aborts the run; the rows
-    accumulated so far are still written before the error propagates with
-    the failing step index.
+    including t=0. With record=False no diagnostics are built, the series
+    is empty and the energy-law assertions (which check records) are off;
+    the trajectory is the same. A scheme failure (nonpositive bulk
+    integral, violated assertion, non-finite field) aborts the run; the
+    rows accumulated so far are still written before the error propagates
+    with the failing step index.
     """
     grid = cfg.make_grid()
     pot = cfg.make_potential()
@@ -186,8 +187,8 @@ def run_simulation(cfg: RunConfig, outdir=None, write_outputs=True) -> Simulatio
     out_base = resolve_outdir(outdir)
     every = cfg.outputs["record_every"]
     snap_at = _snapshot_steps(cfg) if write_outputs else {}
-    snap_dir = _resolve(cfg.outputs["snapshot_dir"], out_base)
-    series_path = _resolve(cfg.outputs["series_path"], out_base) if write_outputs else None
+    snap_dir = os.path.join(out_base, cfg.outputs["snapshot_dir"])
+    series_path = os.path.join(out_base, cfg.outputs["series_path"]) if write_outputs else None
     n_total = cfg.n_steps()
 
     snapshot_paths = []
@@ -199,8 +200,8 @@ def run_simulation(cfg: RunConfig, outdir=None, write_outputs=True) -> Simulatio
             snapshot_paths.append(path)
 
     try:
-        state, records, done = _initial_states(cfg, params, grid, sym)
-    except (NonPositiveBulkEnergyError, EnergyLawViolation) as exc:
+        state, records, done = _initial_states(cfg, params, grid, sym, record)
+    except SCHEME_FAILURES as exc:
         raise SchemeRuntimeError(0, exc) from exc
     if done == 0:
         maybe_snapshot(0, state.phi_n)
@@ -210,46 +211,23 @@ def run_simulation(cfg: RunConfig, outdir=None, write_outputs=True) -> Simulatio
     error = None
     for n in range(done + 1, n_total + 1):
         try:
-            state, rec = step(state, params, sym)
-        except (NonPositiveBulkEnergyError, EnergyLawViolation) as exc:
+            state, rec = step(state, params, sym, record)
+        except SCHEME_FAILURES as exc:
             error = SchemeRuntimeError(n, exc)
             break
-        if n % every == 0 or n == n_total:
+        if record and (n % every == 0 or n == n_total):
             records.append(rec)
         maybe_snapshot(n, state.phi_n)
     if write_outputs:
-        write_series_csv(series_path, records)
+        write_series_csv(series_path, map(vars, records))
     if error is not None:
         raise error
     return SimulationResult(
-        config=cfg,
         records=records,
         final_state=state,
-        grid=grid,
         series_path=series_path,
         snapshot_paths=snapshot_paths or None,
     )
-
-
-def _final_field(cfg: RunConfig) -> Field:
-    """Fast path: integrate without records or outputs, return phi(t_end)."""
-    grid = cfg.make_grid()
-    pot = cfg.make_potential()
-    params = ModelParams(
-        alpha=cfg.model["alpha"], gamma=cfg.model["gamma"],
-        S=cfg.S, tau=cfg.tau, potential=pot,
-    )
-    sym = params.symbols(grid)
-    try:
-        state, _, done = _initial_states(cfg, params, grid, sym, record=False)
-    except (NonPositiveBulkEnergyError, EnergyLawViolation) as exc:
-        raise SchemeRuntimeError(0, exc) from exc
-    for n in range(done + 1, cfg.n_steps() + 1):
-        try:
-            state, _ = step(state, params, sym, record=False)
-        except (NonPositiveBulkEnergyError, EnergyLawViolation) as exc:
-            raise SchemeRuntimeError(n, exc) from exc
-    return state.phi_n
 
 
 def _order_rows(labels, errors):
@@ -272,43 +250,33 @@ def convergence_study(base_cfg: RunConfig, taus=None, grids=None,
     n-by-n grid; the reference is the *same* scheme at the same tau on a
     ref_grid_n^2 grid, so the temporal discretization error cancels exactly
     and the table isolates spatial accuracy.
-    Orders are log2(e_coarse / e_fine) between consecutive rows.
+    Orders are log2(e_coarse / e_fine) between consecutive rows. Every
+    time step must divide t_end by the same rule as a config's tau.
     """
     if (taus is None) == (grids is None):
         raise ConfigError("convergence: give exactly one of taus or grids")
     if taus is not None:
-        steps_ref = base_cfg.t_end / ref_tau
-        if abs(steps_ref - round(steps_ref)) > 1e-6:
+        if not is_step_multiple(base_cfg.t_end, ref_tau):
             raise ConfigError("convergence: t_end must be an integer multiple of ref_tau")
-        ref_cfg = replace(base_cfg, scheme=Scheme.SAV_BDF.value, tau=ref_tau)
-        ref = _final_field(ref_cfg)
-        labels, errors = [], []
         for tau in taus:
-            cfg = replace(base_cfg, tau=float(tau))
-            steps = cfg.t_end / cfg.tau
-            if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
+            if not is_step_multiple(base_cfg.t_end, float(tau)):
                 raise ConfigError(f"convergence: t_end is not a multiple of tau={tau}")
-            labels.append(int(round(steps)))
-            errors.append(h1_error(_final_field(cfg), ref))
+        ref_cfg = replace(base_cfg, scheme=Scheme.SAV_BDF.value, tau=ref_tau)
+        members = [replace(base_cfg, tau=float(tau)) for tau in taus]
+        labels = [cfg.n_steps() for cfg in members]
     else:
-        ref_cfg = replace(
-            base_cfg,
-            grid={**base_cfg.grid, "nx": int(ref_grid_n), "ny": int(ref_grid_n)},
+        ref_cfg, *members = (
+            replace(base_cfg, grid={**base_cfg.grid, "nx": int(n), "ny": int(n)})
+            for n in (ref_grid_n, *grids)
         )
-        ref = _final_field(ref_cfg)
-        labels, errors = [], []
-        for n in grids:
-            cfg = replace(base_cfg, grid={**base_cfg.grid, "nx": int(n), "ny": int(n)})
-            labels.append(int(n))
-            errors.append(h1_error(_final_field(cfg), ref))
-    rows = _order_rows(labels, errors)
+        labels = [int(n) for n in grids]
+    ref, *finals = (
+        run_simulation(cfg, write_outputs=False, record=False).final_state.phi_n
+        for cfg in (ref_cfg, *members)
+    )
+    rows = _order_rows(labels, [h1_error(phi, ref) for phi in finals])
     if out_path is not None:
-        os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
-        with open(out_path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["resolution", "h1_error", "order"])
-            for r in rows:
-                w.writerow([r["resolution"], _fmt(r["h1_error"]), _fmt(r["order"])])
+        write_series_csv(out_path, rows, ("resolution", "h1_error", "order"))
     return rows
 
 
@@ -346,10 +314,5 @@ def compare_schemes(cfg_a: RunConfig, cfg_b: RunConfig, out_path=None):
             row[f"{c}_{tag_b}"] = getattr(rb, c)
         rows.append(row)
     if out_path is not None:
-        os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
-        with open(out_path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            for row in rows:
-                w.writerow([row["step"]] + [_fmt(row[c]) for c in header[1:]])
+        write_series_csv(out_path, rows, header)
     return rows

@@ -18,13 +18,11 @@ import numpy as np
 from .spectral import Field
 
 __all__ = [
-    "Potential",
     "DoubleWell",
     "FloryHugginsRegularized",
     "ConstantPotential",
     "NonPositiveBulkEnergyError",
     "bulk_energy",
-    "bulk_quad",
     "r_of_phi",
     "suggest_S",
 ]
@@ -179,14 +177,18 @@ def bulk_quad(potential: Potential, phi: Field) -> float:
     return phi.grid.quad(potential.F(phi.values))
 
 
-def bulk_energy(potential: Potential, phi: Field) -> float:
-    """Integrated bulk energy; must be strictly positive for the schemes."""
-    val = bulk_quad(potential, phi)
+def check_bulk(val: float) -> float:
+    """Return an integrated bulk energy, raising unless it is strictly positive."""
     if not (val > 0.0):
         raise NonPositiveBulkEnergyError(
             f"integrated bulk energy is {val}; add a constant to the potential"
         )
     return val
+
+
+def bulk_energy(potential: Potential, phi: Field) -> float:
+    """Integrated bulk energy; must be strictly positive for the schemes."""
+    return check_bulk(bulk_quad(potential, phi))
 
 
 def r_of_phi(potential: Potential, phi: Field) -> float:

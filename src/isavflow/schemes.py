@@ -1,4 +1,4 @@
-"""Auxiliary-variable time steppers for 2-D periodic gradient flows.
+"""Auxiliary-variable time stepping for 2-D periodic gradient flows.
 
 Four schemes are implemented for d(phi)/dt = -G mu with mu the variational
 derivative of E[phi] = 1/2 ||L^{1/2} phi||^2 + int F(phi), where L = -Lap
@@ -14,28 +14,30 @@ and G = gamma * (-Lap)^alpha:
   trajectory, the backward-Euler variant dissipates the *original* energy
   monotonically.
 
-Every step reduces to one linear solve with a constant-coefficient diagonal
-operator perturbed by a rank-one term, handled by :func:`rank_one_solve`
-through two diagonal solves and a scalar correction. All solves are done in
-Fourier space where the diagonal part is literally diagonal.
+All four are one function, :func:`step`, driven by two choices: the time
+discretization (backward Euler or BDF2) and the scalar policy (carried or
+re-evaluated). Every step is one linear solve with a constant-coefficient
+diagonal operator perturbed by a rank-one term, done in Fourier space by
+two diagonal solves and a scalar correction (see :func:`rank_one_solve`).
+The BDF2 schemes need two levels, so their first step is an ``isav-be``
+step that :func:`bootstrap_bdf` promotes to a two-level state.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
-from .diagnostics import e2_from_parts, record_step
-from .potentials import Potential, bulk_energy, bulk_quad
+from .diagnostics import e2_from_parts, energy_parts, record_step
+from .potentials import Potential, bulk_energy, bulk_quad, check_bulk
 from .spectral import (
     Field,
     Grid,
     OperatorSymbols,
     apply_symbol,
-    dealias_mask,
     inner_hat,
     operator_symbols,
     quad_form_hat,
@@ -50,10 +52,6 @@ __all__ = [
     "rank_one_solve",
     "dense_solve_oracle",
     "make_initial_state",
-    "step_sav_be",
-    "step_isav_be",
-    "step_sav_bdf",
-    "step_isav_bdf",
     "bootstrap_bdf",
     "step",
 ]
@@ -98,7 +96,6 @@ class ModelParams:
     tau: float
     potential: Potential
     assert_energy: bool = False
-    dealias: bool = False
 
     def __post_init__(self):
         if not (0.0 <= self.alpha <= 1.0):
@@ -117,17 +114,35 @@ class ModelParams:
 
 
 @dataclass
-class SchemeState:
-    """State advanced by the steppers plus per-step diagnostic carries.
+class StepDiagnostics:
+    """Energy bookkeeping that only records use, carried by the states of
+    recording steps.
 
-    The SAV family carries its discrete auxiliary scalar in r_n (and r_nm1
-    for the BDF variant). The improved schemes carry no scalar between
-    steps; r_report only records the most recently reconstructed value for
-    diagnostics. mu_hat (the spectrum of the chemical potential of the step
-    that produced the state), phi_prev and the energy scalars exist so a
-    fully populated record can be produced from the state alone; they are
-    None on the fast path used for long reference runs. e_lin_n and F_n are
-    the gradient and bulk parts of the original energy at phi_n.
+    e_lin is 1/2 ||L^{1/2} phi_n||^2; mu_hat the spectrum of the chemical
+    potential of the step that produced the state (None at t=0); E2 the
+    three-level modified energy (BDF states only); prev_E_orig and prev_E2
+    the energies of the level before, for the decrement quantities.
+    """
+
+    e_lin: float
+    mu_hat: np.ndarray | None = None
+    E2: float | None = None
+    prev_E_orig: float | None = None
+    prev_E2: float | None = None
+
+
+@dataclass
+class SchemeState:
+    """What the next step needs, plus an optional diagnostics carry.
+
+    phi_nm1 is the previous level: the BDF history, and on BE states the
+    pre-step field that bootstrap_bdf promotes. The SAV schemes carry their
+    auxiliary scalar in r_n (and r_nm1 for BDF2); the improved schemes carry
+    none, and r_report holds the latest scalar, carried or reconstructed,
+    for records and for seeding the SAV-BDF bootstrap. F_n and F_nm1 are
+    the bulk integrals at phi_n and phi_nm1 when a step already evaluated
+    them (unchecked for positivity), else None; the next step reuses them.
+    diag is filled only by steps that record.
     """
 
     scheme: Scheme
@@ -137,26 +152,14 @@ class SchemeState:
     r_n: float | None = None
     r_nm1: float | None = None
     r_report: float | None = None
-    mu_hat: np.ndarray | None = None
-    phi_prev: Field | None = None
-    e_lin_n: float | None = None
     F_n: float | None = None
-    prev_E_orig: float | None = None
-    E2_n: float | None = None
-    prev_E2: float | None = None
+    F_nm1: float | None = None
+    diag: StepDiagnostics | None = None
 
     @property
     def E_orig_n(self) -> float | None:
-        """Original energy at phi_n, when the step computed its parts."""
-        return None if self.F_n is None else self.e_lin_n + self.F_n
-
-    @property
-    def last_mu(self) -> Field | None:
-        """Chemical potential of the step that produced this state."""
-        if self.mu_hat is None:
-            return None
-        grid = self.phi_n.grid
-        return Field(grid, grid.inverse(self.mu_hat), self.mu_hat)
+        """Original energy at phi_n, when the state carries its parts."""
+        return None if self.diag is None else self.diag.e_lin + self.F_n
 
 
 def make_initial_state(scheme: Scheme, phi0: Field, potential: Potential) -> SchemeState:
@@ -167,11 +170,12 @@ def make_initial_state(scheme: Scheme, phi0: Field, potential: Potential) -> Sch
     return SchemeState(
         scheme=scheme,
         phi_n=phi0,
-        step_index=0,
         r_n=r0 if not scheme.is_improved else None,
         r_report=r0,
-        e_lin_n=0.5 * quad_form_hat(phi0.grid, phi0.spectrum(), phi0.grid.lap_sym),
         F_n=F0,
+        diag=StepDiagnostics(
+            e_lin=0.5 * quad_form_hat(phi0.grid, phi0.spectrum(), phi0.grid.lap_sym)
+        ),
     )
 
 
@@ -248,7 +252,7 @@ def dense_solve_oracle(sys: RankOneSystem) -> Field:
 
 
 # ---------------------------------------------------------------------------
-# Shared step machinery
+# The time step
 # ---------------------------------------------------------------------------
 
 
@@ -279,226 +283,131 @@ def _solve_factors(sym: OperatorSymbols, tau, S, bdf):
     return out
 
 
-def _nonlinear_weight(params: ModelParams, phi: Field):
-    """f(phi)/sqrt(int F(phi)) with its transform and sqrt(int F)."""
-    grid = phi.grid
-    r_func = math.sqrt(bulk_energy(params.potential, phi))
-    b = params.potential.f(phi.values) / r_func
-    b_hat = grid.forward(b)
-    if params.dealias:
-        b_hat = b_hat * dealias_mask(grid)
-        b = grid.inverse(b_hat)
-    return b, b_hat, r_func
+def step(state: SchemeState, params: ModelParams, sym=None, record=True):
+    """Advance the state one time level with its own scheme.
 
+    Every scheme solves [a + k*G*(L+S)] phi + (k/2) <b,phi> G b = rhs with
+    b = f(phi*)/sqrt(int F(phi*)) at an extrapolant phi*. The time
+    discretization fixes a, k, phi* and the history: backward Euler has
+    a = 1, k = tau, phi* = phi^n; BDF2 (scaled by 2*tau) has a = 3,
+    k = 2*tau, phi* = 2 phi^n - phi^{n-1}. Eliminating r^{n+1} gives
 
-def _finish_step(state, params, sym, new_values, new_hat, mu_hat, stash, record):
-    """Assemble the successor state and, unless skipped, its record.
+        BE:   rhs = (1 + tau*S*G) phi^n - tau*c*G b,
+              c = r^n - <b,phi^n>/2,   r^{n+1} = r^n + (<b,phi^{n+1}> - <b,phi^n>)/2;
+        BDF2: rhs = (4 + 4 tau S G) phi^n - (1 + 2 tau S G) phi^{n-1} - 2 tau c G b,
+              c = (4 r^n - r^{n-1})/3 - <b, 4 phi^n - phi^{n-1}>/6,
+              r^{n+1} = c + <b,phi^{n+1}>/2.
 
-    The new field carries the spectrum the solve produced, and the record
-    is built from spectra already in hand, so it costs no transform.
+    The scalar policy fixes r^n and S: the SAV schemes use their carried
+    scalars and S = 0; the improved schemes re-evaluate r[phi] = sqrt(int
+    F(phi)) at the history levels, damp with S*(phi^{n+1} - phi^n) (BE) or
+    S*(phi^{n+1} - 2 phi^n + phi^{n-1}) (BDF2), and only report the
+    reconstructed r~^{n+1}. A nonpositive bulk integral at phi* or, for the
+    improved schemes, at a history level raises NonPositiveBulkEnergyError.
+
+    Returns (new_state, record). With record=False the record is None and
+    the new state carries no diagnostics; the field is the same either way.
     """
+    scheme, bdf = state.scheme, state.scheme.is_bdf
     grid = state.phi_n.grid
-    new_state = SchemeState(
-        scheme=state.scheme,
+    sym = sym or params.symbols(grid)
+    pot, tau = params.potential, params.tau
+    S = params.S if scheme.is_improved else 0.0
+    phi, phi_hat, F_n = state.phi_n.values, state.phi_n.spectrum(), state.F_n
+    if bdf:
+        if state.phi_nm1 is None:
+            raise ValueError("BDF step requires two history levels; bootstrap first")
+        phim, phim_hat = state.phi_nm1.values, state.phi_nm1.spectrum()
+        star, F_star = Field(grid, 2.0 * phi - phim), None
+    else:
+        star, F_star = state.phi_n, F_n
+    if F_star is None:
+        F_star = bulk_quad(pot, star)
+    r_star = math.sqrt(check_bulk(F_star))
+    b = pot.f(star.values) / r_star
+    b_hat = grid.forward(b)
+    if bdf:
+        ip = grid.quad(b * (4.0 * phi - phim))
+        if scheme.is_improved:
+            F_n = bulk_quad(pot, state.phi_n) if F_n is None else F_n
+            F_m = bulk_quad(pot, state.phi_nm1) if state.F_nm1 is None else state.F_nm1
+            r_hist = (4.0 * math.sqrt(check_bulk(F_n)) - math.sqrt(check_bulk(F_m))) / 3.0
+        else:
+            r_hist = (4.0 * state.r_n - state.r_nm1) / 3.0
+        c = r_hist - ip / 6.0
+        k = 2.0 * tau
+        g_d, cn_d, cm_d = _solve_factors(sym, tau, S, True)
+        hist_hat = cn_d * phi_hat - cm_d * phim_hat
+    else:
+        F_n = F_star
+        ip = grid.quad(b * phi)
+        r = r_star if scheme.is_improved else state.r_n
+        c = r - 0.5 * ip
+        k = tau
+        g_d, cn_d, _ = _solve_factors(sym, tau, S, False)
+        hist_hat = cn_d * phi_hat
+    z1_hat = g_d * b_hat
+    new_values, new_hat, bracket = _rank_one_core(
+        grid, z1_hat, hist_hat - (k * c) * z1_hat, b_hat, 0.5 * k
+    )
+    r_new = c + 0.5 * bracket if bdf else r + 0.5 * (bracket - ip)
+    new = SchemeState(
+        scheme=scheme,
         phi_n=Field(grid, new_values, new_hat),
         step_index=state.step_index + 1,
-        phi_nm1=state.phi_n if state.scheme.is_bdf else None,
-        r_n=stash.get("r_n"),
-        r_nm1=stash.get("r_nm1"),
-        r_report=stash["r_report"],
-        phi_prev=state.phi_n,
+        phi_nm1=state.phi_n,
+        r_n=None if scheme.is_improved else r_new,
+        r_nm1=state.r_n if bdf else None,
+        r_report=r_new,
+        F_nm1=F_n,
     )
     if not record:
-        return new_state, None
-    new_state.mu_hat = mu_hat
-    new_state.prev_E_orig = state.E_orig_n
-    new_state.prev_E2 = state.E2_n
+        return new, None
+
+    # Diagnostics, built from spectra already in hand: no transform.
+    new.F_n = bulk_quad(pot, new.phi_n)
     e_lin = 0.5 * quad_form_hat(grid, new_hat, sym.lap)
-    F_new = bulk_quad(params.potential, new_state.phi_n)
-    new_state.e_lin_n = e_lin
-    new_state.F_n = F_new
-    if state.scheme.is_bdf:
-        S_eff = params.S if state.scheme.is_improved else 0.0
-        e_lin_star = 0.5 * quad_form_hat(grid, 2.0 * new_hat - state.phi_n.spectrum(), sym.lap)
-        diff_sq = grid.quad((new_values - state.phi_n.values) ** 2)
-        F_n = stash.get("F_n", state.F_n)
+    mu_hat = sym.lap * new_hat + r_new * b_hat
+    E2 = None
+    if bdf:
+        if scheme.is_improved:
+            mu_hat += S * (new_hat - 2.0 * phi_hat + phim_hat)
         if F_n is None:
-            F_n = bulk_quad(params.potential, state.phi_n)
-        new_state.E2_n = e2_from_parts(e_lin, e_lin_star, F_new, F_n, S_eff, diff_sq)
-    rec = record_step(new_state, params, sym)
+            F_n = bulk_quad(pot, state.phi_n)
+        e_lin_star = 0.5 * quad_form_hat(grid, 2.0 * new_hat - phi_hat, sym.lap)
+        diff_sq = grid.quad((new_values - phi) ** 2)
+        E2 = e2_from_parts(e_lin, e_lin_star, new.F_n, F_n, S, diff_sq)
+    elif scheme.is_improved:
+        mu_hat += S * (new_hat - phi_hat)
+    prev = state.diag
+    new.diag = StepDiagnostics(
+        e_lin=e_lin,
+        mu_hat=mu_hat,
+        E2=E2,
+        prev_E_orig=state.E_orig_n,
+        prev_E2=None if prev is None else prev.E2,
+    )
+    rec = record_step(new, params, sym)
     if params.assert_energy:
-        _check_energy_laws(state, new_state, params, rec, stash)
-    return new_state, rec
+        _check_energy_laws(state, new, params, sym, rec)
+    return new, rec
 
 
-def _check_energy_laws(old, new, params, rec, stash):
+def _check_energy_laws(old, new, params, sym, rec):
     if new.scheme == Scheme.SAV_BE:
-        e_mod_old = stash["e_lin_old"] + old.r_n**2
+        e_lin_old, _ = energy_parts(old, sym, params.potential)
+        e_mod_old = e_lin_old + old.r_n**2
         if rec.E_mod > e_mod_old + MODIFIED_ENERGY_RTOL * abs(e_mod_old):
             raise EnergyLawViolation(
                 f"modified energy rose at step {new.step_index}: {e_mod_old} -> {rec.E_mod}"
             )
     elif new.scheme == Scheme.ISAV_BE and rec.D_be is not None:
-        tol = ORIGINAL_ENERGY_RTOL * (1.0 + abs(stash["E_orig_old"]))
+        e_lin_old, F_old = energy_parts(old, sym, params.potential)
+        tol = ORIGINAL_ENERGY_RTOL * (1.0 + abs(e_lin_old + F_old))
         if rec.D_be > tol:
             raise EnergyLawViolation(
                 f"original-energy decrement positive at step {new.step_index}: {rec.D_be}"
             )
-
-
-# ---------------------------------------------------------------------------
-# Backward-Euler steppers
-# ---------------------------------------------------------------------------
-
-
-def step_sav_be(state, params, sym=None, record=True):
-    """One step of the first-order SAV scheme.
-
-    The carried scalar r^n stands in for the bulk functional inside the
-    chemical potential; eliminating r^{n+1} yields
-
-        [I + tau*G*L] phi + (tau/2) <b,phi> G b
-            = phi^n - tau*(r^n - <b,phi^n>/2) G b,
-
-    with b = f(phi^n)/sqrt(int F(phi^n)); then
-    r^{n+1} = r^n + <b, phi^{n+1}-phi^n>/2 and mu = L phi^{n+1} + r^{n+1} b.
-    """
-    if state.scheme != Scheme.SAV_BE:
-        raise ValueError(f"state carries scheme {state.scheme}, expected sav-be")
-    grid = state.phi_n.grid
-    sym = sym or params.symbols(grid)
-    tau = params.tau
-    b, b_hat, _ = _nonlinear_weight(params, state.phi_n)
-    phi_hat = state.phi_n.spectrum()
-    ip_b_phi = grid.quad(b * state.phi_n.values)
-    g_d, c_d, _ = _solve_factors(sym, tau, 0.0, False)
-    z1_hat = g_d * b_hat
-    z2_hat = c_d * phi_hat - tau * (state.r_n - 0.5 * ip_b_phi) * z1_hat
-    new_values, new_hat, bracket = _rank_one_core(grid, z1_hat, z2_hat, b_hat, 0.5 * tau)
-    r_new = state.r_n + 0.5 * (bracket - ip_b_phi)
-    mu_hat = sym.lap * new_hat + r_new * b_hat if record else None
-    stash = {"r_n": r_new, "r_report": r_new}
-    if params.assert_energy:
-        stash["e_lin_old"] = 0.5 * quad_form_hat(grid, phi_hat, sym.lap)
-    return _finish_step(state, params, sym, new_values, new_hat, mu_hat, stash, record)
-
-
-def step_isav_be(state, params, sym=None, record=True):
-    """One step of the first-order improved scheme.
-
-    Same elimination as sav-be but with the exact functional value r[phi^n]
-    in place of the carried scalar and the damping folded into the operator:
-
-        [I + tau*G*(L+S)] phi + (tau/2) <b,phi> G b
-            = (I + tau*S*G) phi^n - tau*(r[phi^n] - <b,phi^n>/2) G b.
-
-    The reconstructed scalar r~^{n+1} = r[phi^n] + <b, phi^{n+1}-phi^n>/2 is
-    reported but never fed back into the next step.
-    """
-    if state.scheme != Scheme.ISAV_BE:
-        raise ValueError(f"state carries scheme {state.scheme}, expected isav-be")
-    grid = state.phi_n.grid
-    sym = sym or params.symbols(grid)
-    tau, S = params.tau, params.S
-    b, b_hat, r_func = _nonlinear_weight(params, state.phi_n)
-    phi_hat = state.phi_n.spectrum()
-    ip_b_phi = grid.quad(b * state.phi_n.values)
-    g_d, c_d, _ = _solve_factors(sym, tau, S, False)
-    z1_hat = g_d * b_hat
-    z2_hat = c_d * phi_hat - tau * (r_func - 0.5 * ip_b_phi) * z1_hat
-    new_values, new_hat, bracket = _rank_one_core(grid, z1_hat, z2_hat, b_hat, 0.5 * tau)
-    r_tilde = r_func + 0.5 * (bracket - ip_b_phi)
-    mu_hat = sym.lap * new_hat + r_tilde * b_hat + S * (new_hat - phi_hat) if record else None
-    stash = {"r_report": r_tilde}
-    if params.assert_energy:
-        stash["E_orig_old"] = state.E_orig_n
-        if stash["E_orig_old"] is None:
-            stash["E_orig_old"] = 0.5 * quad_form_hat(grid, phi_hat, sym.lap) + bulk_quad(
-                params.potential, state.phi_n
-            )
-    return _finish_step(state, params, sym, new_values, new_hat, mu_hat, stash, record)
-
-
-# ---------------------------------------------------------------------------
-# BDF2 steppers
-# ---------------------------------------------------------------------------
-
-
-def _bdf_common(state, params):
-    """Pieces shared by both three-level steppers.
-
-    The nonlinearity is evaluated at the extrapolant 2 phi^n - phi^{n-1};
-    a nonpositive bulk integral there is a genuine runtime failure that is
-    propagated, not clamped.
-    """
-    grid = state.phi_n.grid
-    if state.phi_nm1 is None:
-        raise ValueError("BDF step requires two history levels; bootstrap first")
-    phi = state.phi_n.values
-    phim = state.phi_nm1.values
-    b, b_hat, _ = _nonlinear_weight(params, Field(grid, 2.0 * phi - phim))
-    ip_b_hist = grid.quad(b * (4.0 * phi - phim))
-    return grid, b_hat, state.phi_n.spectrum(), state.phi_nm1.spectrum(), ip_b_hist
-
-
-def _bdf_solve(grid, params, sym, S, b_hat, phi_hat, phim_hat, c):
-    """Solve [3 + 2*tau*G*(L+S)] phi + tau <b,phi> G b = rhs (the 2*tau-scaled
-    form of the three-level update), where
-    rhs = (4 + 4*tau*S*G) phi^n - (1 + 2*tau*S*G) phi^{n-1} - 2*tau*c*G b."""
-    tau = params.tau
-    g_d, cn_d, cm_d = _solve_factors(sym, tau, S, True)
-    z1_hat = g_d * b_hat
-    z2_hat = cn_d * phi_hat - cm_d * phim_hat - (2.0 * tau * c) * z1_hat
-    return _rank_one_core(grid, z1_hat, z2_hat, b_hat, tau)
-
-
-def step_sav_bdf(state, params, sym=None, record=True):
-    """One step of the second-order SAV scheme (BDF2 in time).
-
-    Carries r^n, r^{n-1}; eliminating
-    r^{n+1} = (4 r^n - r^{n-1})/3 + <b, 3 phi^{n+1} - 4 phi^n + phi^{n-1}>/6
-    gives the same rank-one solve with diagonal 3 + 2*tau*G*L and weight tau.
-    """
-    if state.scheme != Scheme.SAV_BDF:
-        raise ValueError(f"state carries scheme {state.scheme}, expected sav-bdf")
-    sym = sym or params.symbols(state.phi_n.grid)
-    grid, b_hat, phi_hat, phim_hat, ip_b_hist = _bdf_common(state, params)
-    c = (4.0 * state.r_n - state.r_nm1) / 3.0 - ip_b_hist / 6.0
-    new_values, new_hat, bracket = _bdf_solve(grid, params, sym, 0.0, b_hat, phi_hat, phim_hat, c)
-    r_new = c + 0.5 * bracket
-    mu_hat = sym.lap * new_hat + r_new * b_hat if record else None
-    stash = {"r_n": r_new, "r_nm1": state.r_n, "r_report": r_new}
-    return _finish_step(state, params, sym, new_values, new_hat, mu_hat, stash, record)
-
-
-def step_isav_bdf(state, params, sym=None, record=True):
-    """One step of the second-order improved scheme.
-
-    As sav-bdf but the history scalars are re-evaluated from the fields,
-    4 r[phi^n] - r[phi^{n-1}], and the damping acts on the second difference
-    S*(phi^{n+1} - 2 phi^n + phi^{n-1}). The reconstructed r~^{n+1} is
-    reported for diagnostics only.
-    """
-    if state.scheme != Scheme.ISAV_BDF:
-        raise ValueError(f"state carries scheme {state.scheme}, expected isav-bdf")
-    sym = sym or params.symbols(state.phi_n.grid)
-    grid, b_hat, phi_hat, phim_hat, ip_b_hist = _bdf_common(state, params)
-    F_n = bulk_energy(params.potential, state.phi_n)
-    F_m = bulk_energy(params.potential, state.phi_nm1)
-    c = (4.0 * math.sqrt(F_n) - math.sqrt(F_m)) / 3.0 - ip_b_hist / 6.0
-    new_values, new_hat, bracket = _bdf_solve(
-        grid, params, sym, params.S, b_hat, phi_hat, phim_hat, c
-    )
-    r_tilde = c + 0.5 * bracket
-    mu_hat = None
-    if record:
-        mu_hat = (
-            sym.lap * new_hat
-            + r_tilde * b_hat
-            + params.S * (new_hat - 2.0 * phi_hat + phim_hat)
-        )
-    stash = {"r_report": r_tilde, "F_n": F_n}
-    return _finish_step(state, params, sym, new_values, new_hat, mu_hat, stash, record)
 
 
 def bootstrap_bdf(be_state: SchemeState, params: ModelParams, scheme: Scheme) -> SchemeState:
@@ -510,48 +419,23 @@ def bootstrap_bdf(be_state: SchemeState, params: ModelParams, scheme: Scheme) ->
     scheme = Scheme(scheme)
     if not scheme.is_bdf:
         raise ValueError(f"bootstrap target must be a BDF scheme, got {scheme}")
-    if be_state.scheme != Scheme.ISAV_BE or be_state.step_index < 1 or be_state.phi_n is None:
+    if be_state.scheme != Scheme.ISAV_BE:
+        raise ValueError(f"state carries scheme {be_state.scheme.value}, expected isav-be")
+    if be_state.step_index < 1:
         raise ValueError("bootstrap requires a completed isav-be step")
-    if be_state.phi_prev is None:
-        raise ValueError("bootstrap requires the pre-step field on the BE state")
-    phi0, phi1 = be_state.phi_prev, be_state.phi_n
-    state = SchemeState(
-        scheme=scheme,
-        phi_n=phi1,
-        phi_nm1=phi0,
-        step_index=be_state.step_index,
-        r_report=be_state.r_report,
-        mu_hat=be_state.mu_hat,
-        phi_prev=phi0,
-        e_lin_n=be_state.e_lin_n,
-        F_n=be_state.F_n,
-        prev_E_orig=be_state.prev_E_orig,
-    )
+    phi0, phi1, F0 = be_state.phi_nm1, be_state.phi_n, be_state.F_nm1
+    state = replace(be_state, scheme=scheme)
     if scheme == Scheme.SAV_BDF:
         state.r_n = be_state.r_report
-        state.r_nm1 = math.sqrt(bulk_energy(params.potential, phi0))
-    if be_state.F_n is not None:
+        state.r_nm1 = math.sqrt(check_bulk(F0))
+    if be_state.diag is not None:
         grid = phi1.grid
-        S_eff = params.S if scheme.is_improved else 0.0
-        state.E2_n = e2_from_parts(
-            be_state.e_lin_n,
+        state.diag = replace(be_state.diag, E2=e2_from_parts(
+            be_state.diag.e_lin,
             0.5 * quad_form_hat(grid, 2.0 * phi1.spectrum() - phi0.spectrum(), grid.lap_sym),
             be_state.F_n,
-            bulk_quad(params.potential, phi0),
-            S_eff,
+            F0,
+            params.S if scheme.is_improved else 0.0,
             grid.quad((phi1.values - phi0.values) ** 2),
-        )
+        ))
     return state
-
-
-_STEPPERS = {
-    Scheme.SAV_BE: step_sav_be,
-    Scheme.ISAV_BE: step_isav_be,
-    Scheme.SAV_BDF: step_sav_bdf,
-    Scheme.ISAV_BDF: step_isav_bdf,
-}
-
-
-def step(state, params, sym=None, record=True):
-    """Dispatch one time step on the state's own scheme."""
-    return _STEPPERS[state.scheme](state, params, sym, record)

@@ -19,8 +19,6 @@ import numpy as np
 __all__ = [
     "Grid",
     "Field",
-    "OperatorSymbols",
-    "FieldNorms",
     "make_grid",
     "operator_symbols",
     "apply_symbol",
@@ -28,7 +26,6 @@ __all__ = [
     "norms",
     "quad_form_hat",
     "inner_hat",
-    "dealias_mask",
     "resample",
 ]
 
@@ -58,14 +55,11 @@ class Grid:
                 raise ValueError(f"{name} must be positive, got {l}")
         object.__setattr__(self, "hx", self.lx / self.nx)
         object.__setattr__(self, "hy", self.ly / self.ny)
-        # Signed wavenumbers in FFT ordering; the y axis also gets the
+        # Signed wavenumbers in FFT ordering along x; y takes the
         # half-spectrum layout used by rfft2.
         kx = 2.0 * np.pi * np.fft.fftfreq(self.nx, d=self.hx)
-        ky = 2.0 * np.pi * np.fft.fftfreq(self.ny, d=self.hy)
         ky_half = 2.0 * np.pi * np.fft.rfftfreq(self.ny, d=self.hy)
         object.__setattr__(self, "kx", kx)
-        object.__setattr__(self, "ky", ky)
-        object.__setattr__(self, "ky_half", ky_half)
         object.__setattr__(self, "lap_sym", kx[:, None] ** 2 + ky_half[None, :] ** 2)
         # Parseval weights for the rfft2 half-spectrum: interior columns
         # stand for a conjugate pair, the ky=0 and Nyquist columns do not.
@@ -106,6 +100,10 @@ def make_grid(nx: int, ny: int, lx: float, ly: float) -> Grid:
     return Grid(nx, ny, lx, ly)
 
 
+class NonFiniteFieldError(ValueError):
+    """A field would hold NaN or Inf entries."""
+
+
 @dataclass
 class Field:
     """Real scalar field sampled at the grid nodes, shape (nx, ny).
@@ -130,7 +128,7 @@ class Field:
         if v.shape != self.grid.shape:
             raise ValueError(f"field shape {v.shape} does not match grid {self.grid.shape}")
         if not np.isfinite(v).all():
-            raise ValueError("field contains NaN or Inf entries")
+            raise NonFiniteFieldError("field contains NaN or Inf entries")
         self.values = v
 
     def spectrum(self) -> np.ndarray:
@@ -138,9 +136,6 @@ class Field:
         if self.hat is None:
             self.hat = self.grid.forward(self.values)
         return self.hat
-
-    def copy(self) -> "Field":
-        return Field(self.grid, self.values.copy())
 
     def __add__(self, other: "Field") -> "Field":
         _require_same_grid(self, other)
@@ -271,15 +266,6 @@ def norms(u: Field, sym: OperatorSymbols) -> FieldNorms:
         h1=np.sqrt(l2_sq + grad_sq),
         g_half=np.sqrt(g_half_sq),
     )
-
-
-def dealias_mask(grid: Grid) -> np.ndarray:
-    """2/3-rule mask on the half-spectrum (off by default everywhere)."""
-    cut_x = (2.0 / 3.0) * np.abs(grid.kx).max()
-    cut_y = (2.0 / 3.0) * np.abs(grid.ky).max()
-    mx = np.abs(grid.kx)[:, None] <= cut_x
-    my = np.abs(grid.ky_half)[None, :] <= cut_y
-    return (mx & my).astype(float)
 
 
 def _axis_map(n_src: int, n_dst: int) -> np.ndarray:

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from isavflow import ConfigError, ModelParams, Scheme, SchemeRuntimeError, make_grid, step
+from isavflow import ConfigError, Field, ModelParams, Scheme, SchemeRuntimeError, make_grid, step
 from isavflow.cli import main
 from isavflow.config import config_from_dict, initial_field, load_config, preset_names
 from isavflow.harness import (
@@ -361,6 +361,17 @@ class TestConvergenceDriver:
         for r in rows[1:]:
             assert 0.8 <= r["order"] <= 1.2
 
+    def test_tau_divisibility_matches_config_rule(self):
+        # one rule for config taus and sweep members: 4 ulp of the step count
+        doc = {"preset": "ex1-isav-be", "tau": 0.01, "t_end": 0.04,
+               "grid": {"nx": 8, "ny": 8, "lx": TWO_PI, "ly": TWO_PI}}
+        cfg = config_from_dict(doc)
+        near = 0.01 * (1 + 1e-10)
+        with pytest.raises(ConfigError, match="multiple of tau"):
+            convergence_study(cfg, taus=[near], ref_tau=1e-5)
+        with pytest.raises(ConfigError, match="t_end"):
+            config_from_dict({**doc, "tau": near})
+
     def test_temporal_mode_validates_ref_alignment(self):
         cfg = config_from_dict({"preset": "ex1-isav-be", "tau": 0.01, "t_end": 0.1,
                                 "grid": {"nx": 16, "ny": 16, "lx": TWO_PI, "ly": TWO_PI}})
@@ -447,6 +458,35 @@ class TestCli:
         }
         path = write_cfg(tmp_path, doc)
         assert main(["run", path]) == 3
+
+    def test_non_finite_field_exit_code(self, tmp_path, capsys):
+        # a +-1e80 start overflows the bulk energy and the first step's
+        # field turns non-finite: a scheme failure at step 1 with the
+        # t=0 row already written
+        g = make_grid(8, 8, TWO_PI, TWO_PI)
+        checker = np.indices(g.shape).sum(axis=0) % 2
+        snap = str(tmp_path / "snap.txt")
+        write_snapshot(snap, Field(g, np.where(checker == 0, 1e80, -1e80)), t=0.0)
+        path = write_cfg(tmp_path, {
+            "preset": "ex1-isav-be", "grid": {"nx": 8, "ny": 8},
+            "init": {"kind": "file", "path": snap},
+            "outputs": {"series_path": str(tmp_path / "s.csv")},
+        })
+        with np.errstate(all="ignore"):
+            assert main(["run", path]) == 3
+        assert "step 1:" in capsys.readouterr().err
+        lines = open(tmp_path / "s.csv").read().splitlines()
+        assert len(lines) == 2 and lines[1].startswith("0,")
+
+    def test_non_finite_snapshot_is_a_config_error(self, tmp_path):
+        snap = tmp_path / "snap.txt"
+        snap.write_text("4 4 1 1 0\n" + "nan 0 0 0\n" + "0 0 0 0\n" * 3)
+        path = write_cfg(tmp_path, {
+            "preset": "ex1-isav-be", "grid": {"nx": 4, "ny": 4, "lx": 1.0, "ly": 1.0},
+            "init": {"kind": "file", "path": str(snap)},
+            "outputs": {"series_path": str(tmp_path / "s.csv")},
+        })
+        assert main(["run", path]) == 2
 
     def test_converge_cli(self, tmp_path):
         path = write_cfg(tmp_path, {

@@ -1,0 +1,109 @@
+"""The benchmark's hooks into the package, checked from this suite.
+
+perfbench/ has its own tests, which this suite does not run, so an API
+change here could break the benchmark's tracer or its set-up probe with no
+test failing. These tests load perfbench/tracing.py by path and run
+perfbench/setup_probe.py as the benchmark does, without editing either.
+"""
+
+import importlib.util
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from isavflow import Scheme
+from isavflow.config import config_from_dict
+from isavflow.harness import run_simulation
+
+from conftest import TWO_PI
+
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tracing = load_tracing()
+
+
+def small_config(scheme, tmp_path):
+    return config_from_dict({
+        "preset": f"ex1-{scheme}",
+        "grid": {"nx": 8, "ny": 8, "lx": TWO_PI, "ly": TWO_PI},
+        "tau": 0.05, "t_end": 0.3,
+        "outputs": {"series_path": str(tmp_path / "series.csv"),
+                    "snapshot_dir": str(tmp_path / "snaps"),
+                    "field_snapshot_times": [0.3]},
+    })
+
+
+def site_functions():
+    return [vars(owner)[attr] for owner, attr, _ in tracing.trace_sites()]
+
+
+def test_every_trace_site_resolves():
+    for (owner, attr, name), fn in zip(tracing.trace_sites(), site_functions()):
+        assert callable(fn), f"{name}: {owner!r}.{attr} is not callable"
+
+
+def test_tracer_wraps_a_run_and_restores_the_sites(tmp_path):
+    cfg = small_config("isav-bdf", tmp_path)
+    before = site_functions()
+    with tracing.Tracer() as tracer:
+        run_simulation(cfg)
+    assert all(a is b for a, b in zip(before, site_functions()))
+    counts = tracer.counts()
+    # one bootstrap step, then the loop's steps
+    assert counts["total"]["harness.step_isav_be"] == 1
+    assert counts["steps_in_loop"] == cfg.n_steps() - 1
+    assert counts["total"]["harness.write_series_csv"] == 1
+    assert counts["total"]["harness.write_snapshot"] == 1
+    assert counts["per_step"]["spectral.forward"] == 1.0
+    assert counts["per_step"]["spectral.inverse"] == 1.0
+    assert counts["per_step"]["schemes.rank_one"] == 1.0
+    assert counts["per_step"]["diagnostics.record_step"] == 1.0
+
+
+# Bulk-integral evaluations over the loop's n steps, as (per step, offset).
+# A step reuses the integrals an earlier step computed, and a step without
+# records never evaluates F at phi^{n+1}: a BE step then evaluates F at
+# phi^n, except the first, which takes it from the initial state. BDF2
+# always needs F at its extrapolant.
+F_IN_LOOP = {
+    ("sav-be", True): (1, 0), ("sav-be", False): (1, -1),
+    ("isav-be", True): (1, 0), ("isav-be", False): (1, -1),
+    ("sav-bdf", True): (2, 0), ("sav-bdf", False): (1, 0),
+    ("isav-bdf", True): (2, 0), ("isav-bdf", False): (2, 0),
+}
+
+
+@pytest.mark.parametrize("record", [True, False])
+@pytest.mark.parametrize("scheme", [s.value for s in Scheme])
+def test_bulk_integrals_per_step(scheme, record, tmp_path):
+    cfg = small_config(scheme, tmp_path)
+    with tracing.Tracer() as tracer:
+        run_simulation(cfg, write_outputs=False, record=record)
+    n = tracer.counts()["steps_in_loop"]
+    per, offset = F_IN_LOOP[(scheme, record)]
+    assert tracer.calls_in_step["potentials.DoubleWell.F"] == per * n + offset
+    assert tracer.per_step("potentials.DoubleWell.f") == 1.0
+
+
+def test_setup_probe_reports_setup_time(tmp_path):
+    config = tmp_path / "ex1.json"
+    config.write_text(json.dumps({"preset": "ex1-isav-bdf"}))
+    out = subprocess.run(
+        [sys.executable, str(PERFBENCH / "setup_probe.py"), str(ROOT / "src"), str(config)],
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    result = json.loads(out.stdout.splitlines()[-1])
+    assert result["setup_s"] > 0.0
+    assert Path(result["package"]).resolve() == (ROOT / "src" / "isavflow" / "__init__.py").resolve()

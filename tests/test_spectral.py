@@ -201,19 +201,6 @@ class TestTransformProperties:
                 assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
 
-class TestDealiasMask:
-    def test_two_thirds_cutoff(self):
-        from isavflow.spectral import dealias_mask
-
-        g = make_grid(12, 12, TWO_PI, TWO_PI)
-        m = dealias_mask(g)
-        assert m.shape == g.spectral_shape
-        assert m[0, 0] == 1.0
-        # |k| = 6 is the Nyquist here, cut at 4
-        assert m[6, 0] == 0.0 and m[4, 0] == 1.0
-        assert m[0, 6] == 0.0 and m[0, 4] == 1.0
-
-
 class TestResample:
     def test_exact_on_resolved_modes(self):
         fine = make_grid(64, 64, TWO_PI, TWO_PI)
