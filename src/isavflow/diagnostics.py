@@ -111,7 +111,11 @@ def energy_parts(state, sym, potential):
     if state.diag is not None:
         return state.diag.e_lin, state.F_n
     phi = state.phi_n
-    return 0.5 * quad_form_hat(phi.grid, phi.spectrum(), sym.lap), bulk_quad(potential, phi)
+    ws = sym.scratch(phi.grid)
+    return (
+        0.5 * quad_form_hat(phi.grid, phi.spectrum(), sym.lap, ws.power),
+        bulk_quad(potential, phi, ws.real[:3]),
+    )
 
 
 def record_step(state, params, sym=None) -> StepRecord:
@@ -121,7 +125,8 @@ def record_step(state, params, sym=None) -> StepRecord:
     potential of the step that produced the state; those travel in the
     state's diagnostics carry, so this works on the initial state (D fields
     None) and after any completed step. The energy parts and mu's spectrum
-    are taken from that carry when present, so a record costs no transform.
+    are taken from that carry when present, so a record costs no transform;
+    its temporaries go into sym.scratch(grid).
     """
     grid = state.phi_n.grid
     sym = sym or operator_symbols(grid, params.alpha, params.gamma)
@@ -135,7 +140,7 @@ def record_step(state, params, sym=None) -> StepRecord:
     diag = state.diag
     ghalf_sq = None
     if diag is not None and diag.mu_hat is not None:
-        ghalf_sq = quad_form_hat(grid, diag.mu_hat, sym.g_sym)
+        ghalf_sq = quad_form_hat(grid, diag.mu_hat, sym.g_sym, sym.scratch(grid).power)
     D_be = None
     if ghalf_sq is not None and diag.prev_E_orig is not None:
         D_be = E_orig - diag.prev_E_orig + params.tau * ghalf_sq

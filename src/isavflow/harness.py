@@ -166,9 +166,10 @@ def run_simulation(cfg: RunConfig, outdir=None, write_outputs=True, record=True)
     """Integrate from t=0 to t_end, recording diagnostics along the way.
 
     With the default record_every=1 the series holds n_steps+1 rows
-    including t=0. With record=False no diagnostics are built, the series
-    is empty and the energy-law assertions (which check records) are off;
-    the trajectory is the same. A scheme failure (nonpositive bulk
+    including t=0; with more, only the rows kept are built. With
+    record=False no diagnostics are built, the series is empty and the
+    energy-law assertions (which check records) are off; the trajectory is
+    the same. A scheme failure (nonpositive bulk
     integral, violated assertion, non-finite field) aborts the run; the
     rows accumulated so far are still written before the error propagates
     with the failing step index.
@@ -208,14 +209,24 @@ def run_simulation(cfg: RunConfig, outdir=None, write_outputs=True, record=True)
     else:
         maybe_snapshot(0, state.phi_nm1)
         maybe_snapshot(1, state.phi_n)
+
+    def kept(n):
+        return n % every == 0 or n == n_total
+
     error = None
     for n in range(done + 1, n_total + 1):
+        # Only kept rows (every row under assert_energy) are built; the level
+        # before a kept row carries the energies its decrements need.
         try:
-            state, rec = step(state, params, sym, record)
+            state, rec = step(
+                state, params, sym,
+                record=record and (kept(n) or params.assert_energy),
+                carry_energies=record and n < n_total and kept(n + 1),
+            )
         except SCHEME_FAILURES as exc:
             error = SchemeRuntimeError(n, exc)
             break
-        if record and (n % every == 0 or n == n_total):
+        if record and kept(n):
             records.append(rec)
         maybe_snapshot(n, state.phi_n)
     if write_outputs:

@@ -43,16 +43,33 @@ def _as_input(out, phi):
     return out if np.ndim(phi) else float(out)
 
 
+_TINY = np.finfo(float).tiny
+
+
+def _output(p, out):
+    return np.empty_like(p) if out is None else out
+
+
+def _pair(p, work):
+    return (np.empty_like(p), np.empty_like(p)) if work is None else work
+
+
 @dataclass(frozen=True)
 class Potential:
-    """Base for bulk densities: F(phi), f = F', and f' as closed forms."""
+    """Base for bulk densities: F(phi), f = F', and f' as closed forms.
+
+    F and f are in-place kernels: they write into out when it is given
+    (else into a new array) and may overwrite the arrays in work, a pair
+    shaped like phi, instead of allocating temporaries. Neither may be phi
+    itself.
+    """
 
     c_add: float = 0.0
 
-    def F(self, phi):
+    def F(self, phi, out=None, work=None):
         raise NotImplementedError
 
-    def f(self, phi):
+    def f(self, phi, out=None, work=None):
         raise NotImplementedError
 
     def fprime(self, phi):
@@ -73,13 +90,24 @@ class DoubleWell(Potential):
         if not (self.eps > 0):
             raise ValueError(f"eps must be positive, got {self.eps}")
 
-    def F(self, phi):
+    def F(self, phi, out=None, work=None):
         p = _as_array(phi)
-        return _as_input((p**2 - 1.0) ** 2 / (4.0 * self.eps**2) + self.c_add, phi)
+        out = _output(p, out)
+        np.multiply(p, p, out=out)
+        out -= 1.0
+        np.multiply(out, out, out=out)
+        out /= 4.0 * self.eps**2
+        out += self.c_add
+        return _as_input(out, phi)
 
-    def f(self, phi):
+    def f(self, phi, out=None, work=None):
         p = _as_array(phi)
-        return _as_input((p * p * p - p) / self.eps**2, phi)
+        out = _output(p, out)
+        np.multiply(p, p, out=out)
+        out *= p
+        out -= p
+        out /= self.eps**2
+        return _as_input(out, phi)
 
     def fprime(self, phi):
         p = _as_array(phi)
@@ -94,6 +122,15 @@ class FloryHugginsRegularized(Potential):
     + beta*(phi - phi^2); outside, each log is continued quadratically so
     that F, f, and f' are continuous at sigma and 1-sigma and the function
     is defined for every real phi.
+
+    F and f evaluate the logarithmic closed form on every value, with the
+    log arguments clipped so that values outside its domain stay finite,
+    then overwrite the values on a quadratic branch (hi: phi >= 1-sigma,
+    lo: phi <= sigma; lo wins where both hold, at 1/2 when sigma = 1/2)
+    through masked ufuncs. The lo branch is the hi branch with phi and
+    1-phi swapped (and, for f, the sign flipped). Each value goes through
+    the same operations as in a branch-by-branch evaluation, so results
+    are bit-identical to it.
     """
 
     eps: float = 1.0
@@ -111,33 +148,81 @@ class FloryHugginsRegularized(Potential):
         lo = p <= self.sigma
         return hi, lo, ~(hi | lo)
 
-    def F(self, phi):
-        p = _as_array(phi)
-        s, b = self.sigma, self.beta
-        out = np.empty_like(p)
-        hi, lo, mid = self._masks(p)
-        ph = p[hi]
-        out[hi] = ph * np.log(ph) + (1.0 - ph) ** 2 / (2.0 * s) + (1.0 - ph) * math.log(s) - s / 2.0
-        pl = p[lo]
-        out[lo] = (1.0 - pl) * np.log(1.0 - pl) + pl**2 / (2.0 * s) + pl * math.log(s) - s / 2.0
-        pm = p[mid]
-        out[mid] = pm * np.log(pm) + (1.0 - pm) * np.log(1.0 - pm)
-        out += b * (p - p**2)
-        return _as_input(out / self.eps**2 + self.c_add, phi)
+    def _logs(self, p, out, t):
+        """out = ln p and t = ln(1-p); returns the (hi, lo) masks, or None
+        when every value lies inside (sigma, 1-sigma). With masks, the log
+        arguments are clipped to stay positive: the caller overwrites the
+        values on a quadratic branch."""
+        s = self.sigma
+        np.subtract(1.0, p, out=t)
+        if s < p.min() and p.max() < 1.0 - s:
+            np.log(p, out=out)
+            np.log(t, out=t)
+            return None
+        np.log(np.maximum(p, _TINY, out=out), out=out)
+        np.log(np.maximum(t, _TINY, out=t), out=t)
+        return p >= 1.0 - s, p <= s
 
-    def f(self, phi):
+    def _branch(self, x, y, out, t, where):
+        """out = x ln x + y^2/(2 sigma) + y ln sigma - sigma/2 where set."""
+        s = self.sigma
+        np.log(x, out=out, where=where)
+        np.multiply(x, out, out=out, where=where)
+        np.multiply(y, y, out=t, where=where)
+        np.divide(t, 2.0 * s, out=t, where=where)
+        np.add(out, t, out=out, where=where)
+        np.multiply(y, math.log(s), out=t, where=where)
+        np.add(out, t, out=out, where=where)
+        np.subtract(out, s / 2.0, out=out, where=where)
+
+    def _branch_slope(self, x, y, out, t, where):
+        """out = ln x + 1 - y/sigma - ln sigma where set."""
+        s = self.sigma
+        np.log(x, out=out, where=where)
+        np.add(out, 1.0, out=out, where=where)
+        np.divide(y, s, out=t, where=where)
+        np.subtract(out, t, out=out, where=where)
+        np.subtract(out, math.log(s), out=out, where=where)
+
+    def F(self, phi, out=None, work=None):
         p = _as_array(phi)
-        s, b = self.sigma, self.beta
-        out = np.empty_like(p)
-        hi, lo, mid = self._masks(p)
-        ph = p[hi]
-        out[hi] = np.log(ph) + 1.0 - (1.0 - ph) / s - math.log(s)
-        pl = p[lo]
-        out[lo] = -np.log(1.0 - pl) - 1.0 + pl / s + math.log(s)
-        pm = p[mid]
-        out[mid] = np.log(pm) - np.log(1.0 - pm)
-        out += b * (1.0 - 2.0 * p)
-        return _as_input(out / self.eps**2, phi)
+        out = _output(p, out)
+        t, q = _pair(p, work)
+        branches = self._logs(p, out, t)
+        out *= p
+        np.subtract(1.0, p, out=q)
+        t *= q
+        out += t
+        if branches is not None:
+            hi, lo = branches
+            self._branch(p, q, out, t, hi)
+            self._branch(q, p, out, t, lo)
+        np.multiply(p, p, out=t)
+        np.subtract(p, t, out=t)
+        t *= self.beta
+        out += t
+        out /= self.eps**2
+        out += self.c_add
+        return _as_input(out, phi)
+
+    def f(self, phi, out=None, work=None):
+        p = _as_array(phi)
+        out = _output(p, out)
+        t, q = _pair(p, work)
+        branches = self._logs(p, out, t)
+        out -= t
+        if branches is not None:
+            hi, lo = branches
+            np.subtract(1.0, p, out=q)
+            self._branch_slope(p, q, out, t, hi)
+            self._branch_slope(q, p, out, t, lo)
+            np.negative(out, out=out, where=lo)
+        np.multiply(p, 2.0, out=t)
+        np.subtract(1.0, t, out=t)
+        t *= self.beta
+        out += t
+        out /= self.eps**2
+        return _as_input(out, phi)
 
     def fprime(self, phi):
         p = _as_array(phi)
@@ -159,22 +244,31 @@ class FloryHugginsRegularized(Potential):
 class ConstantPotential(Potential):
     """F identically c_add, f = f' = 0; handy for linear-decay checks."""
 
-    def F(self, phi):
+    def F(self, phi, out=None, work=None):
         p = _as_array(phi)
-        return _as_input(np.full_like(p, self.c_add), phi)
+        out = _output(p, out)
+        out.fill(self.c_add)
+        return _as_input(out, phi)
 
-    def f(self, phi):
+    def f(self, phi, out=None, work=None):
         p = _as_array(phi)
-        return _as_input(np.zeros_like(p), phi)
+        out = _output(p, out)
+        out.fill(0.0)
+        return _as_input(out, phi)
 
     def fprime(self, phi):
         p = _as_array(phi)
         return _as_input(np.zeros_like(p), phi)
 
 
-def bulk_quad(potential: Potential, phi: Field) -> float:
-    """Nodal quadrature of F(phi) over the domain, no positivity check."""
-    return phi.grid.quad(potential.F(phi.values))
+def bulk_quad(potential: Potential, phi: Field, work=None) -> float:
+    """Nodal quadrature of F(phi) over the domain, no positivity check.
+
+    work, when given, is three arrays shaped like the grid: F goes into the
+    first, the other two are the kernel's temporaries.
+    """
+    out, tmp = (None, None) if work is None else (work[0], work[1:])
+    return phi.grid.quad(potential.F(phi.values, out, tmp))
 
 
 def check_bulk(val: float) -> float:

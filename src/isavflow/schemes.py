@@ -201,17 +201,18 @@ class RankOneSystem:
     w: float
 
 
-def _rank_one_core(grid: Grid, z1_hat, z2_hat, b_hat, w):
+def _rank_one_core(grid: Grid, z1_hat, z2_hat, b_hat, w, work=None):
     """Sherman-Morrison step shared by every solve, entirely on the half
     spectrum: z1 = diag^{-1} gb and z2 = diag^{-1} rhs are the two diagonal
     solves, <b, z1> and <b, z2> are Parseval sums, and the only transform is
-    the inverse of the solution. Returns (phi_values, phi_hat, <b, phi>).
+    the inverse of the solution. work, a complex array of the spectral
+    shape, takes the temporaries. Returns (phi_values, phi_hat, <b, phi>).
     """
-    s1 = inner_hat(grid, b_hat, z1_hat)
-    s2 = inner_hat(grid, b_hat, z2_hat)
+    s1 = inner_hat(grid, b_hat, z1_hat, work)
+    s2 = inner_hat(grid, b_hat, z2_hat, work)
     bracket = s2 / (1.0 + w * s1)
-    phi_hat = z2_hat - (w * bracket) * z1_hat
-    return grid.inverse(phi_hat), phi_hat, bracket
+    phi_hat = z2_hat - np.multiply(z1_hat, w * bracket, out=work)
+    return grid.inverse(phi_hat, work), phi_hat, bracket
 
 
 def rank_one_solve(sys: RankOneSystem) -> Field:
@@ -283,7 +284,8 @@ def _solve_factors(sym: OperatorSymbols, tau, S, bdf):
     return out
 
 
-def step(state: SchemeState, params: ModelParams, sym=None, record=True):
+def step(state: SchemeState, params: ModelParams, sym=None, record=True,
+         carry_energies=False):
     """Advance the state one time level with its own scheme.
 
     Every scheme solves [a + k*G*(L+S)] phi + (k/2) <b,phi> G b = rhs with
@@ -305,12 +307,22 @@ def step(state: SchemeState, params: ModelParams, sym=None, record=True):
     reconstructed r~^{n+1}. A nonpositive bulk integral at phi* or, for the
     improved schemes, at a history level raises NonPositiveBulkEnergyError.
 
+    Grid-sized temporaries live in sym.scratch(grid); the step allocates
+    only what it returns: phi^{n+1}, its spectrum, and mu's spectrum when
+    recording.
+
     Returns (new_state, record). With record=False the record is None and
-    the new state carries no diagnostics; the field is the same either way.
+    the new state carries no diagnostics, unless carry_energies asks for
+    the energies (E_orig, and E2 for BDF) that a record of the next level
+    needs for its decrements. The field is the same either way.
     """
     scheme, bdf = state.scheme, state.scheme.is_bdf
     grid = state.phi_n.grid
     sym = sym or params.symbols(grid)
+    ws = sym.scratch(grid)
+    r0, r1, r2, r3 = ws.real
+    b_hat, c1, c2, c3 = ws.spec
+    F_work = (r1, r2, r3)  # r0 holds the BDF extrapolant while F is taken
     pot, tau = params.potential, params.tau
     S = params.S if scheme.is_improved else 0.0
     phi, phi_hat, F_n = state.phi_n.values, state.phi_n.spectrum(), state.F_n
@@ -318,38 +330,44 @@ def step(state: SchemeState, params: ModelParams, sym=None, record=True):
         if state.phi_nm1 is None:
             raise ValueError("BDF step requires two history levels; bootstrap first")
         phim, phim_hat = state.phi_nm1.values, state.phi_nm1.spectrum()
-        star, F_star = Field(grid, 2.0 * phi - phim), None
+        np.multiply(phi, 2.0, out=r0)
+        r0 -= phim
+        star, F_star = Field(grid, r0), None
     else:
         star, F_star = state.phi_n, F_n
     if F_star is None:
-        F_star = bulk_quad(pot, star)
+        F_star = bulk_quad(pot, star, F_work)
     r_star = math.sqrt(check_bulk(F_star))
-    b = pot.f(star.values) / r_star
-    b_hat = grid.forward(b)
+    b = pot.f(star.values, r1, (r2, r3))
+    b /= r_star
+    grid.forward(b, out=b_hat)
     if bdf:
-        ip = grid.quad(b * (4.0 * phi - phim))
+        np.multiply(phi, 4.0, out=r0)
+        r0 -= phim
+        ip = grid.quad(np.multiply(b, r0, out=r0))
         if scheme.is_improved:
-            F_n = bulk_quad(pot, state.phi_n) if F_n is None else F_n
-            F_m = bulk_quad(pot, state.phi_nm1) if state.F_nm1 is None else state.F_nm1
+            F_n = bulk_quad(pot, state.phi_n, F_work) if F_n is None else F_n
+            F_m = bulk_quad(pot, state.phi_nm1, F_work) if state.F_nm1 is None else state.F_nm1
             r_hist = (4.0 * math.sqrt(check_bulk(F_n)) - math.sqrt(check_bulk(F_m))) / 3.0
         else:
             r_hist = (4.0 * state.r_n - state.r_nm1) / 3.0
         c = r_hist - ip / 6.0
         k = 2.0 * tau
         g_d, cn_d, cm_d = _solve_factors(sym, tau, S, True)
-        hist_hat = cn_d * phi_hat - cm_d * phim_hat
+        np.multiply(cn_d, phi_hat, out=c1)
+        c1 -= np.multiply(cm_d, phim_hat, out=c2)
     else:
         F_n = F_star
-        ip = grid.quad(b * phi)
+        ip = grid.quad(np.multiply(b, phi, out=r0))
         r = r_star if scheme.is_improved else state.r_n
         c = r - 0.5 * ip
         k = tau
         g_d, cn_d, _ = _solve_factors(sym, tau, S, False)
-        hist_hat = cn_d * phi_hat
-    z1_hat = g_d * b_hat
-    new_values, new_hat, bracket = _rank_one_core(
-        grid, z1_hat, hist_hat - (k * c) * z1_hat, b_hat, 0.5 * k
-    )
+        np.multiply(cn_d, phi_hat, out=c1)
+    # c1 holds the history term; subtracting (k c) z1 makes it z2.
+    z1_hat = np.multiply(g_d, b_hat, out=c2)
+    c1 -= np.multiply(z1_hat, k * c, out=c3)
+    new_values, new_hat, bracket = _rank_one_core(grid, z1_hat, c1, b_hat, 0.5 * k, c3)
     r_new = c + 0.5 * bracket if bdf else r + 0.5 * (bracket - ip)
     new = SchemeState(
         scheme=scheme,
@@ -361,24 +379,35 @@ def step(state: SchemeState, params: ModelParams, sym=None, record=True):
         r_report=r_new,
         F_nm1=F_n,
     )
-    if not record:
+    if not (record or carry_energies):
         return new, None
 
     # Diagnostics, built from spectra already in hand: no transform.
-    new.F_n = bulk_quad(pot, new.phi_n)
-    e_lin = 0.5 * quad_form_hat(grid, new_hat, sym.lap)
-    mu_hat = sym.lap * new_hat + r_new * b_hat
+    new.F_n = bulk_quad(pot, new.phi_n, F_work)
+    e_lin = 0.5 * quad_form_hat(grid, new_hat, sym.lap, ws.power)
     E2 = None
     if bdf:
-        if scheme.is_improved:
-            mu_hat += S * (new_hat - 2.0 * phi_hat + phim_hat)
         if F_n is None:
-            F_n = bulk_quad(pot, state.phi_n)
-        e_lin_star = 0.5 * quad_form_hat(grid, 2.0 * new_hat - phi_hat, sym.lap)
-        diff_sq = grid.quad((new_values - phi) ** 2)
+            F_n = bulk_quad(pot, state.phi_n, F_work)
+        np.multiply(new_hat, 2.0, out=c1)
+        c1 -= phi_hat
+        e_lin_star = 0.5 * quad_form_hat(grid, c1, sym.lap, ws.power)
+        np.subtract(new_values, phi, out=r0)
+        diff_sq = grid.quad(np.multiply(r0, r0, out=r0))
         E2 = e2_from_parts(e_lin, e_lin_star, new.F_n, F_n, S, diff_sq)
-    elif scheme.is_improved:
-        mu_hat += S * (new_hat - phi_hat)
+    mu_hat = None
+    if record:
+        mu_hat = sym.lap * new_hat
+        mu_hat += np.multiply(b_hat, r_new, out=c1)
+        if scheme.is_improved:
+            if bdf:
+                np.multiply(phi_hat, 2.0, out=c1)
+                np.subtract(new_hat, c1, out=c1)
+                c1 += phim_hat
+            else:
+                np.subtract(new_hat, phi_hat, out=c1)
+            c1 *= S
+            mu_hat += c1
     prev = state.diag
     new.diag = StepDiagnostics(
         e_lin=e_lin,
@@ -387,6 +416,8 @@ def step(state: SchemeState, params: ModelParams, sym=None, record=True):
         prev_E_orig=state.E_orig_n,
         prev_E2=None if prev is None else prev.E2,
     )
+    if not record:
+        return new, None
     rec = record_step(new, params, sym)
     if params.assert_energy:
         _check_energy_laws(state, new, params, sym, rec)

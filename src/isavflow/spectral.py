@@ -84,11 +84,15 @@ class Grid:
         y = np.arange(self.ny) * self.hy
         return np.meshgrid(x, y, indexing="ij")
 
-    def forward(self, values: np.ndarray) -> np.ndarray:
-        return np.fft.rfft2(values)
+    def forward(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """rfft2 of the values, written into out when given."""
+        return np.fft.rfft2(values, out=out)
 
-    def inverse(self, hat: np.ndarray) -> np.ndarray:
-        return np.fft.irfft2(hat, s=self.shape)
+    def inverse(self, hat: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+        """irfft2 of a half spectrum, taken axis by axis as irfft2 itself
+        does, so the intermediate transform along x can go into work (a
+        complex array of the spectral shape) instead of a new array."""
+        return np.fft.irfft(np.fft.ifft(hat, self.nx, axis=0, out=work), self.ny, axis=1)
 
     def quad(self, values: np.ndarray) -> float:
         """Nodal quadrature of a gridded integrand over the domain."""
@@ -156,6 +160,22 @@ def _require_same_grid(u: Field, v: Field):
         raise ValueError("fields live on different grids")
 
 
+class Scratch:
+    """Work arrays that a run's time steps overwrite instead of allocating
+    grid-sized temporaries: ``real`` on the grid, ``spec`` (complex) on the
+    rfft2 half spectrum, and ``power`` (real) on the half spectrum, where
+    quad_form_hat builds |u_hat|^2.
+
+    Every user writes a buffer in full before reading it, and keeps nothing
+    that aliases one past its return, so callers may share a Scratch.
+    """
+
+    def __init__(self, grid: Grid):
+        self.real = tuple(np.empty(grid.shape) for _ in range(4))
+        self.spec = tuple(np.empty(grid.spectral_shape, dtype=complex) for _ in range(4))
+        self.power = tuple(np.empty(grid.spectral_shape) for _ in range(2))
+
+
 @dataclass(frozen=True)
 class OperatorSymbols:
     """Per-mode symbols of the operators used by the schemes.
@@ -166,8 +186,9 @@ class OperatorSymbols:
     shape (nx, ny//2 + 1).
 
     solve_factors holds symbols the time steppers derive from these once
-    per (tau, S, scheme family); a run passes one OperatorSymbols to every
-    step, so they are built once per run and freed with it.
+    per (tau, S, scheme family), and scratch(grid) the steps' work arrays;
+    a run passes one OperatorSymbols to every step, so both are built once
+    per run and freed with it.
     """
 
     alpha: float
@@ -177,6 +198,14 @@ class OperatorSymbols:
     sqrt_l: np.ndarray
     sqrt_g: np.ndarray
     solve_factors: dict = field(default_factory=dict, repr=False, compare=False)
+    _scratch: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def scratch(self, grid: Grid) -> Scratch:
+        """The work arrays for steps on grid, built on first use."""
+        ws = self._scratch.get(grid)
+        if ws is None:
+            ws = self._scratch[grid] = Scratch(grid)
+        return ws
 
 
 def operator_symbols(grid: Grid, alpha: float, gamma: float) -> OperatorSymbols:
@@ -227,24 +256,34 @@ def inner(u: Field, v: Field) -> float:
     return u.grid.quad(u.values * v.values)
 
 
-def quad_form_hat(grid: Grid, hat: np.ndarray, symbol: np.ndarray | None = None) -> float:
+def quad_form_hat(grid: Grid, hat: np.ndarray, symbol: np.ndarray | None = None,
+                  work=None) -> float:
     """Quadratic form sum_k symbol_k |u_hat_k|^2 in quadrature normalization.
 
-    With symbol None this equals inner(u, u) by Parseval.
+    With symbol None this equals inner(u, u) by Parseval. work, when given,
+    is a pair of real arrays of the spectral shape that take the products.
     """
-    p = grid.mode_weight * (hat.real**2 + hat.imag**2)
+    if work is None:
+        work = (np.empty(hat.shape), np.empty(hat.shape))
+    p, q = work
+    np.multiply(hat.real, hat.real, out=p)
+    np.multiply(hat.imag, hat.imag, out=q)
+    p += q
+    p *= grid.mode_weight
     if symbol is not None:
-        p = symbol * p
+        p *= symbol
     return float(grid.spectral_scale * p.sum())
 
 
-def inner_hat(grid: Grid, u_hat: np.ndarray, v_hat: np.ndarray) -> float:
+def inner_hat(grid: Grid, u_hat: np.ndarray, v_hat: np.ndarray, work=None) -> float:
     """L2 inner product <u, v> from the two half spectra (Parseval).
 
     Equals inner(u, v) up to rounding: the mode weights count each interior
-    column twice, the second time for its conjugate partner.
+    column twice, the second time for its conjugate partner. work, when
+    given, is a complex array of the spectral shape for the weighted u_hat.
     """
-    return float(grid.spectral_scale * np.vdot(grid.mode_weight * u_hat, v_hat).real)
+    wu = np.multiply(grid.mode_weight, u_hat, out=work)
+    return float(grid.spectral_scale * np.vdot(wu, v_hat).real)
 
 
 class FieldNorms(NamedTuple):
@@ -299,21 +338,37 @@ def _axis_map(n_src: int, n_dst: int) -> np.ndarray:
     return R
 
 
+def _fold_half(hat: np.ndarray, ny_dst: int) -> np.ndarray:
+    """Map the y axis of an rfft2 half spectrum to a grid of ny_dst points.
+
+    The half-spectrum form of _axis_map: resolved columns are copied, and
+    the Nyquist column is folded or split the same way. On the half
+    spectrum the source's -Nyquist column is the conjugate of its +Nyquist
+    column at -kx, which is what a fold adds.
+    """
+    m_src, m_dst = hat.shape[1] - 1, ny_dst // 2
+    m = min(m_src, m_dst)
+    out = np.zeros((hat.shape[0], m_dst + 1), dtype=complex)
+    out[:, : m + 1] = hat[:, : m + 1]
+    if m_dst < m_src:
+        out[:, m] += np.conj(hat[-np.arange(hat.shape[0]), m])
+    elif m_dst > m_src:
+        out[:, m] *= 0.5
+    return out
+
+
 def resample(field: Field, new_grid: Grid) -> Field:
     """Spectral restriction/interpolation of a field onto another grid.
 
     Both grids must cover the same physical domain. The result samples the
-    trigonometric interpolant of the input at the new grid's nodes.
+    trigonometric interpolant of the input at the new grid's nodes. The
+    transforms are the grids' own, on the rfft2 half spectrum.
     """
     g = field.grid
     if not (np.isclose(g.lx, new_grid.lx) and np.isclose(g.ly, new_grid.ly)):
         raise ValueError("resample requires matching domain lengths")
     if g.shape == new_grid.shape:
         return Field(new_grid, field.values.copy())
-    hat = np.fft.fft2(field.values)
-    Rx = _axis_map(g.nx, new_grid.nx)
-    Ry = _axis_map(g.ny, new_grid.ny)
-    hat_new = Rx @ hat @ Ry.T
+    hat_new = _axis_map(g.nx, new_grid.nx) @ _fold_half(field.spectrum(), new_grid.ny)
     scale = (new_grid.nx * new_grid.ny) / (g.nx * g.ny)
-    out = np.fft.ifft2(hat_new) * scale
-    return Field(new_grid, out.real)
+    return Field(new_grid, new_grid.inverse(hat_new) * scale)

@@ -268,6 +268,20 @@ class TestRunSimulation:
         for values in finals:
             assert np.array_equal(values, state.phi_n.values)
 
+    @pytest.mark.parametrize("scheme", [s.value for s in Scheme])
+    def test_downsampled_rows_match_full_records(self, scheme):
+        # levels whose row is dropped build no record, yet every kept row,
+        # decrements included, equals that of a run recording every step
+        base = ex1_config(scheme, alpha=1.0, tau=0.01, nx=16, t_end=0.3)
+        full = {r.step: r for r in run_simulation(base, write_outputs=False).records}
+        for every in (2, 7):
+            cfg = replace(base, outputs={**base.outputs, "record_every": every})
+            rows = run_simulation(cfg, write_outputs=False).records
+            assert len(rows) < len(full)
+            assert rows[-1].D_be is not None
+            for row in rows:
+                assert row == full[row.step]
+
     def test_runtime_failure_reports_step_and_writes_partial(self, tmp_path):
         # zero damping on a stiff well with assertions on trips quickly
         doc = {

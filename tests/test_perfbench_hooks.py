@@ -10,12 +10,14 @@ import importlib.util
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from isavflow import Scheme
+from isavflow import Field, Scheme, make_grid
 from isavflow.config import config_from_dict
+from isavflow.diagnostics import h1_error
 from isavflow.harness import run_simulation
 
 from conftest import TWO_PI
@@ -95,6 +97,31 @@ def test_bulk_integrals_per_step(scheme, record, tmp_path):
     per, offset = F_IN_LOOP[(scheme, record)]
     assert tracer.calls_in_step["potentials.DoubleWell.F"] == per * n + offset
     assert tracer.per_step("potentials.DoubleWell.f") == 1.0
+
+
+@pytest.mark.parametrize("assert_energy", [False, True])
+def test_records_built_only_for_kept_rows(assert_energy, tmp_path):
+    # record_every=4 over 6 loop steps keeps the rows of steps 4 and 6;
+    # with the energy assertions on, every step builds what they check
+    cfg = replace(small_config("isav-be", tmp_path), assert_energy=assert_energy,
+                  outputs={"record_every": 4, "series_path": str(tmp_path / "s.csv"),
+                           "snapshot_dir": str(tmp_path), "field_snapshot_times": []})
+    with tracing.Tracer() as tracer:
+        res = run_simulation(cfg)
+    n = tracer.counts()["steps_in_loop"]
+    assert [r.step for r in res.records] == [0, 4, 6]
+    assert tracer.calls_in_step["diagnostics.record_step"] == (n if assert_energy else 2)
+
+
+def test_resample_transforms_are_traced(rng):
+    fine, coarse = make_grid(16, 16, TWO_PI, TWO_PI), make_grid(8, 8, TWO_PI, TWO_PI)
+    ref = Field(fine, rng.standard_normal(fine.shape))
+    u = Field(coarse, rng.standard_normal(coarse.shape))
+    with tracing.Tracer() as tracer:
+        h1_error(u, ref)
+    # the reference's spectrum, the resampled field, the error's spectrum
+    assert tracer.calls["spectral.forward"] == 2
+    assert tracer.calls["spectral.inverse"] == 1
 
 
 def test_setup_probe_reports_setup_time(tmp_path):

@@ -126,6 +126,75 @@ class TestFloryHuggins:
             FloryHugginsRegularized(eps=1.0, beta=1.0, sigma=0.6)
 
 
+def fh_masked(pot, x):
+    """F and f of the regularized Flory-Huggins potential evaluated branch
+    by branch through boolean-mask gathers and scatters, in the kernels'
+    order of operations: hi is phi >= 1-sigma, lo is phi <= sigma and wins
+    where both hold, mid is the rest."""
+    s, b, ls = pot.sigma, pot.beta, math.log(pot.sigma)
+    hi, lo = x >= 1.0 - s, x <= s
+    mid = ~(hi | lo)
+    F, f = np.empty_like(x), np.empty_like(x)
+    ph, pl, pm = x[hi], x[lo], x[mid]
+    F[hi] = ph * np.log(ph) + (1.0 - ph) ** 2 / (2.0 * s) + (1.0 - ph) * ls - s / 2.0
+    F[lo] = (1.0 - pl) * np.log(1.0 - pl) + pl**2 / (2.0 * s) + pl * ls - s / 2.0
+    F[mid] = pm * np.log(pm) + (1.0 - pm) * np.log(1.0 - pm)
+    F += b * (x - x**2)
+    f[hi] = np.log(ph) + 1.0 - (1.0 - ph) / s - ls
+    f[lo] = -np.log(1.0 - pl) - 1.0 + pl / s + ls
+    f[mid] = np.log(pm) - np.log(1.0 - pm)
+    f += b * (1.0 - 2.0 * x)
+    return F / pot.eps**2 + pot.c_add, f / pot.eps**2
+
+
+def around(v):
+    return [np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf), v - 1e-9, v + 1e-9]
+
+
+class TestInPlaceKernels:
+    @pytest.mark.parametrize("sigma", [0.01, 0.2, 0.5])
+    def test_flory_huggins_branches_are_bit_identical(self, sigma, rng):
+        # at and around both breakpoints, below 0 and above 1; with
+        # sigma = 1/2 the hi and lo masks overlap at 1/2
+        pot = FloryHugginsRegularized(eps=0.04, beta=3.0, sigma=sigma, c_add=37.5)
+        x = np.array(around(sigma) + around(1.0 - sigma) + around(0.0) + around(1.0)
+                     + [-50.0, -0.3, 0.5, 1.7, 50.0])
+        x = np.concatenate([x, rng.uniform(-2.0, 3.0, 500)])
+        F, f = fh_masked(pot, x)
+        assert np.array_equal(pot.F(x), F)
+        assert np.array_equal(pot.f(x), f)
+        # in place, with every buffer holding garbage first
+        out, work = np.full_like(x, np.nan), (np.full_like(x, 7.0), np.full_like(x, -1.0))
+        assert pot.F(x, out, work) is out
+        assert np.array_equal(out, F)
+        assert pot.f(x, out, work) is out
+        assert np.array_equal(out, f)
+
+    def test_flory_huggins_inside_only(self, rng):
+        # every value inside (sigma, 1-sigma): no branch masks are built
+        pot = FloryHugginsRegularized(eps=0.04, beta=3.0, sigma=0.01, c_add=37.5)
+        x = 0.5 + 0.2 * rng.uniform(-1.0, 1.0, (16, 16))
+        F, f = fh_masked(pot, x)
+        assert np.array_equal(pot.F(x), F)
+        assert np.array_equal(pot.f(x), f)
+        assert pot.F(0.3) == fh_masked(pot, np.array([0.3]))[0][0]
+        # a breakpoint itself is on a quadratic branch
+        for edge in (pot.sigma, 1.0 - pot.sigma):
+            x = np.array([0.5, edge])
+            F, f = fh_masked(pot, x)
+            assert np.array_equal(pot.F(x), F)
+            assert np.array_equal(pot.f(x), f)
+
+    def test_double_well_in_place(self, rng):
+        pot = DoubleWell(eps=0.04, c_add=0.3)
+        x = rng.standard_normal((16, 16))
+        out = np.full_like(x, np.nan)
+        assert pot.F(x, out) is out
+        assert np.array_equal(out, (x**2 - 1.0) ** 2 / (4.0 * pot.eps**2) + pot.c_add)
+        assert pot.f(x, out) is out
+        assert np.array_equal(out, (x * x * x - x) / pot.eps**2)
+
+
 class TestBulkEnergy:
     def test_constant_field(self):
         g = make_grid(16, 16, TWO_PI, TWO_PI)

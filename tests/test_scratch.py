@@ -1,0 +1,101 @@
+"""The time step's work arrays: what a step allocates, and that reusing
+the run's scratch buffers never leaks into results."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from isavflow import ModelParams, Scheme, step
+from isavflow.config import config_from_dict
+from isavflow.harness import _initial_states
+
+
+def prepare(scheme, example="ex1", nx=16, sym=None):
+    cfg = config_from_dict({"preset": f"{example}-{scheme}", "grid": {"nx": nx, "ny": nx}})
+    grid = cfg.make_grid()
+    params = ModelParams(alpha=cfg.model["alpha"], gamma=cfg.model["gamma"], S=cfg.S,
+                         tau=cfg.tau, potential=cfg.make_potential())
+    sym = sym or params.symbols(grid)
+    state, _, _ = _initial_states(cfg, params, grid, sym)
+    return state, params, sym
+
+
+def state_arrays(state):
+    out = []
+    for field in (state.phi_n, state.phi_nm1):
+        if field is not None:
+            out += [field.values] + ([field.hat] if field.hat is not None else [])
+    if state.diag is not None and state.diag.mu_hat is not None:
+        out.append(state.diag.mu_hat)
+    return out
+
+
+class TestAllocationBudget:
+    # One isav-be step at 64^2 after a first step has built the scratch
+    # buffers, in real-array equivalents (64*64*8 bytes). Before the
+    # scratch buffers, tracemalloc saw peaks above the step's start of
+    # 12.6 (Flory-Huggins) and 9.3 (double well) with records on, 3.1 of
+    # them kept, and 8.3 with records off, 2.1 kept. Now the kept arrays
+    # are the new field and its spectrum (2.03), plus mu's spectrum when
+    # recording (3.06), and the measured transients above them are 1.05
+    # with records and 0.15 without: numpy's float-to-complex cast buffer
+    # for lap * new_hat (the whole array at this size, 8192 elements above
+    # it) and the boolean arrays of the NaN and finiteness checks.
+    REAL = 64 * 64 * 8
+
+    @pytest.mark.parametrize("example", ["ex1", "ex4"])
+    @pytest.mark.parametrize("record, kept, transient", [(True, 3.06, 1.2), (False, 2.03, 0.3)])
+    def test_step_allocates_only_what_it_returns(self, example, record, kept, transient):
+        state, params, sym = prepare("isav-be", example, nx=64)
+        state, _ = step(state, params, sym, record)
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            new, _ = step(state, params, sym, record)
+            end, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        net = (end - start) / self.REAL
+        assert kept <= net < kept + 0.1
+        assert (peak - end) / self.REAL < transient
+
+
+class TestScratchIsolation:
+    @pytest.mark.parametrize("scheme", [s.value for s in Scheme])
+    def test_no_scratch_escapes_a_step(self, scheme):
+        state, params, sym = prepare(scheme)
+        grid = state.phi_n.grid
+        ws = sym.scratch(grid)
+        scratch = ws.real + ws.spec + ws.power
+        for record, carry in ((True, False), (False, True), (False, False), (True, False)):
+            state, rec = step(state, params, sym, record, carry_energies=carry)
+            arrays = state_arrays(state)
+            if rec is not None:
+                arrays += [v for v in vars(rec).values() if isinstance(v, np.ndarray)]
+            assert arrays
+            for a in arrays:
+                for buf in scratch:
+                    assert not np.shares_memory(a, buf)
+
+    def test_shared_symbols_are_safe(self):
+        # two schemes stepping in turn on one OperatorSymbols (one scratch,
+        # one solve-factor cache) follow their separate trajectories exactly
+        pairs = (("isav-be", "sav-bdf"), ("sav-be", "isav-bdf"))
+        for a, b in pairs:
+            sa, params_a, sym = prepare(a)
+            sb, params_b, _ = prepare(b, sym=sym)
+            alone = []
+            for scheme in (a, b):
+                s, p, own = prepare(scheme)
+                recs = []
+                for _ in range(6):
+                    s, rec = step(s, p, own)
+                    recs.append((s.phi_n.values, rec))
+                alone.append(recs)
+            for n in range(6):
+                sa, ra = step(sa, params_a, sym)
+                sb, rb = step(sb, params_b, sym)
+                for (values, rec), (s, r) in zip((alone[0][n], alone[1][n]), ((sa, ra), (sb, rb))):
+                    assert np.array_equal(values, s.phi_n.values)
+                    assert rec == r
