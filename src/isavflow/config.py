@@ -19,7 +19,7 @@ import numpy as np
 
 from .potentials import DoubleWell, FloryHugginsRegularized, Potential
 from .schemes import Scheme
-from .spectral import Field, Grid, NonFiniteFieldError, make_grid
+from .spectral import Field, Grid, make_grid
 
 __all__ = [
     "ConfigError",
@@ -366,7 +366,7 @@ def initial_field(init: dict, grid: Grid) -> Field:
 
         try:
             f, _ = read_snapshot(init["path"])
-        except NonFiniteFieldError as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"init.path: {exc}") from exc
         if f.grid != grid:
             raise ConfigError(

@@ -14,8 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .potentials import Potential, bulk_energy, bulk_quad
-from .spectral import Field, operator_symbols, quad_form_hat, resample
+from .spectral import Field, quad_form_hat, resample
 
 __all__ = [
     "StepRecord",
@@ -50,23 +52,26 @@ def original_energy(phi: Field, potential: Potential) -> float:
     return 0.5 * quad_form_hat(grid, phi.spectrum(), grid.lap_sym) + bulk_quad(potential, phi)
 
 
-def e2_from_parts(half_sq_n, half_sq_star, F_n, F_nm1, S, diff_sq):
-    """Three-level modified energy from precomputed pieces.
-
-    half_sq_n and half_sq_star are 1/2 ||L^{1/2} phi^n||^2 and
-    1/2 ||L^{1/2} (2 phi^n - phi^{n-1})||^2; F_n, F_nm1 the bulk integrals;
-    diff_sq = ||phi^n - phi^{n-1}||^2. Returns NaN if either bulk integral
-    is nonpositive (the value is then meaningless but a run may still want
-    to log the remaining columns).
+def _e2(phi_n: Field, phi_nm1: Field, e_lin, F_n, F_nm1, S, ws=None):
+    """The three-level modified energy of e2_energy from the levels'
+    spectra, e_lin = 1/2 ||L^{1/2} phi^n||^2 and the bulk integrals F_n,
+    F_nm1. Returns NaN if either bulk integral is nonpositive (the value is
+    then meaningless but a run may still want to log the remaining
+    columns). ws, a Scratch, takes the temporaries when given.
     """
     if not (F_n > 0.0 and F_nm1 > 0.0):
         return math.nan
+    grid = phi_n.grid
+    star_out, diff_out, power = (None,) * 3 if ws is None else (ws.spec[0], ws.real[0], ws.power)
+    star = np.multiply(phi_n.spectrum(), 2.0, out=star_out)
+    star -= phi_nm1.spectrum()
+    diff = np.subtract(phi_n.values, phi_nm1.values, out=diff_out)
     r_n = math.sqrt(F_n)
     r_m = math.sqrt(F_nm1)
     return (
-        0.5 * (half_sq_n + half_sq_star)
+        0.5 * (e_lin + 0.5 * quad_form_hat(grid, star, grid.lap_sym, power))
         + 0.5 * (r_n**2 + (2.0 * r_n - r_m) ** 2)
-        + 0.5 * S * diff_sq
+        + 0.5 * S * grid.quad(np.multiply(diff, diff, out=diff))
     )
 
 
@@ -80,16 +85,9 @@ def e2_energy(phi_n: Field, phi_nm1: Field, potential: Potential, S: float) -> f
     grid = phi_n.grid
     if phi_nm1.grid != grid:
         raise ValueError("fields live on different grids")
-    hat_n = phi_n.spectrum()
-    hat_m = phi_nm1.spectrum()
-    return e2_from_parts(
-        0.5 * quad_form_hat(grid, hat_n, grid.lap_sym),
-        0.5 * quad_form_hat(grid, 2.0 * hat_n - hat_m, grid.lap_sym),
-        bulk_energy(potential, phi_n),
-        bulk_energy(potential, phi_nm1),
-        S,
-        grid.quad((phi_n.values - phi_nm1.values) ** 2),
-    )
+    e_lin = 0.5 * quad_form_hat(grid, phi_n.spectrum(), grid.lap_sym)
+    F_n, F_nm1 = bulk_energy(potential, phi_n), bulk_energy(potential, phi_nm1)
+    return _e2(phi_n, phi_nm1, e_lin, F_n, F_nm1, S)
 
 
 def h1_error(u: Field, ref: Field) -> float:
@@ -104,55 +102,62 @@ def h1_error(u: Field, ref: Field) -> float:
     )
 
 
-def energy_parts(state, sym, potential):
-    """(1/2 ||L^{1/2} phi_n||^2, int F(phi_n)) of a state: taken from its
-    diagnostics carry when the step that produced it recorded, else
-    computed."""
+def level_energies(state, potential, S=0.0, ws=None):
+    """(1/2 ||L^{1/2} phi_n||^2, int F(phi_n), E2 with damping S) of a
+    state's own level; E2 is None unless the state holds two BDF levels.
+
+    Taken from the state's diagnostics carry when the step that produced it
+    recorded, else built from its carried spectra (no transform) and its
+    bulk integrals, each evaluated at most once and kept on the state. ws,
+    the run's Scratch, takes the temporaries when given.
+    """
+    F_work, power = (None, None) if ws is None else (ws.real[1:], ws.power)
+    F = state.bulk_n(potential, F_work)
     if state.diag is not None:
-        return state.diag.e_lin, state.F_n
-    phi = state.phi_n
-    ws = sym.scratch(phi.grid)
-    return (
-        0.5 * quad_form_hat(phi.grid, phi.spectrum(), sym.lap, ws.power),
-        bulk_quad(potential, phi, ws.real[:3]),
-    )
+        return state.diag.e_lin, F, state.diag.E2
+    phi, phim = state.phi_n, state.phi_nm1
+    grid = phi.grid
+    e_lin = 0.5 * quad_form_hat(grid, phi.spectrum(), grid.lap_sym, power)
+    if not state.scheme.is_bdf or phim is None:
+        return e_lin, F, None
+    return e_lin, F, _e2(phi, phim, e_lin, F, state.bulk_nm1(potential, F_work), S, ws)
 
 
-def record_step(state, params, sym=None) -> StepRecord:
-    """Build the full record for a state snapshot.
+def record_step(state, params, prev=None) -> StepRecord:
+    """Build the record of a state's level.
 
-    Decrement quantities need the previous energies and the chemical
-    potential of the step that produced the state; those travel in the
-    state's diagnostics carry, so this works on the initial state (D fields
-    None) and after any completed step. The energy parts and mu's spectrum
-    are taken from that carry when present, so a record costs no transform;
-    its temporaries go into sym.scratch(grid).
+    The decrement quantities need the chemical potential of the step that
+    produced the state, which its diagnostics carry, and the energies of
+    prev, the state that step started from; without either (at t=0, or for
+    a state stepped without records) they are None. Every energy comes from
+    level_energies, so a record costs no transform; its temporaries go into
+    the run's scratch.
     """
     grid = state.phi_n.grid
-    sym = sym or operator_symbols(grid, params.alpha, params.gamma)
+    sym = params.symbols(grid)
+    ws = sym.scratch(grid)
+    S = params.S if state.scheme.is_improved else 0.0
     values = state.phi_n.values
-    e_lin, F = energy_parts(state, sym, params.potential)
+    e_lin, F, E2 = level_energies(state, params.potential, S, ws)
     E_orig = e_lin + F
     E_mod = e_lin + state.r_report**2 if state.r_report is not None else None
     r_drift = None
     if state.r_report is not None:
         r_drift = math.sqrt(F) - state.r_report if F > 0 else math.nan
-    diag = state.diag
-    ghalf_sq = None
-    if diag is not None and diag.mu_hat is not None:
-        ghalf_sq = quad_form_hat(grid, diag.mu_hat, sym.g_sym, sym.scratch(grid).power)
-    D_be = None
-    if ghalf_sq is not None and diag.prev_E_orig is not None:
-        D_be = E_orig - diag.prev_E_orig + params.tau * ghalf_sq
-    D_bdf = None
-    if ghalf_sq is not None and diag.E2 is not None and diag.prev_E2 is not None:
-        D_bdf = diag.E2 - diag.prev_E2 + params.tau * ghalf_sq
+    D_be = D_bdf = None
+    mu_hat = None if state.diag is None else state.diag.mu_hat
+    if prev is not None and mu_hat is not None:
+        ghalf_sq = quad_form_hat(grid, mu_hat, sym.g_sym, ws.power)
+        e_lin_prev, F_prev, E2_prev = level_energies(prev, params.potential, S, ws)
+        D_be = E_orig - (e_lin_prev + F_prev) + params.tau * ghalf_sq
+        if E2 is not None and E2_prev is not None:
+            D_bdf = E2 - E2_prev + params.tau * ghalf_sq
     return StepRecord(
         step=state.step_index,
         t=state.step_index * params.tau,
         E_orig=E_orig,
         E_mod=E_mod,
-        E2=None if diag is None else diag.E2,
+        E2=E2,
         D_be=D_be,
         D_bdf=D_bdf,
         r_drift=r_drift,

@@ -115,6 +115,8 @@ def read_snapshot(path):
     """Inverse of write_snapshot; returns (Field, t)."""
     with open(path) as fh:
         head = fh.readline().split()
+        if len(head) != 5:
+            raise ValueError(f"snapshot header must be 'nx ny lx ly t', got {head}")
         nx, ny = int(head[0]), int(head[1])
         lx, ly, t = float(head[2]), float(head[3]), float(head[4])
         values = np.loadtxt(fh, ndmin=2)
@@ -124,7 +126,7 @@ def read_snapshot(path):
     return Field(grid, values), t
 
 
-def _initial_states(cfg: RunConfig, params: ModelParams, grid, sym, record=True):
+def _initial_states(cfg: RunConfig, params: ModelParams, grid, record=True):
     """Initial state, plus the bootstrap step for the three-level schemes.
 
     BDF runs take their first step with the first-order improved scheme
@@ -135,7 +137,7 @@ def _initial_states(cfg: RunConfig, params: ModelParams, grid, sym, record=True)
     scheme = Scheme(cfg.scheme)
     if not scheme.is_bdf:
         state = make_initial_state(scheme, phi0, params.potential)
-        recs = [record_step(state, params, sym)] if record else []
+        recs = [record_step(state, params)] if record else []
         return state, recs, 0
     be_params = replace(
         params,
@@ -143,11 +145,11 @@ def _initial_states(cfg: RunConfig, params: ModelParams, grid, sym, record=True)
         assert_energy=False,
     )
     be_state = make_initial_state(Scheme.ISAV_BE, phi0, params.potential)
-    recs = [record_step(be_state, params, sym)] if record else []
-    be1, _ = step_isav_be(be_state, be_params, sym, record=record)
+    recs = [record_step(be_state, params)] if record else []
+    be1, _ = step_isav_be(be_state, be_params, record=record)
     state = bootstrap_bdf(be1, params, scheme)
     if record:
-        recs.append(record_step(state, params, sym))
+        recs.append(record_step(state, params, be_state))
     return state, recs, 1
 
 
@@ -184,7 +186,6 @@ def run_simulation(cfg: RunConfig, outdir=None, write_outputs=True, record=True)
         potential=pot,
         assert_energy=cfg.assert_energy,
     )
-    sym = params.symbols(grid)
     out_base = resolve_outdir(outdir)
     every = cfg.outputs["record_every"]
     snap_at = _snapshot_steps(cfg) if write_outputs else {}
@@ -201,7 +202,7 @@ def run_simulation(cfg: RunConfig, outdir=None, write_outputs=True, record=True)
             snapshot_paths.append(path)
 
     try:
-        state, records, done = _initial_states(cfg, params, grid, sym, record)
+        state, records, done = _initial_states(cfg, params, grid, record)
     except SCHEME_FAILURES as exc:
         raise SchemeRuntimeError(0, exc) from exc
     if done == 0:
@@ -210,23 +211,16 @@ def run_simulation(cfg: RunConfig, outdir=None, write_outputs=True, record=True)
         maybe_snapshot(0, state.phi_nm1)
         maybe_snapshot(1, state.phi_n)
 
-    def kept(n):
-        return n % every == 0 or n == n_total
-
     error = None
     for n in range(done + 1, n_total + 1):
-        # Only kept rows (every row under assert_energy) are built; the level
-        # before a kept row carries the energies its decrements need.
+        # Only kept rows (every row under assert_energy) are built.
+        kept = record and (n % every == 0 or n == n_total)
         try:
-            state, rec = step(
-                state, params, sym,
-                record=record and (kept(n) or params.assert_energy),
-                carry_energies=record and n < n_total and kept(n + 1),
-            )
+            state, rec = step(state, params, record=kept or (record and params.assert_energy))
         except SCHEME_FAILURES as exc:
             error = SchemeRuntimeError(n, exc)
             break
-        if record and kept(n):
+        if kept:
             records.append(rec)
         maybe_snapshot(n, state.phi_n)
     if write_outputs:

@@ -26,12 +26,12 @@ step that :func:`bootstrap_bdf` promotes to a two-level state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
 
-from .diagnostics import e2_from_parts, energy_parts, record_step
+from .diagnostics import level_energies, record_step
 from .potentials import Potential, bulk_energy, bulk_quad, check_bulk
 from .spectral import (
     Field,
@@ -40,7 +40,6 @@ from .spectral import (
     apply_symbol,
     inner_hat,
     operator_symbols,
-    quad_form_hat,
 )
 
 __all__ = [
@@ -96,6 +95,7 @@ class ModelParams:
     tau: float
     potential: Potential
     assert_energy: bool = False
+    _symbols: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0.0 <= self.alpha <= 1.0):
@@ -110,25 +110,30 @@ class ModelParams:
             raise ValueError("tau*S and tau*gamma must be finite")
 
     def symbols(self, grid: Grid) -> OperatorSymbols:
-        return operator_symbols(grid, self.alpha, self.gamma)
+        """The operator symbols on grid, built on first use and cached.
+        Copies made by dataclasses.replace share the cache; it is keyed by
+        (grid, alpha, gamma), so a copy with another alpha or gamma builds
+        its own."""
+        key = (grid, self.alpha, self.gamma)
+        sym = self._symbols.get(key)
+        if sym is None:
+            sym = self._symbols[key] = operator_symbols(grid, self.alpha, self.gamma)
+        return sym
 
 
 @dataclass
 class StepDiagnostics:
-    """Energy bookkeeping that only records use, carried by the states of
-    recording steps.
+    """Energies of a state's own level that only records use, carried by
+    the states of recording steps.
 
     e_lin is 1/2 ||L^{1/2} phi_n||^2; mu_hat the spectrum of the chemical
     potential of the step that produced the state (None at t=0); E2 the
-    three-level modified energy (BDF states only); prev_E_orig and prev_E2
-    the energies of the level before, for the decrement quantities.
+    three-level modified energy (BDF states only).
     """
 
     e_lin: float
     mu_hat: np.ndarray | None = None
     E2: float | None = None
-    prev_E_orig: float | None = None
-    prev_E2: float | None = None
 
 
 @dataclass
@@ -140,9 +145,10 @@ class SchemeState:
     auxiliary scalar in r_n (and r_nm1 for BDF2); the improved schemes carry
     none, and r_report holds the latest scalar, carried or reconstructed,
     for records and for seeding the SAV-BDF bootstrap. F_n and F_nm1 are
-    the bulk integrals at phi_n and phi_nm1 when a step already evaluated
-    them (unchecked for positivity), else None; the next step reuses them.
-    diag is filled only by steps that record.
+    the bulk integrals at phi_n and phi_nm1 once evaluated (unchecked for
+    positivity), else None; bulk_n and bulk_nm1 evaluate them on first use,
+    so no level's integral is taken twice. diag is filled only by steps
+    that record.
     """
 
     scheme: Scheme
@@ -161,22 +167,33 @@ class SchemeState:
         """Original energy at phi_n, when the state carries its parts."""
         return None if self.diag is None else self.diag.e_lin + self.F_n
 
+    def bulk_n(self, potential: Potential, work=None) -> float:
+        """int F(phi_n), evaluated on first use (work as for bulk_quad)."""
+        if self.F_n is None:
+            self.F_n = bulk_quad(potential, self.phi_n, work)
+        return self.F_n
+
+    def bulk_nm1(self, potential: Potential, work=None) -> float:
+        """int F(phi_nm1), evaluated on first use (work as for bulk_quad)."""
+        if self.F_nm1 is None:
+            self.F_nm1 = bulk_quad(potential, self.phi_nm1, work)
+        return self.F_nm1
+
 
 def make_initial_state(scheme: Scheme, phi0: Field, potential: Potential) -> SchemeState:
     """State at t=0. BDF schemes additionally need bootstrap_bdf afterwards."""
     scheme = Scheme(scheme)
     F0 = bulk_energy(potential, phi0)
     r0 = math.sqrt(F0)
-    return SchemeState(
+    state = SchemeState(
         scheme=scheme,
         phi_n=phi0,
         r_n=r0 if not scheme.is_improved else None,
         r_report=r0,
         F_n=F0,
-        diag=StepDiagnostics(
-            e_lin=0.5 * quad_form_hat(phi0.grid, phi0.spectrum(), phi0.grid.lap_sym)
-        ),
     )
+    state.diag = StepDiagnostics(e_lin=level_energies(state, potential)[0])
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +301,7 @@ def _solve_factors(sym: OperatorSymbols, tau, S, bdf):
     return out
 
 
-def step(state: SchemeState, params: ModelParams, sym=None, record=True,
-         carry_energies=False):
+def step(state: SchemeState, params: ModelParams, record=True):
     """Advance the state one time level with its own scheme.
 
     Every scheme solves [a + k*G*(L+S)] phi + (k/2) <b,phi> G b = rhs with
@@ -307,36 +323,37 @@ def step(state: SchemeState, params: ModelParams, sym=None, record=True,
     reconstructed r~^{n+1}. A nonpositive bulk integral at phi* or, for the
     improved schemes, at a history level raises NonPositiveBulkEnergyError.
 
-    Grid-sized temporaries live in sym.scratch(grid); the step allocates
-    only what it returns: phi^{n+1}, its spectrum, and mu's spectrum when
-    recording.
+    The operator symbols, solve factors and grid-sized temporaries come
+    from params.symbols(grid), built once per ModelParams; the step
+    allocates only what it returns: phi^{n+1}, its spectrum, and mu's
+    spectrum when recording.
 
     Returns (new_state, record). With record=False the record is None and
-    the new state carries no diagnostics, unless carry_energies asks for
-    the energies (E_orig, and E2 for BDF) that a record of the next level
-    needs for its decrements. The field is the same either way.
+    the new state carries no diagnostics; the field is the same either
+    way. A record's decrements take the previous level's energies from
+    state itself, so any step may record, whether or not the one before
+    it did.
     """
     scheme, bdf = state.scheme, state.scheme.is_bdf
     grid = state.phi_n.grid
-    sym = sym or params.symbols(grid)
+    sym = params.symbols(grid)
     ws = sym.scratch(grid)
     r0, r1, r2, r3 = ws.real
     b_hat, c1, c2, c3 = ws.spec
     F_work = (r1, r2, r3)  # r0 holds the BDF extrapolant while F is taken
     pot, tau = params.potential, params.tau
     S = params.S if scheme.is_improved else 0.0
-    phi, phi_hat, F_n = state.phi_n.values, state.phi_n.spectrum(), state.F_n
+    phi, phi_hat = state.phi_n.values, state.phi_n.spectrum()
     if bdf:
         if state.phi_nm1 is None:
             raise ValueError("BDF step requires two history levels; bootstrap first")
         phim, phim_hat = state.phi_nm1.values, state.phi_nm1.spectrum()
         np.multiply(phi, 2.0, out=r0)
         r0 -= phim
-        star, F_star = Field(grid, r0), None
-    else:
-        star, F_star = state.phi_n, F_n
-    if F_star is None:
+        star = Field(grid, r0)
         F_star = bulk_quad(pot, star, F_work)
+    else:
+        star, F_star = state.phi_n, state.bulk_n(pot, F_work)
     r_star = math.sqrt(check_bulk(F_star))
     b = pot.f(star.values, r1, (r2, r3))
     b /= r_star
@@ -346,8 +363,7 @@ def step(state: SchemeState, params: ModelParams, sym=None, record=True,
         r0 -= phim
         ip = grid.quad(np.multiply(b, r0, out=r0))
         if scheme.is_improved:
-            F_n = bulk_quad(pot, state.phi_n, F_work) if F_n is None else F_n
-            F_m = bulk_quad(pot, state.phi_nm1, F_work) if state.F_nm1 is None else state.F_nm1
+            F_n, F_m = state.bulk_n(pot, F_work), state.bulk_nm1(pot, F_work)
             r_hist = (4.0 * math.sqrt(check_bulk(F_n)) - math.sqrt(check_bulk(F_m))) / 3.0
         else:
             r_hist = (4.0 * state.r_n - state.r_nm1) / 3.0
@@ -357,7 +373,6 @@ def step(state: SchemeState, params: ModelParams, sym=None, record=True,
         np.multiply(cn_d, phi_hat, out=c1)
         c1 -= np.multiply(cm_d, phim_hat, out=c2)
     else:
-        F_n = F_star
         ip = grid.quad(np.multiply(b, phi, out=r0))
         r = r_star if scheme.is_improved else state.r_n
         c = r - 0.5 * ip
@@ -377,63 +392,43 @@ def step(state: SchemeState, params: ModelParams, sym=None, record=True,
         r_n=None if scheme.is_improved else r_new,
         r_nm1=state.r_n if bdf else None,
         r_report=r_new,
-        F_nm1=F_n,
-    )
-    if not (record or carry_energies):
-        return new, None
-
-    # Diagnostics, built from spectra already in hand: no transform.
-    new.F_n = bulk_quad(pot, new.phi_n, F_work)
-    e_lin = 0.5 * quad_form_hat(grid, new_hat, sym.lap, ws.power)
-    E2 = None
-    if bdf:
-        if F_n is None:
-            F_n = bulk_quad(pot, state.phi_n, F_work)
-        np.multiply(new_hat, 2.0, out=c1)
-        c1 -= phi_hat
-        e_lin_star = 0.5 * quad_form_hat(grid, c1, sym.lap, ws.power)
-        np.subtract(new_values, phi, out=r0)
-        diff_sq = grid.quad(np.multiply(r0, r0, out=r0))
-        E2 = e2_from_parts(e_lin, e_lin_star, new.F_n, F_n, S, diff_sq)
-    mu_hat = None
-    if record:
-        mu_hat = sym.lap * new_hat
-        mu_hat += np.multiply(b_hat, r_new, out=c1)
-        if scheme.is_improved:
-            if bdf:
-                np.multiply(phi_hat, 2.0, out=c1)
-                np.subtract(new_hat, c1, out=c1)
-                c1 += phim_hat
-            else:
-                np.subtract(new_hat, phi_hat, out=c1)
-            c1 *= S
-            mu_hat += c1
-    prev = state.diag
-    new.diag = StepDiagnostics(
-        e_lin=e_lin,
-        mu_hat=mu_hat,
-        E2=E2,
-        prev_E_orig=state.E_orig_n,
-        prev_E2=None if prev is None else prev.E2,
+        F_nm1=state.F_n,
     )
     if not record:
         return new, None
-    rec = record_step(new, params, sym)
+
+    # Diagnostics, built from spectra already in hand: no transform.
+    mu_hat = sym.lap * new_hat
+    mu_hat += np.multiply(b_hat, r_new, out=c1)
+    if scheme.is_improved:
+        if bdf:
+            np.multiply(phi_hat, 2.0, out=c1)
+            np.subtract(new_hat, c1, out=c1)
+            c1 += phim_hat
+        else:
+            np.subtract(new_hat, phi_hat, out=c1)
+        c1 *= S
+        mu_hat += c1
+    new.F_nm1 = state.bulk_n(pot, F_work)
+    e_lin, _, E2 = level_energies(new, pot, S, ws)
+    new.diag = StepDiagnostics(e_lin=e_lin, mu_hat=mu_hat, E2=E2)
+    rec = record_step(new, params, state)
     if params.assert_energy:
-        _check_energy_laws(state, new, params, sym, rec)
+        _check_energy_laws(state, new, params, rec)
     return new, rec
 
 
-def _check_energy_laws(old, new, params, sym, rec):
+def _check_energy_laws(old, new, params, rec):
+    if new.scheme.is_bdf:
+        return
+    e_lin_old, F_old, _ = level_energies(old, params.potential)
     if new.scheme == Scheme.SAV_BE:
-        e_lin_old, _ = energy_parts(old, sym, params.potential)
         e_mod_old = e_lin_old + old.r_n**2
         if rec.E_mod > e_mod_old + MODIFIED_ENERGY_RTOL * abs(e_mod_old):
             raise EnergyLawViolation(
                 f"modified energy rose at step {new.step_index}: {e_mod_old} -> {rec.E_mod}"
             )
     elif new.scheme == Scheme.ISAV_BE and rec.D_be is not None:
-        e_lin_old, F_old = energy_parts(old, sym, params.potential)
         tol = ORIGINAL_ENERGY_RTOL * (1.0 + abs(e_lin_old + F_old))
         if rec.D_be > tol:
             raise EnergyLawViolation(
@@ -454,19 +449,11 @@ def bootstrap_bdf(be_state: SchemeState, params: ModelParams, scheme: Scheme) ->
         raise ValueError(f"state carries scheme {be_state.scheme.value}, expected isav-be")
     if be_state.step_index < 1:
         raise ValueError("bootstrap requires a completed isav-be step")
-    phi0, phi1, F0 = be_state.phi_nm1, be_state.phi_n, be_state.F_nm1
-    state = replace(be_state, scheme=scheme)
+    state = replace(be_state, scheme=scheme, diag=None)
     if scheme == Scheme.SAV_BDF:
         state.r_n = be_state.r_report
-        state.r_nm1 = math.sqrt(check_bulk(F0))
+        state.r_nm1 = math.sqrt(check_bulk(be_state.F_nm1))
     if be_state.diag is not None:
-        grid = phi1.grid
-        state.diag = replace(be_state.diag, E2=e2_from_parts(
-            be_state.diag.e_lin,
-            0.5 * quad_form_hat(grid, 2.0 * phi1.spectrum() - phi0.spectrum(), grid.lap_sym),
-            be_state.F_n,
-            F0,
-            params.S if scheme.is_improved else 0.0,
-            grid.quad((phi1.values - phi0.values) ** 2),
-        ))
+        S = params.S if scheme.is_improved else 0.0
+        state.diag = replace(be_state.diag, E2=level_energies(state, params.potential, S)[2])
     return state

@@ -180,23 +180,20 @@ class Scratch:
 class OperatorSymbols:
     """Per-mode symbols of the operators used by the schemes.
 
-    lap is the symbol of -Laplacian (|k|^2), g_sym the mobility
-    gamma*|k|^(2*alpha), and sqrt_l / sqrt_g their square roots (used for
-    seminorms). Arrays are laid out on the rfft2 half-spectrum,
+    lap is the symbol of -Laplacian (|k|^2) and g_sym the mobility
+    gamma*|k|^(2*alpha). Arrays are laid out on the rfft2 half-spectrum,
     shape (nx, ny//2 + 1).
 
     solve_factors holds symbols the time steppers derive from these once
     per (tau, S, scheme family), and scratch(grid) the steps' work arrays;
-    a run passes one OperatorSymbols to every step, so both are built once
-    per run and freed with it.
+    a run's ModelParams hands one OperatorSymbols to every step, so both
+    are built once per run and freed with it.
     """
 
     alpha: float
     gamma: float
     lap: np.ndarray
     g_sym: np.ndarray
-    sqrt_l: np.ndarray
-    sqrt_g: np.ndarray
     solve_factors: dict = field(default_factory=dict, repr=False, compare=False)
     _scratch: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -219,16 +216,12 @@ def operator_symbols(grid: Grid, alpha: float, gamma: float) -> OperatorSymbols:
     if not (gamma > 0):
         raise ValueError(f"gamma must be positive, got {gamma}")
     lap = grid.lap_sym
-    with np.errstate(divide="ignore"):
-        g_sym = gamma * lap**alpha if alpha != 0.0 else gamma * np.ones_like(lap)
-        sqrt_g = np.sqrt(gamma) * lap ** (alpha / 2.0) if alpha != 0.0 else np.sqrt(gamma) * np.ones_like(lap)
+    g_sym = gamma * lap**alpha if alpha != 0.0 else gamma * np.ones_like(lap)
     return OperatorSymbols(
         alpha=alpha,
         gamma=gamma,
         lap=lap,
         g_sym=g_sym,
-        sqrt_l=np.sqrt(lap),
-        sqrt_g=sqrt_g,
     )
 
 

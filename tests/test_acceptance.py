@@ -192,12 +192,12 @@ class TestCriterion8SolverOracle:
         sym = p.symbols(g)
         phi0 = Field(g, rng.uniform(-0.8, 0.8, g.shape))
         if scheme.is_bdf:
-            be, _ = step(make_initial_state(Scheme.ISAV_BE, phi0, pot), p, sym)
+            be, _ = step(make_initial_state(Scheme.ISAV_BE, phi0, pot), p)
             state = bootstrap_bdf(be, p, scheme)
         else:
             state = make_initial_state(scheme, phi0, pot)
         old = state
-        new, _ = step(state, p, sym)
+        new, _ = step(state, p)
 
         # rebuild mu from its definition and check the flow relation
         if scheme.is_bdf:

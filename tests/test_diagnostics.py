@@ -143,7 +143,7 @@ class TestRecordStep:
     def test_decrement_matches_independent_recomputation(self, rng):
         g, pot, p, state = self.setup_state(rng)
         sym = p.symbols(g)
-        new, rec = step(state, p, sym)
+        new, rec = step(state, p)
         e_new = original_energy(new.phi_n, pot)
         e_old = original_energy(state.phi_n, pot)
         ghalf = norms(Field(g, g.inverse(new.diag.mu_hat)), sym).g_half

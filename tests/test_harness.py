@@ -4,6 +4,7 @@ import json
 import math
 import os
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -260,10 +261,9 @@ class TestRunSimulation:
         grid = base.make_grid()
         params = ModelParams(alpha=1.0, gamma=base.model["gamma"], S=base.S,
                              tau=base.tau, potential=base.make_potential())
-        sym = params.symbols(grid)
-        state, _, done = _initial_states(base, params, grid, sym, record=False)
+        state, _, done = _initial_states(base, params, grid, record=False)
         for _ in range(done + 1, base.n_steps() + 1):
-            state, rec = step(state, params, sym, record=False)
+            state, rec = step(state, params, record=False)
             assert rec is None
         for values in finals:
             assert np.array_equal(values, state.phi_n.values)
@@ -281,6 +281,27 @@ class TestRunSimulation:
             assert rows[-1].D_be is not None
             for row in rows:
                 assert row == full[row.step]
+
+    def test_readme_library_loop_matches_run_simulation(self, monkeypatch):
+        # the README's loop, run verbatim with step wrapped to keep its
+        # records, gives exactly the rows of the ex2-isav-be preset run
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        code = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+        import isavflow
+
+        records = []
+
+        def kept_step(*args, **kwargs):
+            state, rec = step(*args, **kwargs)
+            records.append(rec)
+            return state, rec
+
+        monkeypatch.setattr(isavflow, "step", kept_step)
+        exec(code, {})
+        rows = run_simulation(config_from_dict({"preset": "ex2-isav-be"}),
+                              write_outputs=False).records
+        assert len(records) == 100
+        assert records == rows[1:]
 
     def test_runtime_failure_reports_step_and_writes_partial(self, tmp_path):
         # zero damping on a stiff well with assertions on trips quickly
@@ -501,6 +522,27 @@ class TestCli:
             "outputs": {"series_path": str(tmp_path / "s.csv")},
         })
         assert main(["run", path]) == 2
+
+    SNAP_HEAD = "{} 8 6.283185307179586 6.283185307179586 0\n"
+    SNAP_ROW = " ".join(["0.5"] * 8) + "\n"
+
+    @pytest.mark.parametrize("body", [
+        None,
+        "",
+        SNAP_HEAD.format(8) + SNAP_ROW * 4,
+        SNAP_HEAD.format(7) + SNAP_ROW * 7,
+    ], ids=["missing", "empty", "short-body", "odd-nx"])
+    def test_malformed_snapshot_is_a_config_error(self, tmp_path, capsys, body):
+        snap = tmp_path / "snap.txt"
+        if body is not None:
+            snap.write_text(body)
+        path = write_cfg(tmp_path, {
+            "preset": "ex1-isav-be", "grid": {"nx": 8, "ny": 8},
+            "init": {"kind": "file", "path": str(snap)},
+            "outputs": {"series_path": str(tmp_path / "s.csv")},
+        })
+        assert main(["run", path]) == 2
+        assert "init.path: " in capsys.readouterr().err
 
     def test_converge_cli(self, tmp_path):
         path = write_cfg(tmp_path, {

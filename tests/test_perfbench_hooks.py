@@ -99,6 +99,21 @@ def test_bulk_integrals_per_step(scheme, record, tmp_path):
     assert tracer.per_step("potentials.DoubleWell.f") == 1.0
 
 
+@pytest.mark.parametrize("scheme", [s.value for s in Scheme])
+def test_downsampled_records_add_no_bulk_integrals(scheme, tmp_path):
+    # a kept row takes the previous level's energies from the state its
+    # step starts from, evaluating each missing bulk integral once, so no
+    # record_every evaluates F more often than recording every step does
+    base = small_config(scheme, tmp_path)
+    calls = []
+    for every in (1, 2, 3, 4):
+        with tracing.Tracer() as tracer:
+            run_simulation(replace(base, outputs={**base.outputs, "record_every": every}),
+                           write_outputs=False)
+        calls.append(tracer.calls["potentials.DoubleWell.F"])
+    assert max(calls) == calls[0]
+
+
 @pytest.mark.parametrize("assert_energy", [False, True])
 def test_records_built_only_for_kept_rows(assert_energy, tmp_path):
     # record_every=4 over 6 loop steps keeps the rows of steps 4 and 6;

@@ -151,13 +151,12 @@ class TestModifiedEnergyLaw:
         pot = DoubleWell(eps=0.2, c_add=1.0)
         for tau in (1e-3, 0.1, 10.0):
             p = ModelParams(alpha=1.0, gamma=0.5, S=0.0, tau=tau, potential=pot)
-            sym = p.symbols(g)
             state = make_initial_state(
                 Scheme.SAV_BE, Field(g, rng.uniform(-1.3, 1.3, g.shape)), pot
             )
             e_prev = None
             for _ in range(10):
-                state, rec = step(state, p, sym)
+                state, rec = step(state, p)
                 if e_prev is not None:
                     assert rec.E_mod <= e_prev + 1e-12 * abs(e_prev)
                 e_prev = rec.E_mod
@@ -324,6 +323,51 @@ class TestBootstrap:
             bootstrap_bdf(fresh, p, Scheme.ISAV_BDF)
         with pytest.raises(ValueError, match="BDF scheme"):
             bootstrap_bdf(fresh, p, Scheme.ISAV_BE)
+
+
+class TestLibraryLoop:
+    def setup_loop(self, rng):
+        g = make_grid(16, 16, TWO_PI, TWO_PI)
+        pot = DoubleWell(eps=0.5, c_add=1.0)
+        p = ModelParams(alpha=1.0, gamma=0.2, S=2.0, tau=0.05, potential=pot)
+        return g, p, make_initial_state(Scheme.ISAV_BE, random_field(g, rng, 0.6), pot)
+
+    def test_library_loop_builds_one_set_of_symbols(self, rng, monkeypatch):
+        from isavflow import schemes
+
+        built = []
+        real = schemes.operator_symbols
+        monkeypatch.setattr(schemes, "operator_symbols",
+                            lambda *a: built.append(a) or real(*a))
+        g, p, state = self.setup_loop(rng)
+        for record in (True, False, True):
+            state, _ = step(state, p, record=record)
+        assert len(built) == 1
+        assert p.symbols(g) is p.symbols(g)
+
+    def test_copies_share_symbols_unless_the_operator_changes(self, rng):
+        from dataclasses import replace
+
+        g, p, _ = self.setup_loop(rng)
+        sym = p.symbols(g)
+        assert replace(p, S=0.0, assert_energy=True).symbols(g) is sym
+        for other in (replace(p, gamma=2 * p.gamma), replace(p, alpha=0.5)):
+            assert not np.array_equal(other.symbols(g).g_sym, sym.g_sym)
+        assert np.array_equal(replace(p, gamma=2 * p.gamma).symbols(g).g_sym, 2 * sym.g_sym)
+        assert p.symbols(make_grid(8, 8, TWO_PI, TWO_PI)).lap.shape == (8, 5)
+
+    def test_record_after_unrecorded_steps_matches_full_records(self, rng):
+        # the decrements of a recording step take the previous level's
+        # energies from that state, recorded or not
+        for scheme in (Scheme.SAV_BDF, Scheme.ISAV_BDF):
+            g, p, be = self.setup_loop(rng)
+            be1, _ = step(be, p)
+            states = [bootstrap_bdf(be1, p, scheme)] * 2
+            for n in range(4):
+                full, rec_full = step(states[0], p)
+                fast, rec_fast = step(states[1], p, record=n == 3)
+                states = [full, fast]
+            assert rec_fast == rec_full and rec_fast.D_bdf is not None
 
 
 @pytest.mark.slow

@@ -11,14 +11,13 @@ from isavflow.config import config_from_dict
 from isavflow.harness import _initial_states
 
 
-def prepare(scheme, example="ex1", nx=16, sym=None):
+def prepare(scheme, example="ex1", nx=16, params=None):
     cfg = config_from_dict({"preset": f"{example}-{scheme}", "grid": {"nx": nx, "ny": nx}})
     grid = cfg.make_grid()
-    params = ModelParams(alpha=cfg.model["alpha"], gamma=cfg.model["gamma"], S=cfg.S,
-                         tau=cfg.tau, potential=cfg.make_potential())
-    sym = sym or params.symbols(grid)
-    state, _, _ = _initial_states(cfg, params, grid, sym)
-    return state, params, sym
+    params = params or ModelParams(alpha=cfg.model["alpha"], gamma=cfg.model["gamma"],
+                                   S=cfg.S, tau=cfg.tau, potential=cfg.make_potential())
+    state, _, _ = _initial_states(cfg, params, grid)
+    return state, params
 
 
 def state_arrays(state):
@@ -47,12 +46,12 @@ class TestAllocationBudget:
     @pytest.mark.parametrize("example", ["ex1", "ex4"])
     @pytest.mark.parametrize("record, kept, transient", [(True, 3.06, 1.2), (False, 2.03, 0.3)])
     def test_step_allocates_only_what_it_returns(self, example, record, kept, transient):
-        state, params, sym = prepare("isav-be", example, nx=64)
-        state, _ = step(state, params, sym, record)
+        state, params = prepare("isav-be", example, nx=64)
+        state, _ = step(state, params, record)
         tracemalloc.start()
         try:
             start, _ = tracemalloc.get_traced_memory()
-            new, _ = step(state, params, sym, record)
+            new, _ = step(state, params, record)
             end, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -64,12 +63,14 @@ class TestAllocationBudget:
 class TestScratchIsolation:
     @pytest.mark.parametrize("scheme", [s.value for s in Scheme])
     def test_no_scratch_escapes_a_step(self, scheme):
-        state, params, sym = prepare(scheme)
+        state, params = prepare(scheme)
         grid = state.phi_n.grid
-        ws = sym.scratch(grid)
+        ws = params.symbols(grid).scratch(grid)
         scratch = ws.real + ws.spec + ws.power
-        for record, carry in ((True, False), (False, True), (False, False), (True, False)):
-            state, rec = step(state, params, sym, record, carry_energies=carry)
+        # the recording step after two without records takes the previous
+        # level's energies from that state, through the scratch buffers
+        for record in (True, False, False, True):
+            state, rec = step(state, params, record)
             arrays = state_arrays(state)
             if rec is not None:
                 arrays += [v for v in vars(rec).values() if isinstance(v, np.ndarray)]
@@ -79,23 +80,24 @@ class TestScratchIsolation:
                     assert not np.shares_memory(a, buf)
 
     def test_shared_symbols_are_safe(self):
-        # two schemes stepping in turn on one OperatorSymbols (one scratch,
-        # one solve-factor cache) follow their separate trajectories exactly
+        # two schemes stepping in turn on one ModelParams (one set of
+        # symbols, one scratch, one solve-factor cache) follow their
+        # separate trajectories exactly
         pairs = (("isav-be", "sav-bdf"), ("sav-be", "isav-bdf"))
         for a, b in pairs:
-            sa, params_a, sym = prepare(a)
-            sb, params_b, _ = prepare(b, sym=sym)
+            sa, params = prepare(a)
+            sb, _ = prepare(b, params=params)
             alone = []
             for scheme in (a, b):
-                s, p, own = prepare(scheme)
+                s, p = prepare(scheme)
                 recs = []
                 for _ in range(6):
-                    s, rec = step(s, p, own)
+                    s, rec = step(s, p)
                     recs.append((s.phi_n.values, rec))
                 alone.append(recs)
             for n in range(6):
-                sa, ra = step(sa, params_a, sym)
-                sb, rb = step(sb, params_b, sym)
+                sa, ra = step(sa, params)
+                sb, rb = step(sb, params)
                 for (values, rec), (s, r) in zip((alone[0][n], alone[1][n]), ((sa, ra), (sb, rb))):
                     assert np.array_equal(values, s.phi_n.values)
                     assert rec == r

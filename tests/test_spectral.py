@@ -113,7 +113,7 @@ class TestOperatorSymbols:
     def test_symbols_nonnegative(self):
         g = make_grid(12, 8, 2.0, 3.0)
         sym = operator_symbols(g, alpha=0.7, gamma=2.0)
-        for arr in (sym.lap, sym.g_sym, sym.sqrt_l, sym.sqrt_g):
+        for arr in (sym.lap, sym.g_sym):
             assert np.all(arr >= 0.0)
 
     def test_rejects_bad_params(self):
