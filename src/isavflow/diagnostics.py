@@ -16,13 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .potentials import Potential, bulk_energy, bulk_quad
+from .potentials import Potential, bulk_quad
 from .spectral import Field, quad_form_hat, resample
 
 __all__ = [
     "StepRecord",
     "original_energy",
-    "e2_energy",
     "h1_error",
     "record_step",
 ]
@@ -53,11 +52,17 @@ def original_energy(phi: Field, potential: Potential) -> float:
 
 
 def _e2(phi_n: Field, phi_nm1: Field, e_lin, F_n, F_nm1, S, ws=None):
-    """The three-level modified energy of e2_energy from the levels'
-    spectra, e_lin = 1/2 ||L^{1/2} phi^n||^2 and the bulk integrals F_n,
-    F_nm1. Returns NaN if either bulk integral is nonpositive (the value is
-    then meaningless but a run may still want to log the remaining
-    columns). ws, a Scratch, takes the temporaries when given.
+    """Three-level modified energy of a consecutive pair of levels,
+
+        1/4 (||L^{1/2} phi^n||^2 + ||L^{1/2}(2 phi^n - phi^{n-1})||^2)
+        + 1/2 [ r[phi^n]^2 + (2 r[phi^n] - r[phi^{n-1}])^2 ]
+        + S/2 ||phi^n - phi^{n-1}||^2,
+
+    from the levels' spectra, e_lin = 1/2 ||L^{1/2} phi^n||^2 and the bulk
+    integrals F_n, F_nm1 (r = sqrt(F)). Returns NaN if either bulk integral
+    is nonpositive (the value is then meaningless but a run may still want
+    to log the remaining columns). ws, a Scratch, takes the temporaries
+    when given.
     """
     if not (F_n > 0.0 and F_nm1 > 0.0):
         return math.nan
@@ -73,21 +78,6 @@ def _e2(phi_n: Field, phi_nm1: Field, e_lin, F_n, F_nm1, S, ws=None):
         + 0.5 * (r_n**2 + (2.0 * r_n - r_m) ** 2)
         + 0.5 * S * grid.quad(np.multiply(diff, diff, out=diff))
     )
-
-
-def e2_energy(phi_n: Field, phi_nm1: Field, potential: Potential, S: float) -> float:
-    """Three-level modified energy of a consecutive pair of fields:
-
-        1/4 (||L^{1/2} phi^n||^2 + ||L^{1/2}(2 phi^n - phi^{n-1})||^2)
-        + 1/2 [ r[phi^n]^2 + (2 r[phi^n] - r[phi^{n-1}])^2 ]
-        + S/2 ||phi^n - phi^{n-1}||^2.
-    """
-    grid = phi_n.grid
-    if phi_nm1.grid != grid:
-        raise ValueError("fields live on different grids")
-    e_lin = 0.5 * quad_form_hat(grid, phi_n.spectrum(), grid.lap_sym)
-    F_n, F_nm1 = bulk_energy(potential, phi_n), bulk_energy(potential, phi_nm1)
-    return _e2(phi_n, phi_nm1, e_lin, F_n, F_nm1, S)
 
 
 def h1_error(u: Field, ref: Field) -> float:

@@ -126,18 +126,28 @@ def read_snapshot(path):
     return Field(grid, values), t
 
 
+def _kept_rows(cfg: RunConfig, record=True):
+    """The levels a run keeps a row for: with records on, level 0, every
+    record_every-th level and the last one, for every scheme alike."""
+    every, n_total = cfg.outputs["record_every"], cfg.n_steps()
+    return lambda n: record and (n % every == 0 or n == n_total)
+
+
 def _initial_states(cfg: RunConfig, params: ModelParams, grid, record=True):
     """Initial state, plus the bootstrap step for the three-level schemes.
 
     BDF runs take their first step with the first-order improved scheme
     (stabilization only for the improved target, never asserted) and then
-    promote to a two-level state. Returns (state, records, steps_done).
+    promote to a two-level state; that step records only if level 1 keeps
+    a row, and its record becomes the row once it carries the BDF E2.
+    Returns (state, records, steps_done).
     """
     phi0 = initial_field(cfg.init, grid)
     scheme = Scheme(cfg.scheme)
+    kept = _kept_rows(cfg, record)
     if not scheme.is_bdf:
         state = make_initial_state(scheme, phi0, params.potential)
-        recs = [record_step(state, params)] if record else []
+        recs = [record_step(state, params)] if kept(0) else []
         return state, recs, 0
     be_params = replace(
         params,
@@ -145,11 +155,11 @@ def _initial_states(cfg: RunConfig, params: ModelParams, grid, record=True):
         assert_energy=False,
     )
     be_state = make_initial_state(Scheme.ISAV_BE, phi0, params.potential)
-    recs = [record_step(be_state, params)] if record else []
-    be1, _ = step_isav_be(be_state, be_params, record=record)
+    recs = [record_step(be_state, params)] if kept(0) else []
+    be1, rec = step_isav_be(be_state, be_params, record=kept(1))
     state = bootstrap_bdf(be1, params, scheme)
-    if record:
-        recs.append(record_step(state, params, be_state))
+    if rec is not None:
+        recs.append(replace(rec, E2=state.diag.E2))
     return state, recs, 1
 
 
@@ -168,7 +178,8 @@ def run_simulation(cfg: RunConfig, outdir=None, write_outputs=True, record=True)
     """Integrate from t=0 to t_end, recording diagnostics along the way.
 
     With the default record_every=1 the series holds n_steps+1 rows
-    including t=0; with more, only the rows kept are built. With
+    including t=0; with more, it holds the rows of levels 0, the multiples
+    of record_every and n_steps, and only those rows are built. With
     record=False no diagnostics are built, the series is empty and the
     energy-law assertions (which check records) are off; the trajectory is
     the same. A scheme failure (nonpositive bulk
@@ -187,7 +198,7 @@ def run_simulation(cfg: RunConfig, outdir=None, write_outputs=True, record=True)
         assert_energy=cfg.assert_energy,
     )
     out_base = resolve_outdir(outdir)
-    every = cfg.outputs["record_every"]
+    kept = _kept_rows(cfg, record)
     snap_at = _snapshot_steps(cfg) if write_outputs else {}
     snap_dir = os.path.join(out_base, cfg.outputs["snapshot_dir"])
     series_path = os.path.join(out_base, cfg.outputs["series_path"]) if write_outputs else None
@@ -214,13 +225,13 @@ def run_simulation(cfg: RunConfig, outdir=None, write_outputs=True, record=True)
     error = None
     for n in range(done + 1, n_total + 1):
         # Only kept rows (every row under assert_energy) are built.
-        kept = record and (n % every == 0 or n == n_total)
+        keep = kept(n)
         try:
-            state, rec = step(state, params, record=kept or (record and params.assert_energy))
+            state, rec = step(state, params, record=keep or (record and params.assert_energy))
         except SCHEME_FAILURES as exc:
             error = SchemeRuntimeError(n, exc)
             break
-        if kept:
+        if keep:
             records.append(rec)
         maybe_snapshot(n, state.phi_n)
     if write_outputs:

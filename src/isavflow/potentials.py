@@ -20,10 +20,8 @@ from .spectral import Field
 __all__ = [
     "DoubleWell",
     "FloryHugginsRegularized",
-    "ConstantPotential",
     "NonPositiveBulkEnergyError",
     "bulk_energy",
-    "r_of_phi",
     "suggest_S",
 ]
 
@@ -240,27 +238,6 @@ class FloryHugginsRegularized(Potential):
         return (self.sigma, 1.0 - self.sigma)
 
 
-@dataclass(frozen=True)
-class ConstantPotential(Potential):
-    """F identically c_add, f = f' = 0; handy for linear-decay checks."""
-
-    def F(self, phi, out=None, work=None):
-        p = _as_array(phi)
-        out = _output(p, out)
-        out.fill(self.c_add)
-        return _as_input(out, phi)
-
-    def f(self, phi, out=None, work=None):
-        p = _as_array(phi)
-        out = _output(p, out)
-        out.fill(0.0)
-        return _as_input(out, phi)
-
-    def fprime(self, phi):
-        p = _as_array(phi)
-        return _as_input(np.zeros_like(p), phi)
-
-
 def bulk_quad(potential: Potential, phi: Field, work=None) -> float:
     """Nodal quadrature of F(phi) over the domain, no positivity check.
 
@@ -283,11 +260,6 @@ def check_bulk(val: float) -> float:
 def bulk_energy(potential: Potential, phi: Field) -> float:
     """Integrated bulk energy; must be strictly positive for the schemes."""
     return check_bulk(bulk_quad(potential, phi))
-
-
-def r_of_phi(potential: Potential, phi: Field) -> float:
-    """Square root of the integrated bulk energy (the auxiliary scalar)."""
-    return math.sqrt(bulk_energy(potential, phi))
 
 
 def suggest_S(potential: Potential, phi_range: tuple[float, float], samples: int = 10_000) -> float:

@@ -18,7 +18,7 @@ All four are one function, :func:`step`, driven by two choices: the time
 discretization (backward Euler or BDF2) and the scalar policy (carried or
 re-evaluated). Every step is one linear solve with a constant-coefficient
 diagonal operator perturbed by a rank-one term, done in Fourier space by
-two diagonal solves and a scalar correction (see :func:`rank_one_solve`).
+two diagonal solves and a scalar correction (see :func:`_rank_one_core`).
 The BDF2 schemes need two levels, so their first step is an ``isav-be``
 step that :func:`bootstrap_bdf` promotes to a two-level state.
 """
@@ -33,23 +33,13 @@ import numpy as np
 
 from .diagnostics import level_energies, record_step
 from .potentials import Potential, bulk_energy, bulk_quad, check_bulk
-from .spectral import (
-    Field,
-    Grid,
-    OperatorSymbols,
-    apply_symbol,
-    inner_hat,
-    operator_symbols,
-)
+from .spectral import Field, Grid, OperatorSymbols, inner_hat, operator_symbols
 
 __all__ = [
     "Scheme",
     "ModelParams",
     "SchemeState",
-    "RankOneSystem",
     "EnergyLawViolation",
-    "rank_one_solve",
-    "dense_solve_oracle",
     "make_initial_state",
     "bootstrap_bdf",
     "step",
@@ -162,11 +152,6 @@ class SchemeState:
     F_nm1: float | None = None
     diag: StepDiagnostics | None = None
 
-    @property
-    def E_orig_n(self) -> float | None:
-        """Original energy at phi_n, when the state carries its parts."""
-        return None if self.diag is None else self.diag.e_lin + self.F_n
-
     def bulk_n(self, potential: Potential, work=None) -> float:
         """int F(phi_n), evaluated on first use (work as for bulk_quad)."""
         if self.F_n is None:
@@ -197,81 +182,23 @@ def make_initial_state(scheme: Scheme, phi0: Field, potential: Potential) -> Sch
 
 
 # ---------------------------------------------------------------------------
-# Rank-one perturbed diagonal solves
+# The time step
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RankOneSystem:
-    """Linear system diag*phi + w*<b, phi>*gb = rhs.
-
-    diag is a per-mode symbol with every entry >= 1, gb and rhs are fields,
-    and <.,.> is the nodal quadrature inner product against b. When gb is a
-    nonnegative diagonal operator applied to b, the solvability denominator
-    1 + w*<b, diag^{-1} gb> is at least 1.
-    """
-
-    diag: np.ndarray
-    gb: Field
-    b: Field
-    rhs: Field
-    w: float
-
-
 def _rank_one_core(grid: Grid, z1_hat, z2_hat, b_hat, w, work=None):
-    """Sherman-Morrison step shared by every solve, entirely on the half
-    spectrum: z1 = diag^{-1} gb and z2 = diag^{-1} rhs are the two diagonal
-    solves, <b, z1> and <b, z2> are Parseval sums, and the only transform is
-    the inverse of the solution. work, a complex array of the spectral
-    shape, takes the temporaries. Returns (phi_values, phi_hat, <b, phi>).
+    """Sherman-Morrison solve of diag*phi + w*<b, phi>*gb = rhs, entirely on
+    the half spectrum: z1 = diag^{-1} gb and z2 = diag^{-1} rhs are the two
+    diagonal solves, <b, z1> and <b, z2> are Parseval sums, and the only
+    transform is the inverse of the solution. work, a complex array of the
+    spectral shape, takes the temporaries. Returns (phi_values, phi_hat,
+    <b, phi>).
     """
     s1 = inner_hat(grid, b_hat, z1_hat, work)
     s2 = inner_hat(grid, b_hat, z2_hat, work)
     bracket = s2 / (1.0 + w * s1)
     phi_hat = z2_hat - np.multiply(z1_hat, w * bracket, out=work)
     return grid.inverse(phi_hat, work), phi_hat, bracket
-
-
-def rank_one_solve(sys: RankOneSystem) -> Field:
-    """Solve the rank-one perturbed diagonal system via two diagonal solves."""
-    g = sys.rhs.grid
-    if sys.diag.shape != g.spectral_shape:
-        raise ValueError("diag symbol does not match the grid's spectral layout")
-    phi, phi_hat, _ = _rank_one_core(
-        g,
-        sys.gb.spectrum() / sys.diag,
-        sys.rhs.spectrum() / sys.diag,
-        sys.b.spectrum(),
-        sys.w,
-    )
-    return Field(g, phi, phi_hat)
-
-
-def dense_solve_oracle(sys: RankOneSystem) -> Field:
-    """Assemble the full matrix and solve densely; verification only.
-
-    The diagonal symbol is realized column by column through transforms and
-    the rank-one part through the quadrature weights, so this shares nothing
-    with rank_one_solve beyond the transforms themselves.
-    """
-    g = sys.rhs.grid
-    if g.nx > 16 or g.ny > 16:
-        raise ValueError("dense oracle is restricted to grids of at most 16x16")
-    n = g.nx * g.ny
-    A = np.empty((n, n))
-    e = np.zeros(g.shape)
-    for j in range(n):
-        e.flat[j] = 1.0
-        A[:, j] = apply_symbol(Field(g, e), sys.diag).values.ravel()
-        e.flat[j] = 0.0
-    A += sys.w * np.outer(sys.gb.values.ravel(), g.cell_area * sys.b.values.ravel())
-    phi = np.linalg.solve(A, sys.rhs.values.ravel())
-    return Field(g, phi.reshape(g.shape))
-
-
-# ---------------------------------------------------------------------------
-# The time step
-# ---------------------------------------------------------------------------
 
 
 def _solve_factors(sym: OperatorSymbols, tau, S, bdf):

@@ -12,7 +12,6 @@ of the wavenumber.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -21,9 +20,6 @@ __all__ = [
     "Field",
     "make_grid",
     "operator_symbols",
-    "apply_symbol",
-    "inner",
-    "norms",
     "quad_form_hat",
     "inner_hat",
     "resample",
@@ -119,8 +115,7 @@ class Field:
     hat optionally carries the rfft2 spectrum of the values, so a field is
     transformed at most once: a solver that already holds the spectrum
     passes it in, otherwise spectrum() fills it on first use. Fields are
-    never written in place (arithmetic builds new Fields without a
-    spectrum), so the carried spectrum cannot go stale.
+    never written in place, so the carried spectrum cannot go stale.
     """
 
     grid: Grid
@@ -140,24 +135,6 @@ class Field:
         if self.hat is None:
             self.hat = self.grid.forward(self.values)
         return self.hat
-
-    def __add__(self, other: "Field") -> "Field":
-        _require_same_grid(self, other)
-        return Field(self.grid, self.values + other.values)
-
-    def __sub__(self, other: "Field") -> "Field":
-        _require_same_grid(self, other)
-        return Field(self.grid, self.values - other.values)
-
-    def __mul__(self, c: float) -> "Field":
-        return Field(self.grid, self.values * c)
-
-    __rmul__ = __mul__
-
-
-def _require_same_grid(u: Field, v: Field):
-    if u.grid != v.grid:
-        raise ValueError("fields live on different grids")
 
 
 class Scratch:
@@ -225,36 +202,13 @@ def operator_symbols(grid: Grid, alpha: float, gamma: float) -> OperatorSymbols:
     )
 
 
-def apply_symbol(field: Field, symbol: np.ndarray, sign: float = 1.0) -> Field:
-    """Apply a diagonal spectral operator: inverse(symbol * forward(u)) * sign.
-
-    The symbol must be even under k -> -k, which on the half-spectrum layout
-    constrains only the self-conjugate ky=0 and ky=Nyquist columns (entries
-    at +-kx equal). Every operator built here is a function of |k|^2 and
-    satisfies this automatically; the rfft2/irfft2 pair then keeps real
-    fields real by construction, with no imaginary residue to discard.
-    """
-    g = field.grid
-    if symbol.shape != g.spectral_shape:
-        raise ValueError(
-            f"symbol shape {symbol.shape} does not match spectral layout {g.spectral_shape}"
-        )
-    out = g.inverse(symbol * field.spectrum())
-    return Field(g, sign * out)
-
-
-def inner(u: Field, v: Field) -> float:
-    """L2 inner product by nodal quadrature, hx*hy * sum(u*v)."""
-    _require_same_grid(u, v)
-    return u.grid.quad(u.values * v.values)
-
-
 def quad_form_hat(grid: Grid, hat: np.ndarray, symbol: np.ndarray | None = None,
                   work=None) -> float:
     """Quadratic form sum_k symbol_k |u_hat_k|^2 in quadrature normalization.
 
-    With symbol None this equals inner(u, u) by Parseval. work, when given,
-    is a pair of real arrays of the spectral shape that take the products.
+    With symbol None this equals grid.quad(u * u) by Parseval. work, when
+    given, is a pair of real arrays of the spectral shape that take the
+    products.
     """
     if work is None:
         work = (np.empty(hat.shape), np.empty(hat.shape))
@@ -271,73 +225,46 @@ def quad_form_hat(grid: Grid, hat: np.ndarray, symbol: np.ndarray | None = None,
 def inner_hat(grid: Grid, u_hat: np.ndarray, v_hat: np.ndarray, work=None) -> float:
     """L2 inner product <u, v> from the two half spectra (Parseval).
 
-    Equals inner(u, v) up to rounding: the mode weights count each interior
-    column twice, the second time for its conjugate partner. work, when
-    given, is a complex array of the spectral shape for the weighted u_hat.
+    Equals grid.quad(u * v) up to rounding: the mode weights count each
+    interior column twice, the second time for its conjugate partner. work,
+    when given, is a complex array of the spectral shape for the weighted
+    u_hat.
     """
     wu = np.multiply(grid.mode_weight, u_hat, out=work)
     return float(grid.spectral_scale * np.vdot(wu, v_hat).real)
 
 
-class FieldNorms(NamedTuple):
-    l2: float
-    grad_l2: float
-    h1: float
-    g_half: float
+def _map_x(hat: np.ndarray, nx_dst: int) -> np.ndarray:
+    """Map the x axis (full FFT ordering) of a spectrum to nx_dst points.
 
-
-def norms(u: Field, sym: OperatorSymbols) -> FieldNorms:
-    """L2 norm, gradient seminorm, H1 norm, and the mobility seminorm of u."""
-    hat = u.spectrum()
-    l2_sq = quad_form_hat(u.grid, hat)
-    grad_sq = quad_form_hat(u.grid, hat, sym.lap)
-    g_half_sq = quad_form_hat(u.grid, hat, sym.g_sym)
-    return FieldNorms(
-        l2=np.sqrt(l2_sq),
-        grad_l2=np.sqrt(grad_sq),
-        h1=np.sqrt(l2_sq + grad_sq),
-        g_half=np.sqrt(g_half_sq),
-    )
-
-
-def _axis_map(n_src: int, n_dst: int) -> np.ndarray:
-    """Mode-copy matrix (n_dst x n_src) between FFT orderings of even sizes.
-
-    Downsampling folds the +-Nyquist pair of the source into the single
-    Nyquist bin of the target; upsampling splits the source Nyquist bin in
-    half between the +-Nyquist bins of the target. Both keep real fields
-    real and reproduce nodal values of the trigonometric interpolant.
+    The modes resolved on both grids are copied as two slices. A downsample
+    folds the target's +-Nyquist pair into its one Nyquist row; an upsample
+    splits the source's Nyquist row in half between the target's +-Nyquist
+    rows. Both keep real fields real and reproduce nodal values of the
+    trigonometric interpolant.
     """
-    R = np.zeros((n_dst, n_src))
-    if n_dst == n_src:
-        np.fill_diagonal(R, 1.0)
-        return R
-    if n_dst < n_src:
-        m = n_dst
-        for j in range(m // 2):
-            R[j, j] = 1.0
-        R[m // 2, m // 2] = 1.0
-        R[m // 2, n_src - m // 2] = 1.0
-        for q in range(1, m // 2):
-            R[m // 2 + q, n_src - m // 2 + q] = 1.0
-        return R
-    n = n_src
-    for j in range(n // 2):
-        R[j, j] = 1.0
-    R[n // 2, n // 2] = 0.5
-    R[n_dst - n // 2, n // 2] = 0.5
-    for j in range(n // 2 + 1, n):
-        R[n_dst - n + j, j] = 1.0
-    return R
+    n_src = hat.shape[0]
+    if nx_dst == n_src:
+        return hat
+    m = min(n_src, nx_dst) // 2
+    out = np.zeros((nx_dst, hat.shape[1]), dtype=complex)
+    out[:m] = hat[:m]
+    out[nx_dst - m + 1 :] = hat[n_src - m + 1 :]
+    if nx_dst < n_src:
+        np.add(hat[m], hat[n_src - m], out=out[m])
+    else:
+        np.multiply(hat[m], 0.5, out=out[m])
+        out[nx_dst - m] = out[m]
+    return out
 
 
 def _fold_half(hat: np.ndarray, ny_dst: int) -> np.ndarray:
     """Map the y axis of an rfft2 half spectrum to a grid of ny_dst points.
 
-    The half-spectrum form of _axis_map: resolved columns are copied, and
-    the Nyquist column is folded or split the same way. On the half
-    spectrum the source's -Nyquist column is the conjugate of its +Nyquist
-    column at -kx, which is what a fold adds.
+    The half-spectrum form of _map_x: resolved columns are copied, and the
+    Nyquist column is folded or split the same way. On the half spectrum
+    the source's -Nyquist column is the conjugate of its +Nyquist column at
+    -kx, which is what a fold adds.
     """
     m_src, m_dst = hat.shape[1] - 1, ny_dst // 2
     m = min(m_src, m_dst)
@@ -362,6 +289,6 @@ def resample(field: Field, new_grid: Grid) -> Field:
         raise ValueError("resample requires matching domain lengths")
     if g.shape == new_grid.shape:
         return Field(new_grid, field.values.copy())
-    hat_new = _axis_map(g.nx, new_grid.nx) @ _fold_half(field.spectrum(), new_grid.ny)
+    hat_new = _map_x(_fold_half(field.spectrum(), new_grid.ny), new_grid.nx)
     scale = (new_grid.nx * new_grid.ny) / (g.nx * g.ny)
     return Field(new_grid, new_grid.inverse(hat_new) * scale)

@@ -7,6 +7,16 @@ from isavflow import Field, make_grid
 from isavflow.config import config_from_dict
 from isavflow.harness import run_simulation
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves without it
+    pass
+else:
+    # Deterministic and small: the same examples on every run, no per-example
+    # deadline (the first example pays for building symbols and scratch).
+    settings.register_profile("isavflow", derandomize=True, deadline=None, max_examples=25)
+    settings.load_profile("isavflow")
+
 TWO_PI = 2.0 * np.pi
 
 

@@ -16,13 +16,10 @@ from isavflow import (
     FloryHugginsRegularized,
     ModelParams,
     Scheme,
-    apply_symbol,
     bootstrap_bdf,
     bulk_energy,
-    dense_solve_oracle,
     make_grid,
     make_initial_state,
-    rank_one_solve,
     step,
 )
 from isavflow.config import config_from_dict
@@ -30,6 +27,7 @@ from isavflow.diagnostics import h1_error
 from isavflow.harness import run_simulation
 
 from conftest import TWO_PI, even_symbol, ex1_config, ex2_config, final_field, random_field
+from oracles import RankOneSystem, apply_symbol, dense_solve_oracle, rank_one_solve
 
 TEMPORAL_NS = (10, 20, 40, 80, 160)
 
@@ -162,8 +160,6 @@ class TestCriterion7DriftScaling:
 
 class TestCriterion8SolverOracle:
     def test_randomized_systems_match_dense(self):
-        from isavflow import RankOneSystem
-
         rng = np.random.default_rng(8)
         g = make_grid(8, 8, 1.0, 2.0)
         worst = 0.0

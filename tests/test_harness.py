@@ -282,6 +282,29 @@ class TestRunSimulation:
             for row in rows:
                 assert row == full[row.step]
 
+    @pytest.mark.parametrize("every", [1, 3])
+    @pytest.mark.parametrize("scheme", [s.value for s in Scheme])
+    def test_one_record_per_kept_row(self, scheme, every, monkeypatch):
+        # record_step is bound in schemes (a step's record) and in harness
+        # (the t=0 row); across both it runs once per row, and BE and BDF
+        # runs keep the same levels
+        from isavflow import harness, schemes
+
+        calls = []
+        for module in (harness, schemes):
+            def counted(*args, _real=module.record_step, **kwargs):
+                calls.append(args[0].step_index)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, "record_step", counted)
+        base = ex1_config(scheme, alpha=1.0, tau=0.05, nx=16, t_end=0.5)
+        cfg = replace(base, outputs={**base.outputs, "record_every": every})
+        rows = run_simulation(cfg, write_outputs=False).records
+        n_total = cfg.n_steps()
+        kept = [n for n in range(n_total + 1) if n % every == 0 or n == n_total]
+        assert [r.step for r in rows] == kept
+        assert sorted(calls) == kept
+
     def test_readme_library_loop_matches_run_simulation(self, monkeypatch):
         # the README's loop, run verbatim with step wrapped to keep its
         # records, gives exactly the rows of the ex2-isav-be preset run

@@ -12,7 +12,6 @@ from isavflow import (
     NonPositiveBulkEnergyError,
     bulk_energy,
     make_grid,
-    r_of_phi,
     suggest_S,
 )
 from isavflow.config import initial_field
@@ -226,8 +225,9 @@ class TestBulkEnergy:
 class TestAuxiliaryScalar:
     def test_constant_fields(self):
         g = make_grid(16, 16, TWO_PI, TWO_PI)
-        assert r_of_phi(DoubleWell(eps=1.0), Field(g, np.zeros(g.shape))) == pytest.approx(np.pi)
-        assert r_of_phi(DoubleWell(eps=1.0, c_add=1.0), Field(g, np.ones(g.shape))) == pytest.approx(
+        zeros, ones = Field(g, np.zeros(g.shape)), Field(g, np.ones(g.shape))
+        assert math.sqrt(bulk_energy(DoubleWell(eps=1.0), zeros)) == pytest.approx(np.pi)
+        assert math.sqrt(bulk_energy(DoubleWell(eps=1.0, c_add=1.0), ones)) == pytest.approx(
             2 * np.pi
         )
 
@@ -237,7 +237,7 @@ class TestAuxiliaryScalar:
         p = DoubleWell(eps=1.0)
         coarse = initial_field({"kind": "ex1"}, make_grid(64, 64, TWO_PI, TWO_PI))
         fine = initial_field({"kind": "ex1"}, make_grid(256, 256, TWO_PI, TWO_PI))
-        rc, rf = r_of_phi(p, coarse), r_of_phi(p, fine)
+        rc, rf = math.sqrt(bulk_energy(p, coarse)), math.sqrt(bulk_energy(p, fine))
         assert rc == pytest.approx(rf, rel=1e-10)
 
 

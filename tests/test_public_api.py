@@ -11,29 +11,27 @@ import pytest
 import isavflow
 
 TOP_LEVEL = [
-    "ConfigError", "ConstantPotential", "DoubleWell", "EnergyLawViolation", "Field",
-    "FloryHugginsRegularized", "Grid", "ModelParams", "NonPositiveBulkEnergyError",
-    "RankOneSystem", "RunConfig", "Scheme", "SchemeRuntimeError", "SchemeState",
-    "StepRecord", "apply_symbol", "bootstrap_bdf", "bulk_energy", "compare_schemes",
-    "config_from_dict", "convergence_study", "dense_solve_oracle", "e2_energy", "h1_error",
-    "initial_field", "inner", "load_config", "make_grid", "make_initial_state", "norms",
-    "operator_symbols", "original_energy", "r_of_phi", "rank_one_solve", "read_snapshot",
-    "record_step", "resample", "run_simulation", "step", "suggest_S", "write_snapshot",
+    "ConfigError", "DoubleWell", "EnergyLawViolation", "Field", "FloryHugginsRegularized",
+    "Grid", "ModelParams", "NonPositiveBulkEnergyError", "RunConfig", "Scheme",
+    "SchemeRuntimeError", "SchemeState", "StepRecord", "bootstrap_bdf", "bulk_energy",
+    "compare_schemes", "config_from_dict", "convergence_study", "h1_error", "initial_field",
+    "load_config", "make_grid", "make_initial_state", "operator_symbols", "original_energy",
+    "read_snapshot", "record_step", "resample", "run_simulation", "step", "suggest_S",
+    "write_snapshot",
 ]
 
 MODULE_ALL = {
     "config": ["ConfigError", "RunConfig", "load_config", "config_from_dict",
                "initial_field", "preset_names", "preset_summary"],
-    "diagnostics": ["StepRecord", "original_energy", "e2_energy", "h1_error", "record_step"],
+    "diagnostics": ["StepRecord", "original_energy", "h1_error", "record_step"],
     "harness": ["SchemeRuntimeError", "run_simulation", "convergence_study", "compare_schemes",
                 "write_series_csv", "write_snapshot", "read_snapshot", "resolve_outdir"],
-    "potentials": ["DoubleWell", "FloryHugginsRegularized", "ConstantPotential",
-                   "NonPositiveBulkEnergyError", "bulk_energy", "r_of_phi", "suggest_S"],
-    "schemes": ["Scheme", "ModelParams", "SchemeState", "RankOneSystem", "EnergyLawViolation",
-                "rank_one_solve", "dense_solve_oracle", "make_initial_state", "bootstrap_bdf",
-                "step"],
-    "spectral": ["Grid", "Field", "make_grid", "operator_symbols", "apply_symbol", "inner",
-                 "norms", "quad_form_hat", "inner_hat", "resample"],
+    "potentials": ["DoubleWell", "FloryHugginsRegularized", "NonPositiveBulkEnergyError",
+                   "bulk_energy", "suggest_S"],
+    "schemes": ["Scheme", "ModelParams", "SchemeState", "EnergyLawViolation",
+                "make_initial_state", "bootstrap_bdf", "step"],
+    "spectral": ["Grid", "Field", "make_grid", "operator_symbols", "quad_form_hat",
+                 "inner_hat", "resample"],
 }
 
 
@@ -43,7 +41,7 @@ def test_top_level_names():
         if not name.startswith("_") and not inspect.ismodule(value)
     )
     assert public == sorted(TOP_LEVEL)
-    assert len(TOP_LEVEL) == 41
+    assert len(TOP_LEVEL) == 32
 
 
 @pytest.mark.parametrize("module", sorted(MODULE_ALL))
@@ -59,4 +57,4 @@ def test_module_all_total():
         if hasattr(importlib.import_module(f"isavflow.{info.name}"), "__all__")
     }
     assert with_all == set(MODULE_ALL)
-    assert sum(len(names) for names in MODULE_ALL.values()) == 47
+    assert sum(len(names) for names in MODULE_ALL.values()) == 38
