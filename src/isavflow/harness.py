@@ -133,34 +133,27 @@ def _kept_rows(cfg: RunConfig, record=True):
     return lambda n: record and (n % every == 0 or n == n_total)
 
 
-def _initial_states(cfg: RunConfig, params: ModelParams, grid, record=True):
-    """Initial state, plus the bootstrap step for the three-level schemes.
-
-    BDF runs take their first step with the first-order improved scheme
-    (stabilization only for the improved target, never asserted) and then
-    promote to a two-level state; that step records only if level 1 keeps
-    a row, and its record becomes the row once it carries the BDF E2.
-    Returns (state, records, steps_done).
-    """
-    phi0 = initial_field(cfg.init, grid)
+def _initial_state(cfg: RunConfig, params: ModelParams, grid):
+    """The state at t=0. For the three-level schemes it is an isav-be
+    state, which the run's first step (see _bootstrap) promotes."""
     scheme = Scheme(cfg.scheme)
-    kept = _kept_rows(cfg, record)
-    if not scheme.is_bdf:
-        state = make_initial_state(scheme, phi0, params.potential)
-        recs = [record_step(state, params)] if kept(0) else []
-        return state, recs, 0
+    return make_initial_state(Scheme.ISAV_BE if scheme.is_bdf else scheme,
+                              initial_field(cfg.init, grid), params.potential)
+
+
+def _bootstrap(state: SchemeState, params: ModelParams, scheme: Scheme, record=True):
+    """First step of a BDF run: an isav-be step (stabilization only for the
+    improved target, never asserted), promoted to a two-level state. Its
+    record, if asked for, becomes level 1's row once it carries the BDF E2.
+    """
     be_params = replace(
         params,
         S=params.S if scheme.is_improved else 0.0,
         assert_energy=False,
     )
-    be_state = make_initial_state(Scheme.ISAV_BE, phi0, params.potential)
-    recs = [record_step(be_state, params)] if kept(0) else []
-    be1, rec = step_isav_be(be_state, be_params, record=kept(1))
-    state = bootstrap_bdf(be1, params, scheme)
-    if rec is not None:
-        recs.append(replace(rec, E2=state.diag.E2))
-    return state, recs, 1
+    be1, rec = step_isav_be(state, be_params, record=record)
+    new = bootstrap_bdf(be1, params, scheme)
+    return new, None if rec is None else replace(rec, E2=new.diag.E2)
 
 
 def _snapshot_steps(cfg: RunConfig) -> dict:
@@ -185,7 +178,7 @@ def run_simulation(cfg: RunConfig, outdir=None, write_outputs=True, record=True)
     the same. A scheme failure (nonpositive bulk
     integral, violated assertion, non-finite field) aborts the run; the
     rows accumulated so far are still written before the error propagates
-    with the failing step index.
+    with the failing step index (1 for a BDF run's bootstrap step).
     """
     grid = cfg.make_grid()
     pot = cfg.make_potential()
@@ -212,22 +205,23 @@ def run_simulation(cfg: RunConfig, outdir=None, write_outputs=True, record=True)
             write_snapshot(path, field, step_index * cfg.tau)
             snapshot_paths.append(path)
 
+    scheme = Scheme(cfg.scheme)
     try:
-        state, records, done = _initial_states(cfg, params, grid, record)
+        state = _initial_state(cfg, params, grid)
+        records = [record_step(state, params)] if kept(0) else []
     except SCHEME_FAILURES as exc:
         raise SchemeRuntimeError(0, exc) from exc
-    if done == 0:
-        maybe_snapshot(0, state.phi_n)
-    else:
-        maybe_snapshot(0, state.phi_nm1)
-        maybe_snapshot(1, state.phi_n)
+    maybe_snapshot(0, state.phi_n)
 
     error = None
-    for n in range(done + 1, n_total + 1):
+    for n in range(1, n_total + 1):
         # Only kept rows (every row under assert_energy) are built.
         keep = kept(n)
         try:
-            state, rec = step(state, params, record=keep or (record and params.assert_energy))
+            if state.scheme is scheme:
+                state, rec = step(state, params, record=keep or (record and params.assert_energy))
+            else:
+                state, rec = _bootstrap(state, params, scheme, record=keep)
         except SCHEME_FAILURES as exc:
             error = SchemeRuntimeError(n, exc)
             break
@@ -316,14 +310,15 @@ def compare_schemes(cfg_a: RunConfig, cfg_b: RunConfig, out_path=None):
         raise ConfigError("compare: tau and t_end must match between the configs")
     if _comparable_dict(cfg_a) != _comparable_dict(cfg_b):
         raise ConfigError("compare: configs must be identical apart from the scheme")
-    res_a = run_simulation(cfg_a, write_outputs=False)
-    res_b = run_simulation(cfg_b, write_outputs=False)
+    # Only run A's records outlive it, not its final state, while B runs.
+    records_a = run_simulation(cfg_a, write_outputs=False).records
+    records_b = run_simulation(cfg_b, write_outputs=False).records
     tag_a = cfg_a.scheme.replace("-", "_")
     tag_b = cfg_b.scheme.replace("-", "_")
     data_cols = SERIES_COLUMNS[2:]
     header = ["step", "t"] + [f"{c}_{tag_a}" for c in data_cols] + [f"{c}_{tag_b}" for c in data_cols]
     rows = []
-    for ra, rb in zip(res_a.records, res_b.records):
+    for ra, rb in zip(records_a, records_b):
         row = {"step": ra.step, "t": ra.t}
         for c in data_cols:
             row[f"{c}_{tag_a}"] = getattr(ra, c)

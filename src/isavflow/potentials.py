@@ -10,6 +10,8 @@ positive, which the auxiliary-variable schemes require.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 from dataclasses import dataclass
 
@@ -30,9 +32,9 @@ class NonPositiveBulkEnergyError(RuntimeError):
     """Raised when the integrated bulk energy is not strictly positive."""
 
 
-def _as_array(phi):
+def _as_array(phi, trusted=False):
     a = np.asarray(phi, dtype=float)
-    if np.isnan(a).any():
+    if not trusted and np.isnan(a).any():
         raise ValueError("potential evaluated at NaN")
     return a
 
@@ -52,22 +54,49 @@ def _pair(p, work):
     return (np.empty_like(p), np.empty_like(p)) if work is None else work
 
 
+def _F_then_f(f):
+    """A subclass's f without F_out, extended to take one: F goes into
+    F_out in a pass of its own before f runs."""
+
+    @functools.wraps(f)
+    def f_with_F(self, phi, out=None, work=None, F_out=None):
+        if F_out is not None:
+            self.F(phi, F_out, work)
+        return f(self, phi, out, work)
+
+    return f_with_F
+
+
 @dataclass(frozen=True)
 class Potential:
     """Base for bulk densities: F(phi), f = F', and f' as closed forms.
 
     F and f are in-place kernels: they write into out when it is given
     (else into a new array) and may overwrite the arrays in work, a pair
-    shaped like phi, instead of allocating temporaries. Neither may be phi
-    itself.
+    shaped like phi, instead of allocating temporaries. f(phi, out, work,
+    F_out) also writes F(phi) into F_out, sharing what the two have in
+    common in one pass; the results equal separate F and f calls bit for
+    bit. A subclass whose f takes no F_out still accepts it: the base
+    class then calls F before f. None of out, work and F_out may be phi
+    itself or overlap another.
+
+    Inputs are scanned for NaN (ValueError), except in calls that hand in
+    work arrays: that is the form a time step uses, on the values of a
+    Field (finite by construction) or a combination of two of them.
     """
 
     c_add: float = 0.0
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        f = vars(cls).get("f")
+        if f is not None and "F_out" not in inspect.signature(f).parameters:
+            cls.f = _F_then_f(f)
+
     def F(self, phi, out=None, work=None):
         raise NotImplementedError
 
-    def f(self, phi, out=None, work=None):
+    def f(self, phi, out=None, work=None, F_out=None):
         raise NotImplementedError
 
     def fprime(self, phi):
@@ -88,21 +117,27 @@ class DoubleWell(Potential):
         if not (self.eps > 0):
             raise ValueError(f"eps must be positive, got {self.eps}")
 
-    def F(self, phi, out=None, work=None):
-        p = _as_array(phi)
-        out = _output(p, out)
-        np.multiply(p, p, out=out)
+    def _F_of_square(self, out):
+        """out = p*p on entry, F(p) on return."""
         out -= 1.0
         np.multiply(out, out, out=out)
         out /= 4.0 * self.eps**2
         out += self.c_add
-        return _as_input(out, phi)
 
-    def f(self, phi, out=None, work=None):
-        p = _as_array(phi)
+    def F(self, phi, out=None, work=None):
+        p = _as_array(phi, work is not None)
         out = _output(p, out)
         np.multiply(p, p, out=out)
-        out *= p
+        self._F_of_square(out)
+        return _as_input(out, phi)
+
+    def f(self, phi, out=None, work=None, F_out=None):
+        p = _as_array(phi, work is not None)
+        out = _output(p, out)
+        square = np.multiply(p, p, out=out if F_out is None else F_out)
+        np.multiply(square, p, out=out)
+        if F_out is not None:
+            self._F_of_square(F_out)
         out -= p
         out /= self.eps**2
         return _as_input(out, phi)
@@ -128,7 +163,8 @@ class FloryHugginsRegularized(Potential):
     through masked ufuncs. The lo branch is the hi branch with phi and
     1-phi swapped (and, for f, the sign flipped). Each value goes through
     the same operations as in a branch-by-branch evaluation, so results
-    are bit-identical to it.
+    are bit-identical to it. With F_out, f shares the range check, both
+    logs, 1-phi and the branch masks with F.
     """
 
     eps: float = 1.0
@@ -146,19 +182,19 @@ class FloryHugginsRegularized(Potential):
         lo = p <= self.sigma
         return hi, lo, ~(hi | lo)
 
-    def _logs(self, p, out, t):
-        """out = ln p and t = ln(1-p); returns the (hi, lo) masks, or None
-        when every value lies inside (sigma, 1-sigma). With masks, the log
-        arguments are clipped to stay positive: the caller overwrites the
-        values on a quadratic branch."""
+    def _logs(self, p, q, out, t):
+        """q = 1-p, out = ln p and t = ln q (q may be t itself); returns
+        the (hi, lo) masks, or None when every value lies inside (sigma,
+        1-sigma). With masks, the log arguments are clipped to stay
+        positive: the caller overwrites the values on a quadratic branch."""
         s = self.sigma
-        np.subtract(1.0, p, out=t)
+        np.subtract(1.0, p, out=q)
         if s < p.min() and p.max() < 1.0 - s:
             np.log(p, out=out)
-            np.log(t, out=t)
+            np.log(q, out=t)
             return None
         np.log(np.maximum(p, _TINY, out=out), out=out)
-        np.log(np.maximum(t, _TINY, out=t), out=t)
+        np.log(np.maximum(q, _TINY, out=t), out=t)
         return p >= 1.0 - s, p <= s
 
     def _branch(self, x, y, out, t, where):
@@ -182,13 +218,10 @@ class FloryHugginsRegularized(Potential):
         np.subtract(out, t, out=out, where=where)
         np.subtract(out, math.log(s), out=out, where=where)
 
-    def F(self, phi, out=None, work=None):
-        p = _as_array(phi)
-        out = _output(p, out)
-        t, q = _pair(p, work)
-        branches = self._logs(p, out, t)
+    def _F_of_logs(self, p, q, out, t, branches):
+        """out = ln p, t = ln q and q = 1-p on entry (with _logs' branch
+        masks); out = F(p) on return, t overwritten."""
         out *= p
-        np.subtract(1.0, p, out=q)
         t *= q
         out += t
         if branches is not None:
@@ -201,17 +234,29 @@ class FloryHugginsRegularized(Potential):
         out += t
         out /= self.eps**2
         out += self.c_add
-        return _as_input(out, phi)
 
-    def f(self, phi, out=None, work=None):
-        p = _as_array(phi)
+    def F(self, phi, out=None, work=None):
+        p = _as_array(phi, work is not None)
         out = _output(p, out)
         t, q = _pair(p, work)
-        branches = self._logs(p, out, t)
-        out -= t
+        self._F_of_logs(p, q, out, t, self._logs(p, q, out, t))
+        return _as_input(out, phi)
+
+    def f(self, phi, out=None, work=None, F_out=None):
+        p = _as_array(phi, work is not None)
+        out = _output(p, out)
+        t, q = _pair(p, work)
+        if F_out is None:
+            branches = self._logs(p, t, out, t)
+            out -= t
+            if branches is not None:
+                np.subtract(1.0, p, out=q)
+        else:
+            branches = self._logs(p, q, F_out, t)
+            np.subtract(F_out, t, out=out)
+            self._F_of_logs(p, q, F_out, t, branches)
         if branches is not None:
             hi, lo = branches
-            np.subtract(1.0, p, out=q)
             self._branch_slope(p, q, out, t, hi)
             self._branch_slope(q, p, out, t, lo)
             np.negative(out, out=out, where=lo)

@@ -33,7 +33,7 @@ import numpy as np
 
 from .diagnostics import level_energies, record_step
 from .potentials import Potential, bulk_energy, bulk_quad, check_bulk
-from .spectral import Field, Grid, OperatorSymbols, inner_hat, operator_symbols
+from .spectral import Field, Grid, OperatorSymbols, _parseval, operator_symbols
 
 __all__ = [
     "Scheme",
@@ -189,13 +189,14 @@ def make_initial_state(scheme: Scheme, phi0: Field, potential: Potential) -> Sch
 def _rank_one_core(grid: Grid, z1_hat, z2_hat, b_hat, w, work=None):
     """Sherman-Morrison solve of diag*phi + w*<b, phi>*gb = rhs, entirely on
     the half spectrum: z1 = diag^{-1} gb and z2 = diag^{-1} rhs are the two
-    diagonal solves, <b, z1> and <b, z2> are Parseval sums, and the only
-    transform is the inverse of the solution. work, a complex array of the
-    spectral shape, takes the temporaries. Returns (phi_values, phi_hat,
-    <b, phi>).
+    diagonal solves, <b, z1> and <b, z2> are Parseval sums over one
+    weighted b_hat, and the only transform is the inverse of the solution.
+    work, a complex array of the spectral shape, takes the temporaries.
+    Returns (phi_values, phi_hat, <b, phi>).
     """
-    s1 = inner_hat(grid, b_hat, z1_hat, work)
-    s2 = inner_hat(grid, b_hat, z2_hat, work)
+    wb_hat = np.multiply(grid.mode_weight, b_hat, out=work)
+    s1 = _parseval(grid, wb_hat, z1_hat)
+    s2 = _parseval(grid, wb_hat, z2_hat)
     bracket = s2 / (1.0 + w * s1)
     phi_hat = z2_hat - np.multiply(z1_hat, w * bracket, out=work)
     return grid.inverse(phi_hat, work), phi_hat, bracket
@@ -206,8 +207,10 @@ def _solve_factors(sym: OperatorSymbols, tau, S, bdf):
 
     Returns (G/diag, c_n/diag, c_nm1/diag): c_n and c_nm1 are the symbols
     that multiply phi^n and phi^{n-1} on the right-hand side (c_nm1 is None
-    for the two-level schemes). The key carries S because BDF runs take
-    their bootstrap step with a different S than the run itself.
+    for the two-level schemes). They are stored as complex, so that their
+    products with spectra need no cast buffer (the bits are those of the
+    real symbols). The key carries S because BDF runs take their bootstrap
+    step with a different S than the run itself.
     """
     key = (tau, S, bdf)
     out = sym.solve_factors.get(key)
@@ -224,6 +227,7 @@ def _solve_factors(sym: OperatorSymbols, tau, S, bdf):
     else:
         inv_diag = 1.0 / (1.0 + tau * g * (sym.lap + S))
         out = (g * inv_diag, (1.0 + tau * S * g) * inv_diag, None)
+    out = tuple(None if a is None else a.astype(complex) for a in out)
     sym.solve_factors[key] = out
     return out
 
@@ -253,7 +257,10 @@ def step(state: SchemeState, params: ModelParams, record=True):
     The operator symbols, solve factors and grid-sized temporaries come
     from params.symbols(grid), built once per ModelParams; the step
     allocates only what it returns: phi^{n+1}, its spectrum, and mu's
-    spectrum when recording.
+    spectrum when recording. Where it needs int F and f at one field (phi*
+    of every BDF step, phi^n of a BE step whose int F(phi^n) is not
+    carried), one fused potential pass gives both. phi* stays a work
+    array, so phi^{n+1} is the one field a step checks for finiteness.
 
     Returns (new_state, record). With record=False the record is None and
     the new state carries no diagnostics; the field is the same either
@@ -267,7 +274,7 @@ def step(state: SchemeState, params: ModelParams, record=True):
     ws = sym.scratch(grid)
     r0, r1, r2, r3 = ws.real
     b_hat, c1, c2, c3 = ws.spec
-    F_work = (r1, r2, r3)  # r0 holds the BDF extrapolant while F is taken
+    F_work = (r1, r2, r3)
     pot, tau = params.potential, params.tau
     S = params.S if scheme.is_improved else 0.0
     phi, phi_hat = state.phi_n.values, state.phi_n.spectrum()
@@ -275,14 +282,20 @@ def step(state: SchemeState, params: ModelParams, record=True):
         if state.phi_nm1 is None:
             raise ValueError("BDF step requires two history levels; bootstrap first")
         phim, phim_hat = state.phi_nm1.values, state.phi_nm1.spectrum()
-        np.multiply(phi, 2.0, out=r0)
-        r0 -= phim
-        star = Field(grid, r0)
-        F_star = bulk_quad(pot, star, F_work)
+        star = np.multiply(phi, 2.0, out=r0)
+        star -= phim
+        F_star = None
     else:
-        star, F_star = state.phi_n, state.bulk_n(pot, F_work)
+        star, F_star = phi, state.F_n
+    if F_star is None:
+        # F goes into b_hat's memory, idle until the forward transform.
+        b = pot.f(star, r1, (r2, r3), F_out=ws.spec0_real)
+        F_star = grid.quad(ws.spec0_real)
+        if not bdf:
+            state.F_n = F_star
+    else:
+        b = pot.f(star, r1, (r2, r3))
     r_star = math.sqrt(check_bulk(F_star))
-    b = pot.f(star.values, r1, (r2, r3))
     b /= r_star
     grid.forward(b, out=b_hat)
     if bdf:

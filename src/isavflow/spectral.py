@@ -81,8 +81,11 @@ class Grid:
         return np.meshgrid(x, y, indexing="ij")
 
     def forward(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """rfft2 of the values, written into out when given."""
-        return np.fft.rfft2(values, out=out)
+        """rfft2 of the values, written into out when given. Taken axis by
+        axis as rfft2 itself does (rfft along y, then fft along x in
+        place), without its n-D argument handling."""
+        hat = np.fft.rfft(values, axis=1, out=out)
+        return np.fft.fft(hat, axis=0, out=hat)
 
     def inverse(self, hat: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
         """irfft2 of a half spectrum, taken axis by axis as irfft2 itself
@@ -151,6 +154,10 @@ class Scratch:
         self.real = tuple(np.empty(grid.shape) for _ in range(4))
         self.spec = tuple(np.empty(grid.spectral_shape, dtype=complex) for _ in range(4))
         self.power = tuple(np.empty(grid.spectral_shape) for _ in range(2))
+        # The memory of spec[0] (room for nx*(ny+2) floats) seen as one
+        # more real grid array, for a user that leaves spec[0] idle.
+        flat = self.spec[0].view(float).reshape(-1)
+        self.spec0_real = flat[: grid.nx * grid.ny].reshape(grid.shape)
 
 
 @dataclass(frozen=True)
@@ -222,6 +229,11 @@ def quad_form_hat(grid: Grid, hat: np.ndarray, symbol: np.ndarray | None = None,
     return float(grid.spectral_scale * p.sum())
 
 
+def _parseval(grid: Grid, wu_hat: np.ndarray, v_hat: np.ndarray) -> float:
+    """<u, v> from v's half spectrum and u's weighted by grid.mode_weight."""
+    return float(grid.spectral_scale * np.vdot(wu_hat, v_hat).real)
+
+
 def inner_hat(grid: Grid, u_hat: np.ndarray, v_hat: np.ndarray, work=None) -> float:
     """L2 inner product <u, v> from the two half spectra (Parseval).
 
@@ -230,8 +242,7 @@ def inner_hat(grid: Grid, u_hat: np.ndarray, v_hat: np.ndarray, work=None) -> fl
     when given, is a complex array of the spectral shape for the weighted
     u_hat.
     """
-    wu = np.multiply(grid.mode_weight, u_hat, out=work)
-    return float(grid.spectral_scale * np.vdot(wu, v_hat).real)
+    return _parseval(grid, np.multiply(grid.mode_weight, u_hat, out=work), v_hat)
 
 
 def _map_x(hat: np.ndarray, nx_dst: int) -> np.ndarray:

@@ -14,7 +14,8 @@ from isavflow.cli import main
 from isavflow.config import config_from_dict, initial_field, load_config, preset_names
 from isavflow.harness import (
     SERIES_COLUMNS,
-    _initial_states,
+    _bootstrap,
+    _initial_state,
     compare_schemes,
     convergence_study,
     read_snapshot,
@@ -261,9 +262,12 @@ class TestRunSimulation:
         grid = base.make_grid()
         params = ModelParams(alpha=1.0, gamma=base.model["gamma"], S=base.S,
                              tau=base.tau, potential=base.make_potential())
-        state, _, done = _initial_states(base, params, grid, record=False)
-        for _ in range(done + 1, base.n_steps() + 1):
-            state, rec = step(state, params, record=False)
+        state = _initial_state(base, params, grid)
+        for _ in range(base.n_steps()):
+            if state.scheme == scheme:
+                state, rec = step(state, params, record=False)
+            else:
+                state, rec = _bootstrap(state, params, Scheme(scheme), record=False)
             assert rec is None
         for values in finals:
             assert np.array_equal(values, state.phi_n.values)
@@ -520,21 +524,24 @@ class TestCli:
     def test_non_finite_field_exit_code(self, tmp_path, capsys):
         # a +-1e80 start overflows the bulk energy and the first step's
         # field turns non-finite: a scheme failure at step 1 with the
-        # t=0 row already written
+        # t=0 row already written; for the BDF schemes step 1 is the
+        # bootstrap step
         g = make_grid(8, 8, TWO_PI, TWO_PI)
         checker = np.indices(g.shape).sum(axis=0) % 2
         snap = str(tmp_path / "snap.txt")
         write_snapshot(snap, Field(g, np.where(checker == 0, 1e80, -1e80)), t=0.0)
-        path = write_cfg(tmp_path, {
-            "preset": "ex1-isav-be", "grid": {"nx": 8, "ny": 8},
-            "init": {"kind": "file", "path": snap},
-            "outputs": {"series_path": str(tmp_path / "s.csv")},
-        })
-        with np.errstate(all="ignore"):
-            assert main(["run", path]) == 3
-        assert "step 1:" in capsys.readouterr().err
-        lines = open(tmp_path / "s.csv").read().splitlines()
-        assert len(lines) == 2 and lines[1].startswith("0,")
+        for scheme in ("isav-be", "sav-bdf", "isav-bdf"):
+            series = tmp_path / f"{scheme}.csv"
+            path = write_cfg(tmp_path, {
+                "preset": f"ex1-{scheme}", "grid": {"nx": 8, "ny": 8},
+                "init": {"kind": "file", "path": snap},
+                "outputs": {"series_path": str(series)},
+            })
+            with np.errstate(all="ignore"):
+                assert main(["run", path]) == 3, scheme
+            assert "step 1:" in capsys.readouterr().err, scheme
+            lines = series.read_text().splitlines()
+            assert len(lines) == 2 and lines[1].startswith("0,"), scheme
 
     def test_non_finite_snapshot_is_a_config_error(self, tmp_path):
         snap = tmp_path / "snap.txt"

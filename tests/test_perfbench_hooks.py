@@ -6,6 +6,7 @@ test failing. These tests load perfbench/tracing.py by path and run
 perfbench/setup_probe.py as the benchmark does, without editing either.
 """
 
+import contextlib
 import importlib.util
 import json
 import subprocess
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from isavflow import Field, Scheme, make_grid
+from isavflow import DoubleWell, Field, Scheme, make_grid
 from isavflow.config import config_from_dict
 from isavflow.diagnostics import h1_error
 from isavflow.harness import run_simulation
@@ -74,6 +75,30 @@ def test_tracer_wraps_a_run_and_restores_the_sites(tmp_path):
     assert counts["per_step"]["diagnostics.record_step"] == 1.0
 
 
+@contextlib.contextmanager
+def fused_counted_as_F(tracer):
+    """Inside a Tracer: count each fused DoubleWell.f call (F_out given)
+    as one DoubleWell.F call as well, in total and, if the tracer counted
+    the f call inside a step, per step."""
+    F, f = "potentials.DoubleWell.F", "potentials.DoubleWell.f"
+    traced = vars(DoubleWell)["f"]
+
+    def counting(self, phi, out=None, work=None, F_out=None):
+        before = tracer.calls_in_step[f]
+        try:
+            return traced(self, phi, out, work, F_out)
+        finally:
+            if F_out is not None:
+                tracer.calls[F] += 1
+                tracer.calls_in_step[F] += tracer.calls_in_step[f] - before
+
+    DoubleWell.f = counting
+    try:
+        yield
+    finally:
+        DoubleWell.f = traced
+
+
 # Bulk-integral evaluations over the loop's n steps, as (per step, offset).
 # A step reuses the integrals an earlier step computed, and a step without
 # records never evaluates F at phi^{n+1}: a BE step then evaluates F at
@@ -91,7 +116,7 @@ F_IN_LOOP = {
 @pytest.mark.parametrize("scheme", [s.value for s in Scheme])
 def test_bulk_integrals_per_step(scheme, record, tmp_path):
     cfg = small_config(scheme, tmp_path)
-    with tracing.Tracer() as tracer:
+    with tracing.Tracer() as tracer, fused_counted_as_F(tracer):
         run_simulation(cfg, write_outputs=False, record=record)
     n = tracer.counts()["steps_in_loop"]
     per, offset = F_IN_LOOP[(scheme, record)]
@@ -107,7 +132,7 @@ def test_downsampled_records_add_no_bulk_integrals(scheme, tmp_path):
     base = small_config(scheme, tmp_path)
     calls = []
     for every in (1, 2, 3, 4):
-        with tracing.Tracer() as tracer:
+        with tracing.Tracer() as tracer, fused_counted_as_F(tracer):
             run_simulation(replace(base, outputs={**base.outputs, "record_every": every}),
                            write_outputs=False)
         calls.append(tracer.calls["potentials.DoubleWell.F"])
