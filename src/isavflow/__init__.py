@@ -22,7 +22,6 @@ from .schemes import (
     ModelParams,
     Scheme,
     SchemeState,
-    bootstrap_bdf,
     make_initial_state,
     step,
 )

@@ -30,8 +30,11 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
 
-def _parse_list(text: str, cast):
-    return [cast(tok) for tok in text.replace(",", " ").split()]
+def _parse_list(text: str, cast, flag):
+    try:
+        return [cast(tok) for tok in text.replace(",", " ").split()]
+    except ValueError as exc:
+        raise ConfigError(f"{flag}: {exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,8 +80,8 @@ def main(argv=None) -> int:
                 print(f"snapshot {path}")
         elif args.command == "converge":
             cfg = load_config(args.config)
-            taus = _parse_list(args.taus, float) if args.taus else None
-            grids = _parse_list(args.grids, int) if args.grids else None
+            taus = _parse_list(args.taus, float, "--taus") if args.taus else None
+            grids = _parse_list(args.grids, int, "--grids") if args.grids else None
             out = os.path.join(resolve_outdir(args.outdir), args.out)
             rows = convergence_study(
                 cfg, taus=taus, grids=grids,

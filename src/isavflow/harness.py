@@ -25,7 +25,6 @@ from .schemes import (
     ModelParams,
     Scheme,
     SchemeState,
-    bootstrap_bdf,
     make_initial_state,
     step,
 )
@@ -46,8 +45,8 @@ SERIES_COLUMNS = tuple(f.name for f in fields(StepRecord))
 
 OUTDIR_ENV = "ISAVFLOW_OUTDIR"
 
-# The BDF bootstrap step. It is the same function as the loop's step, bound
-# to its own name so perfbench/tracing.py can tell the two call sites apart.
+# Called by nothing: perfbench/tracing.py still resolves this name as a trace
+# site. Its removal waits for ROADMAP item 1, which re-baselines those sites.
 step_isav_be = step
 
 # What a step raises when the scheme itself fails, as opposed to bad input.
@@ -133,29 +132,6 @@ def _kept_rows(cfg: RunConfig, record=True):
     return lambda n: record and (n % every == 0 or n == n_total)
 
 
-def _initial_state(cfg: RunConfig, params: ModelParams, grid):
-    """The state at t=0. For the three-level schemes it is an isav-be
-    state, which the run's first step (see _bootstrap) promotes."""
-    scheme = Scheme(cfg.scheme)
-    return make_initial_state(Scheme.ISAV_BE if scheme.is_bdf else scheme,
-                              initial_field(cfg.init, grid), params.potential)
-
-
-def _bootstrap(state: SchemeState, params: ModelParams, scheme: Scheme, record=True):
-    """First step of a BDF run: an isav-be step (stabilization only for the
-    improved target, never asserted), promoted to a two-level state. Its
-    record, if asked for, becomes level 1's row once it carries the BDF E2.
-    """
-    be_params = replace(
-        params,
-        S=params.S if scheme.is_improved else 0.0,
-        assert_energy=False,
-    )
-    be1, rec = step_isav_be(state, be_params, record=record)
-    new = bootstrap_bdf(be1, params, scheme)
-    return new, None if rec is None else replace(rec, E2=new.diag.E2)
-
-
 def _snapshot_steps(cfg: RunConfig) -> dict:
     """Map requested snapshot times to their nearest step index."""
     n_total = cfg.n_steps()
@@ -178,7 +154,7 @@ def run_simulation(cfg: RunConfig, outdir=None, write_outputs=True, record=True)
     the same. A scheme failure (nonpositive bulk
     integral, violated assertion, non-finite field) aborts the run; the
     rows accumulated so far are still written before the error propagates
-    with the failing step index (1 for a BDF run's bootstrap step).
+    with the failing step index.
     """
     grid = cfg.make_grid()
     pot = cfg.make_potential()
@@ -205,9 +181,8 @@ def run_simulation(cfg: RunConfig, outdir=None, write_outputs=True, record=True)
             write_snapshot(path, field, step_index * cfg.tau)
             snapshot_paths.append(path)
 
-    scheme = Scheme(cfg.scheme)
     try:
-        state = _initial_state(cfg, params, grid)
+        state = make_initial_state(cfg.scheme, initial_field(cfg.init, grid), pot)
         records = [record_step(state, params)] if kept(0) else []
     except SCHEME_FAILURES as exc:
         raise SchemeRuntimeError(0, exc) from exc
@@ -218,10 +193,7 @@ def run_simulation(cfg: RunConfig, outdir=None, write_outputs=True, record=True)
         # Only kept rows (every row under assert_energy) are built.
         keep = kept(n)
         try:
-            if state.scheme is scheme:
-                state, rec = step(state, params, record=keep or (record and params.assert_energy))
-            else:
-                state, rec = _bootstrap(state, params, scheme, record=keep)
+            state, rec = step(state, params, record=keep or (record and params.assert_energy))
         except SCHEME_FAILURES as exc:
             error = SchemeRuntimeError(n, exc)
             break
@@ -261,11 +233,17 @@ def convergence_study(base_cfg: RunConfig, taus=None, grids=None,
     ref_grid_n^2 grid, so the temporal discretization error cancels exactly
     and the table isolates spatial accuracy.
     Orders are log2(e_coarse / e_fine) between consecutive rows. Every
-    time step must divide t_end by the same rule as a config's tau.
+    time step must be positive and divide t_end by the same rule as a
+    config's tau; every grid size must be even and at least 4.
     """
     if (taus is None) == (grids is None):
         raise ConfigError("convergence: give exactly one of taus or grids")
+    if not (taus or grids):
+        raise ConfigError("convergence: the sweep has no members")
     if taus is not None:
+        for tau in (ref_tau, *taus):
+            if not (math.isfinite(tau) and tau > 0):
+                raise ConfigError(f"convergence: time step {tau} is not positive and finite")
         if not is_step_multiple(base_cfg.t_end, ref_tau):
             raise ConfigError("convergence: t_end must be an integer multiple of ref_tau")
         for tau in taus:
@@ -275,6 +253,9 @@ def convergence_study(base_cfg: RunConfig, taus=None, grids=None,
         members = [replace(base_cfg, tau=float(tau)) for tau in taus]
         labels = [cfg.n_steps() for cfg in members]
     else:
+        for n in (ref_grid_n, *grids):
+            if not (n >= 4 and n % 2 == 0):
+                raise ConfigError(f"convergence: grid size {n} is not even and at least 4")
         ref_cfg, *members = (
             replace(base_cfg, grid={**base_cfg.grid, "nx": int(n), "ny": int(n)})
             for n in (ref_grid_n, *grids)
@@ -310,6 +291,8 @@ def compare_schemes(cfg_a: RunConfig, cfg_b: RunConfig, out_path=None):
         raise ConfigError("compare: tau and t_end must match between the configs")
     if _comparable_dict(cfg_a) != _comparable_dict(cfg_b):
         raise ConfigError("compare: configs must be identical apart from the scheme")
+    if cfg_a.outputs["record_every"] != cfg_b.outputs["record_every"]:
+        raise ConfigError("compare: outputs.record_every must match between the configs")
     # Only run A's records outlive it, not its final state, while B runs.
     records_a = run_simulation(cfg_a, write_outputs=False).records
     records_b = run_simulation(cfg_b, write_outputs=False).records

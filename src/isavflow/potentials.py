@@ -10,8 +10,6 @@ positive, which the auxiliary-variable schemes require.
 
 from __future__ import annotations
 
-import functools
-import inspect
 import math
 from dataclasses import dataclass
 
@@ -54,19 +52,6 @@ def _pair(p, work):
     return (np.empty_like(p), np.empty_like(p)) if work is None else work
 
 
-def _F_then_f(f):
-    """A subclass's f without F_out, extended to take one: F goes into
-    F_out in a pass of its own before f runs."""
-
-    @functools.wraps(f)
-    def f_with_F(self, phi, out=None, work=None, F_out=None):
-        if F_out is not None:
-            self.F(phi, F_out, work)
-        return f(self, phi, out, work)
-
-    return f_with_F
-
-
 @dataclass(frozen=True)
 class Potential:
     """Base for bulk densities: F(phi), f = F', and f' as closed forms.
@@ -76,9 +61,7 @@ class Potential:
     shaped like phi, instead of allocating temporaries. f(phi, out, work,
     F_out) also writes F(phi) into F_out, sharing what the two have in
     common in one pass; the results equal separate F and f calls bit for
-    bit. A subclass whose f takes no F_out still accepts it: the base
-    class then calls F before f. None of out, work and F_out may be phi
-    itself or overlap another.
+    bit. None of out, work and F_out may be phi itself or overlap another.
 
     Inputs are scanned for NaN (ValueError), except in calls that hand in
     work arrays: that is the form a time step uses, on the values of a
@@ -86,12 +69,6 @@ class Potential:
     """
 
     c_add: float = 0.0
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        f = vars(cls).get("f")
-        if f is not None and "F_out" not in inspect.signature(f).parameters:
-            cls.f = _F_then_f(f)
 
     def F(self, phi, out=None, work=None):
         raise NotImplementedError

@@ -19,14 +19,15 @@ discretization (backward Euler or BDF2) and the scalar policy (carried or
 re-evaluated). Every step is one linear solve with a constant-coefficient
 diagonal operator perturbed by a rank-one term, done in Fourier space by
 two diagonal solves and a scalar correction (see :func:`_rank_one_core`).
-The BDF2 schemes need two levels, so their first step is an ``isav-be``
-step that :func:`bootstrap_bdf` promotes to a two-level state.
+The BDF2 schemes need two levels, so :func:`step` takes their first step
+by backward Euler with the re-evaluated scalar; ``phi_nm1`` is BDF history
+only.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -41,7 +42,6 @@ __all__ = [
     "SchemeState",
     "EnergyLawViolation",
     "make_initial_state",
-    "bootstrap_bdf",
     "step",
 ]
 
@@ -130,11 +130,10 @@ class StepDiagnostics:
 class SchemeState:
     """What the next step needs, plus an optional diagnostics carry.
 
-    phi_nm1 is the previous level: the BDF history, and on BE states the
-    pre-step field that bootstrap_bdf promotes. The SAV schemes carry their
-    auxiliary scalar in r_n (and r_nm1 for BDF2); the improved schemes carry
-    none, and r_report holds the latest scalar, carried or reconstructed,
-    for records and for seeding the SAV-BDF bootstrap. F_n and F_nm1 are
+    phi_nm1 is the previous level of a BDF state, None on BE states and at
+    t=0. The SAV schemes carry their auxiliary scalar in r_n (and r_nm1 for
+    BDF2); the improved schemes carry none, and r_report holds the latest
+    scalar, carried or reconstructed, for records. F_n and F_nm1 are
     the bulk integrals at phi_n and phi_nm1 once evaluated (unchecked for
     positivity), else None; bulk_n and bulk_nm1 evaluate them on first use,
     so no level's integral is taken twice. diag is filled only by steps
@@ -166,7 +165,7 @@ class SchemeState:
 
 
 def make_initial_state(scheme: Scheme, phi0: Field, potential: Potential) -> SchemeState:
-    """State at t=0. BDF schemes additionally need bootstrap_bdf afterwards."""
+    """State at t=0, ready for step with any of the four schemes."""
     scheme = Scheme(scheme)
     F0 = bulk_energy(potential, phi0)
     r0 = math.sqrt(F0)
@@ -209,8 +208,8 @@ def _solve_factors(sym: OperatorSymbols, tau, S, bdf):
     that multiply phi^n and phi^{n-1} on the right-hand side (c_nm1 is None
     for the two-level schemes). They are stored as complex, so that their
     products with spectra need no cast buffer (the bits are those of the
-    real symbols). The key carries S because BDF runs take their bootstrap
-    step with a different S than the run itself.
+    real symbols). The key carries tau and S because copies of a
+    ModelParams that differ in them share the symbols.
     """
     key = (tau, S, bdf)
     out = sym.solve_factors.get(key)
@@ -247,6 +246,10 @@ def step(state: SchemeState, params: ModelParams, record=True):
               c = (4 r^n - r^{n-1})/3 - <b, 4 phi^n - phi^{n-1}>/6,
               r^{n+1} = c + <b,phi^{n+1}>/2.
 
+    A BDF state without phi^{n-1} (the state at t=0) takes the BE step
+    with the re-evaluated scalar r^n = r[phi^n] and the run's own S, and
+    its result carries phi^n as the history of the next, BDF2, step.
+
     The scalar policy fixes r^n and S: the SAV schemes use their carried
     scalars and S = 0; the improved schemes re-evaluate r[phi] = sqrt(int
     F(phi)) at the history levels, damp with S*(phi^{n+1} - phi^n) (BE) or
@@ -268,7 +271,8 @@ def step(state: SchemeState, params: ModelParams, record=True):
     state itself, so any step may record, whether or not the one before
     it did.
     """
-    scheme, bdf = state.scheme, state.scheme.is_bdf
+    scheme = state.scheme
+    bdf = scheme.is_bdf and state.phi_nm1 is not None
     grid = state.phi_n.grid
     sym = params.symbols(grid)
     ws = sym.scratch(grid)
@@ -279,8 +283,6 @@ def step(state: SchemeState, params: ModelParams, record=True):
     S = params.S if scheme.is_improved else 0.0
     phi, phi_hat = state.phi_n.values, state.phi_n.spectrum()
     if bdf:
-        if state.phi_nm1 is None:
-            raise ValueError("BDF step requires two history levels; bootstrap first")
         phim, phim_hat = state.phi_nm1.values, state.phi_nm1.spectrum()
         star = np.multiply(phi, 2.0, out=r0)
         star -= phim
@@ -314,7 +316,7 @@ def step(state: SchemeState, params: ModelParams, record=True):
         c1 -= np.multiply(cm_d, phim_hat, out=c2)
     else:
         ip = grid.quad(np.multiply(b, phi, out=r0))
-        r = r_star if scheme.is_improved else state.r_n
+        r = state.r_n if scheme is Scheme.SAV_BE else r_star
         c = r - 0.5 * ip
         k = tau
         g_d, cn_d, _ = _solve_factors(sym, tau, S, False)
@@ -328,11 +330,11 @@ def step(state: SchemeState, params: ModelParams, record=True):
         scheme=scheme,
         phi_n=Field(grid, new_values, new_hat),
         step_index=state.step_index + 1,
-        phi_nm1=state.phi_n,
+        phi_nm1=state.phi_n if scheme.is_bdf else None,
         r_n=None if scheme.is_improved else r_new,
-        r_nm1=state.r_n if bdf else None,
+        r_nm1=state.r_n if scheme.is_bdf else None,
         r_report=r_new,
-        F_nm1=state.F_n,
+        F_nm1=state.F_n if scheme.is_bdf else None,
     )
     if not record:
         return new, None
@@ -349,7 +351,8 @@ def step(state: SchemeState, params: ModelParams, record=True):
             np.subtract(new_hat, phi_hat, out=c1)
         c1 *= S
         mu_hat += c1
-    new.F_nm1 = state.bulk_n(pot, F_work)
+    if scheme.is_bdf:
+        new.F_nm1 = state.bulk_n(pot, F_work)
     e_lin, _, E2 = level_energies(new, pot, S, ws)
     new.diag = StepDiagnostics(e_lin=e_lin, mu_hat=mu_hat, E2=E2)
     rec = record_step(new, params, state)
@@ -374,26 +377,3 @@ def _check_energy_laws(old, new, params, rec):
             raise EnergyLawViolation(
                 f"original-energy decrement positive at step {new.step_index}: {rec.D_be}"
             )
-
-
-def bootstrap_bdf(be_state: SchemeState, params: ModelParams, scheme: Scheme) -> SchemeState:
-    """Promote the result of one isav-be step to a two-level BDF state.
-
-    The SAV variant seeds its scalars with r^0 = r[phi^0] and r^1 set to the
-    reconstructed scalar of the bootstrap step.
-    """
-    scheme = Scheme(scheme)
-    if not scheme.is_bdf:
-        raise ValueError(f"bootstrap target must be a BDF scheme, got {scheme}")
-    if be_state.scheme != Scheme.ISAV_BE:
-        raise ValueError(f"state carries scheme {be_state.scheme.value}, expected isav-be")
-    if be_state.step_index < 1:
-        raise ValueError("bootstrap requires a completed isav-be step")
-    state = replace(be_state, scheme=scheme, diag=None)
-    if scheme == Scheme.SAV_BDF:
-        state.r_n = be_state.r_report
-        state.r_nm1 = math.sqrt(check_bulk(be_state.F_nm1))
-    if be_state.diag is not None:
-        S = params.S if scheme.is_improved else 0.0
-        state.diag = replace(be_state.diag, E2=level_energies(state, params.potential, S)[2])
-    return state

@@ -23,9 +23,11 @@ class ConstantPotential(Potential):
         out.fill(self.c_add)
         return _as_input(out, phi)
 
-    def f(self, phi, out=None, work=None):
+    def f(self, phi, out=None, work=None, F_out=None):
         out = _output(_as_array(phi), out)
         out.fill(0.0)
+        if F_out is not None:
+            F_out.fill(self.c_add)
         return _as_input(out, phi)
 
     def fprime(self, phi):

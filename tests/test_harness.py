@@ -9,13 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from isavflow import ConfigError, Field, ModelParams, Scheme, SchemeRuntimeError, make_grid, step
+from isavflow import (ConfigError, Field, ModelParams, Scheme, SchemeRuntimeError, make_grid,
+                      make_initial_state, step)
 from isavflow.cli import main
 from isavflow.config import config_from_dict, initial_field, load_config, preset_names
 from isavflow.harness import (
     SERIES_COLUMNS,
-    _bootstrap,
-    _initial_state,
     compare_schemes,
     convergence_study,
     read_snapshot,
@@ -262,12 +261,9 @@ class TestRunSimulation:
         grid = base.make_grid()
         params = ModelParams(alpha=1.0, gamma=base.model["gamma"], S=base.S,
                              tau=base.tau, potential=base.make_potential())
-        state = _initial_state(base, params, grid)
+        state = make_initial_state(scheme, initial_field(base.init, grid), params.potential)
         for _ in range(base.n_steps()):
-            if state.scheme == scheme:
-                state, rec = step(state, params, record=False)
-            else:
-                state, rec = _bootstrap(state, params, Scheme(scheme), record=False)
+            state, rec = step(state, params, record=False)
             assert rec is None
         for values in finals:
             assert np.array_equal(values, state.phi_n.values)
@@ -310,10 +306,12 @@ class TestRunSimulation:
         assert sorted(calls) == kept
 
     def test_readme_library_loop_matches_run_simulation(self, monkeypatch):
-        # the README's loop, run verbatim with step wrapped to keep its
-        # records, gives exactly the rows of the ex2-isav-be preset run
+        # the README's loop, run verbatim but for its scheme and with step
+        # wrapped to keep its records, gives exactly the rows and the final
+        # field of the ex2 preset run (S > 0) for each of the four schemes
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         code = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+        assert code.count("scheme = Scheme.ISAV_BE\n") == 1
         import isavflow
 
         records = []
@@ -324,11 +322,17 @@ class TestRunSimulation:
             return state, rec
 
         monkeypatch.setattr(isavflow, "step", kept_step)
-        exec(code, {})
-        rows = run_simulation(config_from_dict({"preset": "ex2-isav-be"}),
-                              write_outputs=False).records
-        assert len(records) == 100
-        assert records == rows[1:]
+        for scheme in [s.value for s in Scheme]:
+            records.clear()
+            namespace = {}
+            exec(code.replace("scheme = Scheme.ISAV_BE\n", f"scheme = Scheme({scheme!r})\n"),
+                 namespace)
+            run = run_simulation(config_from_dict({"preset": f"ex2-{scheme}"}),
+                                 write_outputs=False)
+            assert run.final_state.scheme == scheme
+            assert len(records) == 100
+            assert records == run.records[1:], scheme
+            assert np.array_equal(namespace["state"].phi_n.values, run.final_state.phi_n.values)
 
     def test_runtime_failure_reports_step_and_writes_partial(self, tmp_path):
         # zero damping on a stiff well with assertions on trips quickly
@@ -390,6 +394,18 @@ class TestCompare:
         b2 = config_from_dict({**json_roundtrip(b), "S": 7.0})
         with pytest.raises(ConfigError, match="identical"):
             compare_schemes(a, b2)
+
+    def test_rejects_mismatched_record_every(self, tmp_path, capsys):
+        # rows are paired by position, so both runs must keep the same levels
+        a, b = self.pair()
+        doc_b = json_roundtrip(b)
+        b5 = config_from_dict({**doc_b, "outputs": {**doc_b["outputs"], "record_every": 5}})
+        with pytest.raises(ConfigError, match="record_every"):
+            compare_schemes(a, b5)
+        pa = write_cfg(tmp_path, json_roundtrip(a), "a.json")
+        pb = write_cfg(tmp_path, json_roundtrip(b5), "b.json")
+        assert main(["compare", pa, pb, "--out", str(tmp_path / "cmp.csv")]) == 2
+        assert "record_every" in capsys.readouterr().err
 
 
 def json_roundtrip(cfg):
@@ -524,8 +540,8 @@ class TestCli:
     def test_non_finite_field_exit_code(self, tmp_path, capsys):
         # a +-1e80 start overflows the bulk energy and the first step's
         # field turns non-finite: a scheme failure at step 1 with the
-        # t=0 row already written; for the BDF schemes step 1 is the
-        # bootstrap step
+        # t=0 row already written; for the BDF schemes step 1 is their
+        # backward-Euler first step
         g = make_grid(8, 8, TWO_PI, TWO_PI)
         checker = np.indices(g.shape).sum(axis=0) % 2
         snap = str(tmp_path / "snap.txt")
@@ -582,6 +598,26 @@ class TestCli:
         out = str(tmp_path / "table.csv")
         assert main(["converge", path, "--grids", "4,8", "--ref-nx", "32", "--out", out]) == 0
         assert os.path.exists(out)
+
+    @pytest.mark.parametrize("args", [
+        ["--grids", "4,5"],
+        ["--grids", "2,4"],
+        ["--grids", "4,8", "--ref-nx", "15"],
+        ["--taus", "0,0.05"],
+        ["--taus", "0.05", "--ref-tau", "0"],
+        ["--taus", "-0.05"],
+        ["--taus", "abc"],
+        ["--taus", ","],
+    ], ids=["odd-grid", "grid-2", "odd-ref-nx", "zero-tau", "zero-ref-tau", "negative-tau",
+            "non-number", "empty"])
+    def test_converge_bad_arguments_exit_2(self, tmp_path, capsys, args):
+        path = write_cfg(tmp_path, {
+            "preset": "ex1-isav-be", "tau": 0.05, "t_end": 0.5,
+            "grid": {"nx": 8, "ny": 8, "lx": TWO_PI, "ly": TWO_PI},
+        })
+        assert main(["converge", path, *args, "--out", str(tmp_path / "t.csv")]) == 2
+        assert "config error: " in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
 
     def test_compare_cli(self, tmp_path):
         base = {

@@ -64,9 +64,9 @@ def test_tracer_wraps_a_run_and_restores_the_sites(tmp_path):
         run_simulation(cfg)
     assert all(a is b for a, b in zip(before, site_functions()))
     counts = tracer.counts()
-    # one bootstrap step, then the loop's steps
-    assert counts["total"]["harness.step_isav_be"] == 1
-    assert counts["steps_in_loop"] == cfg.n_steps() - 1
+    # a BDF run's first step is a loop step like the rest
+    assert "harness.step_isav_be" not in counts["total"]
+    assert counts["steps_in_loop"] == cfg.n_steps()
     assert counts["total"]["harness.write_series_csv"] == 1
     assert counts["total"]["harness.write_snapshot"] == 1
     assert counts["per_step"]["spectral.forward"] == 1.0
@@ -101,14 +101,25 @@ def fused_counted_as_F(tracer):
 
 # Bulk-integral evaluations over the loop's n steps, as (per step, offset).
 # A step reuses the integrals an earlier step computed, and a step without
-# records never evaluates F at phi^{n+1}: a BE step then evaluates F at
-# phi^n, except the first, which takes it from the initial state. BDF2
-# always needs F at its extrapolant.
+# records never evaluates F at phi^{n+1}. Every first step is a BE step
+# that takes F at phi^0 from the initial state; a later BE step evaluates
+# F at phi^n. BDF2 always needs F at its extrapolant, and isav-bdf without
+# records also at phi^n, which no step before it evaluated.
 F_IN_LOOP = {
     ("sav-be", True): (1, 0), ("sav-be", False): (1, -1),
     ("isav-be", True): (1, 0), ("isav-be", False): (1, -1),
-    ("sav-bdf", True): (2, 0), ("sav-bdf", False): (1, 0),
-    ("isav-bdf", True): (2, 0), ("isav-bdf", False): (2, 0),
+    ("sav-bdf", True): (2, -1), ("sav-bdf", False): (1, -1),
+    ("isav-bdf", True): (2, -1), ("isav-bdf", False): (2, -2),
+}
+
+# All bulk-integral evaluations of the 6-step run, the initial state's
+# included; the same as when a BDF run's first step was a separate
+# bootstrap step outside the loop.
+F_TOTAL = {
+    ("sav-be", True): 7, ("sav-be", False): 6,
+    ("isav-be", True): 7, ("isav-be", False): 6,
+    ("sav-bdf", True): 12, ("sav-bdf", False): 6,
+    ("isav-bdf", True): 12, ("isav-bdf", False): 11,
 }
 
 
@@ -119,8 +130,10 @@ def test_bulk_integrals_per_step(scheme, record, tmp_path):
     with tracing.Tracer() as tracer, fused_counted_as_F(tracer):
         run_simulation(cfg, write_outputs=False, record=record)
     n = tracer.counts()["steps_in_loop"]
+    assert n == cfg.n_steps() == 6
     per, offset = F_IN_LOOP[(scheme, record)]
     assert tracer.calls_in_step["potentials.DoubleWell.F"] == per * n + offset
+    assert tracer.calls["potentials.DoubleWell.F"] == F_TOTAL[(scheme, record)]
     assert tracer.per_step("potentials.DoubleWell.f") == 1.0
 
 

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from isavflow import (DoubleWell, Field, FloryHugginsRegularized, ModelParams, Scheme,
-                      bootstrap_bdf, make_grid, make_initial_state, resample, step)
+                      make_grid, make_initial_state, resample, step)
 from isavflow.spectral import _fold_half
 
 from conftest import even_symbol, random_field
@@ -116,23 +116,25 @@ def test_fused_kernel_matches_separate_calls(case, garbage):
 
 
 @pytest.mark.parametrize("scheme", [Scheme.SAV_BDF, Scheme.ISAV_BDF])
-def test_potential_without_fused_f_still_steps(scheme, rng):
-    # ConstantPotential defines F and f(phi, out, work) only; the base
-    # class gives its f an F_out, filled by a separate F call, which is
-    # what the step's fused calls (the records-off isav-be step and every
-    # BDF step) go through
+def test_potential_without_fused_f_still_steps(scheme, rng, monkeypatch):
+    # ConstantPotential shares no work between F and f; its f fills F_out
+    # itself, and every BDF step makes one such fused call at its
+    # extrapolant
     pot = ConstantPotential(c_add=1.0)
     g = make_grid(8, 8, 2.0, 3.0)
     x = rng.standard_normal(g.shape)
     F_out = np.full_like(x, math.nan)
     assert np.array_equal(pot.f(x, None, None, F_out), np.zeros_like(x))
     assert np.array_equal(F_out, np.ones_like(x))
+    fused, f = [], ConstantPotential.f
+    monkeypatch.setattr(ConstantPotential, "f", lambda self, phi, out=None, work=None, F_out=None:
+                        fused.append(F_out is not None) or f(self, phi, out, work, F_out))
     params = ModelParams(alpha=1.0, gamma=0.2, S=0.0, tau=0.05, potential=pot)
-    state = make_initial_state(Scheme.ISAV_BE, random_field(g, rng), pot)
+    state = make_initial_state(scheme, random_field(g, rng), pot)
     state, _ = step(state, params, record=False)
     state, _ = step(state, params, record=False)
-    assert state.F_nm1 == 6.0
-    state = bootstrap_bdf(state, params, scheme)
+    assert fused == [False, True]
+    assert state.r_report == pytest.approx(math.sqrt(6.0))
     for _ in range(3):
         state, rec = step(state, params)
         assert rec.E_orig == pytest.approx(rec.E_mod)

@@ -13,7 +13,7 @@ import isavflow
 TOP_LEVEL = [
     "ConfigError", "DoubleWell", "EnergyLawViolation", "Field", "FloryHugginsRegularized",
     "Grid", "ModelParams", "NonPositiveBulkEnergyError", "RunConfig", "Scheme",
-    "SchemeRuntimeError", "SchemeState", "StepRecord", "bootstrap_bdf", "bulk_energy",
+    "SchemeRuntimeError", "SchemeState", "StepRecord", "bulk_energy",
     "compare_schemes", "config_from_dict", "convergence_study", "h1_error", "initial_field",
     "load_config", "make_grid", "make_initial_state", "operator_symbols", "original_energy",
     "read_snapshot", "record_step", "resample", "run_simulation", "step", "suggest_S",
@@ -29,7 +29,7 @@ MODULE_ALL = {
     "potentials": ["DoubleWell", "FloryHugginsRegularized", "NonPositiveBulkEnergyError",
                    "bulk_energy", "suggest_S"],
     "schemes": ["Scheme", "ModelParams", "SchemeState", "EnergyLawViolation",
-                "make_initial_state", "bootstrap_bdf", "step"],
+                "make_initial_state", "step"],
     "spectral": ["Grid", "Field", "make_grid", "operator_symbols", "quad_form_hat",
                  "inner_hat", "resample"],
 }
@@ -41,7 +41,7 @@ def test_top_level_names():
         if not name.startswith("_") and not inspect.ismodule(value)
     )
     assert public == sorted(TOP_LEVEL)
-    assert len(TOP_LEVEL) == 32
+    assert len(TOP_LEVEL) == 31
 
 
 @pytest.mark.parametrize("module", sorted(MODULE_ALL))
@@ -57,4 +57,4 @@ def test_module_all_total():
         if hasattr(importlib.import_module(f"isavflow.{info.name}"), "__all__")
     }
     assert with_all == set(MODULE_ALL)
-    assert sum(len(names) for names in MODULE_ALL.values()) == 38
+    assert sum(len(names) for names in MODULE_ALL.values()) == 37

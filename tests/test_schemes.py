@@ -1,4 +1,4 @@
-"""Time-stepper behavior: closed forms, conservation, energy laws, bootstrap."""
+"""Time-stepper behavior: closed forms, conservation, energy laws, BDF start."""
 
 import math
 
@@ -12,7 +12,6 @@ from isavflow import (
     ModelParams,
     NonPositiveBulkEnergyError,
     Scheme,
-    bootstrap_bdf,
     bulk_energy,
     make_grid,
     make_initial_state,
@@ -70,17 +69,6 @@ class TestLinearDecayClosedForms:
 
 
 class TestStateDiscipline:
-    def test_stepper_rejects_foreign_state(self, rng):
-        # the BDF bootstrap step is the one place a state of another scheme
-        # can be handed over
-        g = make_grid(8, 8, 1.0, 1.0)
-        pot = DoubleWell(eps=1.0, c_add=1.0)
-        p = ModelParams(alpha=0.0, gamma=1.0, S=0.0, tau=0.1, potential=pot)
-        state = make_initial_state(Scheme.SAV_BE, random_field(g, rng, 0.1), pot)
-        state, _ = step(state, p)
-        with pytest.raises(ValueError, match="expected isav-be"):
-            bootstrap_bdf(state, p, Scheme.ISAV_BDF)
-
     def test_fractional_dissipation_exponent(self, rng):
         g = make_grid(16, 16, TWO_PI, TWO_PI)
         pot = DoubleWell(eps=0.5, c_add=1.0)
@@ -105,11 +93,7 @@ class TestCarriedSpectrum:
         pot = DoubleWell(eps=0.5, c_add=1.0)
         p = ModelParams(alpha=1.0, gamma=0.1, S=2.0, tau=0.02, potential=pot)
         phi0 = Field(g, rng.uniform(-0.8, 0.8, g.shape))
-        if scheme.is_bdf:
-            be, _ = step(make_initial_state(Scheme.ISAV_BE, phi0, pot), p)
-            state = bootstrap_bdf(be, p, scheme)
-        else:
-            state = make_initial_state(scheme, phi0, pot)
+        state = make_initial_state(scheme, phi0, pot)
         for _ in range(50):
             state, _ = step(state, p)
         carried = state.phi_n.hat
@@ -126,11 +110,7 @@ class TestConservation:
         p = ModelParams(alpha=1.0, gamma=0.05, S=2.0, tau=0.02, potential=pot)
         phi0 = Field(g, 0.3 + 0.2 * rng.standard_normal(g.shape))
         m0 = phi0.values.mean()
-        if scheme.is_bdf:
-            be, _ = step(make_initial_state(Scheme.ISAV_BE, phi0, pot), p)
-            state = bootstrap_bdf(be, p, scheme)
-        else:
-            state = make_initial_state(scheme, phi0, pot)
+        state = make_initial_state(scheme, phi0, pot)
         for _ in range(5):
             state, _ = step(state, p)
             assert abs(state.phi_n.values.mean() - m0) < 1e-13
@@ -277,8 +257,7 @@ class TestBootstrap:
         pot = ConstantPotential(c_add=1.0)
         p = ModelParams(alpha=0.0, gamma=0.1, S=0.0, tau=0.1, potential=pot)
         phi0 = Field(g, np.full(g.shape, 0.7))
-        be, _ = step(make_initial_state(Scheme.ISAV_BE, phi0, pot), p)
-        state = bootstrap_bdf(be, p, Scheme.SAV_BDF)
+        state, _ = step(make_initial_state(Scheme.SAV_BDF, phi0, pot), p)
         assert np.allclose(state.phi_n.values, phi0.values)
         assert state.step_index == 1
         new, _ = step(state, p)
@@ -289,10 +268,9 @@ class TestBootstrap:
         g = cfg.make_grid()
         pot = cfg.make_potential()
         p = ModelParams(alpha=0.0, gamma=0.1, S=cfg.S, tau=0.05, potential=pot)
-        be, _ = step(
-            make_initial_state(Scheme.ISAV_BE, initial_field(cfg.init, g), pot), p
+        state, _ = step(
+            make_initial_state(Scheme.ISAV_BDF, initial_field(cfg.init, g), pot), p
         )
-        state = bootstrap_bdf(be, p, Scheme.ISAV_BDF)
         assert state.step_index == 1
         assert np.isfinite(state.phi_n.values).all()
         assert np.isfinite(state.phi_nm1.values).all()
@@ -302,28 +280,19 @@ class TestBootstrap:
         pot = DoubleWell(eps=0.5, c_add=1.0)
         p = ModelParams(alpha=1.0, gamma=0.1, S=0.0, tau=0.01, potential=pot)
         phi0 = Field(g, rng.uniform(-0.5, 0.5, g.shape))
+        # the first sav-bdf step is the isav-be step with S = 0
         be, _ = step(make_initial_state(Scheme.ISAV_BE, phi0, pot), p)
-        state = bootstrap_bdf(be, p, Scheme.SAV_BDF)
+        state, _ = step(make_initial_state(Scheme.SAV_BDF, phi0, pot), p)
         assert state.r_nm1 == pytest.approx(math.sqrt(bulk_energy(pot, phi0)))
         assert state.r_n == pytest.approx(be.r_report)
 
-    def test_rejects_wrong_source(self, rng):
-        g = make_grid(8, 8, 1.0, 1.0)
-        pot = DoubleWell(eps=1.0, c_add=1.0)
-        p = ModelParams(alpha=0.0, gamma=1.0, S=0.0, tau=0.1, potential=pot)
-        fresh = make_initial_state(Scheme.ISAV_BE, random_field(g, rng, 0.1), pot)
-        with pytest.raises(ValueError, match="completed isav-be step"):
-            bootstrap_bdf(fresh, p, Scheme.ISAV_BDF)
-        with pytest.raises(ValueError, match="BDF scheme"):
-            bootstrap_bdf(fresh, p, Scheme.ISAV_BE)
-
 
 class TestLibraryLoop:
-    def setup_loop(self, rng):
+    def setup_loop(self, rng, scheme=Scheme.ISAV_BE):
         g = make_grid(16, 16, TWO_PI, TWO_PI)
         pot = DoubleWell(eps=0.5, c_add=1.0)
         p = ModelParams(alpha=1.0, gamma=0.2, S=2.0, tau=0.05, potential=pot)
-        return g, p, make_initial_state(Scheme.ISAV_BE, random_field(g, rng, 0.6), pot)
+        return g, p, make_initial_state(scheme, random_field(g, rng, 0.6), pot)
 
     def test_library_loop_builds_one_set_of_symbols(self, rng, monkeypatch):
         from isavflow import schemes
@@ -353,9 +322,8 @@ class TestLibraryLoop:
         # the decrements of a recording step take the previous level's
         # energies from that state, recorded or not
         for scheme in (Scheme.SAV_BDF, Scheme.ISAV_BDF):
-            g, p, be = self.setup_loop(rng)
-            be1, _ = step(be, p)
-            states = [bootstrap_bdf(be1, p, scheme)] * 2
+            g, p, state0 = self.setup_loop(rng, scheme)
+            states = [step(state0, p)[0]] * 2
             for n in range(4):
                 full, rec_full = step(states[0], p)
                 fast, rec_fast = step(states[1], p, record=n == 3)

@@ -6,9 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from isavflow import ModelParams, Scheme, step
-from isavflow.config import config_from_dict
-from isavflow.harness import _bootstrap, _initial_state
+from isavflow import ModelParams, Scheme, make_initial_state, step
+from isavflow.config import config_from_dict, initial_field
 
 
 def prepare(scheme, example="ex1", nx=16, params=None):
@@ -16,10 +15,7 @@ def prepare(scheme, example="ex1", nx=16, params=None):
     grid = cfg.make_grid()
     params = params or ModelParams(alpha=cfg.model["alpha"], gamma=cfg.model["gamma"],
                                    S=cfg.S, tau=cfg.tau, potential=cfg.make_potential())
-    state = _initial_state(cfg, params, grid)
-    if state.scheme != scheme:
-        state, _ = _bootstrap(state, params, Scheme(scheme))
-    return state, params
+    return make_initial_state(scheme, initial_field(cfg.init, grid), params.potential), params
 
 
 def state_arrays(state):
