@@ -296,9 +296,12 @@ def config_from_dict(doc: dict) -> RunConfig:
     _expect(isinstance(outputs["snapshot_dir"], str), "outputs.snapshot_dir", "must be a string")
     times = outputs["field_snapshot_times"]
     _expect(isinstance(times, list), "outputs.field_snapshot_times", "must be a list of times")
-    outputs["field_snapshot_times"] = [
-        _number(t, f"outputs.field_snapshot_times[{i}]") for i, t in enumerate(times)
-    ]
+    outputs["field_snapshot_times"] = []
+    for i, raw_t in enumerate(times):
+        t = _number(raw_t, f"outputs.field_snapshot_times[{i}]")
+        _expect(0.0 <= t <= t_end, f"outputs.field_snapshot_times[{i}]",
+                f"must lie in [0, t_end] = [0, {t_end!r}]")
+        outputs["field_snapshot_times"].append(t)
     re = outputs["record_every"]
     _expect(isinstance(re, int) and not isinstance(re, bool) and re >= 1,
             "outputs.record_every", "must be a positive integer")

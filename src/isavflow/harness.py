@@ -100,14 +100,18 @@ def write_series_csv(path, rows, columns=SERIES_COLUMNS) -> None:
 
 
 def write_snapshot(path, field: Field, t: float) -> None:
-    """Plain-text field dump: header 'nx ny lx ly t', then row-major values
-    at 17 significant digits, which round-trips float64 exactly."""
+    """Plain-text field dump: header 'nx ny lx ly t', then one line per x
+    index holding its ny values at 17 significant digits ('%.17g'), which
+    round-trips float64 exactly."""
     g = field.grid
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    # One %-format call per row; '%.17g' prints the same text as
+    # f"{v:.17g}" for every float64, -0.0 and subnormals included.
+    line = " ".join(["%.17g"] * g.ny) + "\n"
     with open(path, "w") as fh:
         fh.write(f"{g.nx} {g.ny} {g.lx:.17g} {g.ly:.17g} {t:.17g}\n")
         for row in field.values:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+            fh.write(line % tuple(row.tolist()))
 
 
 def read_snapshot(path):
@@ -132,15 +136,10 @@ def _kept_rows(cfg: RunConfig, record=True):
     return lambda n: record and (n % every == 0 or n == n_total)
 
 
-def _snapshot_steps(cfg: RunConfig) -> dict:
-    """Map requested snapshot times to their nearest step index."""
-    n_total = cfg.n_steps()
-    out = {}
-    for t in cfg.outputs["field_snapshot_times"]:
-        idx = int(round(t / cfg.tau))
-        if 0 <= idx <= n_total and abs(idx * cfg.tau - t) <= 0.5 * cfg.tau + 1e-12:
-            out[idx] = t
-    return out
+def _snapshot_steps(cfg: RunConfig) -> set:
+    """The step indices nearest the requested snapshot times, which the
+    config has checked to lie in [0, t_end]."""
+    return {round(t / cfg.tau) for t in cfg.outputs["field_snapshot_times"]}
 
 
 def run_simulation(cfg: RunConfig, outdir=None, write_outputs=True, record=True) -> SimulationResult:
@@ -168,7 +167,7 @@ def run_simulation(cfg: RunConfig, outdir=None, write_outputs=True, record=True)
     )
     out_base = resolve_outdir(outdir)
     kept = _kept_rows(cfg, record)
-    snap_at = _snapshot_steps(cfg) if write_outputs else {}
+    snap_at = _snapshot_steps(cfg) if write_outputs else set()
     snap_dir = os.path.join(out_base, cfg.outputs["snapshot_dir"])
     series_path = os.path.join(out_base, cfg.outputs["series_path"]) if write_outputs else None
     n_total = cfg.n_steps()

@@ -88,6 +88,40 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=r"potential\.beta"):
             config_from_dict(doc)
 
+    @pytest.mark.parametrize("times, bad", [([0.1, 5.0, -1.0], 1), ([-1e-12], 0),
+                                            ([0.0, 0.5, 0.5000001], 2)])
+    def test_snapshot_times_outside_the_run(self, times, bad):
+        doc = {**MINIMAL, "outputs": {"field_snapshot_times": times}}
+        with pytest.raises(ConfigError, match=rf"outputs\.field_snapshot_times\[{bad}\]"):
+            config_from_dict(doc)
+
+    def test_snapshot_times_at_both_ends_are_kept(self):
+        cfg = config_from_dict({**MINIMAL, "outputs": {"field_snapshot_times": [0, 0.5]}})
+        assert cfg.outputs["field_snapshot_times"] == [0.0, 0.5]
+
+
+SHIPPED_CONFIGS = sorted((Path(__file__).parents[1] / "configs").glob("*.json"))
+
+
+class TestShippedConfigs:
+    """Every config the repository ships, and the README's example, passes
+    the current validation, so a new rule cannot silently break one."""
+
+    def test_configs_directory_is_not_empty(self):
+        assert SHIPPED_CONFIGS
+
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
+    def test_shipped_config_loads(self, path):
+        cfg = load_config(path)
+        assert cfg.n_steps() >= 1
+
+    def test_readme_example_validates(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        blocks = [b.split("```", 1)[0] for b in readme.split("```json\n")[1:]]
+        assert blocks, "README has no JSON example"
+        for block in blocks:
+            config_from_dict(json.loads(block))
+
 
 class TestPresets:
     def test_names(self):
@@ -189,6 +223,25 @@ class TestSnapshotFormat:
         path2 = str(tmp_path / "snap2.txt")
         write_snapshot(path2, loaded, t=t)
         assert open(path).read() == open(path2).read()
+
+    EDGE_VALUES = (-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                   0.1, 1.0 / 3.0, 1e16, 2.5e-7)
+
+    def test_bytes_match_per_value_format(self, tmp_path):
+        # nx != ny, so a row template sized by nx instead of ny cannot pass;
+        # the reference text is the per-value f"{v:.17g}" join, value by value
+        g = make_grid(12, 8, 1.7, 2.9)
+        edge = np.array(self.EDGE_VALUES)
+        values = np.concatenate([edge, -edge] * 6).reshape(g.shape)
+        path = tmp_path / "snap.txt"
+        write_snapshot(str(path), Field(g, values), t=0.25)
+        expected = f"{g.nx} {g.ny} {g.lx:.17g} {g.ly:.17g} {0.25:.17g}\n" + "".join(
+            " ".join(f"{v:.17g}" for v in row) + "\n" for row in values)
+        assert path.read_bytes() == expected.encode()
+        loaded, t = read_snapshot(str(path))
+        assert t == 0.25
+        # tobytes, since array_equal takes -0.0 == 0.0
+        assert loaded.values.tobytes() == values.tobytes()
 
 
 class TestRunSimulation:
@@ -520,6 +573,14 @@ class TestCli:
     def test_config_error_exit_code(self, tmp_path):
         path = write_cfg(tmp_path, {**MINIMAL, "scheme": "bogus"})
         assert main(["run", path]) == 2
+
+    def test_snapshot_time_outside_the_run_exit_code(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, {**MINIMAL, "outputs": {
+            "series_path": str(tmp_path / "s.csv"), "snapshot_dir": str(tmp_path / "snaps"),
+            "field_snapshot_times": [0.1, 5.0, -1.0]}})
+        assert main(["run", path]) == 2
+        assert "outputs.field_snapshot_times[1]" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "snaps")
 
     def test_invalid_json_exit_code(self, tmp_path):
         path = tmp_path / "broken.json"
