@@ -27,7 +27,6 @@ __all__ = [
     "load_config",
     "config_from_dict",
     "initial_field",
-    "preset_names",
     "preset_summary",
 ]
 
@@ -144,10 +143,6 @@ DEFAULT_OUTPUTS = {
     "field_snapshot_times": [],
     "record_every": 1,
 }
-
-
-def preset_names():
-    return tuple(PRESETS)
 
 
 def preset_summary() -> str:
@@ -297,10 +292,16 @@ def config_from_dict(doc: dict) -> RunConfig:
     times = outputs["field_snapshot_times"]
     _expect(isinstance(times, list), "outputs.field_snapshot_times", "must be a list of times")
     outputs["field_snapshot_times"] = []
+    steps = {}
     for i, raw_t in enumerate(times):
-        t = _number(raw_t, f"outputs.field_snapshot_times[{i}]")
-        _expect(0.0 <= t <= t_end, f"outputs.field_snapshot_times[{i}]",
-                f"must lie in [0, t_end] = [0, {t_end!r}]")
+        path = f"outputs.field_snapshot_times[{i}]"
+        t = _number(raw_t, path)
+        _expect(0.0 <= t <= t_end, path, f"must lie in [0, t_end] = [0, {t_end!r}]")
+        _expect(is_step_multiple(t, tau), path,
+                f"must be an integer multiple of tau (t/tau = {t / tau})")
+        n = round(t / tau)
+        _expect(n not in steps, path, f"names step {n}, as entry {steps.get(n)} does")
+        steps[n] = i
         outputs["field_snapshot_times"].append(t)
     re = outputs["record_every"]
     _expect(isinstance(re, int) and not isinstance(re, bool) and re >= 1,

@@ -124,8 +124,7 @@ def record_step(state, params, prev=None) -> StepRecord:
     the run's scratch.
     """
     grid = state.phi_n.grid
-    sym = params.symbols(grid)
-    ws = sym.scratch(grid)
+    ws = params.symbols(grid)
     S = params.S if state.scheme.is_improved else 0.0
     values = state.phi_n.values
     e_lin, F, E2 = level_energies(state, params.potential, S, ws)
@@ -137,7 +136,7 @@ def record_step(state, params, prev=None) -> StepRecord:
     D_be = D_bdf = None
     mu_hat = None if state.diag is None else state.diag.mu_hat
     if prev is not None and mu_hat is not None:
-        ghalf_sq = quad_form_hat(grid, mu_hat, sym.g_sym, ws.power)
+        ghalf_sq = quad_form_hat(grid, mu_hat, ws.g_sym, ws.power)
         e_lin_prev, F_prev, E2_prev = level_energies(prev, params.potential, S, ws)
         D_be = E_orig - (e_lin_prev + F_prev) + params.tau * ghalf_sq
         if E2 is not None and E2_prev is not None:

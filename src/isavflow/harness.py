@@ -137,8 +137,8 @@ def _kept_rows(cfg: RunConfig, record=True):
 
 
 def _snapshot_steps(cfg: RunConfig) -> set:
-    """The step indices nearest the requested snapshot times, which the
-    config has checked to lie in [0, t_end]."""
+    """The step indices of the requested snapshot times, which the config
+    has checked to be distinct multiples of tau in [0, t_end]."""
     return {round(t / cfg.tau) for t in cfg.outputs["field_snapshot_times"]}
 
 

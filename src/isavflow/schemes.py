@@ -34,7 +34,7 @@ import numpy as np
 
 from .diagnostics import level_energies, record_step
 from .potentials import Potential, bulk_energy, bulk_quad, check_bulk
-from .spectral import Field, Grid, OperatorSymbols, _parseval, operator_symbols
+from .spectral import Field, Grid, _parseval
 
 __all__ = [
     "Scheme",
@@ -85,7 +85,7 @@ class ModelParams:
     tau: float
     potential: Potential
     assert_energy: bool = False
-    _symbols: dict = field(default_factory=dict, repr=False, compare=False)
+    _symbols: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0.0 <= self.alpha <= 1.0):
@@ -99,16 +99,39 @@ class ModelParams:
         if not (math.isfinite(self.tau * self.S) and math.isfinite(self.tau * self.gamma)):
             raise ValueError("tau*S and tau*gamma must be finite")
 
-    def symbols(self, grid: Grid) -> OperatorSymbols:
-        """The operator symbols on grid, built on first use and cached.
-        Copies made by dataclasses.replace share the cache; it is keyed by
-        (grid, alpha, gamma), so a copy with another alpha or gamma builds
-        its own."""
-        key = (grid, self.alpha, self.gamma)
-        sym = self._symbols.get(key)
-        if sym is None:
-            sym = self._symbols[key] = operator_symbols(grid, self.alpha, self.gamma)
-        return sym
+    def symbols(self, grid: Grid) -> Scratch:
+        """What every step on grid reuses, built on first use and cached by
+        grid; a copy made by dataclasses.replace builds its own."""
+        ws = self._symbols.get(grid)
+        if ws is None:
+            ws = self._symbols[grid] = Scratch(grid, self.alpha, self.gamma)
+        return ws
+
+
+class Scratch:
+    """What the steps of one ModelParams on one grid reuse instead of
+    rebuilding or allocating: the mobility symbol g_sym = gamma*|k|^(2*alpha)
+    on the rfft2 half spectrum (its zero mode is gamma for alpha = 0, the
+    operator gamma*I, and vanishes for alpha > 0, which conserves the mean),
+    the solve factors keyed by (S, scheme family), and work arrays: ``real``
+    on the grid, ``spec`` (complex) on the half spectrum, and ``power``
+    (real) on the half spectrum, where quad_form_hat builds |u_hat|^2.
+
+    Every user writes a work array in full before reading it, and keeps
+    nothing that aliases one past its return, so callers may share a Scratch.
+    """
+
+    def __init__(self, grid: Grid, alpha: float, gamma: float):
+        lap = grid.lap_sym
+        self.g_sym = gamma * lap**alpha if alpha != 0.0 else gamma * np.ones_like(lap)
+        self.factors = {}
+        self.real = tuple(np.empty(grid.shape) for _ in range(4))
+        self.spec = tuple(np.empty(grid.spectral_shape, dtype=complex) for _ in range(4))
+        self.power = tuple(np.empty(grid.spectral_shape) for _ in range(2))
+        # The memory of spec[0] (room for nx*(ny+2) floats) seen as one
+        # more real grid array, for a user that leaves spec[0] idle.
+        flat = self.spec[0].view(float).reshape(-1)
+        self.spec0_real = flat[: grid.nx * grid.ny].reshape(grid.shape)
 
 
 @dataclass
@@ -201,33 +224,33 @@ def _rank_one_core(grid: Grid, z1_hat, z2_hat, b_hat, w, work=None):
     return grid.inverse(phi_hat, work), phi_hat, bracket
 
 
-def _solve_factors(sym: OperatorSymbols, tau, S, bdf):
-    """Diagonal-solve quotients, built once per run for each (tau, S, family).
+def _solve_factors(ws: Scratch, lap, tau, S, bdf):
+    """Diagonal-solve quotients, built once per run for each (S, family).
 
     Returns (G/diag, c_n/diag, c_nm1/diag): c_n and c_nm1 are the symbols
     that multiply phi^n and phi^{n-1} on the right-hand side (c_nm1 is None
     for the two-level schemes). They are stored as complex, so that their
     products with spectra need no cast buffer (the bits are those of the
-    real symbols). The key carries tau and S because copies of a
-    ModelParams that differ in them share the symbols.
+    real symbols). The key carries S because schemes that share a
+    ModelParams damp with S or with 0.
     """
-    key = (tau, S, bdf)
-    out = sym.solve_factors.get(key)
+    key = (S, bdf)
+    out = ws.factors.get(key)
     if out is not None:
         return out
-    g = sym.g_sym
+    g = ws.g_sym
     if bdf:
-        inv_diag = 1.0 / (3.0 + 2.0 * tau * g * (sym.lap + S))
+        inv_diag = 1.0 / (3.0 + 2.0 * tau * g * (lap + S))
         out = (
             g * inv_diag,
             (4.0 + 4.0 * tau * S * g) * inv_diag,
             (1.0 + 2.0 * tau * S * g) * inv_diag,
         )
     else:
-        inv_diag = 1.0 / (1.0 + tau * g * (sym.lap + S))
+        inv_diag = 1.0 / (1.0 + tau * g * (lap + S))
         out = (g * inv_diag, (1.0 + tau * S * g) * inv_diag, None)
     out = tuple(None if a is None else a.astype(complex) for a in out)
-    sym.solve_factors[key] = out
+    ws.factors[key] = out
     return out
 
 
@@ -257,7 +280,7 @@ def step(state: SchemeState, params: ModelParams, record=True):
     reconstructed r~^{n+1}. A nonpositive bulk integral at phi* or, for the
     improved schemes, at a history level raises NonPositiveBulkEnergyError.
 
-    The operator symbols, solve factors and grid-sized temporaries come
+    The mobility symbol, solve factors and grid-sized temporaries come
     from params.symbols(grid), built once per ModelParams; the step
     allocates only what it returns: phi^{n+1}, its spectrum, and mu's
     spectrum when recording. Where it needs int F and f at one field (phi*
@@ -274,8 +297,7 @@ def step(state: SchemeState, params: ModelParams, record=True):
     scheme = state.scheme
     bdf = scheme.is_bdf and state.phi_nm1 is not None
     grid = state.phi_n.grid
-    sym = params.symbols(grid)
-    ws = sym.scratch(grid)
+    ws = params.symbols(grid)
     r0, r1, r2, r3 = ws.real
     b_hat, c1, c2, c3 = ws.spec
     F_work = (r1, r2, r3)
@@ -311,7 +333,7 @@ def step(state: SchemeState, params: ModelParams, record=True):
             r_hist = (4.0 * state.r_n - state.r_nm1) / 3.0
         c = r_hist - ip / 6.0
         k = 2.0 * tau
-        g_d, cn_d, cm_d = _solve_factors(sym, tau, S, True)
+        g_d, cn_d, cm_d = _solve_factors(ws, grid.lap_sym, tau, S, True)
         np.multiply(cn_d, phi_hat, out=c1)
         c1 -= np.multiply(cm_d, phim_hat, out=c2)
     else:
@@ -319,7 +341,7 @@ def step(state: SchemeState, params: ModelParams, record=True):
         r = state.r_n if scheme is Scheme.SAV_BE else r_star
         c = r - 0.5 * ip
         k = tau
-        g_d, cn_d, _ = _solve_factors(sym, tau, S, False)
+        g_d, cn_d, _ = _solve_factors(ws, grid.lap_sym, tau, S, False)
         np.multiply(cn_d, phi_hat, out=c1)
     # c1 holds the history term; subtracting (k c) z1 makes it z2.
     z1_hat = np.multiply(g_d, b_hat, out=c2)
@@ -340,7 +362,7 @@ def step(state: SchemeState, params: ModelParams, record=True):
         return new, None
 
     # Diagnostics, built from spectra already in hand: no transform.
-    mu_hat = sym.lap * new_hat
+    mu_hat = grid.lap_sym * new_hat
     mu_hat += np.multiply(b_hat, r_new, out=c1)
     if scheme.is_improved:
         if bdf:

@@ -19,9 +19,7 @@ __all__ = [
     "Grid",
     "Field",
     "make_grid",
-    "operator_symbols",
     "quad_form_hat",
-    "inner_hat",
     "resample",
 ]
 
@@ -140,75 +138,6 @@ class Field:
         return self.hat
 
 
-class Scratch:
-    """Work arrays that a run's time steps overwrite instead of allocating
-    grid-sized temporaries: ``real`` on the grid, ``spec`` (complex) on the
-    rfft2 half spectrum, and ``power`` (real) on the half spectrum, where
-    quad_form_hat builds |u_hat|^2.
-
-    Every user writes a buffer in full before reading it, and keeps nothing
-    that aliases one past its return, so callers may share a Scratch.
-    """
-
-    def __init__(self, grid: Grid):
-        self.real = tuple(np.empty(grid.shape) for _ in range(4))
-        self.spec = tuple(np.empty(grid.spectral_shape, dtype=complex) for _ in range(4))
-        self.power = tuple(np.empty(grid.spectral_shape) for _ in range(2))
-        # The memory of spec[0] (room for nx*(ny+2) floats) seen as one
-        # more real grid array, for a user that leaves spec[0] idle.
-        flat = self.spec[0].view(float).reshape(-1)
-        self.spec0_real = flat[: grid.nx * grid.ny].reshape(grid.shape)
-
-
-@dataclass(frozen=True)
-class OperatorSymbols:
-    """Per-mode symbols of the operators used by the schemes.
-
-    lap is the symbol of -Laplacian (|k|^2) and g_sym the mobility
-    gamma*|k|^(2*alpha). Arrays are laid out on the rfft2 half-spectrum,
-    shape (nx, ny//2 + 1).
-
-    solve_factors holds symbols the time steppers derive from these once
-    per (tau, S, scheme family), and scratch(grid) the steps' work arrays;
-    a run's ModelParams hands one OperatorSymbols to every step, so both
-    are built once per run and freed with it.
-    """
-
-    alpha: float
-    gamma: float
-    lap: np.ndarray
-    g_sym: np.ndarray
-    solve_factors: dict = field(default_factory=dict, repr=False, compare=False)
-    _scratch: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def scratch(self, grid: Grid) -> Scratch:
-        """The work arrays for steps on grid, built on first use."""
-        ws = self._scratch.get(grid)
-        if ws is None:
-            ws = self._scratch[grid] = Scratch(grid)
-        return ws
-
-
-def operator_symbols(grid: Grid, alpha: float, gamma: float) -> OperatorSymbols:
-    """Symbols of -Laplacian and the dissipation operator gamma*(-Lap)^alpha.
-
-    For alpha = 0 the zero mode of g_sym is gamma (the operator is gamma*I);
-    for alpha > 0 it vanishes, which is what conserves the mean.
-    """
-    if not (0.0 <= alpha <= 1.0):
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    if not (gamma > 0):
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    lap = grid.lap_sym
-    g_sym = gamma * lap**alpha if alpha != 0.0 else gamma * np.ones_like(lap)
-    return OperatorSymbols(
-        alpha=alpha,
-        gamma=gamma,
-        lap=lap,
-        g_sym=g_sym,
-    )
-
-
 def quad_form_hat(grid: Grid, hat: np.ndarray, symbol: np.ndarray | None = None,
                   work=None) -> float:
     """Quadratic form sum_k symbol_k |u_hat_k|^2 in quadrature normalization.
@@ -232,17 +161,6 @@ def quad_form_hat(grid: Grid, hat: np.ndarray, symbol: np.ndarray | None = None,
 def _parseval(grid: Grid, wu_hat: np.ndarray, v_hat: np.ndarray) -> float:
     """<u, v> from v's half spectrum and u's weighted by grid.mode_weight."""
     return float(grid.spectral_scale * np.vdot(wu_hat, v_hat).real)
-
-
-def inner_hat(grid: Grid, u_hat: np.ndarray, v_hat: np.ndarray, work=None) -> float:
-    """L2 inner product <u, v> from the two half spectra (Parseval).
-
-    Equals grid.quad(u * v) up to rounding: the mode weights count each
-    interior column twice, the second time for its conjugate partner. work,
-    when given, is a complex array of the spectral shape for the weighted
-    u_hat.
-    """
-    return _parseval(grid, np.multiply(grid.mode_weight, u_hat, out=work), v_hat)
 
 
 def _map_x(hat: np.ndarray, nx_dst: int) -> np.ndarray:

@@ -11,7 +11,7 @@ import numpy as np
 
 from isavflow import Field, bulk_energy, schemes
 from isavflow.potentials import Potential, _as_array, _as_input, _output
-from isavflow.spectral import quad_form_hat
+from isavflow.spectral import _parseval, quad_form_hat
 
 
 @dataclass(frozen=True)
@@ -50,6 +50,14 @@ def inner(u: Field, v: Field) -> float:
     if u.grid != v.grid:
         raise ValueError("fields live on different grids")
     return u.grid.quad(u.values * v.values)
+
+
+def inner_hat(grid, u_hat: np.ndarray, v_hat: np.ndarray) -> float:
+    """L2 inner product <u, v> from the two half spectra (Parseval), the
+    package's own sum over mode-weighted u_hat. Equals grid.quad(u * v) up
+    to rounding: the mode weights count each interior column twice, the
+    second time for its conjugate partner."""
+    return _parseval(grid, grid.mode_weight * u_hat, v_hat)
 
 
 def e2_energy(phi_n: Field, phi_nm1: Field, potential: Potential, S: float) -> float:

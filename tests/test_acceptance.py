@@ -196,13 +196,13 @@ class TestCriterion8SolverOracle:
         if scheme.is_bdf:
             star = 2.0 * old.phi_n.values - old.phi_nm1.values
             b = pot.f(star) / math.sqrt(bulk_energy(pot, Field(g, star)))
-            mu = apply_symbol(new.phi_n, sym.lap).values + new.r_report * b
+            mu = apply_symbol(new.phi_n, g.lap_sym).values + new.r_report * b
             if scheme.is_improved:
                 mu += p.S * (new.phi_n.values - 2.0 * old.phi_n.values + old.phi_nm1.values)
             dphi = (3.0 * new.phi_n.values - 4.0 * old.phi_n.values + old.phi_nm1.values) / (2.0 * p.tau)
         else:
             b = pot.f(old.phi_n.values) / math.sqrt(bulk_energy(pot, old.phi_n))
-            mu = apply_symbol(new.phi_n, sym.lap).values + new.r_report * b
+            mu = apply_symbol(new.phi_n, g.lap_sym).values + new.r_report * b
             if scheme.is_improved:
                 mu += p.S * (new.phi_n.values - old.phi_n.values)
             dphi = (new.phi_n.values - old.phi_n.values) / p.tau

@@ -12,7 +12,7 @@ import pytest
 from isavflow import (ConfigError, Field, ModelParams, Scheme, SchemeRuntimeError, make_grid,
                       make_initial_state, step)
 from isavflow.cli import main
-from isavflow.config import config_from_dict, initial_field, load_config, preset_names
+from isavflow.config import PRESETS, config_from_dict, initial_field, load_config
 from isavflow.harness import (
     SERIES_COLUMNS,
     compare_schemes,
@@ -99,6 +99,24 @@ class TestConfigValidation:
         cfg = config_from_dict({**MINIMAL, "outputs": {"field_snapshot_times": [0, 0.5]}})
         assert cfg.outputs["field_snapshot_times"] == [0.0, 0.5]
 
+    @pytest.mark.parametrize("times, bad, why", [
+        ([0.1, 0.11], 1, "must be an integer multiple of tau"),
+        ([0.05], 0, "must be an integer multiple of tau"),
+        ([0.2, 0.1, 0.2], 2, "names step 2, as entry 0 does"),
+        ([0.3, 0.30000000000000004], 1, "names step 3, as entry 0 does"),
+    ], ids=["between-steps", "half-step", "repeated", "repeated-after-rounding"])
+    def test_snapshot_times_off_the_step_grid_or_repeated(self, times, bad, why):
+        # tau = 0.1: a time between steps, or a second time for one step,
+        # would be snapped or merged into a snapshot nobody asked for
+        doc = {**MINIMAL, "outputs": {"field_snapshot_times": times}}
+        with pytest.raises(ConfigError, match=rf"outputs\.field_snapshot_times\[{bad}\]: {why}"):
+            config_from_dict(doc)
+
+    def test_snapshot_times_on_the_step_grid_in_any_order(self):
+        times = [0.5, 0.0, 0.30000000000000004, 0.1]
+        cfg = config_from_dict({**MINIMAL, "outputs": {"field_snapshot_times": times}})
+        assert cfg.outputs["field_snapshot_times"] == times
+
 
 SHIPPED_CONFIGS = sorted((Path(__file__).parents[1] / "configs").glob("*.json"))
 
@@ -125,7 +143,7 @@ class TestShippedConfigs:
 
 class TestPresets:
     def test_names(self):
-        assert preset_names() == ("ex1", "ex2", "ex3", "ex4")
+        assert tuple(PRESETS) == ("ex1", "ex2", "ex3", "ex4")
 
     def test_ex1_with_scheme_suffix(self):
         cfg = config_from_dict({"preset": "ex1-isav-be"})
@@ -222,7 +240,7 @@ class TestSnapshotFormat:
         # writing the loaded field again reproduces the file byte for byte
         path2 = str(tmp_path / "snap2.txt")
         write_snapshot(path2, loaded, t=t)
-        assert open(path).read() == open(path2).read()
+        assert Path(path).read_text() == Path(path2).read_text()
 
     EDGE_VALUES = (-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
                    0.1, 1.0 / 3.0, 1e16, 2.5e-7)
@@ -260,7 +278,7 @@ class TestRunSimulation:
     def test_csv_schema(self, tmp_path):
         cfg = self.base(tmp_path)
         res = run_simulation(cfg)
-        lines = open(res.series_path).read().splitlines()
+        lines = Path(res.series_path).read_text().splitlines()
         assert lines[0] == ",".join(SERIES_COLUMNS)
         assert len(lines) == len(res.records) + 1
         first = lines[1].split(",")
@@ -278,7 +296,7 @@ class TestRunSimulation:
         for name in ("a.csv", "b.csv"):
             cfg = config_from_dict({**doc, "outputs": {"series_path": str(tmp_path / name)}})
             res = run_simulation(cfg)
-            out.append(open(res.series_path, "rb").read())
+            out.append(Path(res.series_path).read_bytes())
         assert out[0] == out[1]
 
     def test_snapshots_written_at_requested_times(self, tmp_path):
@@ -427,7 +445,7 @@ class TestCompare:
         out = str(tmp_path / "cmp.csv")
         rows = compare_schemes(a, b, out_path=out)
         assert len(rows) == 6
-        header = open(out).readline().strip().split(",")
+        header = Path(out).read_text().splitlines()[0].split(",")
         assert "E_orig_sav_be" in header and "E_orig_isav_be" in header
         assert header[0] == "step" and header[1] == "t"
 
@@ -482,7 +500,7 @@ class TestConvergenceDriver:
         assert [r["resolution"] for r in rows] == [4, 8]
         assert rows[0]["order"] is None and rows[1]["order"] is not None
         assert rows[1]["h1_error"] < rows[0]["h1_error"]
-        assert open(out).readline().strip() == "resolution,h1_error,order"
+        assert Path(out).read_text().splitlines()[0] == "resolution,h1_error,order"
 
     def test_temporal_mode_first_order(self):
         cfg = config_from_dict({"preset": "ex1-isav-be", "tau": 0.01, "t_end": 0.1,
@@ -578,6 +596,15 @@ class TestCli:
         path = write_cfg(tmp_path, {**MINIMAL, "outputs": {
             "series_path": str(tmp_path / "s.csv"), "snapshot_dir": str(tmp_path / "snaps"),
             "field_snapshot_times": [0.1, 5.0, -1.0]}})
+        assert main(["run", path]) == 2
+        assert "outputs.field_snapshot_times[1]" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "snaps")
+
+    def test_snapshot_time_off_the_step_grid_exit_code(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, {"preset": "ex1-isav-be", "tau": 0.05, "t_end": 0.15,
+                                    "grid": {"nx": 8, "ny": 8}, "outputs": {
+            "series_path": str(tmp_path / "s.csv"), "snapshot_dir": str(tmp_path / "snaps"),
+            "field_snapshot_times": [0.1, 0.11, 0.124]}})
         assert main(["run", path]) == 2
         assert "outputs.field_snapshot_times[1]" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "snaps")

@@ -15,14 +15,14 @@ TOP_LEVEL = [
     "Grid", "ModelParams", "NonPositiveBulkEnergyError", "RunConfig", "Scheme",
     "SchemeRuntimeError", "SchemeState", "StepRecord", "bulk_energy",
     "compare_schemes", "config_from_dict", "convergence_study", "h1_error", "initial_field",
-    "load_config", "make_grid", "make_initial_state", "operator_symbols", "original_energy",
+    "load_config", "make_grid", "make_initial_state", "original_energy",
     "read_snapshot", "record_step", "resample", "run_simulation", "step", "suggest_S",
     "write_snapshot",
 ]
 
 MODULE_ALL = {
     "config": ["ConfigError", "RunConfig", "load_config", "config_from_dict",
-               "initial_field", "preset_names", "preset_summary"],
+               "initial_field", "preset_summary"],
     "diagnostics": ["StepRecord", "original_energy", "h1_error", "record_step"],
     "harness": ["SchemeRuntimeError", "run_simulation", "convergence_study", "compare_schemes",
                 "write_series_csv", "write_snapshot", "read_snapshot", "resolve_outdir"],
@@ -30,8 +30,7 @@ MODULE_ALL = {
                    "bulk_energy", "suggest_S"],
     "schemes": ["Scheme", "ModelParams", "SchemeState", "EnergyLawViolation",
                 "make_initial_state", "step"],
-    "spectral": ["Grid", "Field", "make_grid", "operator_symbols", "quad_form_hat",
-                 "inner_hat", "resample"],
+    "spectral": ["Grid", "Field", "make_grid", "quad_form_hat", "resample"],
 }
 
 
@@ -41,7 +40,7 @@ def test_top_level_names():
         if not name.startswith("_") and not inspect.ismodule(value)
     )
     assert public == sorted(TOP_LEVEL)
-    assert len(TOP_LEVEL) == 31
+    assert len(TOP_LEVEL) == 30
 
 
 @pytest.mark.parametrize("module", sorted(MODULE_ALL))
@@ -57,4 +56,4 @@ def test_module_all_total():
         if hasattr(importlib.import_module(f"isavflow.{info.name}"), "__all__")
     }
     assert with_all == set(MODULE_ALL)
-    assert sum(len(names) for names in MODULE_ALL.values()) == 37
+    assert sum(len(names) for names in MODULE_ALL.values()) == 34

@@ -287,6 +287,25 @@ class TestBootstrap:
         assert state.r_n == pytest.approx(be.r_report)
 
 
+class TestModelParams:
+    @pytest.mark.parametrize("bad, match", [
+        ({"alpha": 2.0}, "alpha"),
+        ({"gamma": 0.0}, "gamma"),
+        ({"S": -1e-12}, "S must"),
+        ({"tau": 0.0}, "tau must"),
+        ({"tau": -0.1}, "tau must"),
+        ({"tau": math.nan}, "tau must"),
+        ({"tau": 1e300, "S": 1e10}, "finite"),
+        ({"S": math.inf}, "finite"),
+    ], ids=["alpha", "gamma", "S-negative", "tau-zero", "tau-negative", "tau-nan",
+            "tauS-overflow", "S-inf"])
+    def test_rejects_bad_params(self, bad, match):
+        good = dict(alpha=0.5, gamma=1.0, S=1.0, tau=0.1, potential=DoubleWell())
+        ModelParams(**good)
+        with pytest.raises(ValueError, match=match):
+            ModelParams(**{**good, **bad})
+
+
 class TestLibraryLoop:
     def setup_loop(self, rng, scheme=Scheme.ISAV_BE):
         g = make_grid(16, 16, TWO_PI, TWO_PI)
@@ -298,25 +317,27 @@ class TestLibraryLoop:
         from isavflow import schemes
 
         built = []
-        real = schemes.operator_symbols
-        monkeypatch.setattr(schemes, "operator_symbols",
-                            lambda *a: built.append(a) or real(*a))
+        real = schemes.Scratch
+        monkeypatch.setattr(schemes, "Scratch", lambda *a: built.append(a) or real(*a))
         g, p, state = self.setup_loop(rng)
         for record in (True, False, True):
             state, _ = step(state, p, record=record)
         assert len(built) == 1
         assert p.symbols(g) is p.symbols(g)
 
-    def test_copies_share_symbols_unless_the_operator_changes(self, rng):
+    def test_copies_build_their_own_symbols(self, rng):
         from dataclasses import replace
 
         g, p, _ = self.setup_loop(rng)
         sym = p.symbols(g)
-        assert replace(p, S=0.0, assert_energy=True).symbols(g) is sym
+        copy = replace(p, S=0.0, assert_energy=True)
+        assert copy.symbols(g) is not sym
+        assert np.array_equal(copy.symbols(g).g_sym, sym.g_sym)
+        assert p.symbols(g) is sym
         for other in (replace(p, gamma=2 * p.gamma), replace(p, alpha=0.5)):
             assert not np.array_equal(other.symbols(g).g_sym, sym.g_sym)
         assert np.array_equal(replace(p, gamma=2 * p.gamma).symbols(g).g_sym, 2 * sym.g_sym)
-        assert p.symbols(make_grid(8, 8, TWO_PI, TWO_PI)).lap.shape == (8, 5)
+        assert p.symbols(make_grid(8, 8, TWO_PI, TWO_PI)).g_sym.shape == (8, 5)
 
     def test_record_after_unrecorded_steps_matches_full_records(self, rng):
         # the decrements of a recording step take the previous level's

@@ -63,7 +63,7 @@ class TestScratchIsolation:
     def test_no_scratch_escapes_a_step(self, scheme):
         state, params = prepare(scheme)
         grid = state.phi_n.grid
-        ws = params.symbols(grid).scratch(grid)
+        ws = params.symbols(grid)
         scratch = ws.real + ws.spec + ws.power
         # the recording step after two without records takes the previous
         # level's energies from that state, through the scratch buffers

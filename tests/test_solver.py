@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from isavflow import Field, make_grid
-from isavflow.spectral import inner_hat
 
 from conftest import even_symbol, random_field
-from oracles import RankOneSystem, apply_symbol, dense_solve_oracle, inner, rank_one_solve
+from oracles import (RankOneSystem, apply_symbol, dense_solve_oracle, inner, inner_hat,
+                     rank_one_solve)
 
 
 def random_system(grid, rng, w=None):

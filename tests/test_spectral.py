@@ -3,11 +3,17 @@
 import numpy as np
 import pytest
 
-from isavflow import Field, make_grid, operator_symbols, resample
+from isavflow import DoubleWell, Field, ModelParams, make_grid, resample
 from isavflow.spectral import quad_form_hat
 
 from conftest import TWO_PI, even_symbol, random_field
 from oracles import apply_symbol, inner
+
+
+def g_sym(g, alpha, gamma):
+    """The mobility symbol gamma*|k|^(2*alpha) that steps on g use."""
+    params = ModelParams(alpha=alpha, gamma=gamma, S=0.0, tau=1.0, potential=DoubleWell())
+    return params.symbols(g).g_sym
 
 
 class TestGrid:
@@ -61,9 +67,8 @@ class TestApplySymbol:
     def test_mobility_symbol(self):
         g = make_grid(16, 16, TWO_PI, TWO_PI)
         X, _ = g.nodes()
-        sym = operator_symbols(g, alpha=1.0, gamma=0.01)
         u = Field(g, np.cos(X))
-        out = apply_symbol(u, sym.g_sym)
+        out = apply_symbol(u, g_sym(g, alpha=1.0, gamma=0.01))
         assert np.abs(out.values - 0.01 * u.values).max() < 1e-14
 
     def test_zero_field(self, rng):
@@ -93,22 +98,14 @@ class TestApplySymbol:
 class TestOperatorSymbols:
     def test_zero_mode_convention(self):
         g = make_grid(8, 8, 1.0, 1.0)
-        assert operator_symbols(g, alpha=1.0, gamma=0.3).g_sym[0, 0] == 0.0
-        assert operator_symbols(g, alpha=0.5, gamma=0.3).g_sym[0, 0] == 0.0
-        assert operator_symbols(g, alpha=0.0, gamma=0.3).g_sym[0, 0] == pytest.approx(0.3)
+        assert g_sym(g, alpha=1.0, gamma=0.3)[0, 0] == 0.0
+        assert g_sym(g, alpha=0.5, gamma=0.3)[0, 0] == 0.0
+        assert g_sym(g, alpha=0.0, gamma=0.3)[0, 0] == pytest.approx(0.3)
 
     def test_symbols_nonnegative(self):
         g = make_grid(12, 8, 2.0, 3.0)
-        sym = operator_symbols(g, alpha=0.7, gamma=2.0)
-        for arr in (sym.lap, sym.g_sym):
+        for arr in (g.lap_sym, g_sym(g, alpha=0.7, gamma=2.0)):
             assert np.all(arr >= 0.0)
-
-    def test_rejects_bad_params(self):
-        g = make_grid(8, 8, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            operator_symbols(g, alpha=2.0, gamma=1.0)
-        with pytest.raises(ValueError):
-            operator_symbols(g, alpha=0.5, gamma=0.0)
 
 
 class TestInnerAndNorms:
@@ -137,29 +134,26 @@ class TestInnerAndNorms:
     def test_gradient_seminorm(self):
         g = make_grid(32, 32, TWO_PI, TWO_PI)
         X, Y = g.nodes()
-        sym = operator_symbols(g, alpha=1.0, gamma=1.0)
         hat = Field(g, np.sin(X) * np.sin(Y)).spectrum()
-        grad_sq = quad_form_hat(g, hat, sym.lap)
+        grad_sq = quad_form_hat(g, hat, g.lap_sym)
         assert grad_sq == pytest.approx(2 * np.pi**2, rel=1e-13)
         h1 = np.sqrt(quad_form_hat(g, hat) + grad_sq)
         assert h1 == pytest.approx(np.sqrt(np.pi**2 + 2 * np.pi**2), rel=1e-13)
 
     def test_constant_has_no_seminorms(self):
         g = make_grid(16, 16, TWO_PI, TWO_PI)
-        sym = operator_symbols(g, alpha=1.0, gamma=0.5)
         hat = Field(g, np.full(g.shape, 3.7)).spectrum()
-        assert quad_form_hat(g, hat, sym.lap) == 0.0
-        assert quad_form_hat(g, hat, sym.g_sym) == 0.0
+        assert quad_form_hat(g, hat, g.lap_sym) == 0.0
+        assert quad_form_hat(g, hat, g_sym(g, alpha=1.0, gamma=0.5)) == 0.0
 
     def test_mobility_seminorm_alpha_zero(self):
         # brute-force quadrature oracle: 0.1 * int cos(x)^2 = 0.1 * 2 pi^2
         g = make_grid(32, 32, TWO_PI, TWO_PI)
         X, _ = g.nodes()
-        sym = operator_symbols(g, alpha=0.0, gamma=0.1)
         u = Field(g, np.cos(X))
         oracle = g.quad(0.1 * np.cos(X) ** 2)
         assert oracle == pytest.approx(0.2 * np.pi**2, rel=1e-13)
-        assert quad_form_hat(g, u.spectrum(), sym.g_sym) == pytest.approx(oracle, rel=1e-12)
+        assert quad_form_hat(g, u.spectrum(), g_sym(g, alpha=0.0, gamma=0.1)) == pytest.approx(oracle, rel=1e-12)
 
 
 class TestTransformProperties:
@@ -182,8 +176,7 @@ class TestTransformProperties:
     def test_self_adjointness(self, rng):
         g = make_grid(12, 12, 2.0, 2.0)
         for alpha in (0.0, 0.5, 1.0):
-            sym = operator_symbols(g, alpha=alpha, gamma=1.3)
-            for s in (sym.lap, sym.g_sym):
+            for s in (g.lap_sym, g_sym(g, alpha=alpha, gamma=1.3)):
                 u, v = random_field(g, rng), random_field(g, rng)
                 lhs = inner(apply_symbol(u, s), v)
                 rhs = inner(u, apply_symbol(v, s))
