@@ -99,6 +99,18 @@ def write_series_csv(path, rows, columns=SERIES_COLUMNS) -> None:
             w.writerow([_fmt(row[c]) for c in columns])
 
 
+def _claim_table_path(path) -> None:
+    """Create the directory of a table before the sweep that fills it, so
+    that a path that cannot be written fails as a ConfigError up front
+    rather than after the sweep."""
+    if os.path.isdir(path):
+        raise ConfigError(f"{path}: is a directory, not a table file")
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot create its directory ({exc.strerror or exc})") from exc
+
+
 def write_snapshot(path, field: Field, t: float) -> None:
     """Plain-text field dump: header 'nx ny lx ly t', then one line per x
     index holding its ny values at 17 significant digits ('%.17g'), which
@@ -260,6 +272,8 @@ def convergence_study(base_cfg: RunConfig, taus=None, grids=None,
             for n in (ref_grid_n, *grids)
         )
         labels = [int(n) for n in grids]
+    if out_path is not None:
+        _claim_table_path(out_path)
     ref, *finals = (
         run_simulation(cfg, write_outputs=False, record=False).final_state.phi_n
         for cfg in (ref_cfg, *members)
@@ -292,6 +306,8 @@ def compare_schemes(cfg_a: RunConfig, cfg_b: RunConfig, out_path=None):
         raise ConfigError("compare: configs must be identical apart from the scheme")
     if cfg_a.outputs["record_every"] != cfg_b.outputs["record_every"]:
         raise ConfigError("compare: outputs.record_every must match between the configs")
+    if out_path is not None:
+        _claim_table_path(out_path)
     # Only run A's records outlive it, not its final state, while B runs.
     records_a = run_simulation(cfg_a, write_outputs=False).records
     records_b = run_simulation(cfg_b, write_outputs=False).records

@@ -56,13 +56,10 @@ class Scheme(str, Enum):
     SAV_BDF = "sav-bdf"
     ISAV_BDF = "isav-bdf"
 
-    @property
-    def is_bdf(self) -> bool:
-        return self in (Scheme.SAV_BDF, Scheme.ISAV_BDF)
-
-    @property
-    def is_improved(self) -> bool:
-        return self in (Scheme.ISAV_BE, Scheme.ISAV_BDF)
+    def __init__(self, value):
+        # Plain attributes, not properties: a step reads them several times.
+        self.is_bdf = value.endswith("-bdf")
+        self.is_improved = value.startswith("isav-")
 
 
 class EnergyLawViolation(RuntimeError):
@@ -113,9 +110,13 @@ class Scratch:
     rebuilding or allocating: the mobility symbol g_sym = gamma*|k|^(2*alpha)
     on the rfft2 half spectrum (its zero mode is gamma for alpha = 0, the
     operator gamma*I, and vanishes for alpha > 0, which conserves the mean),
-    the solve factors keyed by (S, scheme family), and work arrays: ``real``
-    on the grid, ``spec`` (complex) on the half spectrum, and ``power``
-    (real) on the half spectrum, where quad_form_hat builds |u_hat|^2.
+    the solve factors keyed by (S, scheme family), complex copies of the
+    grid's lap_sym and mode_weight (so that their products with spectra
+    need no float-to-complex cast buffer; the bits are those of the real
+    symbols), and work arrays: ``real`` on the grid, ``spec`` (complex) on
+    the half spectrum, and ``power``, two real half-spectrum arrays in the
+    memory of spec[3], where the energy quadratic forms of a record build
+    |u_hat|^2 (the step's use of spec[3] ends before records are built).
 
     Every user writes a work array in full before reading it, and keeps
     nothing that aliases one past its return, so callers may share a Scratch.
@@ -124,10 +125,13 @@ class Scratch:
     def __init__(self, grid: Grid, alpha: float, gamma: float):
         lap = grid.lap_sym
         self.g_sym = gamma * lap**alpha if alpha != 0.0 else gamma * np.ones_like(lap)
+        self.lap_c = lap.astype(complex)
+        self.weight_c = grid.mode_weight.astype(complex)
         self.factors = {}
         self.real = tuple(np.empty(grid.shape) for _ in range(4))
         self.spec = tuple(np.empty(grid.spectral_shape, dtype=complex) for _ in range(4))
-        self.power = tuple(np.empty(grid.spectral_shape) for _ in range(2))
+        self.power = tuple(h.reshape(grid.spectral_shape)
+                           for h in self.spec[3].view(float).reshape(2, -1))
         # The memory of spec[0] (room for nx*(ny+2) floats) seen as one
         # more real grid array, for a user that leaves spec[0] idle.
         flat = self.spec[0].view(float).reshape(-1)
@@ -208,19 +212,20 @@ def make_initial_state(scheme: Scheme, phi0: Field, potential: Potential) -> Sch
 # ---------------------------------------------------------------------------
 
 
-def _rank_one_core(grid: Grid, z1_hat, z2_hat, b_hat, w, work=None):
-    """Sherman-Morrison solve of diag*phi + w*<b, phi>*gb = rhs, entirely on
-    the half spectrum: z1 = diag^{-1} gb and z2 = diag^{-1} rhs are the two
-    diagonal solves, <b, z1> and <b, z2> are Parseval sums over one
-    weighted b_hat, and the only transform is the inverse of the solution.
-    work, a complex array of the spectral shape, takes the temporaries.
+def _rank_one_core(grid: Grid, z_hat, y_hat, wu_hat, w, a=0.0, r=1.0, work=None):
+    """Sherman-Morrison solve of phi + (a + w*<b, phi>) z/r = y with
+    b = u/r, entirely on the half spectrum. For diag*phi + w*<b, phi>*gb =
+    rhs - a*gb, z = r*diag^{-1} gb and y = diag^{-1} rhs are the two
+    diagonal solves. wu_hat is u's spectrum weighted by grid.mode_weight,
+    so <b, z> and <b, y> are Parseval sums over it divided by r; the one
+    update of phi_hat is y - ((a + w*<b, phi>)/r) z, and the only transform
+    is the inverse of the solution. work, a complex array of the spectral
+    shape that may be z_hat or wu_hat, takes the temporaries.
     Returns (phi_values, phi_hat, <b, phi>).
     """
-    wb_hat = np.multiply(grid.mode_weight, b_hat, out=work)
-    s1 = _parseval(grid, wb_hat, z1_hat)
-    s2 = _parseval(grid, wb_hat, z2_hat)
-    bracket = s2 / (1.0 + w * s1)
-    phi_hat = z2_hat - np.multiply(z1_hat, w * bracket, out=work)
+    bz = _parseval(grid, wu_hat, z_hat) / (r * r)
+    bracket = (_parseval(grid, wu_hat, y_hat) / r - a * bz) / (1.0 + w * bz)
+    phi_hat = y_hat - np.multiply(z_hat, (a + w * bracket) / r, out=work)
     return grid.inverse(phi_hat, work), phi_hat, bracket
 
 
@@ -288,6 +293,14 @@ def step(state: SchemeState, params: ModelParams, record=True):
     carried), one fused potential pass gives both. phi* stays a work
     array, so phi^{n+1} is the one field a step checks for finiteness.
 
+    b itself is never formed: the forward transform takes f(phi*), and
+    1/sqrt(int F(phi*)) goes into the scalars. One mode-weighted copy of
+    f's spectrum gives every <b, .> as a Parseval sum, and
+    _rank_one_core builds phi_hat^{n+1} = hist - ((k*c + (k/2)*<b,
+    phi^{n+1}>)/r*) z in one update, with hist the history spectrum over
+    the diagonal, z = (G/diag) f_hat and r* = sqrt(int F(phi*)); the
+    right-hand side's own solve diag^{-1} rhs is never formed.
+
     Returns (new_state, record). With record=False the record is None and
     the new state carries no diagnostics; the field is the same either
     way. A record's decrements take the previous level's energies from
@@ -299,7 +312,7 @@ def step(state: SchemeState, params: ModelParams, record=True):
     grid = state.phi_n.grid
     ws = params.symbols(grid)
     r0, r1, r2, r3 = ws.real
-    b_hat, c1, c2, c3 = ws.spec
+    f_hat, hist, z, wf = ws.spec
     F_work = (r1, r2, r3)
     pot, tau = params.potential, params.tau
     S = params.S if scheme.is_improved else 0.0
@@ -312,20 +325,18 @@ def step(state: SchemeState, params: ModelParams, record=True):
     else:
         star, F_star = phi, state.F_n
     if F_star is None:
-        # F goes into b_hat's memory, idle until the forward transform.
-        b = pot.f(star, r1, (r2, r3), F_out=ws.spec0_real)
+        # F goes into f_hat's memory, idle until the forward transform.
+        f = pot.f(star, r1, (r2, r3), F_out=ws.spec0_real)
         F_star = grid.quad(ws.spec0_real)
         if not bdf:
             state.F_n = F_star
     else:
-        b = pot.f(star, r1, (r2, r3))
+        f = pot.f(star, r1, (r2, r3))
     r_star = math.sqrt(check_bulk(F_star))
-    b /= r_star
-    grid.forward(b, out=b_hat)
+    grid.forward(f, out=f_hat)
+    np.multiply(ws.weight_c, f_hat, out=wf)
     if bdf:
-        np.multiply(phi, 4.0, out=r0)
-        r0 -= phim
-        ip = grid.quad(np.multiply(b, r0, out=r0))
+        ip = (4.0 * _parseval(grid, wf, phi_hat) - _parseval(grid, wf, phim_hat)) / r_star
         if scheme.is_improved:
             F_n, F_m = state.bulk_n(pot, F_work), state.bulk_nm1(pot, F_work)
             r_hist = (4.0 * math.sqrt(check_bulk(F_n)) - math.sqrt(check_bulk(F_m))) / 3.0
@@ -334,19 +345,17 @@ def step(state: SchemeState, params: ModelParams, record=True):
         c = r_hist - ip / 6.0
         k = 2.0 * tau
         g_d, cn_d, cm_d = _solve_factors(ws, grid.lap_sym, tau, S, True)
-        np.multiply(cn_d, phi_hat, out=c1)
-        c1 -= np.multiply(cm_d, phim_hat, out=c2)
+        np.multiply(cn_d, phi_hat, out=hist)
+        hist -= np.multiply(cm_d, phim_hat, out=z)
     else:
-        ip = grid.quad(np.multiply(b, phi, out=r0))
+        ip = _parseval(grid, wf, phi_hat) / r_star
         r = state.r_n if scheme is Scheme.SAV_BE else r_star
         c = r - 0.5 * ip
         k = tau
         g_d, cn_d, _ = _solve_factors(ws, grid.lap_sym, tau, S, False)
-        np.multiply(cn_d, phi_hat, out=c1)
-    # c1 holds the history term; subtracting (k c) z1 makes it z2.
-    z1_hat = np.multiply(g_d, b_hat, out=c2)
-    c1 -= np.multiply(z1_hat, k * c, out=c3)
-    new_values, new_hat, bracket = _rank_one_core(grid, z1_hat, c1, b_hat, 0.5 * k, c3)
+        np.multiply(cn_d, phi_hat, out=hist)
+    np.multiply(g_d, f_hat, out=z)
+    new_values, new_hat, bracket = _rank_one_core(grid, z, hist, wf, 0.5 * k, k * c, r_star, wf)
     r_new = c + 0.5 * bracket if bdf else r + 0.5 * (bracket - ip)
     new = SchemeState(
         scheme=scheme,
@@ -362,8 +371,10 @@ def step(state: SchemeState, params: ModelParams, record=True):
         return new, None
 
     # Diagnostics, built from spectra already in hand: no transform.
-    mu_hat = grid.lap_sym * new_hat
-    mu_hat += np.multiply(b_hat, r_new, out=c1)
+    # mu = L phi^{n+1} + r^{n+1} b (+ the damping term), b_hat = f_hat/r_star.
+    c1 = hist  # free once the solve is done
+    mu_hat = np.multiply(ws.lap_c, new_hat)
+    mu_hat += np.multiply(f_hat, r_new / r_star, out=c1)
     if scheme.is_improved:
         if bdf:
             np.multiply(phi_hat, 2.0, out=c1)

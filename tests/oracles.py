@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from isavflow import Field, bulk_energy, schemes
+from isavflow import Field, Scheme, bulk_energy, schemes
 from isavflow.potentials import Potential, _as_array, _as_input, _output
 from isavflow.spectral import _parseval, quad_form_hat
 
@@ -83,6 +83,55 @@ def e2_energy(phi_n: Field, phi_nm1: Field, potential: Potential, S: float) -> f
     )
 
 
+def reference_step(state, params):
+    """One step of state's scheme, (phi^{n+1} values, r^{n+1}), written
+    straight from the formulas in schemes.step's docstring: b =
+    f(phi*)/sqrt(int F(phi*)) formed on the grid, every <.,.> a nodal
+    quadrature, z1 = diag^{-1} G b and z2 = diag^{-1} rhs formed as fields,
+    then the Sherman-Morrison correction phi = z2 - (k/2) <b,z2>/(1 +
+    (k/2) <b,z1>) z1. Slow, and shares nothing with the step beyond the
+    transforms and the potential's F and f."""
+    scheme = state.scheme
+    g = state.phi_n.grid
+    phi = Field(g, state.phi_n.values)  # transformed afresh, not carried
+    pot, tau = params.potential, params.tau
+    improved = scheme in (Scheme.ISAV_BE, Scheme.ISAV_BDF)
+    bdf = scheme in (Scheme.SAV_BDF, Scheme.ISAV_BDF) and state.phi_nm1 is not None
+    S = params.S if improved else 0.0
+    lap = g.lap_sym
+    G = params.gamma * lap**params.alpha  # 0**0 = 1: G = gamma*I for alpha = 0
+
+    def r_of(values):
+        return math.sqrt(g.quad(pot.F(values)))
+
+    if bdf:
+        phim = Field(g, state.phi_nm1.values)
+        star = 2.0 * phi.values - phim.values
+        a, k = 3.0, 2.0 * tau
+    else:
+        star = phi.values
+        a, k = 1.0, tau
+    b = Field(g, pot.f(star) / r_of(star))
+    if bdf:
+        r_n, r_m = (r_of(phi.values), r_of(phim.values)) if improved else (state.r_n, state.r_nm1)
+        c = (4.0 * r_n - r_m) / 3.0 - inner(b, Field(g, 4.0 * phi.values - phim.values)) / 6.0
+        hist = (apply_symbol(phi, 4.0 + 4.0 * tau * S * G).values
+                - apply_symbol(phim, 1.0 + 2.0 * tau * S * G).values)
+    else:
+        r_n = state.r_n if scheme is Scheme.SAV_BE else r_of(phi.values)
+        c = r_n - 0.5 * inner(b, phi)
+        hist = apply_symbol(phi, 1.0 + tau * S * G).values
+    gb = apply_symbol(b, G)
+    rhs = Field(g, hist - k * c * gb.values)
+    diag = a + k * G * (lap + S)
+    z1, z2 = apply_symbol(gb, 1.0 / diag), apply_symbol(rhs, 1.0 / diag)
+    w = 0.5 * k
+    new = z2.values - w * inner(b, z2) / (1.0 + w * inner(b, z1)) * z1.values
+    b_new = inner(b, Field(g, new))
+    r_new = c + 0.5 * b_new if bdf else r_n + 0.5 * (b_new - inner(b, phi))
+    return new, r_new
+
+
 @dataclass
 class RankOneSystem:
     """Linear system diag*phi + w*<b, phi>*gb = rhs: diag a per-mode symbol
@@ -104,7 +153,8 @@ def rank_one_solve(sys: RankOneSystem) -> Field:
     if sys.diag.shape != g.spectral_shape:
         raise ValueError("diag symbol does not match the grid's spectral layout")
     phi, phi_hat, _ = schemes._rank_one_core(
-        g, sys.gb.spectrum() / sys.diag, sys.rhs.spectrum() / sys.diag, sys.b.spectrum(), sys.w)
+        g, sys.gb.spectrum() / sys.diag, sys.rhs.spectrum() / sys.diag,
+        g.mode_weight * sys.b.spectrum(), sys.w)
     return Field(g, phi, phi_hat)
 
 

@@ -717,3 +717,38 @@ class TestCli:
         out = str(tmp_path / "cmp.csv")
         assert main(["compare", pa, pb, "--out", out]) == 0
         assert os.path.exists(out)
+
+    def test_config_path_is_a_directory_exit_2(self, tmp_path, capsys):
+        assert main(["run", str(tmp_path)]) == 2
+        assert "cannot read" in capsys.readouterr().err
+
+    def test_config_not_utf8_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"preset": "ex1-isav-be", "note": "é"}'.encode("latin-1"))
+        assert main(["run", str(path)]) == 2
+        assert "not UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where, why", [("file/sub/table.csv", "cannot create its directory"),
+                                            ("dir", "is a directory")],
+                             ids=["under-a-file", "a-directory"])
+    @pytest.mark.parametrize("command", ["converge", "compare"])
+    def test_unwritable_table_exits_2_before_the_sweep(self, tmp_path, capsys, monkeypatch,
+                                                       command, where, why):
+        # the table's directory is made before the first step, so a path
+        # that cannot hold the table fails at once, not after the sweep
+        import isavflow.harness as harness
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep started")
+
+        monkeypatch.setattr(harness, "run_simulation", no_sweep)
+        base = {"preset": "ex1-sav-be", "tau": 0.05, "t_end": 0.25,
+                "grid": {"nx": 8, "ny": 8, "lx": TWO_PI, "ly": TWO_PI}}
+        pa = write_cfg(tmp_path, base, "a.json")
+        pb = write_cfg(tmp_path, {**base, "scheme": "isav-be"}, "b.json")
+        (tmp_path / "file").write_text("")
+        (tmp_path / "dir").mkdir()
+        args = [pa, "--taus", "0.05"] if command == "converge" else [pa, pb]
+        assert main([command, *args, "--out", str(tmp_path / where)]) == 2
+        assert why in capsys.readouterr().err
+        assert (tmp_path / "file").read_text() == ""

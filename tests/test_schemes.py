@@ -19,11 +19,11 @@ from isavflow import (
     step,
     suggest_S,
 )
-from isavflow.config import initial_field
+from isavflow.config import config_from_dict, initial_field
 from isavflow.diagnostics import h1_error
 
 from conftest import TWO_PI, ex1_config, final_field, random_field
-from oracles import ConstantPotential, apply_symbol, inner
+from oracles import ConstantPotential, apply_symbol, inner, reference_step
 
 
 def const_params(alpha=0.0, gamma=0.1, S=0.0, tau=0.1):
@@ -371,3 +371,30 @@ class TestAgainstReference:
         ]
         assert errs[0] <= 3.91e-4 * 2
         assert 1.9 <= math.log2(errs[0] / errs[1]) <= 2.15
+
+
+class TestMatchesReferenceStep:
+    # step against the slow reference written from its docstring formulas
+    # (b on the grid, quadrature inner products, z2 formed): the first
+    # step of each scheme (a BE step for the BDF schemes) and a later one,
+    # under the double well (ex1) and Flory-Huggins (ex3) on 16^2
+    @pytest.mark.parametrize("record", [True, False], ids=["records", "no-records"])
+    @pytest.mark.parametrize("later", [False, True], ids=["first-step", "later-step"])
+    @pytest.mark.parametrize("example", ["ex1", "ex3"], ids=["double-well", "flory-huggins"])
+    @pytest.mark.parametrize("scheme", [s.value for s in Scheme])
+    def test_step_matches_reference(self, scheme, example, later, record):
+        cfg = config_from_dict({"preset": f"{example}-{scheme}", "grid": {"nx": 16, "ny": 16}})
+        grid = cfg.make_grid()
+        params = ModelParams(alpha=cfg.model["alpha"], gamma=cfg.model["gamma"], S=cfg.S,
+                             tau=cfg.tau, potential=cfg.make_potential())
+        state = make_initial_state(scheme, initial_field(cfg.init, grid), params.potential)
+        for _ in range(3 if later else 0):
+            state, _ = step(state, params, record=False)
+        assert (state.phi_nm1 is not None) == (later and "bdf" in scheme)
+        want, r_want = reference_step(state, params)
+        new, _ = step(state, params, record)
+        assert np.abs(new.phi_n.values - want).max() <= 1e-12 * np.abs(want).max()
+        # a carried scalar can come out near 0 as the difference of terms
+        # of the size of r[phi^n] = sqrt(int F(phi^n)), which sets its scale
+        r_scale = max(abs(r_want), math.sqrt(bulk_energy(params.potential, state.phi_n)))
+        assert abs(new.r_report - r_want) <= 1e-12 * r_scale
