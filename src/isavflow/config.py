@@ -146,12 +146,8 @@ DEFAULT_OUTPUTS = {
 
 
 def preset_summary() -> str:
-    lines = []
-    for name, p in PRESETS.items():
-        lines.append(f"{name:4s}  {p['doc']}")
-    lines.append("")
-    lines.append("A preset may carry a scheme suffix, e.g. ex1-isav-be.")
-    return "\n".join(lines)
+    lines = [f"{name:4s}  {p['doc']}" for name, p in PRESETS.items()]
+    return "\n".join(lines + ["", "A preset may carry a scheme suffix, e.g. ex1-isav-be."])
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
@@ -310,18 +306,8 @@ def config_from_dict(doc: dict) -> RunConfig:
     assert_energy = doc.get("assert_energy", False)
     _expect(isinstance(assert_energy, bool), "assert_energy", "must be a boolean")
 
-    return RunConfig(
-        scheme=scheme,
-        grid=grid,
-        model=model,
-        potential=potential,
-        S=S,
-        tau=tau,
-        t_end=t_end,
-        init=init,
-        outputs=outputs,
-        assert_energy=assert_energy,
-    )
+    return RunConfig(scheme=scheme, grid=grid, model=model, potential=potential, S=S, tau=tau,
+                     t_end=t_end, init=init, outputs=outputs, assert_energy=assert_energy)
 
 
 def load_config(path) -> RunConfig:

@@ -55,13 +55,19 @@ SCHEME_FAILURES = (NonPositiveBulkEnergyError, EnergyLawViolation, NonFiniteFiel
 
 class SchemeRuntimeError(RuntimeError):
     """A scheme failed mid-run (nonpositive bulk integral, a violated
-    energy-law assertion or a non-finite field); carries the failing step
-    index."""
+    energy-law assertion or a non-finite field). Carries the failing step
+    index, its time t, the scheme, the cause, and phi_min, phi_max: the
+    range of the last good level (None for a failure at step 0)."""
 
-    def __init__(self, step_index: int, cause: Exception):
-        super().__init__(f"scheme failed at step {step_index}: {cause}")
-        self.step_index = step_index
-        self.cause = cause
+    def __init__(self, step_index: int, cause: Exception, t: float, scheme: str,
+                 last: Field | None = None):
+        self.step_index, self.cause, self.t, self.scheme = step_index, cause, t, scheme
+        self.phi_min = self.phi_max = None
+        where = ""
+        if last is not None:
+            self.phi_min, self.phi_max = float(last.values.min()), float(last.values.max())
+            where = f", last good level in [{self.phi_min}, {self.phi_max}]"
+        super().__init__(f"scheme failed at step {step_index}: {cause}; t={t}, scheme {scheme}{where}")
 
 
 @dataclass
@@ -99,14 +105,14 @@ def write_series_csv(path, rows, columns=SERIES_COLUMNS) -> None:
             w.writerow([_fmt(row[c]) for c in columns])
 
 
-def _claim_table_path(path) -> None:
-    """Create the directory of a table before the sweep that fills it, so
-    that a path that cannot be written fails as a ConfigError up front
-    rather than after the sweep."""
-    if os.path.isdir(path):
-        raise ConfigError(f"{path}: is a directory, not a table file")
+def _claim_path(path, is_dir=False) -> None:
+    """Create an output file's directory (or the output directory itself)
+    before the steps that fill it, so that a path that cannot be written
+    fails as a ConfigError up front rather than after the run or sweep."""
+    if not is_dir and os.path.isdir(path):
+        raise ConfigError(f"{path}: is a directory, not a file")
     try:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        os.makedirs(path if is_dir else os.path.dirname(path) or ".", exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"{path}: cannot create its directory ({exc.strerror or exc})") from exc
 
@@ -162,10 +168,11 @@ def run_simulation(cfg: RunConfig, outdir=None, write_outputs=True, record=True)
     of record_every and n_steps, and only those rows are built. With
     record=False no diagnostics are built, the series is empty and the
     energy-law assertions (which check records) are off; the trajectory is
-    the same. A scheme failure (nonpositive bulk
-    integral, violated assertion, non-finite field) aborts the run; the
-    rows accumulated so far are still written before the error propagates
-    with the failing step index.
+    the same. The series and snapshot directories are made before the
+    first step; a path that cannot hold them is a ConfigError. A scheme
+    failure (nonpositive bulk integral, violated assertion, non-finite
+    field) aborts the run; the rows accumulated so far are still written
+    before the error propagates with the failing step and its context.
     """
     grid = cfg.make_grid()
     pot = cfg.make_potential()
@@ -183,6 +190,10 @@ def run_simulation(cfg: RunConfig, outdir=None, write_outputs=True, record=True)
     snap_dir = os.path.join(out_base, cfg.outputs["snapshot_dir"])
     series_path = os.path.join(out_base, cfg.outputs["series_path"]) if write_outputs else None
     n_total = cfg.n_steps()
+    if write_outputs:
+        _claim_path(series_path)
+        if snap_at:
+            _claim_path(snap_dir, is_dir=True)
 
     snapshot_paths = []
 
@@ -196,7 +207,7 @@ def run_simulation(cfg: RunConfig, outdir=None, write_outputs=True, record=True)
         state = make_initial_state(cfg.scheme, initial_field(cfg.init, grid), pot)
         records = [record_step(state, params)] if kept(0) else []
     except SCHEME_FAILURES as exc:
-        raise SchemeRuntimeError(0, exc) from exc
+        raise SchemeRuntimeError(0, exc, 0.0, cfg.scheme) from exc
     maybe_snapshot(0, state.phi_n)
 
     error = None
@@ -206,7 +217,7 @@ def run_simulation(cfg: RunConfig, outdir=None, write_outputs=True, record=True)
         try:
             state, rec = step(state, params, record=keep or (record and params.assert_energy))
         except SCHEME_FAILURES as exc:
-            error = SchemeRuntimeError(n, exc)
+            error = SchemeRuntimeError(n, exc, n * cfg.tau, cfg.scheme, state.phi_n)
             break
         if keep:
             records.append(rec)
@@ -273,7 +284,7 @@ def convergence_study(base_cfg: RunConfig, taus=None, grids=None,
         )
         labels = [int(n) for n in grids]
     if out_path is not None:
-        _claim_table_path(out_path)
+        _claim_path(out_path)
     ref, *finals = (
         run_simulation(cfg, write_outputs=False, record=False).final_state.phi_n
         for cfg in (ref_cfg, *members)
@@ -307,7 +318,7 @@ def compare_schemes(cfg_a: RunConfig, cfg_b: RunConfig, out_path=None):
     if cfg_a.outputs["record_every"] != cfg_b.outputs["record_every"]:
         raise ConfigError("compare: outputs.record_every must match between the configs")
     if out_path is not None:
-        _claim_table_path(out_path)
+        _claim_path(out_path)
     # Only run A's records outlive it, not its final state, while B runs.
     records_a = run_simulation(cfg_a, write_outputs=False).records
     records_b = run_simulation(cfg_b, write_outputs=False).records

@@ -34,7 +34,7 @@ import numpy as np
 
 from .diagnostics import level_energies, record_step
 from .potentials import Potential, bulk_energy, bulk_quad, check_bulk
-from .spectral import Field, Grid, _parseval
+from .spectral import Field, Grid, _parseval, quad_form_hat
 
 __all__ = [
     "Scheme",
@@ -110,13 +110,11 @@ class Scratch:
     rebuilding or allocating: the mobility symbol g_sym = gamma*|k|^(2*alpha)
     on the rfft2 half spectrum (its zero mode is gamma for alpha = 0, the
     operator gamma*I, and vanishes for alpha > 0, which conserves the mean),
-    the solve factors keyed by (S, scheme family), complex copies of the
-    grid's lap_sym and mode_weight (so that their products with spectra
-    need no float-to-complex cast buffer; the bits are those of the real
-    symbols), and work arrays: ``real`` on the grid, ``spec`` (complex) on
-    the half spectrum, and ``power``, two real half-spectrum arrays in the
-    memory of spec[3], where the energy quadratic forms of a record build
-    |u_hat|^2 (the step's use of spec[3] ends before records are built).
+    the solve factors keyed by (S, scheme family), complex copies of g_sym
+    and of the grid's lap_sym and mode_weight (so that their products with
+    spectra need no float-to-complex cast buffer; the bits are those of the
+    real symbols), and work arrays: ``real`` on the grid and ``spec``
+    (complex) on the half spectrum.
 
     Every user writes a work array in full before reading it, and keeps
     nothing that aliases one past its return, so callers may share a Scratch.
@@ -125,13 +123,12 @@ class Scratch:
     def __init__(self, grid: Grid, alpha: float, gamma: float):
         lap = grid.lap_sym
         self.g_sym = gamma * lap**alpha if alpha != 0.0 else gamma * np.ones_like(lap)
+        self.g_c = self.g_sym.astype(complex)
         self.lap_c = lap.astype(complex)
         self.weight_c = grid.mode_weight.astype(complex)
         self.factors = {}
         self.real = tuple(np.empty(grid.shape) for _ in range(4))
         self.spec = tuple(np.empty(grid.spectral_shape, dtype=complex) for _ in range(4))
-        self.power = tuple(h.reshape(grid.spectral_shape)
-                           for h in self.spec[3].view(float).reshape(2, -1))
         # The memory of spec[0] (room for nx*(ny+2) floats) seen as one
         # more real grid array, for a user that leaves spec[0] idle.
         flat = self.spec[0].view(float).reshape(-1)
@@ -372,8 +369,11 @@ def step(state: SchemeState, params: ModelParams, record=True):
 
     # Diagnostics, built from spectra already in hand: no transform.
     # mu = L phi^{n+1} + r^{n+1} b (+ the damping term), b_hat = f_hat/r_star.
+    # mu's first term L phi_hat^{n+1} is the product of 1/2 ||L^{1/2} phi^{n+1}||^2.
+    # np.empty, not empty_like: 32 more bytes made glibc map mu afresh every step at 128^2.
     c1 = hist  # free once the solve is done
-    mu_hat = np.multiply(ws.lap_c, new_hat)
+    mu_hat = np.empty(grid.spectral_shape, dtype=complex)
+    e_lin = 0.5 * quad_form_hat(grid, new_hat, ws.lap_c, mu_hat)
     mu_hat += np.multiply(f_hat, r_new / r_star, out=c1)
     if scheme.is_improved:
         if bdf:
@@ -386,7 +386,7 @@ def step(state: SchemeState, params: ModelParams, record=True):
         mu_hat += c1
     if scheme.is_bdf:
         new.F_nm1 = state.bulk_n(pot, F_work)
-    e_lin, _, E2 = level_energies(new, pot, S, ws)
+    E2 = level_energies(new, pot, S, ws, e_lin)[2]
     new.diag = StepDiagnostics(e_lin=e_lin, mu_hat=mu_hat, E2=E2)
     rec = record_step(new, params, state)
     if params.assert_energy:

@@ -23,7 +23,7 @@ from isavflow.harness import run_simulation
 from isavflow.spectral import quad_form_hat
 
 from conftest import TWO_PI, random_field
-from oracles import ConstantPotential, e2_energy
+from oracles import ConstantPotential, e2_energy, quad_form_reference
 
 
 class TestOriginalEnergy:
@@ -174,6 +174,49 @@ class TestRecordStep:
     def test_mass_and_range(self, rng):
         g, pot, p, state = self.setup_state(rng)
         rec = record_step(state, p)
-        assert rec.mass == pytest.approx(state.phi_n.values.mean())
+        assert rec.mass == state.phi_n.values.mean()  # sum/size keeps the bits of mean()
         assert rec.min_phi == state.phi_n.values.min()
         assert rec.max_phi == state.phi_n.values.max()
+
+
+class TestEnergyColumnsMatchOracle:
+    # Every energy column of a run, against the same quantities built from
+    # the run's levels with the six-pass reference quadratic form, the
+    # bulk integral by nodal quadrature and the written-out E2.
+    @pytest.mark.parametrize("scheme", [s.value for s in Scheme])
+    @pytest.mark.parametrize("example", ["ex1", "ex2", "ex3", "ex4"])
+    def test_energy_columns(self, example, scheme):
+        cfg = config_from_dict({"preset": f"{example}-{scheme}", "grid": {"nx": 16, "ny": 16}})
+        cfg.t_end = 10 * cfg.tau
+        records = run_simulation(cfg, write_outputs=False).records
+        g, pot = cfg.make_grid(), cfg.make_potential()
+        p = ModelParams(alpha=cfg.model["alpha"], gamma=cfg.model["gamma"], S=cfg.S,
+                        tau=cfg.tau, potential=pot)
+        S = p.S if scheme.startswith("isav-") else 0.0
+        lap = g.lap_sym
+        G = p.gamma * lap**p.alpha  # 0**0 = 1: G = gamma*I for alpha = 0
+        state = make_initial_state(scheme, initial_field(cfg.init, g), pot)
+        prev = None  # (E_orig, E2) of the previous level
+        for n, rec in enumerate(records):
+            if n:
+                state, _ = step(state, p)
+            phi = state.phi_n
+            e_lin = 0.5 * quad_form_reference(g, phi.spectrum(), lap)
+            E_orig = e_lin + g.quad(pot.F(phi.values))
+            E2 = None
+            if scheme.endswith("-bdf") and state.phi_nm1 is not None:
+                E2 = e2_energy(phi, state.phi_nm1, pot, S)
+            expect = {"E_orig": E_orig, "E_mod": e_lin + state.r_report**2, "E2": E2,
+                      "D_be": None, "D_bdf": None}
+            if prev is not None:
+                ghalf_sq = p.tau * quad_form_reference(g, state.diag.mu_hat, G)
+                expect["D_be"] = E_orig - prev[0] + ghalf_sq
+                if E2 is not None and prev[1] is not None:
+                    expect["D_bdf"] = E2 - prev[1] + ghalf_sq
+            tol = 1e-13 * max(1.0, abs(E_orig))
+            for name, value in expect.items():
+                got = getattr(rec, name)
+                assert (got is None) == (value is None), (name, n)
+                if value is not None:
+                    assert abs(got - value) <= tol, (name, n, got, value)
+            prev = (E_orig, E2)

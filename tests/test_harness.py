@@ -418,7 +418,10 @@ class TestRunSimulation:
         cfg = config_from_dict(doc)
         with pytest.raises(SchemeRuntimeError) as info:
             run_simulation(cfg)
-        assert info.value.step_index >= 1
+        exc = info.value
+        assert exc.step_index >= 1
+        assert (exc.t, exc.scheme) == (exc.step_index * 0.01, "isav-be")
+        assert -1.5 < exc.phi_min < exc.phi_max < 1.5
         assert os.path.exists(tmp_path / "s.csv")
 
     def test_outdir_env_override(self, tmp_path, monkeypatch):
@@ -614,7 +617,7 @@ class TestCli:
         path.write_text("{not json")
         assert main(["run", str(path)]) == 2
 
-    def test_runtime_error_exit_code(self, tmp_path):
+    def test_runtime_error_exit_code(self, tmp_path, capsys):
         doc = {
             "preset": "ex2-isav-be",
             "grid": {"nx": 32, "ny": 32, "lx": 6.4, "ly": 6.4},
@@ -624,6 +627,15 @@ class TestCli:
         }
         path = write_cfg(tmp_path, doc)
         assert main(["run", path]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: scheme failed at step ")
+        # the failing step's time and the range of the last good level,
+        # whose row is the last one the partial series holds
+        step_index = int(err.split("at step ")[1].split(":")[0])
+        last = (tmp_path / "s.csv").read_text().splitlines()[-1].split(",")
+        assert int(last[0]) == step_index - 1
+        assert err.rstrip().endswith(f"; t={step_index * 0.01}, scheme isav-be, "
+                                     f"last good level in [{last[-2]}, {last[-1]}]")
 
     def test_non_finite_field_exit_code(self, tmp_path, capsys):
         # a +-1e80 start overflows the bulk energy and the first step's
@@ -643,7 +655,9 @@ class TestCli:
             })
             with np.errstate(all="ignore"):
                 assert main(["run", path]) == 3, scheme
-            assert "step 1:" in capsys.readouterr().err, scheme
+            err = capsys.readouterr().err
+            assert "step 1:" in err, scheme
+            assert f"; t=0.05, scheme {scheme}, last good level in [-1e+80, 1e+80]" in err, scheme
             lines = series.read_text().splitlines()
             assert len(lines) == 2 and lines[1].startswith("0,"), scheme
 
@@ -727,6 +741,28 @@ class TestCli:
         path.write_bytes('{"preset": "ex1-isav-be", "note": "é"}'.encode("latin-1"))
         assert main(["run", str(path)]) == 2
         assert "not UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("outputs, why", [
+        ({"series_path": "file/s.csv"}, "cannot create its directory"),
+        ({"snapshot_dir": "file/snaps", "field_snapshot_times": [0.0]}, "cannot create its directory"),
+        ({"series_path": "dir"}, "is a directory"),
+    ], ids=["series-under-a-file", "snapshots-under-a-file", "series-a-directory"])
+    def test_unwritable_run_output_exits_2_before_the_first_step(self, tmp_path, capsys,
+                                                                  monkeypatch, outputs, why):
+        # run's output directories are made before step 1, so a path that
+        # cannot hold them fails at once, not after the run or mid-run
+        import isavflow.harness as harness
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(harness, "make_initial_state", no_run)
+        (tmp_path / "file").write_text("")
+        (tmp_path / "dir").mkdir()
+        path = write_cfg(tmp_path, {**MINIMAL, "t_end": 0.2, "outputs": outputs})
+        assert main(["run", path, "--outdir", str(tmp_path)]) == 2
+        assert why in capsys.readouterr().err
+        assert (tmp_path / "file").read_text() == ""
 
     @pytest.mark.parametrize("where, why", [("file/sub/table.csv", "cannot create its directory"),
                                             ("dir", "is a directory")],

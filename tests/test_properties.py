@@ -1,6 +1,7 @@
-"""Property tests of the rank-one solve and of spectral resampling, over
-random even grids (non-square included), and of the fused potential
-kernel, over values on every branch, drawn by hypothesis."""
+"""Property tests of the rank-one solve, of spectral resampling and of the
+energy quadratic form, over random even grids (non-square included), and of
+the fused potential kernel, over values on every branch, drawn by
+hypothesis."""
 
 import math
 
@@ -13,11 +14,11 @@ from hypothesis import strategies as st
 
 from isavflow import (DoubleWell, Field, FloryHugginsRegularized, ModelParams, Scheme,
                       make_grid, make_initial_state, resample, step)
-from isavflow.spectral import _fold_half
+from isavflow.spectral import _fold_half, quad_form_hat
 
 from conftest import even_symbol, random_field
 from oracles import (ConstantPotential, RankOneSystem, _axis_map, apply_symbol,
-                     dense_solve_oracle, rank_one_solve)
+                     dense_solve_oracle, quad_form_reference, rank_one_solve)
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -42,6 +43,25 @@ def test_rank_one_solve_matches_dense_oracle(nx, ny, seed):
     dense = dense_solve_oracle(sys_)
     scale = np.abs(dense.values).max()
     assert np.abs(fast.values - dense.values).max() <= 1e-10 * scale
+
+
+@given(nx=st.sampled_from([4, 6, 16, 64]), ny=st.sampled_from([4, 6, 16, 64]), seed=seeds,
+       with_symbol=st.booleans())
+def test_quad_form_matches_six_pass_reference(nx, ny, seed, with_symbol):
+    # any half spectrum (not only that of a real field), any even symbol
+    rng = np.random.default_rng(seed)
+    g = make_grid(nx, ny, 1.0, 2.5)
+    scale = 10.0 ** rng.uniform(-6, 6)
+    hat = scale * (rng.standard_normal(g.spectral_shape) + 1j * rng.standard_normal(g.spectral_shape))
+    symbol = even_symbol(g, rng) if with_symbol else None
+    ref = quad_form_reference(g, hat, symbol)
+    fast = quad_form_hat(g, hat, symbol)
+    assert abs(fast - ref) <= 1e-13 * ref
+    if with_symbol:
+        # a complex copy of the symbol, through a work array, gives the same bits
+        work = np.empty(g.spectral_shape, dtype=complex)
+        assert quad_form_hat(g, hat, symbol.astype(complex), work) == fast
+        assert np.array_equal(work, symbol * hat)
 
 
 def resample_by_matrix(field, new_grid):

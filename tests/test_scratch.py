@@ -66,7 +66,7 @@ class TestScratchIsolation:
         state, params = prepare(scheme)
         grid = state.phi_n.grid
         ws = params.symbols(grid)
-        scratch = ws.real + ws.spec + ws.power
+        scratch = ws.real + ws.spec
         # the recording step after two without records takes the previous
         # level's energies from that state, through the scratch buffers
         for record in (True, False, False, True):

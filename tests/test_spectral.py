@@ -95,6 +95,18 @@ class TestApplySymbol:
             assert np.abs(out.values - expected).max() < 1e-10 * scale
 
 
+class TestQuad:
+    def test_bits_of_the_method_sum(self, rng):
+        # Grid.quad skips the method call and the float wrapper of
+        # float(cell_area * values.sum()), and keeps its bits
+        for nx, ny, lx, ly in ((4, 4, 1.0, 1.0), (16, 20, 1.3, 2.7), (64, 64, TWO_PI, TWO_PI),
+                               (128, 96, 6.4, 0.3)):
+            g = make_grid(nx, ny, lx, ly)
+            for values in (rng.standard_normal(g.shape), rng.uniform(-1e3, 1e5, g.shape),
+                           np.asfortranarray(rng.standard_normal(g.shape)) * 1e-7):
+                assert g.quad(values) == float(g.cell_area * values.sum())
+
+
 class TestOperatorSymbols:
     def test_zero_mode_convention(self):
         g = make_grid(8, 8, 1.0, 1.0)
