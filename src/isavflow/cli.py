@@ -4,7 +4,8 @@ Subcommands: ``run`` integrates one configuration, ``converge`` sweeps the
 time step or the grid and writes an error table, ``compare`` runs two
 configurations differing only in scheme and merges their series, and
 ``presets list`` prints the built-in experiment presets. Exit codes:
-0 success, 2 configuration error, 3 runtime scheme failure.
+0 success, 2 configuration error, 3 runtime scheme failure, 4 a snapshot
+that could not be written mid-run.
 
 The ISAVFLOW_OUTDIR environment variable redirects all relative output
 paths.
@@ -18,6 +19,7 @@ import sys
 
 from .config import ConfigError, load_config, preset_summary
 from .harness import (
+    OutputWriteError,
     SchemeRuntimeError,
     compare_schemes,
     convergence_study,
@@ -28,6 +30,7 @@ from .harness import (
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
+EXIT_OUTPUT = 4
 
 
 def _parse_list(text: str, cast, flag):
@@ -105,6 +108,9 @@ def main(argv=None) -> int:
     except SchemeRuntimeError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    except OutputWriteError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_OUTPUT
     return EXIT_OK
 
 

@@ -267,14 +267,15 @@ def config_from_dict(doc: dict) -> RunConfig:
     _expect(is_step_multiple(t_end, tau), "t_end",
             f"must be an integer multiple of tau (t_end/tau = {t_end / tau})")
 
-    init = dict(doc.get("init") or {})
+    init = doc.get("init")
+    _expect(isinstance(init, dict), "init", "must be an object with a kind")
     kind_i = init.get("kind")
     _expect(kind_i in ("ex1", "squares", "disks", "random", "file"), "init.kind",
             "must be one of ex1, squares, disks, random, file")
     if kind_i == "random":
         seed = init.get("seed", 0)
-        _expect(isinstance(seed, int) and not isinstance(seed, bool), "init.seed",
-                "must be an integer")
+        _expect(isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0,
+                "init.seed", "must be a nonnegative integer")
         init = {"kind": "random", "seed": seed}
     elif kind_i == "file":
         _expect(isinstance(init.get("path"), str), "init.path", "must be a string path")
@@ -282,7 +283,8 @@ def config_from_dict(doc: dict) -> RunConfig:
     else:
         init = {"kind": kind_i}
 
-    outputs = _deep_merge(DEFAULT_OUTPUTS, doc.get("outputs") or {})
+    _expect(isinstance(doc.get("outputs", {}), dict), "outputs", "must be an object")
+    outputs = _deep_merge(DEFAULT_OUTPUTS, doc.get("outputs", {}))
     _expect(isinstance(outputs["series_path"], str), "outputs.series_path", "must be a string")
     _expect(isinstance(outputs["snapshot_dir"], str), "outputs.snapshot_dir", "must be a string")
     times = outputs["field_snapshot_times"]

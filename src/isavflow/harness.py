@@ -70,6 +70,16 @@ class SchemeRuntimeError(RuntimeError):
         super().__init__(f"scheme failed at step {step_index}: {cause}; t={t}, scheme {scheme}{where}")
 
 
+class OutputWriteError(RuntimeError):
+    """A step's snapshot could not be written mid-run (a full disk, the
+    directory removed); carries the step index and the OSError."""
+
+    def __init__(self, step_index: int, cause: OSError):
+        self.step_index, self.cause = step_index, cause
+        super().__init__(f"cannot write the snapshot of step {step_index} ({cause}); "
+                         f"the series holds the rows through step {step_index}")
+
+
 @dataclass
 class SimulationResult:
     records: list
@@ -120,9 +130,9 @@ def _claim_path(path, is_dir=False) -> None:
 def write_snapshot(path, field: Field, t: float) -> None:
     """Plain-text field dump: header 'nx ny lx ly t', then one line per x
     index holding its ny values at 17 significant digits ('%.17g'), which
-    round-trips float64 exactly."""
+    round-trips float64 exactly. The directory must exist: a run makes it
+    before its first step, so one removed mid-run fails the write."""
     g = field.grid
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     # One %-format call per row; '%.17g' prints the same text as
     # f"{v:.17g}" for every float64, -0.0 and subnormals included.
     line = " ".join(["%.17g"] * g.ny) + "\n"
@@ -171,8 +181,9 @@ def run_simulation(cfg: RunConfig, outdir=None, write_outputs=True, record=True)
     the same. The series and snapshot directories are made before the
     first step; a path that cannot hold them is a ConfigError. A scheme
     failure (nonpositive bulk integral, violated assertion, non-finite
-    field) aborts the run; the rows accumulated so far are still written
-    before the error propagates with the failing step and its context.
+    field) or a snapshot that cannot be written (OutputWriteError) aborts
+    the run; the rows accumulated so far are still written before the
+    error propagates with the failing step and its context.
     """
     grid = cfg.make_grid()
     pot = cfg.make_potential()
@@ -197,10 +208,13 @@ def run_simulation(cfg: RunConfig, outdir=None, write_outputs=True, record=True)
 
     snapshot_paths = []
 
-    def maybe_snapshot(step_index, field):
+    def snapshot_error(step_index, field):
         if step_index in snap_at:
             path = os.path.join(snap_dir, f"phi_step{step_index:06d}.txt")
-            write_snapshot(path, field, step_index * cfg.tau)
+            try:
+                write_snapshot(path, field, step_index * cfg.tau)
+            except OSError as exc:
+                return OutputWriteError(step_index, exc)
             snapshot_paths.append(path)
 
     try:
@@ -208,10 +222,11 @@ def run_simulation(cfg: RunConfig, outdir=None, write_outputs=True, record=True)
         records = [record_step(state, params)] if kept(0) else []
     except SCHEME_FAILURES as exc:
         raise SchemeRuntimeError(0, exc, 0.0, cfg.scheme) from exc
-    maybe_snapshot(0, state.phi_n)
 
-    error = None
-    for n in range(1, n_total + 1):
+    error = snapshot_error(0, state.phi_n)
+    n = 0
+    while error is None and n < n_total:
+        n += 1
         # Only kept rows (every row under assert_energy) are built.
         keep = kept(n)
         try:
@@ -221,11 +236,11 @@ def run_simulation(cfg: RunConfig, outdir=None, write_outputs=True, record=True)
             break
         if keep:
             records.append(rec)
-        maybe_snapshot(n, state.phi_n)
+        error = snapshot_error(n, state.phi_n)
     if write_outputs:
         write_series_csv(series_path, map(vars, records))
     if error is not None:
-        raise error
+        raise error from error.cause
     return SimulationResult(
         records=records,
         final_state=state,

@@ -10,7 +10,6 @@ positive, which the auxiliary-variable schemes require.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,31 +36,27 @@ def _as_array(phi, trusted=False):
     return a
 
 
-def _as_input(out, phi):
-    return out if np.ndim(phi) else float(out)
-
-
-_TINY = np.finfo(float).tiny
+def _as_input(out):
+    """out shaped as the input was: an array, or a float for a scalar."""
+    return out if out.ndim else float(out)
 
 
 def _output(p, out):
     return np.empty_like(p) if out is None else out
 
 
-def _pair(p, work):
-    return (np.empty_like(p), np.empty_like(p)) if work is None else work
-
-
 @dataclass(frozen=True)
 class Potential:
     """Base for bulk densities: F(phi), f = F', and f' as closed forms.
 
-    F and f are in-place kernels: they write into out when it is given
-    (else into a new array) and may overwrite the arrays in work, a pair
-    shaped like phi, instead of allocating temporaries. f(phi, out, work,
-    F_out) also writes F(phi) into F_out, sharing what the two have in
-    common in one pass; the results equal separate F and f calls bit for
-    bit. None of out, work and F_out may be phi itself or overlap another.
+    F(phi, out, work) and f(phi, out, work) write into out when it is given
+    (else into a new array) and may overwrite work, a pair of arrays shaped
+    like phi. With F_sum=True, F returns the node sum of F(phi) instead,
+    using out as a temporary, and f returns (f(phi), that same sum) from
+    what the two share; every bulk integral of a step or a record is such a
+    sum. None of out and work may be phi itself or overlap another. A
+    subclass overrides F and f, or supplies only _F(p, out) and _f(p, out),
+    which fill out and return it, and the base class sums its F array.
 
     Inputs are scanned for NaN (ValueError), except in calls that hand in
     work arrays: that is the form a time step uses, on the values of a
@@ -70,23 +65,31 @@ class Potential:
 
     c_add: float = 0.0
 
-    def F(self, phi, out=None, work=None):
-        raise NotImplementedError
+    def F(self, phi, out=None, work=None, F_sum=False):
+        p = _as_array(phi, work is not None)
+        F = self._F(p, _output(p, out))
+        return float(np.add.reduce(F, axis=None)) if F_sum else _as_input(F)
 
-    def f(self, phi, out=None, work=None, F_out=None):
-        raise NotImplementedError
+    def f(self, phi, out=None, work=None, F_sum=False):
+        p = _as_array(phi, work is not None)
+        f = _as_input(self._f(p, _output(p, out)))
+        return (f, self.F(p, None, work, F_sum=True)) if F_sum else f
 
     def fprime(self, phi):
         raise NotImplementedError
 
     def breakpoints(self) -> tuple:
-        """Interior points where f' may peak; used by suggest_S."""
+        """The points where f' may fail to be smooth. f' must be convex
+        between consecutive breakpoints and beyond the outermost ones, so
+        that its maximum over a bracket lies at an endpoint or an interior
+        breakpoint; suggest_S relies on this."""
         return ()
 
 
 @dataclass(frozen=True)
 class DoubleWell(Potential):
-    """F(phi) = (phi^2 - 1)^2 / (4 eps^2) + c_add."""
+    """F(phi) = (phi^2 - 1)^2 / (4 eps^2) + c_add, f = (phi^2 - 1) phi / eps^2,
+    both from s = phi^2 - 1; the node sum of F is s.s / (4 eps^2) + N c_add."""
 
     eps: float = 1.0
 
@@ -94,54 +97,51 @@ class DoubleWell(Potential):
         if not (self.eps > 0):
             raise ValueError(f"eps must be positive, got {self.eps}")
 
-    def _F_of_square(self, out):
-        """out = p*p on entry, F(p) on return."""
-        out -= 1.0
-        np.multiply(out, out, out=out)
-        out /= 4.0 * self.eps**2
-        out += self.c_add
+    def _sum(self, s) -> float:
+        return float(np.vdot(s, s)) / (4.0 * self.eps**2) + s.size * self.c_add
 
-    def F(self, phi, out=None, work=None):
+    def F(self, phi, out=None, work=None, F_sum=False):
+        p = _as_array(phi, work is not None)
+        s = np.multiply(p, p, out=_output(p, out))
+        s -= 1.0
+        if F_sum:
+            return self._sum(s)
+        np.multiply(s, s, out=s)
+        s /= 4.0 * self.eps**2
+        s += self.c_add
+        return _as_input(s)
+
+    def f(self, phi, out=None, work=None, F_sum=False):
         p = _as_array(phi, work is not None)
         out = _output(p, out)
-        np.multiply(p, p, out=out)
-        self._F_of_square(out)
-        return _as_input(out, phi)
-
-    def f(self, phi, out=None, work=None, F_out=None):
-        p = _as_array(phi, work is not None)
-        out = _output(p, out)
-        square = np.multiply(p, p, out=out if F_out is None else F_out)
-        np.multiply(square, p, out=out)
-        if F_out is not None:
-            self._F_of_square(F_out)
-        out -= p
+        s = out if not F_sum else np.empty_like(p) if work is None else work[0]
+        np.multiply(p, p, out=s)
+        s -= 1.0
+        total = self._sum(s) if F_sum else None
+        np.multiply(s, p, out=out)
         out /= self.eps**2
-        return _as_input(out, phi)
+        f = _as_input(out)
+        return (f, total) if F_sum else f
 
     def fprime(self, phi):
         p = _as_array(phi)
-        return _as_input((3.0 * p**2 - 1.0) / self.eps**2, phi)
+        return _as_input((3.0 * p**2 - 1.0) / self.eps**2)
 
 
 @dataclass(frozen=True)
 class FloryHugginsRegularized(Potential):
     """Regularized logarithmic mixing energy, scaled by 1/eps^2.
 
-    On [sigma, 1-sigma] this is phi*ln(phi) + (1-phi)*ln(1-phi)
-    + beta*(phi - phi^2); outside, each log is continued quadratically so
-    that F, f, and f' are continuous at sigma and 1-sigma and the function
-    is defined for every real phi.
+    F = (G(phi) + G(1-phi) + beta*phi*(1-phi)) / eps^2 + c_add, where G(x)
+    is x ln x from sigma up and its second-order Taylor extension below:
+    with x_c = max(x, sigma) and d = x - x_c,
 
-    F and f evaluate the logarithmic closed form on every value, with the
-    log arguments clipped so that values outside its domain stay finite,
-    then overwrite the values on a quadratic branch (hi: phi >= 1-sigma,
-    lo: phi <= sigma; lo wins where both hold, at 1/2 when sigma = 1/2)
-    through masked ufuncs. The lo branch is the hi branch with phi and
-    1-phi swapped (and, for f, the sign flipped). Each value goes through
-    the same operations as in a branch-by-branch evaluation, so results
-    are bit-identical to it. With F_out, f shares the range check, both
-    logs, 1-phi and the branch masks with F.
+        G(x) = x ln x_c + d + d^2/(2 sigma),    G'(x) = 1 + ln x_c + d/sigma,
+
+    so F, f and f' are continuous and F is defined for every real phi. The
+    node sum of F is three dot products over both logs, phi and 1-phi, plus
+    the sums and squares of the offsets d when any value lies outside
+    (sigma, 1-sigma); no F array is written.
     """
 
     eps: float = 1.0
@@ -154,120 +154,104 @@ class FloryHugginsRegularized(Potential):
         if not (0.0 < self.sigma <= 0.5):
             raise ValueError(f"sigma must lie in (0, 1/2], got {self.sigma}")
 
-    def _masks(self, p):
-        hi = p >= 1.0 - self.sigma
-        lo = p <= self.sigma
-        return hi, lo, ~(hi | lo)
-
     def _logs(self, p, q, out, t):
-        """q = 1-p, out = ln p and t = ln q (q may be t itself); returns
-        the (hi, lo) masks, or None when every value lies inside (sigma,
-        1-sigma). With masks, the log arguments are clipped to stay
-        positive: the caller overwrites the values on a quadratic branch."""
+        """q = 1-p, out = ln max(p, sigma), t = ln max(q, sigma); returns
+        whether any value lies outside (sigma, 1-sigma). When none does,
+        the logs are taken of p and q themselves."""
         s = self.sigma
         np.subtract(1.0, p, out=q)
         if s < p.min() and p.max() < 1.0 - s:
             np.log(p, out=out)
             np.log(q, out=t)
-            return None
-        np.log(np.maximum(p, _TINY, out=out), out=out)
-        np.log(np.maximum(q, _TINY, out=t), out=t)
-        return p >= 1.0 - s, p <= s
+            return False
+        np.log(np.maximum(p, s, out=out), out=out)
+        np.log(np.maximum(q, s, out=t), out=t)
+        return True
 
-    def _branch(self, x, y, out, t, where):
-        """out = x ln x + y^2/(2 sigma) + y ln sigma - sigma/2 where set."""
+    def _offsets(self, p, q, d, summed):
+        """d = min(p, sigma) - sigma and q = min(q, sigma) - sigma (q = 1-p
+        on entry): the offsets of p and 1-p. Returns the node sum of d +
+        d^2/(2 sigma) over both when summed, else 0."""
         s = self.sigma
-        np.log(x, out=out, where=where)
-        np.multiply(x, out, out=out, where=where)
-        np.multiply(y, y, out=t, where=where)
-        np.divide(t, 2.0 * s, out=t, where=where)
-        np.add(out, t, out=out, where=where)
-        np.multiply(y, math.log(s), out=t, where=where)
-        np.add(out, t, out=out, where=where)
-        np.subtract(out, s / 2.0, out=out, where=where)
+        np.minimum(p, s, out=d)
+        d -= s
+        np.minimum(q, s, out=q)
+        q -= s
+        if not summed:
+            return 0.0
+        linear = np.add.reduce(d, axis=None) + np.add.reduce(q, axis=None)
+        return float(linear + (np.vdot(d, d) + np.vdot(q, q)) / (2.0 * s))
 
-    def _branch_slope(self, x, y, out, t, where):
-        """out = ln x + 1 - y/sigma - ln sigma where set."""
-        s = self.sigma
-        np.log(x, out=out, where=where)
-        np.add(out, 1.0, out=out, where=where)
-        np.divide(y, s, out=t, where=where)
-        np.subtract(out, t, out=out, where=where)
-        np.subtract(out, math.log(s), out=out, where=where)
+    def _log_sum(self, p, q, lp, lq) -> float:
+        """Node sum of p ln p_c + q ln q_c + beta p q from _logs' arrays."""
+        return float(np.vdot(lp, p) + np.vdot(lq, q) + self.beta * np.vdot(p, q))
 
-    def _F_of_logs(self, p, q, out, t, branches):
-        """out = ln p, t = ln q and q = 1-p on entry (with _logs' branch
-        masks); out = F(p) on return, t overwritten."""
+    def _scaled(self, total, p) -> float:
+        return total / self.eps**2 + p.size * self.c_add
+
+    def F(self, phi, out=None, work=None, F_sum=False):
+        p = _as_array(phi, work is not None)
+        out = _output(p, out)
+        t, q = work or (np.empty_like(p), np.empty_like(p))
+        clipped = self._logs(p, q, out, t)
+        if F_sum:
+            total = self._log_sum(p, q, out, t)
+            if clipped:
+                total += self._offsets(p, q, out, True)
+            return self._scaled(total, p)
         out *= p
         t *= q
         out += t
-        if branches is not None:
-            hi, lo = branches
-            self._branch(p, q, out, t, hi)
-            self._branch(q, p, out, t, lo)
+        if clipped:
+            self._offsets(p, q, t, False)
+            for d in (t, q):
+                out += d
+                d *= d
+                d /= 2.0 * self.sigma
+                out += d
         np.multiply(p, p, out=t)
         np.subtract(p, t, out=t)
         t *= self.beta
         out += t
         out /= self.eps**2
         out += self.c_add
+        return _as_input(out)
 
-    def F(self, phi, out=None, work=None):
+    def f(self, phi, out=None, work=None, F_sum=False):
         p = _as_array(phi, work is not None)
         out = _output(p, out)
-        t, q = _pair(p, work)
-        self._F_of_logs(p, q, out, t, self._logs(p, q, out, t))
-        return _as_input(out, phi)
-
-    def f(self, phi, out=None, work=None, F_out=None):
-        p = _as_array(phi, work is not None)
-        out = _output(p, out)
-        t, q = _pair(p, work)
-        if F_out is None:
-            branches = self._logs(p, t, out, t)
-            out -= t
-            if branches is not None:
-                np.subtract(1.0, p, out=q)
-        else:
-            branches = self._logs(p, q, F_out, t)
-            np.subtract(F_out, t, out=out)
-            self._F_of_logs(p, q, F_out, t, branches)
-        if branches is not None:
-            hi, lo = branches
-            self._branch_slope(p, q, out, t, hi)
-            self._branch_slope(q, p, out, t, lo)
-            np.negative(out, out=out, where=lo)
+        t, q = work or (np.empty_like(p), np.empty_like(p))
+        clipped = self._logs(p, q, out, t)
+        total = self._log_sum(p, q, out, t) if F_sum else 0.0
+        out -= t
+        if clipped:
+            total += self._offsets(p, q, t, F_sum)
+            t -= q
+            t /= self.sigma
+            out += t
         np.multiply(p, 2.0, out=t)
         np.subtract(1.0, t, out=t)
         t *= self.beta
         out += t
         out /= self.eps**2
-        return _as_input(out, phi)
+        f = _as_input(out)
+        return (f, self._scaled(total, p)) if F_sum else f
 
     def fprime(self, phi):
         p = _as_array(phi)
-        s, b = self.sigma, self.beta
-        out = np.empty_like(p)
-        hi, lo, mid = self._masks(p)
-        out[hi] = 1.0 / p[hi] + 1.0 / s
-        out[lo] = 1.0 / (1.0 - p[lo]) + 1.0 / s
-        pm = p[mid]
-        out[mid] = 1.0 / pm + 1.0 / (1.0 - pm)
-        out -= 2.0 * b
-        return _as_input(out / self.eps**2, phi)
+        s = self.sigma
+        out = 1.0 / np.maximum(p, s) + 1.0 / np.maximum(1.0 - p, s) - 2.0 * self.beta
+        return _as_input(out / self.eps**2)
 
     def breakpoints(self):
         return (self.sigma, 1.0 - self.sigma)
 
 
 def bulk_quad(potential: Potential, phi: Field, work=None) -> float:
-    """Nodal quadrature of F(phi) over the domain, no positivity check.
-
-    work, when given, is three arrays shaped like the grid: F goes into the
-    first, the other two are the kernel's temporaries.
-    """
+    """Nodal quadrature of F(phi) over the domain, no positivity check;
+    work, when given, is three grid-shaped temporaries (F's out and work)."""
     out, tmp = (None, None) if work is None else (work[0], work[1:])
-    return phi.grid.quad(potential.F(phi.values, out, tmp))
+    return phi.grid.cell_area * potential.F(phi.values, out, tmp, F_sum=True)
 
 
 def check_bulk(val: float) -> float:
@@ -284,19 +268,17 @@ def bulk_energy(potential: Potential, phi: Field) -> float:
     return check_bulk(bulk_quad(potential, phi))
 
 
-def suggest_S(potential: Potential, phi_range: tuple[float, float], samples: int = 10_000) -> float:
+def suggest_S(potential: Potential, phi_range: tuple[float, float]) -> float:
     """Half the maximum of f' over a value bracket.
 
-    Samples the bracket densely and also checks its endpoints and any branch
-    breakpoints, which is where the piecewise-smooth f' of both potentials
-    can peak. The returned value can be negative for brackets inside a
-    concave region of f; clamp at zero before using it as a stabilization
-    coefficient.
+    f' is convex between the potential's breakpoints (the contract of
+    Potential.breakpoints), so its maximum over [lo, hi] is at lo, hi or a
+    breakpoint inside: at most four evaluations, and exact. The returned
+    value can be negative for brackets inside a concave region of f; clamp
+    at zero before using it as a stabilization coefficient.
     """
     lo, hi = phi_range
     if not (lo < hi):
         raise ValueError(f"need lo < hi, got ({lo}, {hi})")
-    pts = np.linspace(lo, hi, samples)
-    extra = [lo, hi] + [b for b in potential.breakpoints() if lo <= b <= hi]
-    vals = potential.fprime(np.concatenate([pts, np.asarray(extra)]))
-    return 0.5 * float(np.max(vals))
+    pts = [lo, hi] + [b for b in potential.breakpoints() if lo < b < hi]
+    return 0.5 * float(np.max(potential.fprime(np.array(pts))))

@@ -129,10 +129,6 @@ class Scratch:
         self.factors = {}
         self.real = tuple(np.empty(grid.shape) for _ in range(4))
         self.spec = tuple(np.empty(grid.spectral_shape, dtype=complex) for _ in range(4))
-        # The memory of spec[0] (room for nx*(ny+2) floats) seen as one
-        # more real grid array, for a user that leaves spec[0] idle.
-        flat = self.spec[0].view(float).reshape(-1)
-        self.spec0_real = flat[: grid.nx * grid.ny].reshape(grid.shape)
 
 
 @dataclass
@@ -287,8 +283,9 @@ def step(state: SchemeState, params: ModelParams, record=True):
     allocates only what it returns: phi^{n+1}, its spectrum, and mu's
     spectrum when recording. Where it needs int F and f at one field (phi*
     of every BDF step, phi^n of a BE step whose int F(phi^n) is not
-    carried), one fused potential pass gives both. phi* stays a work
-    array, so phi^{n+1} is the one field a step checks for finiteness.
+    carried), one fused potential pass gives f and the node sum of F, with
+    no F array. phi* stays a work array, so phi^{n+1} is the one field a
+    step checks for finiteness.
 
     b itself is never formed: the forward transform takes f(phi*), and
     1/sqrt(int F(phi*)) goes into the scalars. One mode-weighted copy of
@@ -322,9 +319,8 @@ def step(state: SchemeState, params: ModelParams, record=True):
     else:
         star, F_star = phi, state.F_n
     if F_star is None:
-        # F goes into f_hat's memory, idle until the forward transform.
-        f = pot.f(star, r1, (r2, r3), F_out=ws.spec0_real)
-        F_star = grid.quad(ws.spec0_real)
+        f, F_sum = pot.f(star, r1, (r2, r3), F_sum=True)
+        F_star = grid.cell_area * F_sum
         if not bdf:
             state.F_n = F_star
     else:

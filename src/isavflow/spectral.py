@@ -11,6 +11,7 @@ of the wavenumber.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,11 +92,6 @@ class Grid:
         complex array of the spectral shape) instead of a new array."""
         return np.fft.irfft(np.fft.ifft(hat, self.nx, axis=0, out=work), self.ny, axis=1)
 
-    def quad(self, values: np.ndarray) -> float:
-        """Nodal quadrature of a gridded integrand over the domain; the bits
-        of float(cell_area * values.sum()) without its method call."""
-        return self.cell_area * float(np.add.reduce(values, axis=None))
-
 
 def make_grid(nx: int, ny: int, lx: float, ly: float) -> Grid:
     """Build a periodic grid, rejecting odd or tiny sizes."""
@@ -128,7 +124,8 @@ class Field:
         v = np.asarray(self.values, dtype=float)
         if v.shape != self.grid.shape:
             raise ValueError(f"field shape {v.shape} does not match grid {self.grid.shape}")
-        if not np.isfinite(v).all():
+        # NaN/Inf make the sum of squares non-finite; a BLAS dot warns of no overflow.
+        if not math.isfinite(np.vdot(v, v)) and not np.isfinite(v).all():
             raise NonFiniteFieldError("field contains NaN or Inf entries")
         self.values = v
 
@@ -147,7 +144,7 @@ def quad_form_hat(grid: Grid, hat: np.ndarray, symbol: np.ndarray | None = None,
     One product pass p = symbol * u_hat, then one vdot: the weighted sum is
     twice the plain sum less the ky=0 and Nyquist columns, whose weight is
     1 (one short strided vdot over both), so no weighted copy is formed.
-    With symbol None this equals grid.quad(u * u) by Parseval. work, when
+    With symbol None this equals cell_area * sum(u * u) by Parseval. work, when
     given, is a complex array of the spectral shape that takes p and holds
     it on return; a complex symbol (zero imaginary part) then needs no
     float-to-complex cast buffer.

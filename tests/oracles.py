@@ -10,28 +10,61 @@ from dataclasses import dataclass
 import numpy as np
 
 from isavflow import Field, Scheme, bulk_energy, schemes
-from isavflow.potentials import Potential, _as_array, _as_input, _output
+from isavflow.potentials import Potential
 from isavflow.spectral import _parseval
 
 
 @dataclass(frozen=True)
 class ConstantPotential(Potential):
-    """F identically c_add, f = f' = 0; handy for linear-decay checks."""
+    """F identically c_add, f = f' = 0; handy for linear-decay checks. It
+    supplies only the array kernels and takes its sums from the base class."""
 
-    def F(self, phi, out=None, work=None):
-        out = _output(_as_array(phi), out)
+    def _F(self, p, out):
         out.fill(self.c_add)
-        return _as_input(out, phi)
+        return out
 
-    def f(self, phi, out=None, work=None, F_out=None):
-        out = _output(_as_array(phi), out)
+    def _f(self, p, out):
         out.fill(0.0)
-        if F_out is not None:
-            F_out.fill(self.c_add)
-        return _as_input(out, phi)
+        return out
 
     def fprime(self, phi):
-        return _as_input(np.zeros_like(_as_array(phi)), phi)
+        return np.zeros_like(phi) if np.ndim(phi) else 0.0
+
+
+def double_well_reference(pot, x):
+    """(F, f) of a double well as arrays, in the order of operations the
+    package used while its fused kernel still wrote an F array: F =
+    ((x*x - 1)^2 / (4 eps^2)) + c_add and f = (x*x*x - x) / eps^2."""
+    F = x * x - 1.0
+    F *= F
+    F /= 4.0 * pot.eps**2
+    F += pot.c_add
+    return F, (x * x * x - x) / pot.eps**2
+
+
+def flory_huggins_reference(pot, x):
+    """(F, f) of a regularized Flory-Huggins potential by the masked
+    kernels the package used before its kernels integrated: the
+    logarithmic closed form on every value, with the log arguments clipped
+    at the smallest normal float, then the values on a quadratic branch
+    (hi: x >= 1-sigma, lo: x <= sigma, lo winning where both hold)
+    overwritten through where= ufuncs. The lo branch is the hi branch with
+    x and 1-x swapped (and, for f, the sign flipped)."""
+    s, b, ls = pot.sigma, pot.beta, math.log(pot.sigma)
+    tiny = np.finfo(float).tiny
+    q = 1.0 - x
+    hi, lo = x >= 1.0 - s, x <= s
+    lp, lq = np.log(np.maximum(x, tiny)), np.log(np.maximum(q, tiny))
+    F, f = x * lp + q * lq, lp - lq
+    for u, v, where in ((x, q, hi), (q, x, lo)):
+        lu = np.log(u, out=np.zeros_like(u), where=where)
+        branch = u * lu + v * v / (2.0 * s) + v * ls - s / 2.0
+        np.copyto(F, branch, where=where)
+        np.copyto(f, lu + 1.0 - v / s - ls, where=where)
+    np.negative(f, out=f, where=lo)
+    F += b * (x - x * x)
+    f += b * (1.0 - 2.0 * x)
+    return F / pot.eps**2 + pot.c_add, f / pot.eps**2
 
 
 def apply_symbol(field: Field, symbol: np.ndarray, sign: float = 1.0) -> Field:
@@ -45,16 +78,21 @@ def apply_symbol(field: Field, symbol: np.ndarray, sign: float = 1.0) -> Field:
     return Field(g, sign * g.inverse(symbol * field.spectrum()))
 
 
+def quad(grid, values: np.ndarray) -> float:
+    """Nodal quadrature of a gridded integrand over the domain, hx*hy*sum."""
+    return grid.cell_area * float(values.sum())
+
+
 def inner(u: Field, v: Field) -> float:
     """L2 inner product by nodal quadrature, hx*hy * sum(u*v)."""
     if u.grid != v.grid:
         raise ValueError("fields live on different grids")
-    return u.grid.quad(u.values * v.values)
+    return quad(u.grid, u.values * v.values)
 
 
 def inner_hat(grid, u_hat: np.ndarray, v_hat: np.ndarray) -> float:
     """L2 inner product <u, v> from the two half spectra (Parseval), the
-    package's own sum over mode-weighted u_hat. Equals grid.quad(u * v) up
+    package's own sum over mode-weighted u_hat. Equals quad(grid, u * v) up
     to rounding: the mode weights count each interior column twice, the
     second time for its conjugate partner."""
     return _parseval(grid, grid.mode_weight * u_hat, v_hat)
@@ -93,7 +131,7 @@ def e2_energy(phi_n: Field, phi_nm1: Field, potential: Potential, S: float) -> f
         0.25 * (quad_form_reference(grid, phi_n.spectrum(), grid.lap_sym)
                 + quad_form_reference(grid, star, grid.lap_sym))
         + 0.5 * (r_n**2 + (2.0 * r_n - r_m) ** 2)
-        + 0.5 * S * grid.quad(diff * diff)
+        + 0.5 * S * quad(grid, diff * diff)
     )
 
 
@@ -116,7 +154,7 @@ def reference_step(state, params):
     G = params.gamma * lap**params.alpha  # 0**0 = 1: G = gamma*I for alpha = 0
 
     def r_of(values):
-        return math.sqrt(g.quad(pot.F(values)))
+        return math.sqrt(quad(g, pot.F(values)))
 
     if bdf:
         phim = Field(g, state.phi_nm1.values)

@@ -742,6 +742,62 @@ class TestCli:
         assert main(["run", str(path)]) == 2
         assert "not UTF-8" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override, why", [
+        ({"outputs": 5}, "outputs: must be an object"),
+        ({"init": 5}, "init: must be an object"),
+        ({"init": {"kind": "random", "seed": -1}}, "init.seed: must be a nonnegative integer"),
+    ], ids=["outputs-a-number", "init-a-number", "negative-seed"])
+    def test_malformed_config_exits_2(self, tmp_path, capsys, override, why):
+        path = write_cfg(tmp_path, {"preset": "ex1-isav-be", "grid": {"nx": 8, "ny": 8},
+                                    **override})
+        assert main(["run", path, "--outdir", str(tmp_path)]) == 2
+        assert f"config error: {why}" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "series.csv")
+
+    @staticmethod
+    def _snapshot_run(tmp_path):
+        """A 6-step run that keeps every row and snapshots steps 2 and 4."""
+        return write_cfg(tmp_path, {**MINIMAL, "t_end": 0.6, "outputs": {
+            "series_path": str(tmp_path / "s.csv"), "snapshot_dir": str(tmp_path / "snaps"),
+            "field_snapshot_times": [0.2, 0.4]}})
+
+    def _assert_partial_run(self, tmp_path, capsys, path):
+        assert main(["run", path]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("output error: cannot write the snapshot of step 4 (")
+        assert "phi_step000004.txt" in err and "the series holds the rows through step 4" in err
+        rows = (tmp_path / "s.csv").read_text().splitlines()
+        assert [int(r.split(",")[0]) for r in rows[1:]] == [0, 1, 2, 3, 4]
+
+    def test_snapshot_directory_removed_mid_run_exits_4(self, tmp_path, capsys, monkeypatch):
+        # the snapshot directory is made before step 1 and not again, so
+        # one removed mid-run fails the next snapshot; the rows so far
+        # are written
+        import shutil
+
+        import isavflow.harness as harness
+
+        def removing_step(state, params, record=True):
+            if state.step_index == 3:
+                shutil.rmtree(tmp_path / "snaps")
+            return step(state, params, record)
+
+        monkeypatch.setattr(harness, "step", removing_step)
+        self._assert_partial_run(tmp_path, capsys, self._snapshot_run(tmp_path))
+        assert not os.path.exists(tmp_path / "snaps")
+
+    def test_snapshot_write_raising_exits_4(self, tmp_path, capsys, monkeypatch):
+        import isavflow.harness as harness
+
+        def full_disk(path, field, t):
+            if "000004" in path:
+                raise OSError(28, "No space left on device", path)
+            write_snapshot(path, field, t)
+
+        monkeypatch.setattr(harness, "write_snapshot", full_disk)
+        self._assert_partial_run(tmp_path, capsys, self._snapshot_run(tmp_path))
+        assert os.listdir(tmp_path / "snaps") == ["phi_step000002.txt"]
+
     @pytest.mark.parametrize("outputs, why", [
         ({"series_path": "file/s.csv"}, "cannot create its directory"),
         ({"snapshot_dir": "file/snaps", "field_snapshot_times": [0.0]}, "cannot create its directory"),

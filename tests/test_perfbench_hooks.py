@@ -77,18 +77,18 @@ def test_tracer_wraps_a_run_and_restores_the_sites(tmp_path):
 
 @contextlib.contextmanager
 def fused_counted_as_F(tracer):
-    """Inside a Tracer: count each fused DoubleWell.f call (F_out given)
+    """Inside a Tracer: count each fused DoubleWell.f call (F_sum set)
     as one DoubleWell.F call as well, in total and, if the tracer counted
     the f call inside a step, per step."""
     F, f = "potentials.DoubleWell.F", "potentials.DoubleWell.f"
     traced = vars(DoubleWell)["f"]
 
-    def counting(self, phi, out=None, work=None, F_out=None):
+    def counting(self, phi, out=None, work=None, F_sum=False):
         before = tracer.calls_in_step[f]
         try:
-            return traced(self, phi, out, work, F_out)
+            return traced(self, phi, out, work, F_sum)
         finally:
-            if F_out is not None:
+            if F_sum:
                 tracer.calls[F] += 1
                 tracer.calls_in_step[F] += tracer.calls_in_step[f] - before
 

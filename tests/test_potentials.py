@@ -1,6 +1,7 @@
 """Bulk densities, derivatives, the auxiliary functional, S guidance."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from isavflow import (
 from isavflow.config import initial_field
 
 from conftest import TWO_PI
+from oracles import double_well_reference, flory_huggins_reference, quad
 
 
 class TestDoubleWell:
@@ -125,73 +127,86 @@ class TestFloryHuggins:
             FloryHugginsRegularized(eps=1.0, beta=1.0, sigma=0.6)
 
 
-def fh_masked(pot, x):
-    """F and f of the regularized Flory-Huggins potential evaluated branch
-    by branch through boolean-mask gathers and scatters, in the kernels'
-    order of operations: hi is phi >= 1-sigma, lo is phi <= sigma and wins
-    where both hold, mid is the rest."""
-    s, b, ls = pot.sigma, pot.beta, math.log(pot.sigma)
-    hi, lo = x >= 1.0 - s, x <= s
-    mid = ~(hi | lo)
-    F, f = np.empty_like(x), np.empty_like(x)
-    ph, pl, pm = x[hi], x[lo], x[mid]
-    F[hi] = ph * np.log(ph) + (1.0 - ph) ** 2 / (2.0 * s) + (1.0 - ph) * ls - s / 2.0
-    F[lo] = (1.0 - pl) * np.log(1.0 - pl) + pl**2 / (2.0 * s) + pl * ls - s / 2.0
-    F[mid] = pm * np.log(pm) + (1.0 - pm) * np.log(1.0 - pm)
-    F += b * (x - x**2)
-    f[hi] = np.log(ph) + 1.0 - (1.0 - ph) / s - ls
-    f[lo] = -np.log(1.0 - pl) - 1.0 + pl / s + ls
-    f[mid] = np.log(pm) - np.log(1.0 - pm)
-    f += b * (1.0 - 2.0 * x)
-    return F / pot.eps**2 + pot.c_add, f / pot.eps**2
-
-
 def around(v):
     return [np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf), v - 1e-9, v + 1e-9]
 
 
+def assert_close(got, ref):
+    """Within 1e-13 of the reference, relative to max(1, |ref|) per value."""
+    assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+
+
 class TestInPlaceKernels:
     @pytest.mark.parametrize("sigma", [0.01, 0.2, 0.5])
-    def test_flory_huggins_branches_are_bit_identical(self, sigma, rng):
+    def test_flory_huggins_branches_match_masked_kernels(self, sigma, rng):
         # at and around both breakpoints, below 0 and above 1; with
-        # sigma = 1/2 the hi and lo masks overlap at 1/2
+        # sigma = 1/2 the hi and lo masks of the reference overlap at 1/2
         pot = FloryHugginsRegularized(eps=0.04, beta=3.0, sigma=sigma, c_add=37.5)
         x = np.array(around(sigma) + around(1.0 - sigma) + around(0.0) + around(1.0)
                      + [-50.0, -0.3, 0.5, 1.7, 50.0])
         x = np.concatenate([x, rng.uniform(-2.0, 3.0, 500)])
-        F, f = fh_masked(pot, x)
-        assert np.array_equal(pot.F(x), F)
-        assert np.array_equal(pot.f(x), f)
-        # in place, with every buffer holding garbage first
+        F, f = flory_huggins_reference(pot, x)
+        assert_close(pot.F(x), F)
+        assert_close(pot.f(x), f)
+        # in place, with every buffer holding garbage first: the same bits
         out, work = np.full_like(x, np.nan), (np.full_like(x, 7.0), np.full_like(x, -1.0))
         assert pot.F(x, out, work) is out
-        assert np.array_equal(out, F)
+        assert np.array_equal(out, pot.F(x))
         assert pot.f(x, out, work) is out
-        assert np.array_equal(out, f)
+        assert np.array_equal(out, pot.f(x))
 
     def test_flory_huggins_inside_only(self, rng):
-        # every value inside (sigma, 1-sigma): no branch masks are built
+        # every value inside (sigma, 1-sigma): the kernels skip the clipping
+        # and keep the masked kernels' bits
         pot = FloryHugginsRegularized(eps=0.04, beta=3.0, sigma=0.01, c_add=37.5)
         x = 0.5 + 0.2 * rng.uniform(-1.0, 1.0, (16, 16))
-        F, f = fh_masked(pot, x)
+        F, f = flory_huggins_reference(pot, x)
         assert np.array_equal(pot.F(x), F)
         assert np.array_equal(pot.f(x), f)
-        assert pot.F(0.3) == fh_masked(pot, np.array([0.3]))[0][0]
-        # a breakpoint itself is on a quadratic branch
+        assert pot.F(0.3) == flory_huggins_reference(pot, np.array([0.3]))[0][0]
+        # a breakpoint itself takes the clipped form
         for edge in (pot.sigma, 1.0 - pot.sigma):
             x = np.array([0.5, edge])
-            F, f = fh_masked(pot, x)
-            assert np.array_equal(pot.F(x), F)
-            assert np.array_equal(pot.f(x), f)
+            F, f = flory_huggins_reference(pot, x)
+            assert_close(pot.F(x), F)
+            assert_close(pot.f(x), f)
 
     def test_double_well_in_place(self, rng):
         pot = DoubleWell(eps=0.04, c_add=0.3)
         x = rng.standard_normal((16, 16))
+        F, f = double_well_reference(pot, x)
         out = np.full_like(x, np.nan)
         assert pot.F(x, out) is out
-        assert np.array_equal(out, (x**2 - 1.0) ** 2 / (4.0 * pot.eps**2) + pot.c_add)
+        assert np.array_equal(out, F)
         assert pot.f(x, out) is out
-        assert np.array_equal(out, (x * x * x - x) / pot.eps**2)
+        # f is taken from x*x - 1, the array the node sum of F needs
+        assert np.array_equal(out, (x * x - 1.0) * x / pot.eps**2)
+        assert_close(out, f)
+
+    @pytest.mark.parametrize("pot", [
+        FloryHugginsRegularized(eps=0.04, beta=3.0, sigma=0.01, c_add=37.5),
+        FloryHugginsRegularized(eps=0.04, beta=3.0, sigma=0.5, c_add=37.5),
+        DoubleWell(eps=0.04, c_add=0.3),
+    ])
+    def test_out_of_range_kernels_allocate_no_grid_temporary(self, pot, rng):
+        # about 30% of the values outside (0.01, 0.99), all of them outside
+        # the empty (1/2, 1/2); with out and work given, no kernel allocates
+        # anything grid-sized, not even a boolean mask (an eighth of a float
+        # array)
+        x = 0.5 + 0.7 * rng.uniform(-1.0, 1.0, (256, 256))
+        out, work = np.empty_like(x), (np.empty_like(x), np.empty_like(x))
+        calls = (lambda: pot.F(x, out, work), lambda: pot.F(x, out, work, F_sum=True),
+                 lambda: pot.f(x, out, work), lambda: pot.f(x, out, work, F_sum=True))
+        for call in calls:
+            call()  # first calls may set up module-level state
+        for call in calls:
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < x.size // 16
 
 
 class TestBulkEnergy:
@@ -218,7 +233,7 @@ class TestBulkEnergy:
         phi = Field(g, rng.standard_normal(g.shape))
         for c in (0.5, 2.0, 17.0):
             shifted = bulk_energy(DoubleWell(eps=0.7, c_add=c), phi)
-            base = g.quad(DoubleWell(eps=0.7).F(phi.values))
+            base = quad(g, DoubleWell(eps=0.7).F(phi.values))
             assert shifted - base == pytest.approx(c * 6.0, rel=1e-12)
 
 

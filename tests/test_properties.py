@@ -1,7 +1,7 @@
 """Property tests of the rank-one solve, of spectral resampling and of the
-energy quadratic form, over random even grids (non-square included), and of
-the fused potential kernel, over values on every branch, drawn by
-hypothesis."""
+energy quadratic form, over random even grids (non-square included), of
+the integrating potential kernels, over values on every branch, and of
+suggest_S's exact bracket rule, drawn by hypothesis."""
 
 import math
 
@@ -13,12 +13,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from isavflow import (DoubleWell, Field, FloryHugginsRegularized, ModelParams, Scheme,
-                      make_grid, make_initial_state, resample, step)
+                      make_grid, make_initial_state, resample, step, suggest_S)
 from isavflow.spectral import _fold_half, quad_form_hat
 
 from conftest import even_symbol, random_field
 from oracles import (ConstantPotential, RankOneSystem, _axis_map, apply_symbol,
-                     dense_solve_oracle, quad_form_reference, rank_one_solve)
+                     dense_solve_oracle, double_well_reference, flory_huggins_reference,
+                     quad_form_reference, rank_one_solve)
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -99,8 +100,8 @@ GARBAGE = st.sampled_from([math.nan, math.inf, -1e300, 7.0])
 def potential_and_values(draw):
     """A potential with the Flory-Huggins breakpoints sigma in {0.01, 0.2,
     1/2}, and values below 0, inside (sigma, 1-sigma) (all of them, at
-    times, so that no branch mask is built), above 1 and at and next to
-    the breakpoints."""
+    times, so that the kernels skip the clipping), above 1 and at and next
+    to the breakpoints."""
     sigma = draw(st.sampled_from([0.01, 0.2, 0.5]))
     pot = draw(st.sampled_from([
         FloryHugginsRegularized(eps=0.04, beta=3.0, sigma=sigma, c_add=37.5),
@@ -117,38 +118,62 @@ def potential_and_values(draw):
 
 
 @settings(max_examples=200)
-@given(case=potential_and_values(), garbage=st.tuples(GARBAGE, GARBAGE, GARBAGE, GARBAGE))
+@given(case=potential_and_values(), garbage=st.tuples(GARBAGE, GARBAGE, GARBAGE))
 def test_fused_kernel_matches_separate_calls(case, garbage):
     pot, x = case
-    F, f = pot.F(x), pot.f(x)
-    out, F_out, *work = (np.full_like(x, g) for g in garbage)
-    assert pot.f(x, out, tuple(work), F_out=F_out) is out
-    assert np.array_equal(out, f) and np.array_equal(F_out, F)
-    # without work arrays, and with a fresh output
-    F_out.fill(garbage[0])
-    assert np.array_equal(pot.f(x, F_out=F_out), f) and np.array_equal(F_out, F)
+    f, total = pot.f(x), pot.F(x, F_sum=True)
+    out, *work = (np.full_like(x, g) for g in garbage)
+    fused, fused_total = pot.f(x, out, tuple(work), F_sum=True)
+    assert fused is out and np.array_equal(out, f) and fused_total == total
+    # the sum alone, with garbage in every buffer, and without work arrays
+    out.fill(garbage[0])
+    assert pot.F(x, out, tuple(work), F_sum=True) == total
+    fused, fused_total = pot.f(x, F_sum=True)
+    assert np.array_equal(fused, f) and fused_total == total
     # public calls still reject NaN
     bad = x.copy()
     bad[len(x) // 2] = math.nan
-    for call in (pot.F, pot.f, lambda v: pot.f(v, F_out=F_out)):
+    for call in (pot.F, pot.f, lambda v: pot.f(v, F_sum=True), lambda v: pot.F(v, F_sum=True)):
         with pytest.raises(ValueError, match="NaN"):
             call(bad)
 
 
+def reference_kernels(pot, x):
+    if isinstance(pot, DoubleWell):
+        return double_well_reference(pot, x)
+    return flory_huggins_reference(pot, x)
+
+
+@settings(max_examples=200)
+@given(case=potential_and_values())
+def test_integrating_kernels_match_references(case):
+    # the references write the F array and sum it; the kernels take the sum
+    # from dot products, and out of (sigma, 1-sigma) from the clipped form
+    pot, x = case
+    F_ref, f_ref = reference_kernels(pot, x)
+    total_ref = float(np.add.reduce(F_ref))
+    f, total = pot.f(x, F_sum=True)
+    assert np.all(np.abs(f - f_ref) <= 1e-13 * np.maximum(1.0, np.abs(f_ref)))
+    assert abs(total - total_ref) <= 1e-13 * max(1.0, abs(total_ref))
+    inside = isinstance(pot, FloryHugginsRegularized) and (
+        pot.sigma < x.min() and x.max() < 1.0 - pot.sigma)
+    if inside:
+        assert np.array_equal(f, f_ref)
+
+
 @pytest.mark.parametrize("scheme", [Scheme.SAV_BDF, Scheme.ISAV_BDF])
 def test_potential_without_fused_f_still_steps(scheme, rng, monkeypatch):
-    # ConstantPotential shares no work between F and f; its f fills F_out
-    # itself, and every BDF step makes one such fused call at its
+    # ConstantPotential supplies only array kernels; the base class sums
+    # its F array, and every BDF step makes one such fused call at its
     # extrapolant
     pot = ConstantPotential(c_add=1.0)
     g = make_grid(8, 8, 2.0, 3.0)
     x = rng.standard_normal(g.shape)
-    F_out = np.full_like(x, math.nan)
-    assert np.array_equal(pot.f(x, None, None, F_out), np.zeros_like(x))
-    assert np.array_equal(F_out, np.ones_like(x))
+    f, total = pot.f(x, None, None, F_sum=True)
+    assert np.array_equal(f, np.zeros_like(x)) and total == 64.0
     fused, f = [], ConstantPotential.f
-    monkeypatch.setattr(ConstantPotential, "f", lambda self, phi, out=None, work=None, F_out=None:
-                        fused.append(F_out is not None) or f(self, phi, out, work, F_out))
+    monkeypatch.setattr(ConstantPotential, "f", lambda self, phi, out=None, work=None, F_sum=False:
+                        fused.append(F_sum) or f(self, phi, out, work, F_sum))
     params = ModelParams(alpha=1.0, gamma=0.2, S=0.0, tau=0.05, potential=pot)
     state = make_initial_state(scheme, random_field(g, rng), pot)
     state, _ = step(state, params, record=False)
@@ -158,3 +183,21 @@ def test_potential_without_fused_f_still_steps(scheme, rng, monkeypatch):
     for _ in range(3):
         state, rec = step(state, params)
         assert rec.E_orig == pytest.approx(rec.E_mod)
+
+
+@settings(max_examples=200)
+@given(pot=st.sampled_from([
+           FloryHugginsRegularized(eps=0.04, beta=3.0, sigma=0.01),
+           FloryHugginsRegularized(eps=1.0, beta=0.5, sigma=0.3),
+           FloryHugginsRegularized(eps=0.1, beta=3.0, sigma=0.5),
+           DoubleWell(eps=0.04),
+       ]),
+       lo=st.floats(-3.0, 4.0), width=st.floats(1e-6, 5.0))
+def test_suggest_S_is_the_dense_maximum(pot, lo, width):
+    # f' is convex between breakpoints, so no sampled value beats the
+    # endpoints and interior breakpoints suggest_S evaluates
+    hi = lo + width
+    assume(lo < hi)
+    exact = suggest_S(pot, (lo, hi))
+    dense = 0.5 * float(np.max(pot.fprime(np.linspace(lo, hi, 10_001))))
+    assert dense <= exact
