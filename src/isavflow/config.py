@@ -144,6 +144,18 @@ DEFAULT_OUTPUTS = {
     "record_every": 1,
 }
 
+# The keys each object of a document may hold ("" is the top level), fixed
+# per section rather than per kind, so a preset's base merges with any override.
+KNOWN_KEYS = {
+    "": ("scheme", "grid", "model", "potential", "S", "tau", "t_end", "init", "outputs",
+         "assert_energy"),
+    "grid": ("nx", "ny", "lx", "ly"),
+    "model": ("alpha", "gamma"),
+    "potential": ("kind", "eps", "beta", "sigma", "c_add"),
+    "init": ("kind", "seed", "path"),
+    "outputs": tuple(DEFAULT_OUTPUTS),
+}
+
 
 def preset_summary() -> str:
     lines = [f"{name:4s}  {p['doc']}" for name, p in PRESETS.items()]
@@ -205,11 +217,11 @@ def config_from_dict(doc: dict) -> RunConfig:
             merged["scheme"] = scheme_from_preset
         doc = merged
 
-    unknown = set(doc) - {
-        "scheme", "grid", "model", "potential", "S", "tau", "t_end",
-        "init", "outputs", "assert_energy",
-    }
-    _expect(not unknown, sorted(unknown)[0] if unknown else "", "unknown field")
+    for section, keys in KNOWN_KEYS.items():
+        obj = doc.get(section) if section else doc
+        unknown = sorted(str(k) for k in obj if k not in keys) if isinstance(obj, dict) else ()
+        if unknown:
+            raise ConfigError(f"{section + '.' if section else ''}{unknown[0]}: unknown field")
 
     scheme = doc.get("scheme")
     _expect(scheme in SCHEME_NAMES, "scheme", f"must be one of {SCHEME_NAMES}")

@@ -51,35 +51,6 @@ def original_energy(phi: Field, potential: Potential) -> float:
     return 0.5 * quad_form_hat(grid, phi.spectrum(), grid.lap_sym) + bulk_quad(potential, phi)
 
 
-def _e2(phi_n: Field, phi_nm1: Field, e_lin, F_n, F_nm1, S, ws):
-    """Three-level modified energy of a consecutive pair of levels,
-
-        1/4 (||L^{1/2} phi^n||^2 + ||L^{1/2}(2 phi^n - phi^{n-1})||^2)
-        + 1/2 [ r[phi^n]^2 + (2 r[phi^n] - r[phi^{n-1}])^2 ]
-        + S/2 ||phi^n - phi^{n-1}||^2,
-
-    from the levels' spectra, e_lin = 1/2 ||L^{1/2} phi^n||^2 and the bulk
-    integrals F_n, F_nm1 (r = sqrt(F)); the last term is one dot of the
-    difference with itself. Returns NaN if either bulk integral is
-    nonpositive (the value is then meaningless but a run may still want to
-    log the remaining columns). ws, the run's Scratch, takes the
-    temporaries.
-    """
-    if not (F_n > 0.0 and F_nm1 > 0.0):
-        return math.nan
-    grid = phi_n.grid
-    star = np.multiply(phi_n.spectrum(), 2.0, out=ws.spec[0])
-    star -= phi_nm1.spectrum()
-    diff = np.subtract(phi_n.values, phi_nm1.values, out=ws.real[0])
-    r_n = math.sqrt(F_n)
-    r_m = math.sqrt(F_nm1)
-    return (
-        0.5 * (e_lin + 0.5 * quad_form_hat(grid, star, ws.lap_c, ws.spec[1]))
-        + 0.5 * (r_n**2 + (2.0 * r_n - r_m) ** 2)
-        + 0.5 * S * grid.cell_area * float(np.vdot(diff, diff))
-    )
-
-
 def h1_error(u: Field, ref: Field) -> float:
     """H1 norm of u - ref; a reference on another grid over the same domain
     is restricted/interpolated spectrally first."""
@@ -92,56 +63,30 @@ def h1_error(u: Field, ref: Field) -> float:
     )
 
 
-def level_energies(state, potential, S=0.0, ws=None, e_lin=None):
-    """(1/2 ||L^{1/2} phi_n||^2, int F(phi_n), E2 with damping S) of a
-    state's own level; E2 is None unless the state holds two BDF levels.
-
-    Taken from the state's diagnostics carry when the step that produced it
-    recorded, else built from its carried spectra (no transform) and its
-    bulk integrals, each evaluated at most once and kept on the state; a
-    caller that already holds 1/2 ||L^{1/2} phi_n||^2 passes it as e_lin.
-    ws, the run's Scratch, takes the temporaries when given; the
-    three-level energy of a BDF state needs it.
-    """
-    F_work = None if ws is None else ws.real[1:]
-    F = state.bulk_n(potential, F_work)
-    if state.diag is not None:
-        return state.diag.e_lin, F, state.diag.E2
-    phi, phim = state.phi_n, state.phi_nm1
-    grid = phi.grid
-    if e_lin is None:
-        lap, work = (grid.lap_sym, None) if ws is None else (ws.lap_c, ws.spec[3])
-        e_lin = 0.5 * quad_form_hat(grid, phi.spectrum(), lap, work)
-    if not state.scheme.is_bdf or phim is None:
-        return e_lin, F, None
-    return e_lin, F, _e2(phi, phim, e_lin, F, state.bulk_nm1(potential, F_work), S, ws)
-
-
 def record_step(state, params, prev=None) -> StepRecord:
     """Build the record of a state's level.
 
     The decrement quantities need the chemical potential of the step that
-    produced the state, which its diagnostics carry, and the energies of
-    prev, the state that step started from; without either (at t=0, or for
-    a state stepped without records) they are None. Every energy comes from
-    level_energies, so a record costs no transform; its temporaries go into
-    the run's scratch.
+    produced the state (its mu_hat) and the energies of prev, the state
+    that step started from; without either (at t=0, or for a state stepped
+    without records) they are None. Every energy comes from the states'
+    energies, which keep what they evaluate, so a record costs no
+    transform; its temporaries go into the run's scratch.
     """
     grid = state.phi_n.grid
     ws = params.symbols(grid)
     S = params.S if state.scheme.is_improved else 0.0
     values = state.phi_n.values
-    e_lin, F, E2 = level_energies(state, params.potential, S, ws)
+    e_lin, F, E2 = state.energies(params.potential, S, ws)
     E_orig = e_lin + F
     E_mod = e_lin + state.r_report**2 if state.r_report is not None else None
     r_drift = None
     if state.r_report is not None:
         r_drift = math.sqrt(F) - state.r_report if F > 0 else math.nan
     D_be = D_bdf = None
-    mu_hat = None if state.diag is None else state.diag.mu_hat
-    if prev is not None and mu_hat is not None:
-        ghalf_sq = quad_form_hat(grid, mu_hat, ws.g_c, ws.spec[3])
-        e_lin_prev, F_prev, E2_prev = level_energies(prev, params.potential, S, ws)
+    if prev is not None and state.mu_hat is not None:
+        ghalf_sq = quad_form_hat(grid, state.mu_hat, ws.g_c, ws.spec[3])
+        e_lin_prev, F_prev, E2_prev = prev.energies(params.potential, S, ws)
         D_be = E_orig - (e_lin_prev + F_prev) + params.tau * ghalf_sq
         if E2 is not None and E2_prev is not None:
             D_bdf = E2 - E2_prev + params.tau * ghalf_sq

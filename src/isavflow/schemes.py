@@ -32,7 +32,7 @@ from enum import Enum
 
 import numpy as np
 
-from .diagnostics import level_energies, record_step
+from .diagnostics import record_step
 from .potentials import Potential, bulk_energy, bulk_quad, check_bulk
 from .spectral import Field, Grid, _parseval, quad_form_hat
 
@@ -132,32 +132,22 @@ class Scratch:
 
 
 @dataclass
-class StepDiagnostics:
-    """Energies of a state's own level that only records use, carried by
-    the states of recording steps.
-
-    e_lin is 1/2 ||L^{1/2} phi_n||^2; mu_hat the spectrum of the chemical
-    potential of the step that produced the state (None at t=0); E2 the
-    three-level modified energy (BDF states only).
-    """
-
-    e_lin: float
-    mu_hat: np.ndarray | None = None
-    E2: float | None = None
-
-
-@dataclass
 class SchemeState:
-    """What the next step needs, plus an optional diagnostics carry.
+    """What the next step needs, and a cache of its own level's energies.
 
     phi_nm1 is the previous level of a BDF state, None on BE states and at
     t=0. The SAV schemes carry their auxiliary scalar in r_n (and r_nm1 for
     BDF2); the improved schemes carry none, and r_report holds the latest
-    scalar, carried or reconstructed, for records. F_n and F_nm1 are
-    the bulk integrals at phi_n and phi_nm1 once evaluated (unchecked for
-    positivity), else None; bulk_n and bulk_nm1 evaluate them on first use,
-    so no level's integral is taken twice. diag is filled only by steps
-    that record.
+    scalar, carried or reconstructed, for records.
+
+    Every energy of a level is evaluated on first use and then kept here, so
+    none is taken twice; None means not evaluated yet. F_n and F_nm1 are the
+    bulk integrals at phi_n and phi_nm1 (unchecked for positivity), filled
+    by bulk_n and bulk_nm1; e_lin = 1/2 ||L^{1/2} phi_n||^2 and E2, the
+    three-level modified energy of a BDF state with two levels, are filled
+    by energies. A recording step sets e_lin, which it has in hand, and
+    mu_hat, the spectrum of the chemical potential of the step that
+    produced the state (None at t=0 and after a step without records).
     """
 
     scheme: Scheme
@@ -169,7 +159,9 @@ class SchemeState:
     r_report: float | None = None
     F_n: float | None = None
     F_nm1: float | None = None
-    diag: StepDiagnostics | None = None
+    e_lin: float | None = None
+    E2: float | None = None
+    mu_hat: np.ndarray | None = None
 
     def bulk_n(self, potential: Potential, work=None) -> float:
         """int F(phi_n), evaluated on first use (work as for bulk_quad)."""
@@ -183,21 +175,52 @@ class SchemeState:
             self.F_nm1 = bulk_quad(potential, self.phi_nm1, work)
         return self.F_nm1
 
+    def energies(self, potential: Potential, S: float, ws: Scratch):
+        """(e_lin, int F(phi_n), E2 with damping S) of the state's level, each
+        evaluated on first use from the carried spectra (no transform), with
+        ws, the run's Scratch, for temporaries, and kept. E2 is None unless
+        the state holds two BDF levels; it is the three-level modified energy
+
+            1/4 (||L^{1/2} phi^n||^2 + ||L^{1/2}(2 phi^n - phi^{n-1})||^2)
+            + 1/2 [ r[phi^n]^2 + (2 r[phi^n] - r[phi^{n-1}])^2 ]
+            + S/2 ||phi^n - phi^{n-1}||^2,
+
+        r = sqrt(int F), or NaN if either bulk integral is nonpositive (a run
+        may still log the other columns). Its last term is one dot of the
+        difference with itself.
+        """
+        grid, F = self.phi_n.grid, self.bulk_n(potential, ws.real[1:])
+        if self.e_lin is None:
+            self.e_lin = 0.5 * quad_form_hat(grid, self.phi_n.spectrum(), ws.lap_c, ws.spec[3])
+        if self.E2 is None and self.scheme.is_bdf and self.phi_nm1 is not None:
+            F_m = self.bulk_nm1(potential, ws.real[1:])
+            self.E2 = math.nan
+            if F > 0.0 and F_m > 0.0:
+                star = np.multiply(self.phi_n.spectrum(), 2.0, out=ws.spec[0])
+                star -= self.phi_nm1.spectrum()
+                diff = np.subtract(self.phi_n.values, self.phi_nm1.values, out=ws.real[0])
+                r_n, r_m = math.sqrt(F), math.sqrt(F_m)
+                self.E2 = (
+                    0.5 * (self.e_lin + 0.5 * quad_form_hat(grid, star, ws.lap_c, ws.spec[1]))
+                    + 0.5 * (r_n**2 + (2.0 * r_n - r_m) ** 2)
+                    + 0.5 * S * grid.cell_area * float(np.vdot(diff, diff))
+                )
+        return self.e_lin, F, self.E2
+
 
 def make_initial_state(scheme: Scheme, phi0: Field, potential: Potential) -> SchemeState:
     """State at t=0, ready for step with any of the four schemes."""
     scheme = Scheme(scheme)
     F0 = bulk_energy(potential, phi0)
     r0 = math.sqrt(F0)
-    state = SchemeState(
+    phi0.spectrum()  # carried by every state, so that a step transforms only f
+    return SchemeState(
         scheme=scheme,
         phi_n=phi0,
         r_n=r0 if not scheme.is_improved else None,
         r_report=r0,
         F_n=F0,
     )
-    state.diag = StepDiagnostics(e_lin=level_energies(state, potential)[0])
-    return state
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +319,7 @@ def step(state: SchemeState, params: ModelParams, record=True):
     right-hand side's own solve diag^{-1} rhs is never formed.
 
     Returns (new_state, record). With record=False the record is None and
-    the new state carries no diagnostics; the field is the same either
+    the new state carries no e_lin or mu_hat; the field is the same either
     way. A record's decrements take the previous level's energies from
     state itself, so any step may record, whether or not the one before
     it did.
@@ -382,8 +405,7 @@ def step(state: SchemeState, params: ModelParams, record=True):
         mu_hat += c1
     if scheme.is_bdf:
         new.F_nm1 = state.bulk_n(pot, F_work)
-    E2 = level_energies(new, pot, S, ws, e_lin)[2]
-    new.diag = StepDiagnostics(e_lin=e_lin, mu_hat=mu_hat, E2=E2)
+    new.e_lin, new.mu_hat = e_lin, mu_hat
     rec = record_step(new, params, state)
     if params.assert_energy:
         _check_energy_laws(state, new, params, rec)
@@ -393,15 +415,15 @@ def step(state: SchemeState, params: ModelParams, record=True):
 def _check_energy_laws(old, new, params, rec):
     if new.scheme.is_bdf:
         return
-    e_lin_old, F_old, _ = level_energies(old, params.potential)
+    # record_step(new, params, old) has just filled old's energies.
     if new.scheme == Scheme.SAV_BE:
-        e_mod_old = e_lin_old + old.r_n**2
+        e_mod_old = old.e_lin + old.r_n**2
         if rec.E_mod > e_mod_old + MODIFIED_ENERGY_RTOL * abs(e_mod_old):
             raise EnergyLawViolation(
                 f"modified energy rose at step {new.step_index}: {e_mod_old} -> {rec.E_mod}"
             )
     elif new.scheme == Scheme.ISAV_BE and rec.D_be is not None:
-        tol = ORIGINAL_ENERGY_RTOL * (1.0 + abs(e_lin_old + F_old))
+        tol = ORIGINAL_ENERGY_RTOL * (1.0 + abs(old.e_lin + old.F_n))
         if rec.D_be > tol:
             raise EnergyLawViolation(
                 f"original-energy decrement positive at step {new.step_index}: {rec.D_be}"

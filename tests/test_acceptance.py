@@ -210,7 +210,7 @@ class TestCriterion8SolverOracle:
         scale = max(np.abs(dphi).max(), 1.0)
         residual = np.abs(dphi + gmu).max() / scale
         assert residual <= 1e-10
-        last_mu = g.inverse(new.diag.mu_hat)
+        last_mu = g.inverse(new.mu_hat)
         assert np.abs(mu - last_mu).max() <= 1e-10 * max(np.abs(mu).max(), 1.0)
         print(f"criterion 8 PASS ({scheme.value}): relation residual {residual:.2e}")
 

@@ -148,7 +148,7 @@ class TestRecordStep:
         new, rec = step(state, p)
         e_new = original_energy(new.phi_n, pot)
         e_old = original_energy(state.phi_n, pot)
-        ghalf_sq = quad_form_hat(g, Field(g, g.inverse(new.diag.mu_hat)).spectrum(), sym.g_sym)
+        ghalf_sq = quad_form_hat(g, Field(g, g.inverse(new.mu_hat)).spectrum(), sym.g_sym)
         assert rec.D_be == pytest.approx(e_new - e_old + p.tau * ghalf_sq, rel=1e-10, abs=1e-12)
         assert rec.E_orig == pytest.approx(e_new, rel=1e-12)
 
@@ -209,7 +209,7 @@ class TestEnergyColumnsMatchOracle:
             expect = {"E_orig": E_orig, "E_mod": e_lin + state.r_report**2, "E2": E2,
                       "D_be": None, "D_bdf": None}
             if prev is not None:
-                ghalf_sq = p.tau * quad_form_reference(g, state.diag.mu_hat, G)
+                ghalf_sq = p.tau * quad_form_reference(g, state.mu_hat, G)
                 expect["D_be"] = E_orig - prev[0] + ghalf_sq
                 if E2 is not None and prev[1] is not None:
                     expect["D_bdf"] = E2 - prev[1] + ghalf_sq

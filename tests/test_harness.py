@@ -74,6 +74,15 @@ class TestConfigValidation:
     def test_unknown_field(self):
         with pytest.raises(ConfigError, match="unknown field"):
             config_from_dict({**MINIMAL, "tua": 0.1})
+        # inside an object too, at its dotted path; per section, not per kind
+        for doc, path in [
+            ({"preset": "ex1-isav-be", "outputs": {"record_evry": 10}}, "outputs.record_evry"),
+            ({"preset": "ex1-isav-be", "init": {"kind": "ex1", "sed": 3}}, "init.sed"),
+            ({"preset": "ex3-isav-be", "potential": {"kind": "flory-huggins", "eps": 0.04,
+                                                     "betta": 2}}, "potential.betta"),
+        ]:
+            with pytest.raises(ConfigError, match=rf"^{path}: unknown field$"):
+                config_from_dict(doc)
 
     def test_nonintegral_step_count(self):
         with pytest.raises(ConfigError, match="t_end"):

@@ -1,7 +1,9 @@
 """The public surface, pinned: the names the package exports at its top level
-and in each module's __all__. A change to either list is a deliberate API
-change and updates the lists here."""
+and in each module's __all__, and the fields of its public dataclasses. A
+change to any of these is a deliberate API change and updates the lists
+here."""
 
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -33,6 +35,14 @@ MODULE_ALL = {
     "spectral": ["Grid", "Field", "make_grid", "quad_form_hat", "resample"],
 }
 
+# In order: StepRecord's order is the series CSV's column order.
+DATACLASS_FIELDS = {
+    "SchemeState": ["scheme", "phi_n", "step_index", "phi_nm1", "r_n", "r_nm1", "r_report",
+                    "F_n", "F_nm1", "e_lin", "E2", "mu_hat"],
+    "StepRecord": ["step", "t", "E_orig", "E_mod", "E2", "D_be", "D_bdf", "r_drift", "mass",
+                   "min_phi", "max_phi"],
+}
+
 
 def test_top_level_names():
     public = sorted(
@@ -57,3 +67,9 @@ def test_module_all_total():
     }
     assert with_all == set(MODULE_ALL)
     assert sum(len(names) for names in MODULE_ALL.values()) == 34
+
+
+@pytest.mark.parametrize("name", sorted(DATACLASS_FIELDS))
+def test_dataclass_fields(name):
+    fields = [f.name for f in dataclasses.fields(getattr(isavflow, name))]
+    assert fields == DATACLASS_FIELDS[name]

@@ -23,8 +23,8 @@ def state_arrays(state):
     for field in (state.phi_n, state.phi_nm1):
         if field is not None:
             out += [field.values] + ([field.hat] if field.hat is not None else [])
-    if state.diag is not None and state.diag.mu_hat is not None:
-        out.append(state.diag.mu_hat)
+    if state.mu_hat is not None:
+        out.append(state.mu_hat)
     return out
 
 
