@@ -25,6 +25,6 @@ from .schemes import (
     make_initial_state,
     step,
 )
-from .spectral import Field, Grid, make_grid, resample
+from .spectral import Field, Grid, resample
 
 __version__ = "0.1.0"

@@ -19,7 +19,7 @@ import numpy as np
 
 from .potentials import DoubleWell, FloryHugginsRegularized, Potential
 from .schemes import Scheme
-from .spectral import Field, Grid, make_grid
+from .spectral import Field, Grid
 
 __all__ = [
     "ConfigError",
@@ -41,7 +41,7 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    """Validated run description; field order fixes the dump layout."""
+    """Validated run description; field order fixes the layout of to_dict."""
 
     scheme: str
     grid: dict
@@ -59,7 +59,7 @@ class RunConfig:
 
     def make_grid(self) -> Grid:
         g = self.grid
-        return make_grid(g["nx"], g["ny"], g["lx"], g["ly"])
+        return Grid(g["nx"], g["ny"], g["lx"], g["ly"])
 
     def make_potential(self) -> Potential:
         p = self.potential
@@ -71,9 +71,6 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
 # --- presets ---------------------------------------------------------------
@@ -122,19 +119,12 @@ PRESETS = {
         "S": lambda eps: 10.0 / eps**2,
         "c_add": lambda eps: 0.06 / eps**2,
     },
-    "ex4": {
-        "doc": "seeded random data, regularized Flory-Huggins",
-        "base": {
-            "grid": {"nx": 128, "ny": 128, "lx": TWO_PI, "ly": TWO_PI},
-            "model": {"alpha": 0.0, "gamma": 0.5},
-            "potential": {"kind": "flory-huggins", "eps": 0.04, "beta": 3.0, "sigma": 0.01},
-            "tau": 0.01,
-            "t_end": 1.0,
-            "init": {"kind": "random", "seed": 0},
-        },
-        "S": lambda eps: 10.0 / eps**2,
-        "c_add": lambda eps: 0.06 / eps**2,
-    },
+}
+# ex4 is ex3 started from seeded random data.
+PRESETS["ex4"] = {
+    **PRESETS["ex3"],
+    "doc": "seeded random data, regularized Flory-Huggins",
+    "base": {**PRESETS["ex3"]["base"], "init": {"kind": "random", "seed": 0}},
 }
 
 DEFAULT_OUTPUTS = {

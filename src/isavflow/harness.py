@@ -28,7 +28,7 @@ from .schemes import (
     make_initial_state,
     step,
 )
-from .spectral import Field, NonFiniteFieldError, make_grid
+from .spectral import Field, Grid, NonFiniteFieldError
 
 __all__ = [
     "SchemeRuntimeError",
@@ -151,7 +151,7 @@ def read_snapshot(path):
         nx, ny = int(head[0]), int(head[1])
         lx, ly, t = float(head[2]), float(head[3]), float(head[4])
         values = np.loadtxt(fh, ndmin=2)
-    grid = make_grid(nx, ny, lx, ly)
+    grid = Grid(nx, ny, lx, ly)
     if values.shape != (nx, ny):
         raise ValueError(f"snapshot body shape {values.shape} does not match header {(nx, ny)}")
     return Field(grid, values), t
@@ -182,8 +182,8 @@ def run_simulation(cfg: RunConfig, outdir=None, write_outputs=True, record=True)
     first step; a path that cannot hold them is a ConfigError. A scheme
     failure (nonpositive bulk integral, violated assertion, non-finite
     field) or a snapshot that cannot be written (OutputWriteError) aborts
-    the run; the rows accumulated so far are still written before the
-    error propagates with the failing step and its context.
+    the run with the failing step and its context. Whatever stops a run
+    once level 0 is built, the kept rows are written before it propagates.
     """
     grid = cfg.make_grid()
     pot = cfg.make_potential()
@@ -208,13 +208,13 @@ def run_simulation(cfg: RunConfig, outdir=None, write_outputs=True, record=True)
 
     snapshot_paths = []
 
-    def snapshot_error(step_index, field):
+    def snapshot(step_index, field):
         if step_index in snap_at:
             path = os.path.join(snap_dir, f"phi_step{step_index:06d}.txt")
             try:
                 write_snapshot(path, field, step_index * cfg.tau)
             except OSError as exc:
-                return OutputWriteError(step_index, exc)
+                raise OutputWriteError(step_index, exc) from exc
             snapshot_paths.append(path)
 
     try:
@@ -223,24 +223,21 @@ def run_simulation(cfg: RunConfig, outdir=None, write_outputs=True, record=True)
     except SCHEME_FAILURES as exc:
         raise SchemeRuntimeError(0, exc, 0.0, cfg.scheme) from exc
 
-    error = snapshot_error(0, state.phi_n)
-    n = 0
-    while error is None and n < n_total:
-        n += 1
-        # Only kept rows (every row under assert_energy) are built.
-        keep = kept(n)
-        try:
-            state, rec = step(state, params, record=keep or (record and params.assert_energy))
-        except SCHEME_FAILURES as exc:
-            error = SchemeRuntimeError(n, exc, n * cfg.tau, cfg.scheme, state.phi_n)
-            break
-        if keep:
-            records.append(rec)
-        error = snapshot_error(n, state.phi_n)
-    if write_outputs:
-        write_series_csv(series_path, map(vars, records))
-    if error is not None:
-        raise error from error.cause
+    try:
+        snapshot(0, state.phi_n)
+        for n in range(1, n_total + 1):
+            # Only kept rows (every row under assert_energy) are built.
+            keep = kept(n)
+            try:
+                state, rec = step(state, params, record=keep or (record and params.assert_energy))
+            except SCHEME_FAILURES as exc:
+                raise SchemeRuntimeError(n, exc, n * cfg.tau, cfg.scheme, state.phi_n) from exc
+            if keep:
+                records.append(rec)
+            snapshot(n, state.phi_n)
+    finally:
+        if write_outputs:
+            write_series_csv(series_path, map(vars, records))
     return SimulationResult(
         records=records,
         final_state=state,

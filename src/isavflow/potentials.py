@@ -55,8 +55,8 @@ class Potential:
     using out as a temporary, and f returns (f(phi), that same sum) from
     what the two share; every bulk integral of a step or a record is such a
     sum. None of out and work may be phi itself or overlap another. A
-    subclass overrides F and f, or supplies only _F(p, out) and _f(p, out),
-    which fill out and return it, and the base class sums its F array.
+    subclass implements F and f to this contract, and fprime and, where f'
+    has kinks, breakpoints.
 
     Inputs are scanned for NaN (ValueError), except in calls that hand in
     work arrays: that is the form a time step uses, on the values of a
@@ -64,16 +64,6 @@ class Potential:
     """
 
     c_add: float = 0.0
-
-    def F(self, phi, out=None, work=None, F_sum=False):
-        p = _as_array(phi, work is not None)
-        F = self._F(p, _output(p, out))
-        return float(np.add.reduce(F, axis=None)) if F_sum else _as_input(F)
-
-    def f(self, phi, out=None, work=None, F_sum=False):
-        p = _as_array(phi, work is not None)
-        f = _as_input(self._f(p, _output(p, out)))
-        return (f, self.F(p, None, work, F_sum=True)) if F_sum else f
 
     def fprime(self, phi):
         raise NotImplementedError

@@ -143,9 +143,9 @@ class SchemeState:
     Every energy of a level is evaluated on first use and then kept here, so
     none is taken twice; None means not evaluated yet. F_n and F_nm1 are the
     bulk integrals at phi_n and phi_nm1 (unchecked for positivity), filled
-    by bulk_n and bulk_nm1; e_lin = 1/2 ||L^{1/2} phi_n||^2 and E2, the
-    three-level modified energy of a BDF state with two levels, are filled
-    by energies. A recording step sets e_lin, which it has in hand, and
+    by bulk_n and bulk_nm1; e_lin = 1/2 ||L^{1/2} phi_n||^2 and E2 (the
+    S-free parts of a two-level BDF state's three-level modified energy) are
+    filled by energies. A recording step sets e_lin, which it has in hand, and
     mu_hat, the spectrum of the chemical potential of the step that
     produced the state (None at t=0 and after a step without records).
     """
@@ -160,7 +160,7 @@ class SchemeState:
     F_n: float | None = None
     F_nm1: float | None = None
     e_lin: float | None = None
-    E2: float | None = None
+    E2: tuple[float, float] | None = None
     mu_hat: np.ndarray | None = None
 
     def bulk_n(self, potential: Potential, work=None) -> float:
@@ -186,15 +186,15 @@ class SchemeState:
             + S/2 ||phi^n - phi^{n-1}||^2,
 
         r = sqrt(int F), or NaN if either bulk integral is nonpositive (a run
-        may still log the other columns). Its last term is one dot of the
-        difference with itself.
+        may still log the other columns). The state keeps E2 without its last
+        term and the node sum of (phi^n - phi^{n-1})^2, so each S gets its own.
         """
         grid, F = self.phi_n.grid, self.bulk_n(potential, ws.real[1:])
         if self.e_lin is None:
             self.e_lin = 0.5 * quad_form_hat(grid, self.phi_n.spectrum(), ws.lap_c, ws.spec[3])
         if self.E2 is None and self.scheme.is_bdf and self.phi_nm1 is not None:
             F_m = self.bulk_nm1(potential, ws.real[1:])
-            self.E2 = math.nan
+            self.E2 = (math.nan, math.nan)
             if F > 0.0 and F_m > 0.0:
                 star = np.multiply(self.phi_n.spectrum(), 2.0, out=ws.spec[0])
                 star -= self.phi_nm1.spectrum()
@@ -202,10 +202,11 @@ class SchemeState:
                 r_n, r_m = math.sqrt(F), math.sqrt(F_m)
                 self.E2 = (
                     0.5 * (self.e_lin + 0.5 * quad_form_hat(grid, star, ws.lap_c, ws.spec[1]))
-                    + 0.5 * (r_n**2 + (2.0 * r_n - r_m) ** 2)
-                    + 0.5 * S * grid.cell_area * float(np.vdot(diff, diff))
+                    + 0.5 * (r_n**2 + (2.0 * r_n - r_m) ** 2),
+                    float(np.vdot(diff, diff)),
                 )
-        return self.e_lin, F, self.E2
+        E2 = None if self.E2 is None else self.E2[0] + 0.5 * S * grid.cell_area * self.E2[1]
+        return self.e_lin, F, E2
 
 
 def make_initial_state(scheme: Scheme, phi0: Field, potential: Potential) -> SchemeState:

@@ -19,7 +19,6 @@ import numpy as np
 __all__ = [
     "Grid",
     "Field",
-    "make_grid",
     "quad_form_hat",
     "resample",
 ]
@@ -54,7 +53,6 @@ class Grid:
         # half-spectrum layout used by rfft2.
         kx = 2.0 * np.pi * np.fft.fftfreq(self.nx, d=self.hx)
         ky_half = 2.0 * np.pi * np.fft.rfftfreq(self.ny, d=self.hy)
-        object.__setattr__(self, "kx", kx)
         object.__setattr__(self, "lap_sym", kx[:, None] ** 2 + ky_half[None, :] ** 2)
         # Parseval weights for the rfft2 half-spectrum: interior columns
         # stand for a conjugate pair, the ky=0 and Nyquist columns do not.
@@ -91,11 +89,6 @@ class Grid:
         does, so the intermediate transform along x can go into work (a
         complex array of the spectral shape) instead of a new array."""
         return np.fft.irfft(np.fft.ifft(hat, self.nx, axis=0, out=work), self.ny, axis=1)
-
-
-def make_grid(nx: int, ny: int, lx: float, ly: float) -> Grid:
-    """Build a periodic grid, rejecting odd or tiny sizes."""
-    return Grid(nx, ny, lx, ly)
 
 
 class NonFiniteFieldError(ValueError):

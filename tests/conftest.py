@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from isavflow import Field, make_grid
+from isavflow import Field, Grid
 from isavflow.config import config_from_dict
 from isavflow.harness import run_simulation
 
@@ -41,7 +41,7 @@ def rng():
 
 @pytest.fixture
 def grid_pi():
-    return make_grid(16, 16, TWO_PI, TWO_PI)
+    return Grid(16, 16, TWO_PI, TWO_PI)
 
 
 def final_field(cfg):

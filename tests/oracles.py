@@ -17,18 +17,28 @@ from isavflow.spectral import _parseval
 @dataclass(frozen=True)
 class ConstantPotential(Potential):
     """F identically c_add, f = f' = 0; handy for linear-decay checks. It
-    supplies only the array kernels and takes its sums from the base class."""
+    implements the F/f contract of Potential directly: out is filled when
+    given, and with F_sum the node sum of F is size * c_add."""
 
-    def _F(self, p, out):
-        out.fill(self.c_add)
-        return out
+    def F(self, phi, out=None, work=None, F_sum=False):
+        p = np.asarray(phi, dtype=float)
+        return p.size * self.c_add if F_sum else _filled(p, out, self.c_add)
 
-    def _f(self, p, out):
-        out.fill(0.0)
-        return out
+    def f(self, phi, out=None, work=None, F_sum=False):
+        p = np.asarray(phi, dtype=float)
+        f = _filled(p, out, 0.0)
+        return (f, self.F(p, F_sum=True)) if F_sum else f
 
     def fprime(self, phi):
         return np.zeros_like(phi) if np.ndim(phi) else 0.0
+
+
+def _filled(p, out, value):
+    """out (a new array if None) shaped as p and set to value; a float for a
+    scalar p."""
+    out = np.empty_like(p) if out is None else out
+    out.fill(value)
+    return out if out.ndim else float(out)
 
 
 def double_well_reference(pot, x):

@@ -14,10 +14,10 @@ from isavflow import (
     DoubleWell,
     Field,
     FloryHugginsRegularized,
+    Grid,
     ModelParams,
     Scheme,
     bulk_energy,
-    make_grid,
     make_initial_state,
     step,
 )
@@ -160,7 +160,7 @@ class TestCriterion7DriftScaling:
 class TestCriterion8SolverOracle:
     def test_randomized_systems_match_dense(self):
         rng = np.random.default_rng(8)
-        g = make_grid(8, 8, 1.0, 2.0)
+        g = Grid(8, 8, 1.0, 2.0)
         worst = 0.0
         for _ in range(200):
             b = random_field(g, rng)
@@ -181,7 +181,7 @@ class TestCriterion8SolverOracle:
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_scheme_relation_residuals(self, scheme):
         rng = np.random.default_rng(88)
-        g = make_grid(16, 16, TWO_PI, TWO_PI)
+        g = Grid(16, 16, TWO_PI, TWO_PI)
         pot = DoubleWell(eps=0.5, c_add=1.0)
         p = ModelParams(alpha=1.0, gamma=0.2, S=3.0, tau=0.05, potential=pot)
         sym = p.symbols(g)

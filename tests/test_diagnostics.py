@@ -8,11 +8,11 @@ import pytest
 from isavflow import (
     DoubleWell,
     Field,
+    Grid,
     ModelParams,
     NonPositiveBulkEnergyError,
     Scheme,
     h1_error,
-    make_grid,
     make_initial_state,
     original_energy,
     record_step,
@@ -28,11 +28,11 @@ from oracles import ConstantPotential, e2_energy, quad, quad_form_reference
 
 class TestOriginalEnergy:
     def test_minimizer_is_zero(self):
-        g = make_grid(16, 16, TWO_PI, TWO_PI)
+        g = Grid(16, 16, TWO_PI, TWO_PI)
         assert original_energy(Field(g, np.ones(g.shape)), DoubleWell(eps=1.0)) == pytest.approx(0.0, abs=1e-14)
 
     def test_gradient_part(self):
-        g = make_grid(32, 32, TWO_PI, TWO_PI)
+        g = Grid(32, 32, TWO_PI, TWO_PI)
         X, Y = g.nodes()
         phi = Field(g, np.sin(X) * np.sin(Y))
         pot = ConstantPotential(c_add=0.0)
@@ -42,14 +42,14 @@ class TestOriginalEnergy:
         pot = DoubleWell(eps=1.0)
         vals = []
         for n in (64, 256):
-            g = make_grid(n, n, TWO_PI, TWO_PI)
+            g = Grid(n, n, TWO_PI, TWO_PI)
             vals.append(original_energy(initial_field({"kind": "ex1"}, g), pot))
         assert vals[0] == pytest.approx(vals[1], rel=1e-10)
 
 
 class TestE2Energy:
     def test_degenerate_history_collapses_to_bulk(self):
-        g = make_grid(16, 16, TWO_PI, TWO_PI)
+        g = Grid(16, 16, TWO_PI, TWO_PI)
         pot = DoubleWell(eps=1.0, c_add=1.0)
         c = Field(g, np.full(g.shape, 0.4))
         from isavflow import bulk_energy
@@ -57,13 +57,13 @@ class TestE2Energy:
         assert e2_energy(c, c, pot, S=123.0) == pytest.approx(bulk_energy(pot, c), rel=1e-13)
 
     def test_damping_term_vanishes_for_equal_fields(self, rng):
-        g = make_grid(16, 16, TWO_PI, TWO_PI)
+        g = Grid(16, 16, TWO_PI, TWO_PI)
         pot = DoubleWell(eps=0.5, c_add=1.0)
         u = Field(g, rng.uniform(-0.5, 0.5, g.shape))
         assert e2_energy(u, u, pot, S=0.0) == pytest.approx(e2_energy(u, u, pot, S=50.0))
 
     def test_nonpositive_bulk_raises(self):
-        g = make_grid(8, 8, TWO_PI, TWO_PI)
+        g = Grid(8, 8, TWO_PI, TWO_PI)
         ones = Field(g, np.ones(g.shape))
         with pytest.raises(NonPositiveBulkEnergyError):
             e2_energy(ones, ones, DoubleWell(eps=1.0), S=0.0)
@@ -88,12 +88,12 @@ class TestE2Energy:
 
 class TestH1Error:
     def test_zero_for_identical(self, rng):
-        g = make_grid(16, 16, 1.0, 1.0)
+        g = Grid(16, 16, 1.0, 1.0)
         u = random_field(g, rng)
         assert h1_error(u, u) == 0.0
 
     def test_analytic_perturbation(self):
-        g = make_grid(32, 32, TWO_PI, TWO_PI)
+        g = Grid(32, 32, TWO_PI, TWO_PI)
         X, _ = g.nodes()
         ref = Field(g, np.full(g.shape, 0.3))
         for c in (0.25, 1.5):
@@ -101,13 +101,13 @@ class TestH1Error:
             assert h1_error(u, ref) == pytest.approx(2 * np.pi * c, rel=1e-13)
 
     def test_triangle_inequality(self, rng):
-        g = make_grid(12, 12, 2.0, 2.0)
+        g = Grid(12, 12, 2.0, 2.0)
         for _ in range(20):
             u, v, w = (random_field(g, rng) for _ in range(3))
             assert h1_error(u, w) <= h1_error(u, v) + h1_error(v, w) + 1e-12
 
     def test_scaling_homogeneity(self, rng):
-        g = make_grid(12, 12, 2.0, 2.0)
+        g = Grid(12, 12, 2.0, 2.0)
         zero = Field(g, np.zeros(g.shape))
         for _ in range(10):
             u = random_field(g, rng)
@@ -116,8 +116,8 @@ class TestH1Error:
                 c * h1_error(u, zero), rel=1e-12)
 
     def test_cross_grid_reference(self):
-        fine = make_grid(64, 64, TWO_PI, TWO_PI)
-        coarse = make_grid(16, 16, TWO_PI, TWO_PI)
+        fine = Grid(64, 64, TWO_PI, TWO_PI)
+        coarse = Grid(16, 16, TWO_PI, TWO_PI)
         Xf, Yf = fine.nodes()
         Xc, Yc = coarse.nodes()
         ref = Field(fine, np.sin(Xf) * np.sin(Yf))
@@ -127,7 +127,7 @@ class TestH1Error:
 
 class TestRecordStep:
     def setup_state(self, rng):
-        g = make_grid(16, 16, TWO_PI, TWO_PI)
+        g = Grid(16, 16, TWO_PI, TWO_PI)
         pot = DoubleWell(eps=0.5, c_add=1.0)
         p = ModelParams(alpha=1.0, gamma=0.2, S=2.0, tau=0.05, potential=pot)
         phi0 = Field(g, rng.uniform(-0.6, 0.6, g.shape))

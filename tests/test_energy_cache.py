@@ -14,6 +14,7 @@ from isavflow.harness import run_simulation
 from isavflow.spectral import Grid
 
 from conftest import ex1_config
+from oracles import e2_energy
 
 SCHEMES = [s.value for s in Scheme]
 
@@ -98,3 +99,24 @@ def test_energy_assertions_change_nothing(scheme, every):
     assert np.array_equal(checked.final_state.phi_n.values, plain.final_state.phi_n.values)
     assert len(plain.records) == len(checked.records) == cfg.n_steps() // every + 1
     assert checked.records == plain.records
+
+
+def test_each_call_gets_the_E2_of_its_own_S():
+    cfg = ex1_config("isav-bdf", 0.0, 0.05, nx=8)
+    pot = cfg.make_potential()
+    params = ModelParams(alpha=cfg.model["alpha"], gamma=cfg.model["gamma"], S=cfg.S,
+                         tau=cfg.tau, potential=pot)
+    state = make_initial_state("isav-bdf", initial_field(cfg.init, cfg.make_grid()), pot)
+    for _ in range(2):
+        state, _ = step(state, params)
+    ws = params.symbols(state.phi_n.grid)
+
+    def fresh(S):  # the E2 of a copy of the state that has kept nothing
+        return replace(state, E2=None).energies(pot, S, ws)[2]
+
+    damped, undamped = fresh(6.0), fresh(0.0)
+    assert damped > undamped
+    assert state.energies(pot, 6.0, ws)[2] == damped
+    assert state.energies(pot, 0.0, ws)[2] == undamped
+    assert state.energies(pot, 6.0, ws)[2] == damped
+    assert undamped == pytest.approx(e2_energy(state.phi_n, state.phi_nm1, pot, 0.0), rel=1e-12)

@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from isavflow import (ConfigError, Field, ModelParams, Scheme, SchemeRuntimeError, make_grid,
+from isavflow import (ConfigError, Field, Grid, ModelParams, Scheme, SchemeRuntimeError,
                       make_initial_state, step)
+from isavflow import harness
 from isavflow.cli import main
 from isavflow.config import PRESETS, config_from_dict, initial_field, load_config
 from isavflow.harness import (
@@ -53,8 +54,8 @@ class TestConfigValidation:
 
     def test_echo_dump_round_trips(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path, MINIMAL))
-        dumped = cfg.to_json()
-        again = config_from_dict(json.loads(dumped)).to_json()
+        dumped = json.dumps(cfg.to_dict())
+        again = json.dumps(config_from_dict(json.loads(dumped)).to_dict())
         assert dumped == again
 
     def test_alpha_out_of_range(self):
@@ -186,13 +187,13 @@ class TestPresets:
 
 class TestInitialConditions:
     def test_ex1_formula(self):
-        g = make_grid(32, 32, TWO_PI, TWO_PI)
+        g = Grid(32, 32, TWO_PI, TWO_PI)
         f = initial_field({"kind": "ex1"}, g)
         X, Y = g.nodes()
         assert np.array_equal(f.values, 1.0 + 0.5 * np.sin(X) * np.sin(Y))
 
     def test_squares_regions(self):
-        g = make_grid(64, 64, 6.4, 6.4)
+        g = Grid(64, 64, 6.4, 6.4)
         f = initial_field({"kind": "squares"}, g)
         assert set(np.unique(f.values)) == {-1.0, 1.0}
         X, Y = g.nodes()
@@ -201,7 +202,7 @@ class TestInitialConditions:
         assert f.values[0, 0] == -1.0
 
     def test_disks_regions(self):
-        g = make_grid(64, 64, TWO_PI, TWO_PI)
+        g = Grid(64, 64, TWO_PI, TWO_PI)
         f = initial_field({"kind": "disks"}, g)
         assert set(np.unique(f.values)) == {0.3, 0.7}
         X, Y = g.nodes()
@@ -212,7 +213,7 @@ class TestInitialConditions:
         assert frac == pytest.approx(math.pi * (1.4**2 + 0.5**2) / TWO_PI**2, abs=0.01)
 
     def test_random_is_seeded_and_bounded(self):
-        g = make_grid(32, 32, TWO_PI, TWO_PI)
+        g = Grid(32, 32, TWO_PI, TWO_PI)
         a = initial_field({"kind": "random", "seed": 42}, g)
         b = initial_field({"kind": "random", "seed": 42}, g)
         c = initial_field({"kind": "random", "seed": 43}, g)
@@ -221,7 +222,7 @@ class TestInitialConditions:
         assert a.values.min() >= 0.3 and a.values.max() <= 0.7
 
     def test_file_init_round_trip(self, tmp_path, rng):
-        g = make_grid(8, 8, 1.0, 1.0)
+        g = Grid(8, 8, 1.0, 1.0)
         f = random_field(g, rng)
         path = tmp_path / "snap.txt"
         write_snapshot(str(path), f, t=0.25)
@@ -229,16 +230,16 @@ class TestInitialConditions:
         assert np.array_equal(loaded.values, f.values)
 
     def test_file_init_grid_mismatch(self, tmp_path, rng):
-        g = make_grid(8, 8, 1.0, 1.0)
+        g = Grid(8, 8, 1.0, 1.0)
         write_snapshot(str(tmp_path / "snap.txt"), random_field(g, rng), t=0.0)
-        other = make_grid(16, 16, 1.0, 1.0)
+        other = Grid(16, 16, 1.0, 1.0)
         with pytest.raises(ConfigError, match="does not match"):
             initial_field({"kind": "file", "path": str(tmp_path / "snap.txt")}, other)
 
 
 class TestSnapshotFormat:
     def test_bit_exact_round_trip(self, tmp_path, rng):
-        g = make_grid(12, 8, 1.7, 2.9)
+        g = Grid(12, 8, 1.7, 2.9)
         f = random_field(g, rng)
         path = str(tmp_path / "snap.txt")
         write_snapshot(path, f, t=0.123456789)
@@ -257,7 +258,7 @@ class TestSnapshotFormat:
     def test_bytes_match_per_value_format(self, tmp_path):
         # nx != ny, so a row template sized by nx instead of ny cannot pass;
         # the reference text is the per-value f"{v:.17g}" join, value by value
-        g = make_grid(12, 8, 1.7, 2.9)
+        g = Grid(12, 8, 1.7, 2.9)
         edge = np.array(self.EDGE_VALUES)
         values = np.concatenate([edge, -edge] * 6).reshape(g.shape)
         path = tmp_path / "snap.txt"
@@ -433,6 +434,23 @@ class TestRunSimulation:
         assert -1.5 < exc.phi_min < exc.phi_max < 1.5
         assert os.path.exists(tmp_path / "s.csv")
 
+    def test_any_interrupt_after_t0_writes_the_kept_rows(self, tmp_path, monkeypatch):
+        interrupt, real_step = KeyboardInterrupt(), harness.step
+
+        def step_until_3(state, params, record=True):
+            if state.step_index + 1 == 3:
+                raise interrupt
+            return real_step(state, params, record)
+
+        monkeypatch.setattr(harness, "step", step_until_3)
+        cfg = self.base(tmp_path)
+        with pytest.raises(KeyboardInterrupt) as info:
+            run_simulation(cfg)
+        assert info.value is interrupt
+        lines = (tmp_path / "series.csv").read_text().splitlines()
+        assert lines[0] == ",".join(SERIES_COLUMNS)
+        assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "2"]
+
     def test_outdir_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ISAVFLOW_OUTDIR", str(tmp_path / "redirected"))
         cfg = config_from_dict({**MINIMAL, "t_end": 0.2})
@@ -492,7 +510,7 @@ class TestCompare:
 
 
 def json_roundtrip(cfg):
-    return json.loads(cfg.to_json())
+    return json.loads(json.dumps(cfg.to_dict()))
 
 
 class TestConvergenceDriver:
@@ -651,7 +669,7 @@ class TestCli:
         # field turns non-finite: a scheme failure at step 1 with the
         # t=0 row already written; for the BDF schemes step 1 is their
         # backward-Euler first step
-        g = make_grid(8, 8, TWO_PI, TWO_PI)
+        g = Grid(8, 8, TWO_PI, TWO_PI)
         checker = np.indices(g.shape).sum(axis=0) % 2
         snap = str(tmp_path / "snap.txt")
         write_snapshot(snap, Field(g, np.where(checker == 0, 1e80, -1e80)), t=0.0)

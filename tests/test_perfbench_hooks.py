@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from isavflow import DoubleWell, Field, Scheme, make_grid
+from isavflow import DoubleWell, Field, Grid, Scheme
 from isavflow.config import config_from_dict
 from isavflow.diagnostics import h1_error
 from isavflow.harness import run_simulation
@@ -167,7 +167,7 @@ def test_records_built_only_for_kept_rows(assert_energy, tmp_path):
 
 
 def test_resample_transforms_are_traced(rng):
-    fine, coarse = make_grid(16, 16, TWO_PI, TWO_PI), make_grid(8, 8, TWO_PI, TWO_PI)
+    fine, coarse = Grid(16, 16, TWO_PI, TWO_PI), Grid(8, 8, TWO_PI, TWO_PI)
     ref = Field(fine, rng.standard_normal(fine.shape))
     u = Field(coarse, rng.standard_normal(coarse.shape))
     with tracing.Tracer() as tracer:

@@ -10,9 +10,9 @@ from isavflow import (
     DoubleWell,
     Field,
     FloryHugginsRegularized,
+    Grid,
     NonPositiveBulkEnergyError,
     bulk_energy,
-    make_grid,
     suggest_S,
 )
 from isavflow.config import initial_field
@@ -211,25 +211,25 @@ class TestInPlaceKernels:
 
 class TestBulkEnergy:
     def test_constant_field(self):
-        g = make_grid(16, 16, TWO_PI, TWO_PI)
+        g = Grid(16, 16, TWO_PI, TWO_PI)
         phi = Field(g, np.zeros(g.shape))
         assert bulk_energy(DoubleWell(eps=1.0), phi) == pytest.approx(np.pi**2, rel=1e-13)
 
     def test_nonpositive_raises(self):
-        g = make_grid(16, 16, TWO_PI, TWO_PI)
+        g = Grid(16, 16, TWO_PI, TWO_PI)
         phi = Field(g, np.ones(g.shape))
         with pytest.raises(NonPositiveBulkEnergyError):
             bulk_energy(DoubleWell(eps=1.0), phi)
 
     def test_additive_constant(self):
-        g = make_grid(16, 16, TWO_PI, TWO_PI)
+        g = Grid(16, 16, TWO_PI, TWO_PI)
         phi = Field(g, np.ones(g.shape))
         assert bulk_energy(DoubleWell(eps=1.0, c_add=1.0), phi) == pytest.approx(
             4 * np.pi**2, rel=1e-13
         )
 
     def test_constant_shift_is_exact(self, rng):
-        g = make_grid(12, 12, 2.0, 3.0)
+        g = Grid(12, 12, 2.0, 3.0)
         phi = Field(g, rng.standard_normal(g.shape))
         for c in (0.5, 2.0, 17.0):
             shifted = bulk_energy(DoubleWell(eps=0.7, c_add=c), phi)
@@ -239,7 +239,7 @@ class TestBulkEnergy:
 
 class TestAuxiliaryScalar:
     def test_constant_fields(self):
-        g = make_grid(16, 16, TWO_PI, TWO_PI)
+        g = Grid(16, 16, TWO_PI, TWO_PI)
         zeros, ones = Field(g, np.zeros(g.shape)), Field(g, np.ones(g.shape))
         assert math.sqrt(bulk_energy(DoubleWell(eps=1.0), zeros)) == pytest.approx(np.pi)
         assert math.sqrt(bulk_energy(DoubleWell(eps=1.0, c_add=1.0), ones)) == pytest.approx(
@@ -250,8 +250,8 @@ class TestAuxiliaryScalar:
         # the smooth initial datum is a low-degree trig polynomial, so the
         # nodal quadrature is already exact on the coarse grid
         p = DoubleWell(eps=1.0)
-        coarse = initial_field({"kind": "ex1"}, make_grid(64, 64, TWO_PI, TWO_PI))
-        fine = initial_field({"kind": "ex1"}, make_grid(256, 256, TWO_PI, TWO_PI))
+        coarse = initial_field({"kind": "ex1"}, Grid(64, 64, TWO_PI, TWO_PI))
+        fine = initial_field({"kind": "ex1"}, Grid(256, 256, TWO_PI, TWO_PI))
         rc, rf = math.sqrt(bulk_energy(p, coarse)), math.sqrt(bulk_energy(p, fine))
         assert rc == pytest.approx(rf, rel=1e-10)
 

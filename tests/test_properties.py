@@ -12,8 +12,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from isavflow import (DoubleWell, Field, FloryHugginsRegularized, ModelParams, Scheme,
-                      make_grid, make_initial_state, resample, step, suggest_S)
+from isavflow import (DoubleWell, Field, FloryHugginsRegularized, Grid, ModelParams, Scheme,
+                      make_initial_state, resample, step, suggest_S)
 from isavflow.spectral import _fold_half, quad_form_hat
 
 from conftest import even_symbol, random_field
@@ -31,7 +31,7 @@ def even(lo, hi):
 @given(nx=even(4, 16), ny=even(4, 16), seed=seeds)
 def test_rank_one_solve_matches_dense_oracle(nx, ny, seed):
     rng = np.random.default_rng(seed)
-    g = make_grid(nx, ny, 1.0, 2.5)
+    g = Grid(nx, ny, 1.0, 2.5)
     b = random_field(g, rng)
     sys_ = RankOneSystem(
         diag=1.0 + even_symbol(g, rng, 0.0, 3.0),
@@ -51,7 +51,7 @@ def test_rank_one_solve_matches_dense_oracle(nx, ny, seed):
 def test_quad_form_matches_six_pass_reference(nx, ny, seed, with_symbol):
     # any half spectrum (not only that of a real field), any even symbol
     rng = np.random.default_rng(seed)
-    g = make_grid(nx, ny, 1.0, 2.5)
+    g = Grid(nx, ny, 1.0, 2.5)
     scale = 10.0 ** rng.uniform(-6, 6)
     hat = scale * (rng.standard_normal(g.spectral_shape) + 1j * rng.standard_normal(g.spectral_shape))
     symbol = even_symbol(g, rng) if with_symbol else None
@@ -77,8 +77,8 @@ def resample_by_matrix(field, new_grid):
 def test_resample_matches_mode_copy_matrix(src, dst, seed):
     assume(src != dst)
     rng = np.random.default_rng(seed)
-    u = random_field(make_grid(*src, 1.0, 2.0), rng)
-    new_grid = make_grid(*dst, 1.0, 2.0)
+    u = random_field(Grid(*src, 1.0, 2.0), rng)
+    new_grid = Grid(*dst, 1.0, 2.0)
     assert np.array_equal(resample(u, new_grid).values, resample_by_matrix(u, new_grid))
 
 
@@ -86,8 +86,8 @@ def test_resample_matches_mode_copy_matrix(src, dst, seed):
        seed=seeds)
 def test_resample_up_down_round_trip(coarse, extra, seed):
     rng = np.random.default_rng(seed)
-    g = make_grid(*coarse, 1.0, 3.0)
-    fine = make_grid(coarse[0] + extra[0], coarse[1] + extra[1], 1.0, 3.0)
+    g = Grid(*coarse, 1.0, 3.0)
+    fine = Grid(coarse[0] + extra[0], coarse[1] + extra[1], 1.0, 3.0)
     u = random_field(g, rng)
     back = resample(resample(u, fine), g)
     assert np.abs(back.values - u.values).max() < 1e-13
@@ -163,11 +163,10 @@ def test_integrating_kernels_match_references(case):
 
 @pytest.mark.parametrize("scheme", [Scheme.SAV_BDF, Scheme.ISAV_BDF])
 def test_potential_without_fused_f_still_steps(scheme, rng, monkeypatch):
-    # ConstantPotential supplies only array kernels; the base class sums
-    # its F array, and every BDF step makes one such fused call at its
-    # extrapolant
+    # ConstantPotential implements the F/f contract itself, and every BDF
+    # step makes one fused call at its extrapolant
     pot = ConstantPotential(c_add=1.0)
-    g = make_grid(8, 8, 2.0, 3.0)
+    g = Grid(8, 8, 2.0, 3.0)
     x = rng.standard_normal(g.shape)
     f, total = pot.f(x, None, None, F_sum=True)
     assert np.array_equal(f, np.zeros_like(x)) and total == 64.0

@@ -9,11 +9,11 @@ from isavflow import (
     DoubleWell,
     EnergyLawViolation,
     Field,
+    Grid,
     ModelParams,
     NonPositiveBulkEnergyError,
     Scheme,
     bulk_energy,
-    make_grid,
     make_initial_state,
     record_step,
     step,
@@ -32,7 +32,7 @@ def const_params(alpha=0.0, gamma=0.1, S=0.0, tau=0.1):
 
 
 def cos_field(n=8):
-    g = make_grid(n, n, TWO_PI, TWO_PI)
+    g = Grid(n, n, TWO_PI, TWO_PI)
     X, _ = g.nodes()
     return g, Field(g, np.cos(X))
 
@@ -70,7 +70,7 @@ class TestLinearDecayClosedForms:
 
 class TestStateDiscipline:
     def test_fractional_dissipation_exponent(self, rng):
-        g = make_grid(16, 16, TWO_PI, TWO_PI)
+        g = Grid(16, 16, TWO_PI, TWO_PI)
         pot = DoubleWell(eps=0.5, c_add=1.0)
         p = ModelParams(alpha=0.5, gamma=0.2, S=2.0, tau=0.05, potential=pot)
         state = make_initial_state(Scheme.ISAV_BE, Field(g, rng.uniform(-0.5, 0.5, g.shape)), pot)
@@ -89,7 +89,7 @@ class TestCarriedSpectrum:
     def test_spectrum_matches_values_after_many_steps(self, scheme, rng):
         # the solver's spectrum rides on phi_n instead of a fresh transform;
         # it must stay the transform of the values it travels with
-        g = make_grid(16, 12, TWO_PI, TWO_PI)
+        g = Grid(16, 12, TWO_PI, TWO_PI)
         pot = DoubleWell(eps=0.5, c_add=1.0)
         p = ModelParams(alpha=1.0, gamma=0.1, S=2.0, tau=0.02, potential=pot)
         phi0 = Field(g, rng.uniform(-0.8, 0.8, g.shape))
@@ -105,7 +105,7 @@ class TestCarriedSpectrum:
 class TestConservation:
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_mean_preserved_for_conserved_flow(self, scheme, rng):
-        g = make_grid(16, 16, TWO_PI, TWO_PI)
+        g = Grid(16, 16, TWO_PI, TWO_PI)
         pot = DoubleWell(eps=0.5, c_add=1.0)
         p = ModelParams(alpha=1.0, gamma=0.05, S=2.0, tau=0.02, potential=pot)
         phi0 = Field(g, 0.3 + 0.2 * rng.standard_normal(g.shape))
@@ -119,7 +119,7 @@ class TestConservation:
 class TestModifiedEnergyLaw:
     def test_sav_be_unconditional(self, rng):
         # holds for any tau and any admissible data, up to roundoff
-        g = make_grid(16, 16, TWO_PI, TWO_PI)
+        g = Grid(16, 16, TWO_PI, TWO_PI)
         pot = DoubleWell(eps=0.2, c_add=1.0)
         for tau in (1e-3, 0.1, 10.0):
             p = ModelParams(alpha=1.0, gamma=0.5, S=0.0, tau=tau, potential=pot)
@@ -146,7 +146,7 @@ class TestModifiedEnergyLaw:
 
 class TestOriginalEnergyLaw:
     def test_isav_be_with_adequate_damping(self, rng):
-        g = make_grid(16, 16, TWO_PI, TWO_PI)
+        g = Grid(16, 16, TWO_PI, TWO_PI)
         pot = DoubleWell(eps=0.2, c_add=1.0)
         S = max(suggest_S(pot, (-2.0, 2.0)), 0.0)
         p = ModelParams(alpha=0.0, gamma=0.5, S=S, tau=0.05, potential=pot)
@@ -173,7 +173,7 @@ class TestOriginalEnergyLaw:
 
     def test_assertion_raises_on_violation(self):
         # stiff well, no damping, large step: the original energy rises
-        g = make_grid(32, 32, 6.4, 6.4)
+        g = Grid(32, 32, 6.4, 6.4)
         pot = DoubleWell(eps=0.01, c_add=1.0)
         p = ModelParams(alpha=1.0, gamma=0.01, S=0.0, tau=0.01,
                         potential=pot, assert_energy=True)
@@ -187,7 +187,7 @@ class TestOriginalEnergyLaw:
 class TestAuxiliaryScalarUpdate:
     def test_reconstruction_identity(self, rng):
         # r~^{n+1} - r[phi^n] = <b, phi^{n+1} - phi^n>/2, exactly as computed
-        g = make_grid(16, 16, TWO_PI, TWO_PI)
+        g = Grid(16, 16, TWO_PI, TWO_PI)
         pot = DoubleWell(eps=0.5, c_add=1.0)
         p = ModelParams(alpha=0.0, gamma=0.3, S=1.0, tau=0.05, potential=pot)
         phi0 = Field(g, rng.uniform(-1.0, 1.0, g.shape))
@@ -212,7 +212,7 @@ class TestAuxiliaryScalarUpdate:
         assert gaps[0] / gaps[1] >= 3.0
 
     def test_improved_schemes_carry_no_scalar(self, rng):
-        g = make_grid(8, 8, 1.0, 1.0)
+        g = Grid(8, 8, 1.0, 1.0)
         pot = DoubleWell(eps=1.0, c_add=1.0)
         state = make_initial_state(Scheme.ISAV_BE, random_field(g, rng, 0.3), pot)
         assert state.r_n is None
@@ -223,7 +223,7 @@ class TestAuxiliaryScalarUpdate:
 
 class TestBdfPair:
     def test_schemes_coincide_without_nonlinearity(self, rng):
-        g = make_grid(16, 16, TWO_PI, TWO_PI)
+        g = Grid(16, 16, TWO_PI, TWO_PI)
         pot = ConstantPotential(c_add=1.0)
         p = ModelParams(alpha=1.0, gamma=0.2, S=0.0, tau=0.05, potential=pot)
         phi1 = random_field(g, rng)
@@ -238,7 +238,7 @@ class TestBdfPair:
         assert np.array_equal(a.phi_n.values, b.phi_n.values)
 
     def test_extrapolant_failure_is_an_error(self):
-        g = make_grid(8, 8, TWO_PI, TWO_PI)
+        g = Grid(8, 8, TWO_PI, TWO_PI)
         pot = DoubleWell(eps=1.0, c_add=0.0)
         p = ModelParams(alpha=0.0, gamma=0.1, S=0.0, tau=0.1, potential=pot)
         ones = Field(g, np.ones(g.shape))
@@ -253,7 +253,7 @@ class TestBdfPair:
 
 class TestBootstrap:
     def test_constant_field_degenerate_history(self):
-        g = make_grid(8, 8, TWO_PI, TWO_PI)
+        g = Grid(8, 8, TWO_PI, TWO_PI)
         pot = ConstantPotential(c_add=1.0)
         p = ModelParams(alpha=0.0, gamma=0.1, S=0.0, tau=0.1, potential=pot)
         phi0 = Field(g, np.full(g.shape, 0.7))
@@ -276,7 +276,7 @@ class TestBootstrap:
         assert np.isfinite(state.phi_nm1.values).all()
 
     def test_scalar_seeding_for_sav_variant(self, rng):
-        g = make_grid(16, 16, TWO_PI, TWO_PI)
+        g = Grid(16, 16, TWO_PI, TWO_PI)
         pot = DoubleWell(eps=0.5, c_add=1.0)
         p = ModelParams(alpha=1.0, gamma=0.1, S=0.0, tau=0.01, potential=pot)
         phi0 = Field(g, rng.uniform(-0.5, 0.5, g.shape))
@@ -308,7 +308,7 @@ class TestModelParams:
 
 class TestLibraryLoop:
     def setup_loop(self, rng, scheme=Scheme.ISAV_BE):
-        g = make_grid(16, 16, TWO_PI, TWO_PI)
+        g = Grid(16, 16, TWO_PI, TWO_PI)
         pot = DoubleWell(eps=0.5, c_add=1.0)
         p = ModelParams(alpha=1.0, gamma=0.2, S=2.0, tau=0.05, potential=pot)
         return g, p, make_initial_state(scheme, random_field(g, rng, 0.6), pot)
@@ -337,7 +337,7 @@ class TestLibraryLoop:
         for other in (replace(p, gamma=2 * p.gamma), replace(p, alpha=0.5)):
             assert not np.array_equal(other.symbols(g).g_sym, sym.g_sym)
         assert np.array_equal(replace(p, gamma=2 * p.gamma).symbols(g).g_sym, 2 * sym.g_sym)
-        assert p.symbols(make_grid(8, 8, TWO_PI, TWO_PI)).g_sym.shape == (8, 5)
+        assert p.symbols(Grid(8, 8, TWO_PI, TWO_PI)).g_sym.shape == (8, 5)
 
     def test_record_after_unrecorded_steps_matches_full_records(self, rng):
         # the decrements of a recording step take the previous level's

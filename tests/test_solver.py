@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from isavflow import Field, make_grid
+from isavflow import Field, Grid
 
 from conftest import even_symbol, random_field
 from oracles import (RankOneSystem, apply_symbol, dense_solve_oracle, inner, inner_hat, quad,
@@ -23,7 +23,7 @@ def random_system(grid, rng, w=None):
 
 class TestRankOneSolve:
     def test_no_rank_one_part(self, rng):
-        g = make_grid(8, 8, 1.0, 1.0)
+        g = Grid(8, 8, 1.0, 1.0)
         diag = 1.0 + even_symbol(g, rng, 0.0, 4.0)
         rhs = random_field(g, rng)
         zero = Field(g, np.zeros(g.shape))
@@ -34,7 +34,7 @@ class TestRankOneSolve:
 
     def test_one_dimensional_identity(self, rng):
         # diag = 1, gb = b, rhs = b: phi = b / (1 + Q) with Q the quadrature norm
-        g = make_grid(8, 8, 2.0, 2.0)
+        g = Grid(8, 8, 2.0, 2.0)
         b = random_field(g, rng)
         Q = inner(b, b)
         sys_ = RankOneSystem(diag=np.ones(g.spectral_shape), gb=b, b=b, rhs=b, w=1.0)
@@ -42,7 +42,7 @@ class TestRankOneSolve:
         assert np.abs(got.values - b.values / (1.0 + Q)).max() < 1e-13
 
     def test_residual(self, rng):
-        g = make_grid(8, 8, 1.0, 3.0)
+        g = Grid(8, 8, 1.0, 3.0)
         for _ in range(10):
             sys_ = random_system(g, rng)
             phi = rank_one_solve(sys_)
@@ -57,7 +57,7 @@ class TestRankOneSolve:
     def test_solvability_denominator(self, rng):
         # gb built from a nonnegative diagonal applied to b keeps the
         # Sherman-Morrison denominator at least 1
-        g = make_grid(8, 8, 1.0, 1.0)
+        g = Grid(8, 8, 1.0, 1.0)
         for _ in range(20):
             sys_ = random_system(g, rng)
             z1 = g.inverse(g.forward(sys_.gb.values) / sys_.diag)
@@ -65,7 +65,7 @@ class TestRankOneSolve:
             assert 1.0 + sys_.w * s1 >= 1.0 - 1e-12
 
     def test_matches_dense_oracle(self, rng):
-        g = make_grid(8, 8, 1.0, 1.0)
+        g = Grid(8, 8, 1.0, 1.0)
         for _ in range(10):
             sys_ = random_system(g, rng)
             fast = rank_one_solve(sys_)
@@ -82,7 +82,7 @@ NON_SQUARE = [(8, 12), (12, 6)]
 class TestNonSquareGrids:
     @pytest.mark.parametrize("nx,ny", NON_SQUARE)
     def test_spectral_inner_product(self, nx, ny, rng):
-        g = make_grid(nx, ny, 1.0, 2.5)
+        g = Grid(nx, ny, 1.0, 2.5)
         for _ in range(10):
             b, z = random_field(g, rng), random_field(g, rng)
             nodal = quad(g, b.values * z.values)
@@ -91,7 +91,7 @@ class TestNonSquareGrids:
 
     @pytest.mark.parametrize("nx,ny", NON_SQUARE)
     def test_matches_dense_oracle(self, nx, ny, rng):
-        g = make_grid(nx, ny, 1.0, 2.5)
+        g = Grid(nx, ny, 1.0, 2.5)
         for _ in range(10):
             sys_ = random_system(g, rng)
             fast = rank_one_solve(sys_)
@@ -102,7 +102,7 @@ class TestNonSquareGrids:
 
 class TestDenseOracle:
     def test_pure_diagonal(self, rng):
-        g = make_grid(8, 8, 1.0, 1.0)
+        g = Grid(8, 8, 1.0, 1.0)
         rhs = random_field(g, rng)
         zero = Field(g, np.zeros(g.shape))
         sys_ = RankOneSystem(
@@ -112,7 +112,7 @@ class TestDenseOracle:
         assert np.abs(got.values - rhs.values / 2.0).max() < 1e-13
 
     def test_well_conditioned(self, rng):
-        g = make_grid(8, 8, 1.0, 1.0)
+        g = Grid(8, 8, 1.0, 1.0)
         sys_ = random_system(g, rng)
         n = g.nx * g.ny
         A = np.empty((n, n))
@@ -125,7 +125,7 @@ class TestDenseOracle:
         assert np.isfinite(np.linalg.cond(A))
 
     def test_rejects_large_grids(self, rng):
-        g = make_grid(32, 32, 1.0, 1.0)
+        g = Grid(32, 32, 1.0, 1.0)
         zero = Field(g, np.zeros(g.shape))
         sys_ = RankOneSystem(
             diag=np.ones(g.spectral_shape), gb=zero, b=zero, rhs=random_field(g, rng), w=1.0

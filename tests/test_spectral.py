@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from isavflow import DoubleWell, Field, ModelParams, make_grid, resample
+from isavflow import DoubleWell, Field, Grid, ModelParams, resample
 from isavflow.spectral import quad_form_hat
 
 from conftest import TWO_PI, even_symbol, random_field
@@ -18,33 +18,33 @@ def g_sym(g, alpha, gamma):
 
 class TestGrid:
     def test_wavenumber_ordering(self):
-        g = make_grid(4, 4, TWO_PI, TWO_PI)
-        assert np.array_equal(g.kx, [0.0, 1.0, -2.0, -1.0])
+        g = Grid(4, 4, TWO_PI, TWO_PI)
+        assert np.array_equal(g.lap_sym[:, 0], [0.0, 1.0, 4.0, 1.0])
 
     def test_spacing(self):
-        g = make_grid(8, 8, 6.4, 6.4)
+        g = Grid(8, 8, 6.4, 6.4)
         assert g.hx == pytest.approx(0.8)
 
     def test_rejects_odd(self):
         with pytest.raises(ValueError, match="even"):
-            make_grid(5, 8, 1.0, 1.0)
+            Grid(5, 8, 1.0, 1.0)
 
     def test_rejects_tiny(self):
         with pytest.raises(ValueError, match=">= 4"):
-            make_grid(2, 8, 1.0, 1.0)
+            Grid(2, 8, 1.0, 1.0)
 
     def test_rejects_nonpositive_length(self):
         with pytest.raises(ValueError, match="positive"):
-            make_grid(8, 8, 0.0, 1.0)
+            Grid(8, 8, 0.0, 1.0)
 
     def test_equality_ignores_derived_arrays(self):
-        assert make_grid(8, 8, 1.0, 2.0) == make_grid(8, 8, 1.0, 2.0)
-        assert make_grid(8, 8, 1.0, 2.0) != make_grid(8, 8, 1.0, 3.0)
+        assert Grid(8, 8, 1.0, 2.0) == Grid(8, 8, 1.0, 2.0)
+        assert Grid(8, 8, 1.0, 2.0) != Grid(8, 8, 1.0, 3.0)
 
 
 class TestField:
     def test_rejects_nan(self):
-        g = make_grid(4, 4, 1.0, 1.0)
+        g = Grid(4, 4, 1.0, 1.0)
         values = np.zeros(g.shape)
         values[0, 0] = np.nan
         with pytest.raises(ValueError, match="NaN"):
@@ -52,7 +52,7 @@ class TestField:
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf])
     def test_rejects_inf(self, bad):
-        g = make_grid(4, 4, 1.0, 1.0)
+        g = Grid(4, 4, 1.0, 1.0)
         values = np.zeros(g.shape)
         values[1, 2] = bad
         with pytest.raises(ValueError, match="Inf"):
@@ -61,43 +61,43 @@ class TestField:
     @pytest.mark.parametrize("huge", [1e307, -1e200])
     def test_accepts_huge_finite_values(self, huge):
         # the sum the check takes first overflows; every entry is finite
-        g = make_grid(16, 16, 1.0, 1.0)
+        g = Grid(16, 16, 1.0, 1.0)
         Field(g, np.full(g.shape, huge))
 
     def test_rejects_shape_mismatch(self):
-        g = make_grid(4, 4, 1.0, 1.0)
+        g = Grid(4, 4, 1.0, 1.0)
         with pytest.raises(ValueError, match="shape"):
             Field(g, np.zeros((4, 6)))
 
 
 class TestApplySymbol:
     def test_laplacian_eigenfunction(self):
-        g = make_grid(16, 16, TWO_PI, TWO_PI)
+        g = Grid(16, 16, TWO_PI, TWO_PI)
         X, Y = g.nodes()
         u = Field(g, np.sin(X) * np.sin(Y))
         out = apply_symbol(u, g.lap_sym)
         assert np.abs(out.values - 2.0 * u.values).max() < 1e-12
 
     def test_mobility_symbol(self):
-        g = make_grid(16, 16, TWO_PI, TWO_PI)
+        g = Grid(16, 16, TWO_PI, TWO_PI)
         X, _ = g.nodes()
         u = Field(g, np.cos(X))
         out = apply_symbol(u, g_sym(g, alpha=1.0, gamma=0.01))
         assert np.abs(out.values - 0.01 * u.values).max() < 1e-14
 
     def test_zero_field(self, rng):
-        g = make_grid(8, 8, 1.0, 1.0)
+        g = Grid(8, 8, 1.0, 1.0)
         s = even_symbol(g, rng, 0.0, 5.0)
         out = apply_symbol(Field(g, np.zeros(g.shape)), s)
         assert np.all(out.values == 0.0)
 
     def test_shape_mismatch(self):
-        g = make_grid(8, 8, 1.0, 1.0)
+        g = Grid(8, 8, 1.0, 1.0)
         with pytest.raises(ValueError, match="symbol shape"):
             apply_symbol(Field(g, np.zeros(g.shape)), np.ones((8, 8)))
 
     def test_single_mode_laplacian_analytic(self, rng):
-        g = make_grid(16, 16, TWO_PI, TWO_PI)
+        g = Grid(16, 16, TWO_PI, TWO_PI)
         X, Y = g.nodes()
         for _ in range(10):
             jx = int(rng.integers(-7, 8))
@@ -111,42 +111,42 @@ class TestApplySymbol:
 
 class TestOperatorSymbols:
     def test_zero_mode_convention(self):
-        g = make_grid(8, 8, 1.0, 1.0)
+        g = Grid(8, 8, 1.0, 1.0)
         assert g_sym(g, alpha=1.0, gamma=0.3)[0, 0] == 0.0
         assert g_sym(g, alpha=0.5, gamma=0.3)[0, 0] == 0.0
         assert g_sym(g, alpha=0.0, gamma=0.3)[0, 0] == pytest.approx(0.3)
 
     def test_symbols_nonnegative(self):
-        g = make_grid(12, 8, 2.0, 3.0)
+        g = Grid(12, 8, 2.0, 3.0)
         for arr in (g.lap_sym, g_sym(g, alpha=0.7, gamma=2.0)):
             assert np.all(arr >= 0.0)
 
 
 class TestInnerAndNorms:
     def test_constant_inner(self):
-        g = make_grid(16, 16, TWO_PI, TWO_PI)
+        g = Grid(16, 16, TWO_PI, TWO_PI)
         one = Field(g, np.ones(g.shape))
         assert inner(one, one) == pytest.approx(4 * np.pi**2, rel=1e-14)
 
     def test_sine_inner(self):
-        g = make_grid(16, 16, TWO_PI, TWO_PI)
+        g = Grid(16, 16, TWO_PI, TWO_PI)
         X, Y = g.nodes()
         u = Field(g, np.sin(X) * np.sin(Y))
         assert inner(u, u) == pytest.approx(np.pi**2, rel=1e-13)
 
     def test_orthogonality(self):
-        g = make_grid(16, 16, TWO_PI, TWO_PI)
+        g = Grid(16, 16, TWO_PI, TWO_PI)
         X, _ = g.nodes()
         assert abs(inner(Field(g, np.sin(X)), Field(g, np.cos(X)))) < 1e-13
 
     def test_grid_mismatch(self, rng):
-        a = random_field(make_grid(8, 8, 1.0, 1.0), rng)
-        b = random_field(make_grid(8, 8, 2.0, 1.0), rng)
+        a = random_field(Grid(8, 8, 1.0, 1.0), rng)
+        b = random_field(Grid(8, 8, 2.0, 1.0), rng)
         with pytest.raises(ValueError, match="different grids"):
             inner(a, b)
 
     def test_gradient_seminorm(self):
-        g = make_grid(32, 32, TWO_PI, TWO_PI)
+        g = Grid(32, 32, TWO_PI, TWO_PI)
         X, Y = g.nodes()
         hat = Field(g, np.sin(X) * np.sin(Y)).spectrum()
         grad_sq = quad_form_hat(g, hat, g.lap_sym)
@@ -155,14 +155,14 @@ class TestInnerAndNorms:
         assert h1 == pytest.approx(np.sqrt(np.pi**2 + 2 * np.pi**2), rel=1e-13)
 
     def test_constant_has_no_seminorms(self):
-        g = make_grid(16, 16, TWO_PI, TWO_PI)
+        g = Grid(16, 16, TWO_PI, TWO_PI)
         hat = Field(g, np.full(g.shape, 3.7)).spectrum()
         assert quad_form_hat(g, hat, g.lap_sym) == 0.0
         assert quad_form_hat(g, hat, g_sym(g, alpha=1.0, gamma=0.5)) == 0.0
 
     def test_mobility_seminorm_alpha_zero(self):
         # brute-force quadrature oracle: 0.1 * int cos(x)^2 = 0.1 * 2 pi^2
-        g = make_grid(32, 32, TWO_PI, TWO_PI)
+        g = Grid(32, 32, TWO_PI, TWO_PI)
         X, _ = g.nodes()
         u = Field(g, np.cos(X))
         oracle = quad(g, 0.1 * np.cos(X) ** 2)
@@ -172,7 +172,7 @@ class TestInnerAndNorms:
 
 class TestTransformProperties:
     def test_round_trip(self, rng):
-        g = make_grid(24, 16, 2.0, 5.0)
+        g = Grid(24, 16, 2.0, 5.0)
         for _ in range(5):
             u = random_field(g, rng)
             back = g.inverse(g.forward(u.values))
@@ -180,7 +180,7 @@ class TestTransformProperties:
             assert np.sqrt(quad(g, (back - u.values) ** 2)) <= 1e-12 * ref
 
     def test_plancherel(self, rng):
-        g = make_grid(16, 20, 1.0, 3.0)
+        g = Grid(16, 20, 1.0, 3.0)
         for _ in range(5):
             u = random_field(g, rng)
             direct = inner(u, u)
@@ -188,7 +188,7 @@ class TestTransformProperties:
             assert spectral == pytest.approx(direct, rel=1e-10)
 
     def test_self_adjointness(self, rng):
-        g = make_grid(12, 12, 2.0, 2.0)
+        g = Grid(12, 12, 2.0, 2.0)
         for alpha in (0.0, 0.5, 1.0):
             for s in (g.lap_sym, g_sym(g, alpha=alpha, gamma=1.3)):
                 u, v = random_field(g, rng), random_field(g, rng)
@@ -199,8 +199,8 @@ class TestTransformProperties:
 
 class TestResample:
     def test_exact_on_resolved_modes(self):
-        fine = make_grid(64, 64, TWO_PI, TWO_PI)
-        coarse = make_grid(16, 16, TWO_PI, TWO_PI)
+        fine = Grid(64, 64, TWO_PI, TWO_PI)
+        coarse = Grid(16, 16, TWO_PI, TWO_PI)
         X, Y = fine.nodes()
         u = Field(fine, np.sin(3 * X) * np.cos(2 * Y) + 0.5 * np.cos(5 * X))
         down = resample(u, coarse)
@@ -209,8 +209,8 @@ class TestResample:
         assert np.abs(down.values - exact).max() < 1e-12
 
     def test_matches_nodal_subsampling_when_nested(self, rng):
-        fine = make_grid(64, 64, 1.0, 1.0)
-        coarse = make_grid(16, 16, 1.0, 1.0)
+        fine = Grid(64, 64, 1.0, 1.0)
+        coarse = Grid(16, 16, 1.0, 1.0)
         # smooth band-limited field: random modes below the coarse Nyquist
         hat = np.zeros(fine.spectral_shape, dtype=complex)
         hat[:5, :5] = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
@@ -220,13 +220,13 @@ class TestResample:
         assert np.abs(down.values - u.values[::4, ::4]).max() < 1e-12
 
     def test_up_down_round_trip(self, rng):
-        coarse = make_grid(8, 8, 1.0, 1.0)
-        fine = make_grid(32, 32, 1.0, 1.0)
+        coarse = Grid(8, 8, 1.0, 1.0)
+        fine = Grid(32, 32, 1.0, 1.0)
         u = random_field(coarse, rng)
         back = resample(resample(u, fine), coarse)
         assert np.abs(back.values - u.values).max() < 1e-13
 
     def test_domain_mismatch(self, rng):
-        u = random_field(make_grid(8, 8, 1.0, 1.0), rng)
+        u = random_field(Grid(8, 8, 1.0, 1.0), rng)
         with pytest.raises(ValueError, match="domain"):
-            resample(u, make_grid(8, 8, 2.0, 1.0))
+            resample(u, Grid(8, 8, 2.0, 1.0))
