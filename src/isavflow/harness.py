@@ -25,6 +25,7 @@ from .schemes import (
     ModelParams,
     Scheme,
     SchemeState,
+    _solve_factors,
     make_initial_state,
     step,
 )
@@ -54,14 +55,14 @@ SCHEME_FAILURES = (NonPositiveBulkEnergyError, EnergyLawViolation, NonFiniteFiel
 
 
 class SchemeRuntimeError(RuntimeError):
-    """A scheme failed mid-run (nonpositive bulk integral, a violated
-    energy-law assertion or a non-finite field). Carries the failing step
-    index, its time t, the scheme, the cause, and phi_min, phi_max: the
-    range of the last good level (None for a failure at step 0)."""
+    """A scheme failed mid-run: its __cause__ is a nonpositive bulk integral,
+    a violated energy-law assertion or a non-finite field. Carries the failing
+    step index, its time t, the scheme, and phi_min, phi_max: the range of
+    the last good level (None for a failure at step 0)."""
 
     def __init__(self, step_index: int, cause: Exception, t: float, scheme: str,
                  last: Field | None = None):
-        self.step_index, self.cause, self.t, self.scheme = step_index, cause, t, scheme
+        self.step_index, self.t, self.scheme = step_index, t, scheme
         self.phi_min = self.phi_max = None
         where = ""
         if last is not None:
@@ -72,10 +73,10 @@ class SchemeRuntimeError(RuntimeError):
 
 class OutputWriteError(RuntimeError):
     """A step's snapshot could not be written mid-run (a full disk, the
-    directory removed); carries the step index and the OSError."""
+    directory removed); carries the step index, and its __cause__ is the OSError."""
 
     def __init__(self, step_index: int, cause: OSError):
-        self.step_index, self.cause = step_index, cause
+        self.step_index = step_index
         super().__init__(f"cannot write the snapshot of step {step_index} ({cause}); "
                          f"the series holds the rows through step {step_index}")
 
@@ -195,6 +196,10 @@ def run_simulation(cfg: RunConfig, outdir=None, write_outputs=True, record=True)
         potential=pot,
         assert_energy=cfg.assert_energy,
     )
+    # Step 1's solve factors, built here rather than in step 1, so that
+    # factors that overflow (a ConfigError) stop the run before any output.
+    _solve_factors(params.symbols(grid), grid.lap_sym, cfg.tau,
+                   cfg.S if Scheme(cfg.scheme).is_improved else 0.0, False)
     out_base = resolve_outdir(outdir)
     kept = _kept_rows(cfg, record)
     snap_at = _snapshot_steps(cfg) if write_outputs else set()
@@ -250,7 +255,7 @@ def _order_rows(labels, errors):
     rows = []
     prev = None
     for label, err in zip(labels, errors):
-        order = None if prev is None or err == 0 else math.log2(prev / err)
+        order = math.log2(prev / err) if prev and err else None
         rows.append({"resolution": label, "h1_error": err, "order": order})
         prev = err
     return rows
@@ -266,9 +271,10 @@ def convergence_study(base_cfg: RunConfig, taus=None, grids=None,
     n-by-n grid; the reference is the *same* scheme at the same tau on a
     ref_grid_n^2 grid, so the temporal discretization error cancels exactly
     and the table isolates spatial accuracy.
-    Orders are log2(e_coarse / e_fine) between consecutive rows. Every
-    time step must be positive and divide t_end by the same rule as a
-    config's tau; every grid size must be even and at least 4.
+    Orders are log2(e_coarse / e_fine) between consecutive rows, None
+    where either error is 0. Every time step must be positive and divide
+    t_end by the same rule as a config's tau; every grid size must be even
+    and at least 4.
     """
     if (taus is None) == (grids is None):
         raise ConfigError("convergence: give exactly one of taus or grids")

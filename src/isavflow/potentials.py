@@ -41,22 +41,17 @@ def _as_input(out):
     return out if out.ndim else float(out)
 
 
-def _output(p, out):
-    return np.empty_like(p) if out is None else out
-
-
 @dataclass(frozen=True)
 class Potential:
-    """Base for bulk densities: F(phi), f = F', and f' as closed forms.
-
-    F(phi, out, work) and f(phi, out, work) write into out when it is given
-    (else into a new array) and may overwrite work, a pair of arrays shaped
-    like phi. With F_sum=True, F returns the node sum of F(phi) instead,
-    using out as a temporary, and f returns (f(phi), that same sum) from
-    what the two share; every bulk integral of a step or a record is such a
-    sum. None of out and work may be phi itself or overlap another. A
-    subclass implements F and f to this contract, and fprime and, where f'
-    has kinks, breakpoints.
+    """Base for bulk densities, as a run uses them: the node sum of F, f = F'
+    and f'. F(phi, work=None) returns the node sum of F over phi's values,
+    the form every bulk integral takes, and may overwrite work, three arrays
+    shaped like phi. f(phi, out=None, work=None, F_sum=False) returns f(phi),
+    written into out when it is given (else into a new array), and may
+    overwrite work, a pair of arrays shaped like phi; with F_sum=True it
+    returns (f(phi), the node sum of F) from what the two share. None of out
+    and work may be phi itself or overlap another. A subclass implements F
+    and f to this contract, and fprime and, where f' has kinks, breakpoints.
 
     Inputs are scanned for NaN (ValueError), except in calls that hand in
     work arrays: that is the form a time step uses, on the values of a
@@ -90,20 +85,15 @@ class DoubleWell(Potential):
     def _sum(self, s) -> float:
         return float(np.vdot(s, s)) / (4.0 * self.eps**2) + s.size * self.c_add
 
-    def F(self, phi, out=None, work=None, F_sum=False):
+    def F(self, phi, work=None):
         p = _as_array(phi, work is not None)
-        s = np.multiply(p, p, out=_output(p, out))
+        s = np.multiply(p, p, out=np.empty_like(p) if work is None else work[0])
         s -= 1.0
-        if F_sum:
-            return self._sum(s)
-        np.multiply(s, s, out=s)
-        s /= 4.0 * self.eps**2
-        s += self.c_add
-        return _as_input(s)
+        return self._sum(s)
 
     def f(self, phi, out=None, work=None, F_sum=False):
         p = _as_array(phi, work is not None)
-        out = _output(p, out)
+        out = np.empty_like(p) if out is None else out
         s = out if not F_sum else np.empty_like(p) if work is None else work[0]
         np.multiply(p, p, out=s)
         s -= 1.0
@@ -179,37 +169,18 @@ class FloryHugginsRegularized(Potential):
     def _scaled(self, total, p) -> float:
         return total / self.eps**2 + p.size * self.c_add
 
-    def F(self, phi, out=None, work=None, F_sum=False):
+    def F(self, phi, work=None):
         p = _as_array(phi, work is not None)
-        out = _output(p, out)
-        t, q = work or (np.empty_like(p), np.empty_like(p))
-        clipped = self._logs(p, q, out, t)
-        if F_sum:
-            total = self._log_sum(p, q, out, t)
-            if clipped:
-                total += self._offsets(p, q, out, True)
-            return self._scaled(total, p)
-        out *= p
-        t *= q
-        out += t
+        lp, t, q = work or (np.empty_like(p), np.empty_like(p), np.empty_like(p))
+        clipped = self._logs(p, q, lp, t)
+        total = self._log_sum(p, q, lp, t)
         if clipped:
-            self._offsets(p, q, t, False)
-            for d in (t, q):
-                out += d
-                d *= d
-                d /= 2.0 * self.sigma
-                out += d
-        np.multiply(p, p, out=t)
-        np.subtract(p, t, out=t)
-        t *= self.beta
-        out += t
-        out /= self.eps**2
-        out += self.c_add
-        return _as_input(out)
+            total += self._offsets(p, q, lp, True)
+        return self._scaled(total, p)
 
     def f(self, phi, out=None, work=None, F_sum=False):
         p = _as_array(phi, work is not None)
-        out = _output(p, out)
+        out = np.empty_like(p) if out is None else out
         t, q = work or (np.empty_like(p), np.empty_like(p))
         clipped = self._logs(p, q, out, t)
         total = self._log_sum(p, q, out, t) if F_sum else 0.0
@@ -239,9 +210,8 @@ class FloryHugginsRegularized(Potential):
 
 def bulk_quad(potential: Potential, phi: Field, work=None) -> float:
     """Nodal quadrature of F(phi) over the domain, no positivity check;
-    work, when given, is three grid-shaped temporaries (F's out and work)."""
-    out, tmp = (None, None) if work is None else (work[0], work[1:])
-    return phi.grid.cell_area * potential.F(phi.values, out, tmp, F_sum=True)
+    work, when given, is F's three grid-shaped temporaries."""
+    return phi.grid.cell_area * potential.F(phi.values, work)
 
 
 def check_bulk(val: float) -> float:

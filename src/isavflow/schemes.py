@@ -122,7 +122,8 @@ class Scratch:
 
     def __init__(self, grid: Grid, alpha: float, gamma: float):
         lap = grid.lap_sym
-        self.g_sym = gamma * lap**alpha if alpha != 0.0 else gamma * np.ones_like(lap)
+        with np.errstate(over="ignore"):  # an infinite g_sym fails in _solve_factors
+            self.g_sym = gamma * lap**alpha if alpha != 0.0 else gamma * np.ones_like(lap)
         self.g_c = self.g_sym.astype(complex)
         self.lap_c = lap.astype(complex)
         self.weight_c = grid.mode_weight.astype(complex)
@@ -254,23 +255,31 @@ def _solve_factors(ws: Scratch, lap, tau, S, bdf):
     for the two-level schemes). They are stored as complex, so that their
     products with spectra need no cast buffer (the bits are those of the
     real symbols). The key carries S because schemes that share a
-    ModelParams damp with S or with 0.
+    ModelParams damp with S or with 0. A factor whose arithmetic overflows
+    (tau*gamma too large for the grid's wavenumbers) is a ConfigError.
     """
     key = (S, bdf)
     out = ws.factors.get(key)
     if out is not None:
         return out
     g = ws.g_sym
-    if bdf:
-        inv_diag = 1.0 / (3.0 + 2.0 * tau * g * (lap + S))
-        out = (
-            g * inv_diag,
-            (4.0 + 4.0 * tau * S * g) * inv_diag,
-            (1.0 + 2.0 * tau * S * g) * inv_diag,
-        )
-    else:
-        inv_diag = 1.0 / (1.0 + tau * g * (lap + S))
-        out = (g * inv_diag, (1.0 + tau * S * g) * inv_diag, None)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            if bdf:
+                inv_diag = 1.0 / (3.0 + 2.0 * tau * g * (lap + S))
+                out = (
+                    g * inv_diag,
+                    (4.0 + 4.0 * tau * S * g) * inv_diag,
+                    (1.0 + 2.0 * tau * S * g) * inv_diag,
+                )
+            else:
+                inv_diag = 1.0 / (1.0 + tau * g * (lap + S))
+                out = (g * inv_diag, (1.0 + tau * S * g) * inv_diag, None)
+    except FloatingPointError as exc:
+        from .config import ConfigError  # config imports this module
+
+        raise ConfigError(f"the solve factors overflow at tau={tau}, S={S}: "
+                          "tau*gamma is too large for the grid") from exc
     out = tuple(None if a is None else a.astype(complex) for a in out)
     ws.factors[key] = out
     return out

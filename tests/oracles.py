@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from isavflow import Field, Scheme, bulk_energy, schemes
+from isavflow import DoubleWell, Field, Scheme, bulk_energy, schemes
 from isavflow.potentials import Potential
 from isavflow.spectral import _parseval
 
@@ -17,28 +17,21 @@ from isavflow.spectral import _parseval
 @dataclass(frozen=True)
 class ConstantPotential(Potential):
     """F identically c_add, f = f' = 0; handy for linear-decay checks. It
-    implements the F/f contract of Potential directly: out is filled when
-    given, and with F_sum the node sum of F is size * c_add."""
+    implements the F/f contract of Potential directly: F's node sum is
+    size * c_add, and f fills out when it is given."""
 
-    def F(self, phi, out=None, work=None, F_sum=False):
-        p = np.asarray(phi, dtype=float)
-        return p.size * self.c_add if F_sum else _filled(p, out, self.c_add)
+    def F(self, phi, work=None):
+        return np.size(phi) * self.c_add
 
     def f(self, phi, out=None, work=None, F_sum=False):
         p = np.asarray(phi, dtype=float)
-        f = _filled(p, out, 0.0)
-        return (f, self.F(p, F_sum=True)) if F_sum else f
+        f = np.empty_like(p) if out is None else out
+        f.fill(0.0)
+        f = f if f.ndim else float(f)
+        return (f, self.F(p)) if F_sum else f
 
     def fprime(self, phi):
         return np.zeros_like(phi) if np.ndim(phi) else 0.0
-
-
-def _filled(p, out, value):
-    """out (a new array if None) shaped as p and set to value; a float for a
-    scalar p."""
-    out = np.empty_like(p) if out is None else out
-    out.fill(value)
-    return out if out.ndim else float(out)
 
 
 def double_well_reference(pot, x):
@@ -75,6 +68,13 @@ def flory_huggins_reference(pot, x):
     F += b * (x - x * x)
     f += b * (1.0 - 2.0 * x)
     return F / pot.eps**2 + pot.c_add, f / pot.eps**2
+
+
+def reference_kernels(pot, x):
+    """(F, f) pointwise, by the reference of pot's class."""
+    if isinstance(pot, DoubleWell):
+        return double_well_reference(pot, x)
+    return flory_huggins_reference(pot, x)
 
 
 def apply_symbol(field: Field, symbol: np.ndarray, sign: float = 1.0) -> Field:
@@ -164,7 +164,7 @@ def reference_step(state, params):
     G = params.gamma * lap**params.alpha  # 0**0 = 1: G = gamma*I for alpha = 0
 
     def r_of(values):
-        return math.sqrt(quad(g, pot.F(values)))
+        return math.sqrt(g.cell_area * pot.F(values))
 
     if bdf:
         phim = Field(g, state.phi_nm1.values)

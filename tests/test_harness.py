@@ -3,14 +3,15 @@
 import json
 import math
 import os
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from isavflow import (ConfigError, Field, Grid, ModelParams, Scheme, SchemeRuntimeError,
-                      make_initial_state, step)
+from isavflow import (ConfigError, Field, Grid, ModelParams, NonPositiveBulkEnergyError, Scheme,
+                      SchemeRuntimeError, make_initial_state, step)
 from isavflow import harness
 from isavflow.cli import main
 from isavflow.config import PRESETS, config_from_dict, initial_field, load_config
@@ -451,6 +452,26 @@ class TestRunSimulation:
         assert lines[0] == ",".join(SERIES_COLUMNS)
         assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "2"]
 
+    def test_failures_carry_the_error_as_their_cause(self, tmp_path, monkeypatch):
+        # the failing call's exception is the __cause__; no other attribute holds it
+        failure, disk_full = NonPositiveBulkEnergyError("at phi*"), OSError(28, "disk full")
+
+        def raising(exc):
+            def call(*args, **kwargs):
+                raise exc
+            return call
+
+        monkeypatch.setattr(harness, "step", raising(failure))
+        with pytest.raises(SchemeRuntimeError) as info:
+            run_simulation(self.base(tmp_path))
+        assert info.value.__cause__ is failure and not hasattr(info.value, "cause")
+        monkeypatch.setattr(harness, "write_snapshot", raising(disk_full))
+        with pytest.raises(harness.OutputWriteError) as info:
+            run_simulation(self.base(tmp_path, outputs={
+                "series_path": str(tmp_path / "s.csv"), "snapshot_dir": str(tmp_path / "snaps"),
+                "field_snapshot_times": [0.0]}))
+        assert info.value.__cause__ is disk_full and not hasattr(info.value, "cause")
+
     def test_outdir_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ISAVFLOW_OUTDIR", str(tmp_path / "redirected"))
         cfg = config_from_dict({**MINIMAL, "t_end": 0.2})
@@ -727,6 +748,28 @@ class TestCli:
         out = str(tmp_path / "table.csv")
         assert main(["converge", path, "--grids", "4,8", "--ref-nx", "32", "--out", out]) == 0
         assert os.path.exists(out)
+
+    def test_converge_has_no_order_next_to_a_zero_error(self, tmp_path, capsys):
+        # the 16^2 member runs exactly as the 16^2 reference does: its error is 0
+        path = write_cfg(tmp_path, {"preset": "ex1-isav-be", "t_end": 0.1})
+        out = tmp_path / "t.csv"
+        args = ["--grids", "16,32", "--ref-nx", "16", "--out", str(out)]
+        assert main(["converge", path, *args]) == 0
+        rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
+        assert [(r[0], r[2]) for r in rows] == [("16", ""), ("32", "")]
+        assert float(rows[0][1]) == 0.0 and float(rows[1][1]) > 0.0
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_overflowing_solve_factors_exit_2_before_any_output(self, tmp_path, capsys, alpha):
+        # tau*gamma is finite, but tau*gamma*|k|^2 overflows on the grid (and,
+        # for alpha = 1, so does the mobility symbol gamma*|k|^2 itself)
+        path = write_cfg(tmp_path, {"preset": "ex1-isav-be", "grid": {"nx": 8, "ny": 8},
+                                    "model": {"alpha": alpha, "gamma": 1e308}})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", path, "--outdir", str(tmp_path)]) == 2
+        assert "config error: the solve factors overflow" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "series.csv")
 
     @pytest.mark.parametrize("args", [
         ["--grids", "4,5"],

@@ -18,8 +18,7 @@ from isavflow.spectral import _fold_half, quad_form_hat
 
 from conftest import even_symbol, random_field
 from oracles import (ConstantPotential, RankOneSystem, _axis_map, apply_symbol,
-                     dense_solve_oracle, double_well_reference, flory_huggins_reference,
-                     quad_form_reference, rank_one_solve)
+                     dense_solve_oracle, quad_form_reference, rank_one_solve, reference_kernels)
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -121,27 +120,21 @@ def potential_and_values(draw):
 @given(case=potential_and_values(), garbage=st.tuples(GARBAGE, GARBAGE, GARBAGE))
 def test_fused_kernel_matches_separate_calls(case, garbage):
     pot, x = case
-    f, total = pot.f(x), pot.F(x, F_sum=True)
+    f, total = pot.f(x), pot.F(x)
     out, *work = (np.full_like(x, g) for g in garbage)
     fused, fused_total = pot.f(x, out, tuple(work), F_sum=True)
     assert fused is out and np.array_equal(out, f) and fused_total == total
     # the sum alone, with garbage in every buffer, and without work arrays
     out.fill(garbage[0])
-    assert pot.F(x, out, tuple(work), F_sum=True) == total
+    assert pot.F(x, (out, *work)) == total
     fused, fused_total = pot.f(x, F_sum=True)
     assert np.array_equal(fused, f) and fused_total == total
     # public calls still reject NaN
     bad = x.copy()
     bad[len(x) // 2] = math.nan
-    for call in (pot.F, pot.f, lambda v: pot.f(v, F_sum=True), lambda v: pot.F(v, F_sum=True)):
+    for call in (pot.F, pot.f, lambda v: pot.f(v, F_sum=True)):
         with pytest.raises(ValueError, match="NaN"):
             call(bad)
-
-
-def reference_kernels(pot, x):
-    if isinstance(pot, DoubleWell):
-        return double_well_reference(pot, x)
-    return flory_huggins_reference(pot, x)
 
 
 @settings(max_examples=200)

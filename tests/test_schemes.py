@@ -9,6 +9,7 @@ from isavflow import (
     DoubleWell,
     EnergyLawViolation,
     Field,
+    FloryHugginsRegularized,
     Grid,
     ModelParams,
     NonPositiveBulkEnergyError,
@@ -23,7 +24,7 @@ from isavflow.config import config_from_dict, initial_field
 from isavflow.diagnostics import h1_error
 
 from conftest import TWO_PI, ex1_config, final_field, random_field
-from oracles import ConstantPotential, apply_symbol, inner, reference_step
+from oracles import ConstantPotential, apply_symbol, inner, quad, reference_kernels, reference_step
 
 
 def const_params(alpha=0.0, gamma=0.1, S=0.0, tau=0.1):
@@ -236,6 +237,34 @@ class TestBdfPair:
         a, _ = step(sav, p)
         b, _ = step(isav, p)
         assert np.array_equal(a.phi_n.values, b.phi_n.values)
+
+    @pytest.mark.parametrize("pot", [
+        DoubleWell(eps=0.5, c_add=1.0),
+        FloryHugginsRegularized(eps=0.5, beta=3.0, sigma=0.01, c_add=5.0),
+    ], ids=["double-well", "flory-huggins"])
+    @pytest.mark.parametrize("scheme", [Scheme.SAV_BDF, Scheme.ISAV_BDF])
+    def test_scalar_relation(self, scheme, pot, rng):
+        # 3 r^{n+1} - 4 r^n + r^{n-1} = 1/2 <b, 3 phi^{n+1} - 4 phi^n + phi^{n-1}>
+        # with b = f(phi*)/sqrt(int F(phi*)), phi* = 2 phi^n - phi^{n-1}; r^n and
+        # r^{n-1} are the carried scalars (sav-bdf) or r[phi^n], r[phi^{n-1}]
+        # (isav-bdf). F, f and <.,.> by reference kernels and nodal quadrature.
+        g = Grid(16, 16, TWO_PI, TWO_PI)
+        p = ModelParams(alpha=1.0, gamma=0.2, S=3.0, tau=0.05, potential=pot)
+        state = make_initial_state(scheme, Field(g, rng.uniform(0.1, 0.9, g.shape)), pot)
+        for _ in range(3):
+            state, _ = step(state, p, record=False)
+        new, _ = step(state, p, record=False)
+
+        def r_of(values):
+            return math.sqrt(quad(g, reference_kernels(pot, values)[0]))
+
+        phi, phim = state.phi_n.values, state.phi_nm1.values
+        star = 2.0 * phi - phim
+        b = reference_kernels(pot, star)[1] / r_of(star)
+        r_n, r_m = (r_of(phi), r_of(phim)) if scheme.is_improved else (state.r_n, state.r_nm1)
+        lhs = 3.0 * new.r_report - 4.0 * r_n + r_m
+        rhs = 0.5 * quad(g, b * (3.0 * new.phi_n.values - 4.0 * phi + phim))
+        assert abs(lhs - rhs) <= 1e-12 * r_of(phi)
 
     def test_extrapolant_failure_is_an_error(self):
         g = Grid(8, 8, TWO_PI, TWO_PI)
