@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -171,9 +172,10 @@ def _split_preset(name: str):
 
 
 def is_step_multiple(t_end: float, tau: float) -> bool:
-    """Whether t_end is an integer multiple of tau, to 4 ulp of the step count."""
+    """Whether t_end is an integer multiple of tau, to 4 ulp of a finite step count."""
     steps = t_end / tau
-    return abs(steps - round(steps)) <= 4 * np.finfo(float).eps * max(1.0, steps)
+    return math.isfinite(steps) and (
+        abs(steps - round(steps)) <= 4 * np.finfo(float).eps * max(1.0, steps))
 
 
 def _expect(cond, path, msg):
@@ -183,8 +185,8 @@ def _expect(cond, path, msg):
 
 def _number(raw, path, positive=False):
     _expect(isinstance(raw, (int, float)) and not isinstance(raw, bool), path, "must be a number")
+    _expect(abs(raw) <= sys.float_info.max, path, "must be finite")  # exact for any int
     v = float(raw)
-    _expect(math.isfinite(v), path, "must be finite")
     if positive:
         _expect(v > 0, path, "must be positive")
     return v

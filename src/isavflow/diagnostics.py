@@ -66,12 +66,15 @@ def h1_error(u: Field, ref: Field) -> float:
 def record_step(state, params, prev=None) -> StepRecord:
     """Build the record of a state's level.
 
-    The decrement quantities need the chemical potential of the step that
-    produced the state (its mu_hat) and the energies of prev, the state
-    that step started from; without either (at t=0, or for a state stepped
-    without records) they are None. Every energy comes from the states'
-    energies, which keep what they evaluate, so a record costs no
-    transform; its temporaries go into the run's scratch.
+    The decrement quantities need prev, the state that the step to state
+    started from; without it (at t=0) they are None. Their dissipation term
+    comes from the two states alone: the step's flow equation delta = -k G
+    mu, with delta = phi^{n+1} - phi^n and k = tau after a backward-Euler
+    step, delta = 3 phi^{n+1} - 4 phi^n + phi^{n-1} and k = 2 tau after a
+    BDF2 step, makes tau ||G^{1/2} mu||^2 = tau/k^2 ||G^{-1/2} delta||^2,
+    G^{-1} being 0 on a zero mode that G does not see. Every energy comes
+    from the states' energies, which keep what they evaluate, so a record
+    costs no transform; its temporaries go into the run's scratch.
     """
     grid = state.phi_n.grid
     ws = params.symbols(grid)
@@ -84,12 +87,20 @@ def record_step(state, params, prev=None) -> StepRecord:
     if state.r_report is not None:
         r_drift = math.sqrt(F) - state.r_report if F > 0 else math.nan
     D_be = D_bdf = None
-    if prev is not None and state.mu_hat is not None:
-        ghalf_sq = quad_form_hat(grid, state.mu_hat, ws.g_c, ws.spec[3])
+    if prev is not None:
         e_lin_prev, F_prev, E2_prev = prev.energies(params.potential, S, ws)
-        D_be = E_orig - (e_lin_prev + F_prev) + params.tau * ghalf_sq
+        delta, work = ws.spec[2], ws.spec[3]
+        np.subtract(state.phi_n.spectrum(), prev.phi_n.spectrum(), out=delta)
+        bdf = state.scheme.is_bdf and prev.phi_nm1 is not None
+        if bdf:  # 3 (phi^{n+1} - phi^n) - phi^n + phi^{n-1}
+            delta *= 3.0
+            delta -= prev.phi_n.spectrum()
+            delta += prev.phi_nm1.spectrum()
+        dissipation = (quad_form_hat(grid, delta, ws.g_inv_c, work)
+                       / ((4.0 if bdf else 1.0) * params.tau))
+        D_be = E_orig - (e_lin_prev + F_prev) + dissipation
         if E2 is not None and E2_prev is not None:
-            D_bdf = E2 - E2_prev + params.tau * ghalf_sq
+            D_bdf = E2 - E2_prev + dissipation
     return StepRecord(
         step=state.step_index,
         t=state.step_index * params.tau,

@@ -110,11 +110,13 @@ class Scratch:
     rebuilding or allocating: the mobility symbol g_sym = gamma*|k|^(2*alpha)
     on the rfft2 half spectrum (its zero mode is gamma for alpha = 0, the
     operator gamma*I, and vanishes for alpha > 0, which conserves the mean),
-    the solve factors keyed by (S, scheme family), complex copies of g_sym
-    and of the grid's lap_sym and mode_weight (so that their products with
-    spectra need no float-to-complex cast buffer; the bits are those of the
-    real symbols), and work arrays: ``real`` on the grid and ``spec``
-    (complex) on the half spectrum.
+    the solve factors keyed by (S, scheme family), complex copies of the
+    inverse mobility symbol g_inv (1/g_sym where g_sym > 0, 0 on a vanishing
+    zero mode) and of the grid's lap_sym and mode_weight (so that their
+    products with spectra need no float-to-complex cast buffer; the bits are
+    those of the real symbols), and work arrays: ``real`` on the grid and
+    ``spec`` (complex) on the half spectrum. A g_inv that overflows (a
+    subnormal gamma*|k|^(2*alpha)) is a ConfigError.
 
     Every user writes a work array in full before reading it, and keeps
     nothing that aliases one past its return, so callers may share a Scratch.
@@ -124,7 +126,14 @@ class Scratch:
         lap = grid.lap_sym
         with np.errstate(over="ignore"):  # an infinite g_sym fails in _solve_factors
             self.g_sym = gamma * lap**alpha if alpha != 0.0 else gamma * np.ones_like(lap)
-        self.g_c = self.g_sym.astype(complex)
+        try:
+            with np.errstate(over="raise"):
+                g_inv = np.divide(1.0, self.g_sym, out=np.zeros_like(lap), where=self.g_sym > 0)
+        except FloatingPointError as exc:
+            from .config import ConfigError  # config imports this module
+
+            raise ConfigError(f"1/(gamma*|k|^(2*alpha)) overflows at gamma={gamma}") from exc
+        self.g_inv_c = g_inv.astype(complex)
         self.lap_c = lap.astype(complex)
         self.weight_c = grid.mode_weight.astype(complex)
         self.factors = {}
@@ -146,9 +155,7 @@ class SchemeState:
     bulk integrals at phi_n and phi_nm1 (unchecked for positivity), filled
     by bulk_n and bulk_nm1; e_lin = 1/2 ||L^{1/2} phi_n||^2 and E2 (the
     S-free parts of a two-level BDF state's three-level modified energy) are
-    filled by energies. A recording step sets e_lin, which it has in hand, and
-    mu_hat, the spectrum of the chemical potential of the step that
-    produced the state (None at t=0 and after a step without records).
+    filled by energies.
     """
 
     scheme: Scheme
@@ -162,7 +169,6 @@ class SchemeState:
     F_nm1: float | None = None
     e_lin: float | None = None
     E2: tuple[float, float] | None = None
-    mu_hat: np.ndarray | None = None
 
     def bulk_n(self, potential: Potential, work=None) -> float:
         """int F(phi_n), evaluated on first use (work as for bulk_quad)."""
@@ -313,12 +319,11 @@ def step(state: SchemeState, params: ModelParams, record=True):
 
     The mobility symbol, solve factors and grid-sized temporaries come
     from params.symbols(grid), built once per ModelParams; the step
-    allocates only what it returns: phi^{n+1}, its spectrum, and mu's
-    spectrum when recording. Where it needs int F and f at one field (phi*
-    of every BDF step, phi^n of a BE step whose int F(phi^n) is not
-    carried), one fused potential pass gives f and the node sum of F, with
-    no F array. phi* stays a work array, so phi^{n+1} is the one field a
-    step checks for finiteness.
+    allocates only what it returns: phi^{n+1} and its spectrum. Where it
+    needs int F and f at one field (phi* of every BDF step, phi^n of a BE
+    step whose int F(phi^n) is not carried), one fused potential pass gives
+    f and the node sum of F, with no F array. phi* stays a work array, so
+    phi^{n+1} is the one field a step checks for finiteness.
 
     b itself is never formed: the forward transform takes f(phi*), and
     1/sqrt(int F(phi*)) goes into the scalars. One mode-weighted copy of
@@ -328,11 +333,10 @@ def step(state: SchemeState, params: ModelParams, record=True):
     the diagonal, z = (G/diag) f_hat and r* = sqrt(int F(phi*)); the
     right-hand side's own solve diag^{-1} rhs is never formed.
 
-    Returns (new_state, record). With record=False the record is None and
-    the new state carries no e_lin or mu_hat; the field is the same either
-    way. A record's decrements take the previous level's energies from
-    state itself, so any step may record, whether or not the one before
-    it did.
+    Returns (new_state, record), the record being record_step(new_state,
+    params, state). With record=False the record is None; the field is the
+    same either way. A record reads only the two states, so any step may
+    record, whether or not the one before it did.
     """
     scheme = state.scheme
     bdf = scheme.is_bdf and state.phi_nm1 is not None
@@ -395,27 +399,8 @@ def step(state: SchemeState, params: ModelParams, record=True):
     )
     if not record:
         return new, None
-
-    # Diagnostics, built from spectra already in hand: no transform.
-    # mu = L phi^{n+1} + r^{n+1} b (+ the damping term), b_hat = f_hat/r_star.
-    # mu's first term L phi_hat^{n+1} is the product of 1/2 ||L^{1/2} phi^{n+1}||^2.
-    # np.empty, not empty_like: 32 more bytes made glibc map mu afresh every step at 128^2.
-    c1 = hist  # free once the solve is done
-    mu_hat = np.empty(grid.spectral_shape, dtype=complex)
-    e_lin = 0.5 * quad_form_hat(grid, new_hat, ws.lap_c, mu_hat)
-    mu_hat += np.multiply(f_hat, r_new / r_star, out=c1)
-    if scheme.is_improved:
-        if bdf:
-            np.multiply(phi_hat, 2.0, out=c1)
-            np.subtract(new_hat, c1, out=c1)
-            c1 += phim_hat
-        else:
-            np.subtract(new_hat, phi_hat, out=c1)
-        c1 *= S
-        mu_hat += c1
-    if scheme.is_bdf:
+    if scheme.is_bdf:  # int F(phi^n), taken once for both states' records
         new.F_nm1 = state.bulk_n(pot, F_work)
-    new.e_lin, new.mu_hat = e_lin, mu_hat
     rec = record_step(new, params, state)
     if params.assert_energy:
         _check_energy_laws(state, new, params, rec)

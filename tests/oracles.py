@@ -145,6 +145,24 @@ def e2_energy(phi_n: Field, phi_nm1: Field, potential: Potential, S: float) -> f
     )
 
 
+def reference_mu(prev, new, params) -> np.ndarray:
+    """The chemical potential of the step from prev to new, on the grid,
+    from its definition: mu = L phi^{n+1} + r~^{n+1} b, plus S*(phi^{n+1} -
+    phi^n) (BE) or S*(phi^{n+1} - 2 phi^n + phi^{n-1}) (BDF2) for the
+    improved schemes, with b = f(phi*)/sqrt(int F(phi*)) formed at the
+    step's extrapolant. The step is BE for the BE schemes and for a BDF
+    state without phi^{n-1}, as in schemes.step."""
+    g, pot = new.phi_n.grid, params.potential
+    phi, old = new.phi_n.values, prev.phi_n.values
+    bdf = new.scheme.is_bdf and prev.phi_nm1 is not None
+    star = 2.0 * old - prev.phi_nm1.values if bdf else old
+    b = pot.f(star) / math.sqrt(bulk_energy(pot, Field(g, star)))
+    mu = apply_symbol(new.phi_n, g.lap_sym).values + new.r_report * b
+    if new.scheme.is_improved:
+        mu += params.S * (phi - 2.0 * old + prev.phi_nm1.values if bdf else phi - old)
+    return mu
+
+
 def reference_step(state, params):
     """One step of state's scheme, (phi^{n+1} values, r^{n+1}), written
     straight from the formulas in schemes.step's docstring: b =

@@ -23,7 +23,8 @@ from isavflow.harness import run_simulation
 from isavflow.spectral import quad_form_hat
 
 from conftest import TWO_PI, random_field
-from oracles import ConstantPotential, e2_energy, quad, quad_form_reference, reference_kernels
+from oracles import (ConstantPotential, e2_energy, quad, quad_form_reference, reference_kernels,
+                     reference_mu)
 
 
 class TestOriginalEnergy:
@@ -148,7 +149,7 @@ class TestRecordStep:
         new, rec = step(state, p)
         e_new = original_energy(new.phi_n, pot)
         e_old = original_energy(state.phi_n, pot)
-        ghalf_sq = quad_form_hat(g, Field(g, g.inverse(new.mu_hat)).spectrum(), sym.g_sym)
+        ghalf_sq = quad_form_hat(g, Field(g, reference_mu(state, new, p)).spectrum(), sym.g_sym)
         assert rec.D_be == pytest.approx(e_new - e_old + p.tau * ghalf_sq, rel=1e-10, abs=1e-12)
         assert rec.E_orig == pytest.approx(e_new, rel=1e-12)
 
@@ -162,6 +163,15 @@ class TestRecordStep:
         assert none is None
         assert (late.E_orig, late.E_mod, late.r_drift) == (rec.E_orig, rec.E_mod, rec.r_drift)
         assert late.D_be is None
+        # with prev given, a record reads only its two states: from a
+        # trajectory stepped without records it equals the recording
+        # step's record, bit for bit
+        for scheme in Scheme:
+            fast, slow = (make_initial_state(scheme, state.phi_n, pot) for _ in range(2))
+            for _ in range(3):
+                prev, (fast, _) = fast, step(fast, p, record=False)
+                slow, rec = step(slow, p)
+                assert record_step(fast, p, prev) == rec, scheme
 
     def test_drift_sign_convention(self, rng):
         from isavflow import bulk_energy
@@ -182,11 +192,17 @@ class TestRecordStep:
 class TestEnergyColumnsMatchOracle:
     # Every energy column of a run, against the same quantities built from
     # the run's levels with the six-pass reference quadratic form, the
-    # bulk integral by nodal quadrature and the written-out E2.
+    # bulk integral by nodal quadrature, the written-out E2 and mu from its
+    # definition (the BE form at step 1 of a BDF run). "-alpha0.5" sets a
+    # fractional mobility, whose G^{1/2} also drops the zero mode.
     @pytest.mark.parametrize("scheme", [s.value for s in Scheme])
-    @pytest.mark.parametrize("example", ["ex1", "ex2", "ex3", "ex4"])
+    @pytest.mark.parametrize("example", ["ex1", "ex2", "ex3", "ex4", "ex2-alpha0.5"])
     def test_energy_columns(self, example, scheme):
-        cfg = config_from_dict({"preset": f"{example}-{scheme}", "grid": {"nx": 16, "ny": 16}})
+        example, _, alpha = example.partition("-alpha")
+        doc = {"preset": f"{example}-{scheme}", "grid": {"nx": 16, "ny": 16}}
+        if alpha:
+            doc["model"] = {"alpha": float(alpha)}
+        cfg = config_from_dict(doc)
         cfg.t_end = 10 * cfg.tau
         records = run_simulation(cfg, write_outputs=False).records
         g, pot = cfg.make_grid(), cfg.make_potential()
@@ -196,7 +212,7 @@ class TestEnergyColumnsMatchOracle:
         lap = g.lap_sym
         G = p.gamma * lap**p.alpha  # 0**0 = 1: G = gamma*I for alpha = 0
         state = make_initial_state(scheme, initial_field(cfg.init, g), pot)
-        prev = None  # (E_orig, E2) of the previous level
+        prev = None  # (state, E_orig, E2) of the previous level
         for n, rec in enumerate(records):
             if n:
                 state, _ = step(state, p)
@@ -209,14 +225,15 @@ class TestEnergyColumnsMatchOracle:
             expect = {"E_orig": E_orig, "E_mod": e_lin + state.r_report**2, "E2": E2,
                       "D_be": None, "D_bdf": None}
             if prev is not None:
-                ghalf_sq = p.tau * quad_form_reference(g, state.mu_hat, G)
-                expect["D_be"] = E_orig - prev[0] + ghalf_sq
-                if E2 is not None and prev[1] is not None:
-                    expect["D_bdf"] = E2 - prev[1] + ghalf_sq
+                mu_hat = g.forward(reference_mu(prev[0], state, p))
+                ghalf_sq = p.tau * quad_form_reference(g, mu_hat, G)
+                expect["D_be"] = E_orig - prev[1] + ghalf_sq
+                if E2 is not None and prev[2] is not None:
+                    expect["D_bdf"] = E2 - prev[2] + ghalf_sq
             tol = 1e-13 * max(1.0, abs(E_orig))
             for name, value in expect.items():
                 got = getattr(rec, name)
                 assert (got is None) == (value is None), (name, n)
                 if value is not None:
                     assert abs(got - value) <= tol, (name, n, got, value)
-            prev = (E_orig, E2)
+            prev = (state, E_orig, E2)

@@ -144,6 +144,17 @@ class TestShippedConfigs:
         cfg = load_config(path)
         assert cfg.n_steps() >= 1
 
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
+    def test_shipped_config_runs(self, path, tmp_path):
+        cfg = load_config(path)
+        assert main(["run", str(path), "--outdir", str(tmp_path)]) == 0
+        rows = (tmp_path / cfg.outputs["series_path"]).read_text().splitlines()
+        assert len(rows) == 1 + cfg.n_steps() + 1  # the header, then levels 0 to n_steps
+        snaps = tmp_path / cfg.outputs["snapshot_dir"]
+        written = sorted(p.name for p in snaps.iterdir()) if snaps.exists() else []
+        steps = sorted(round(t / cfg.tau) for t in cfg.outputs["field_snapshot_times"])
+        assert written == [f"phi_step{n:06d}.txt" for n in steps]
+
     def test_readme_example_validates(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         blocks = [b.split("```", 1)[0] for b in readme.split("```json\n")[1:]]
@@ -771,17 +782,36 @@ class TestCli:
         assert "config error: the solve factors overflow" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "series.csv")
 
+    def test_huge_gamma_records_exact_decrements(self, tmp_path):
+        # tau*||G^{1/2} mu||^2 comes from the levels, not from mu's spectrum,
+        # whose rounding gamma would multiply: the BE law holds at gamma=1e306
+        path = write_cfg(tmp_path, {"preset": "ex1-isav-be", "grid": {"nx": 8, "ny": 8},
+                                    "model": {"gamma": 1e306}, "assert_energy": True})
+        assert main(["run", path, "--outdir", str(tmp_path)]) == 0
+        row = (tmp_path / "series.csv").read_text().splitlines()[2].split(",")
+        D_be = float(row[SERIES_COLUMNS.index("D_be")])
+        assert row[0] == "1" and math.isfinite(D_be) and D_be < 0.0
+
+    def test_subnormal_mobility_exits_2_before_any_output(self, tmp_path, capsys):
+        # 1/(gamma*|k|^(2*alpha)), the dissipation's symbol, overflows
+        path = write_cfg(tmp_path, {"preset": "ex1-isav-be", "grid": {"nx": 8, "ny": 8},
+                                    "model": {"gamma": 1e-310}})
+        assert main(["run", path, "--outdir", str(tmp_path)]) == 2
+        assert "config error: 1/(gamma*|k|^(2*alpha)) overflows" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "series.csv")
+
     @pytest.mark.parametrize("args", [
         ["--grids", "4,5"],
         ["--grids", "2,4"],
         ["--grids", "4,8", "--ref-nx", "15"],
         ["--taus", "0,0.05"],
         ["--taus", "0.05", "--ref-tau", "0"],
+        ["--taus", "0.05", "--ref-tau", "1e-320"],
         ["--taus", "-0.05"],
         ["--taus", "abc"],
         ["--taus", ","],
-    ], ids=["odd-grid", "grid-2", "odd-ref-nx", "zero-tau", "zero-ref-tau", "negative-tau",
-            "non-number", "empty"])
+    ], ids=["odd-grid", "grid-2", "odd-ref-nx", "zero-tau", "zero-ref-tau", "ref-tau-1e-320",
+            "negative-tau", "non-number", "empty"])
     def test_converge_bad_arguments_exit_2(self, tmp_path, capsys, args):
         path = write_cfg(tmp_path, {
             "preset": "ex1-isav-be", "tau": 0.05, "t_end": 0.5,
@@ -816,7 +846,9 @@ class TestCli:
         ({"outputs": 5}, "outputs: must be an object"),
         ({"init": 5}, "init: must be an object"),
         ({"init": {"kind": "random", "seed": -1}}, "init.seed: must be a nonnegative integer"),
-    ], ids=["outputs-a-number", "init-a-number", "negative-seed"])
+        ({"tau": 10**400}, "tau: must be finite"),  # a 401-digit JSON integer
+        ({"tau": 1e-320}, "t_end: must be an integer multiple of tau"),  # t_end/tau = inf
+    ], ids=["outputs-a-number", "init-a-number", "negative-seed", "401-digit-tau", "tau-1e-320"])
     def test_malformed_config_exits_2(self, tmp_path, capsys, override, why):
         path = write_cfg(tmp_path, {"preset": "ex1-isav-be", "grid": {"nx": 8, "ny": 8},
                                     **override})

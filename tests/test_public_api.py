@@ -42,7 +42,7 @@ MODULE_ALL = {
 # In order: StepRecord's order is the series CSV's column order.
 DATACLASS_FIELDS = {
     "SchemeState": ["scheme", "phi_n", "step_index", "phi_nm1", "r_n", "r_nm1", "r_report",
-                    "F_n", "F_nm1", "e_lin", "E2", "mu_hat"],
+                    "F_n", "F_nm1", "e_lin", "E2"],
     "StepRecord": ["step", "t", "E_orig", "E_mod", "E2", "D_be", "D_bdf", "r_drift", "mass",
                    "min_phi", "max_phi"],
 }
