@@ -3,6 +3,7 @@
 from .config import ConfigError, RunConfig, config_from_dict, initial_field, load_config
 from .diagnostics import StepRecord, h1_error, original_energy, record_step
 from .harness import (
+    EnergyLawViolation,
     SchemeRuntimeError,
     compare_schemes,
     convergence_study,
@@ -17,14 +18,7 @@ from .potentials import (
     bulk_energy,
     suggest_S,
 )
-from .schemes import (
-    EnergyLawViolation,
-    ModelParams,
-    Scheme,
-    SchemeState,
-    make_initial_state,
-    step,
-)
+from .schemes import ModelParams, Scheme, SchemeState, make_initial_state, step
 from .spectral import Field, Grid, resample
 
 __version__ = "0.1.0"

@@ -223,13 +223,17 @@ def config_from_dict(doc: dict) -> RunConfig:
     for key in ("nx", "ny"):
         n = g.get(key)
         _expect(isinstance(n, int) and not isinstance(n, bool), f"grid.{key}", "must be an integer")
-        _expect(n >= 4 and n % 2 == 0, f"grid.{key}", "must be even and at least 4")
+        _expect(4 <= n <= sys.maxsize and n % 2 == 0, f"grid.{key}",
+                f"must be even and in [4, {sys.maxsize}]")
     grid = {
         "nx": g["nx"],
         "ny": g["ny"],
         "lx": _number(g.get("lx"), "grid.lx", positive=True),
         "ly": _number(g.get("ly"), "grid.ly", positive=True),
     }
+    kx, ky = (math.pi * grid[n] / grid[l] for n, l in (("nx", "lx"), ("ny", "ly")))
+    _expect(kx * kx + ky * ky <= sys.float_info.max / 2, "grid",
+            "lx or ly too small for its nx or ny: the largest |k|^2 overflows")
 
     m = doc.get("model")
     _expect(isinstance(m, dict), "model", "must be an object with alpha, gamma")
@@ -244,6 +248,8 @@ def config_from_dict(doc: dict) -> RunConfig:
     _expect(kind in ("double-well", "flory-huggins"), "potential.kind",
             "must be 'double-well' or 'flory-huggins'")
     eps = _number(p.get("eps"), "potential.eps", positive=True)
+    _expect(0.0 < eps * eps < math.inf and 1.0 / (eps * eps) < math.inf, "potential.eps",
+            "must keep eps^2 and 1/eps^2 finite")
     potential = {"kind": kind, "eps": eps}
     if kind == "flory-huggins":
         potential["beta"] = _number(p.get("beta"), "potential.beta")

@@ -74,11 +74,14 @@ def record_step(state, params, prev=None) -> StepRecord:
     BDF2 step, makes tau ||G^{1/2} mu||^2 = tau/k^2 ||G^{-1/2} delta||^2,
     G^{-1} being 0 on a zero mode that G does not see. Every energy comes
     from the states' energies, which keep what they evaluate, so a record
-    costs no transform; its temporaries go into the run's scratch.
+    costs no transform; its temporaries go into the run's scratch. When
+    prev holds state's previous BDF level, int F there is taken once for both.
     """
     grid = state.phi_n.grid
     ws = params.symbols(grid)
     S = params.S if state.scheme.is_improved else 0.0
+    if prev is not None and state.phi_nm1 is prev.phi_n:
+        state.F_nm1 = prev.bulk_n(params.potential, ws.real[1:])
     values = state.phi_n.values
     e_lin, F, E2 = state.energies(params.potential, S, ws)
     E_orig = e_lin + F

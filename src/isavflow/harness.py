@@ -20,18 +20,11 @@ import numpy as np
 from .config import ConfigError, RunConfig, initial_field, is_step_multiple
 from .diagnostics import StepRecord, h1_error, record_step
 from .potentials import NonPositiveBulkEnergyError
-from .schemes import (
-    EnergyLawViolation,
-    ModelParams,
-    Scheme,
-    SchemeState,
-    _solve_factors,
-    make_initial_state,
-    step,
-)
+from .schemes import ModelParams, Scheme, SchemeState, _solve_factors, make_initial_state, step
 from .spectral import Field, Grid, NonFiniteFieldError
 
 __all__ = [
+    "EnergyLawViolation",
     "SchemeRuntimeError",
     "run_simulation",
     "convergence_study",
@@ -50,8 +43,34 @@ OUTDIR_ENV = "ISAVFLOW_OUTDIR"
 # site. Its removal waits for ROADMAP item 1, which re-baselines those sites.
 step_isav_be = step
 
-# What a step raises when the scheme itself fails, as opposed to bad input.
+# Relative slack for the opt-in per-step energy-law assertions.
+MODIFIED_ENERGY_RTOL = 1e-12
+ORIGINAL_ENERGY_RTOL = 1e-10
+
+
+class EnergyLawViolation(RuntimeError):
+    """Raised by the opt-in per-step checks of the discrete energy laws."""
+
+
+# What a step or its check raises when the scheme itself fails, as opposed to bad input.
 SCHEME_FAILURES = (NonPositiveBulkEnergyError, EnergyLawViolation, NonFiniteFieldError)
+
+
+def _check_energy_laws(old, new, rec):
+    """The BE energy laws of the step old -> new, rec being record_step(new,
+    params, old), which has filled old's energies; BDF steps are not checked."""
+    if new.scheme == Scheme.SAV_BE:
+        e_mod_old = old.e_lin + old.r_n**2
+        if rec.E_mod > e_mod_old + MODIFIED_ENERGY_RTOL * abs(e_mod_old):
+            raise EnergyLawViolation(
+                f"modified energy rose at step {new.step_index}: {e_mod_old} -> {rec.E_mod}"
+            )
+    elif new.scheme == Scheme.ISAV_BE and rec.D_be is not None:
+        tol = ORIGINAL_ENERGY_RTOL * (1.0 + abs(old.e_lin + old.F_n))
+        if rec.D_be > tol:
+            raise EnergyLawViolation(
+                f"original-energy decrement positive at step {new.step_index}: {rec.D_be}"
+            )
 
 
 class SchemeRuntimeError(RuntimeError):
@@ -158,7 +177,7 @@ def read_snapshot(path):
     return Field(grid, values), t
 
 
-def _kept_rows(cfg: RunConfig, record=True):
+def _kept_rows(cfg: RunConfig, record: bool):
     """The levels a run keeps a row for: with records on, level 0, every
     record_every-th level and the last one, for every scheme alike."""
     every, n_total = cfg.outputs["record_every"], cfg.n_steps()
@@ -169,6 +188,21 @@ def _snapshot_steps(cfg: RunConfig) -> set:
     """The step indices of the requested snapshot times, which the config
     has checked to be distinct multiples of tau in [0, t_end]."""
     return {round(t / cfg.tau) for t in cfg.outputs["field_snapshot_times"]}
+
+
+def _run_params(cfg: RunConfig, grid: Grid) -> ModelParams:
+    """A run's ModelParams, with the symbols and step 1's solve factors on
+    grid built here rather than in step 1, so that parameters no step can
+    take (tau*S or tau*gamma beyond the float range, factors or an inverse
+    mobility that overflow) are a ConfigError before any output."""
+    try:
+        params = ModelParams(alpha=cfg.model["alpha"], gamma=cfg.model["gamma"], S=cfg.S,
+                             tau=cfg.tau, potential=cfg.make_potential())
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    _solve_factors(params.symbols(grid), grid.lap_sym, cfg.tau,
+                   cfg.S if Scheme(cfg.scheme).is_improved else 0.0, False)
+    return params
 
 
 def run_simulation(cfg: RunConfig, outdir=None, write_outputs=True, record=True) -> SimulationResult:
@@ -187,21 +221,10 @@ def run_simulation(cfg: RunConfig, outdir=None, write_outputs=True, record=True)
     once level 0 is built, the kept rows are written before it propagates.
     """
     grid = cfg.make_grid()
-    pot = cfg.make_potential()
-    params = ModelParams(
-        alpha=cfg.model["alpha"],
-        gamma=cfg.model["gamma"],
-        S=cfg.S,
-        tau=cfg.tau,
-        potential=pot,
-        assert_energy=cfg.assert_energy,
-    )
-    # Step 1's solve factors, built here rather than in step 1, so that
-    # factors that overflow (a ConfigError) stop the run before any output.
-    _solve_factors(params.symbols(grid), grid.lap_sym, cfg.tau,
-                   cfg.S if Scheme(cfg.scheme).is_improved else 0.0, False)
+    params = _run_params(cfg, grid)
     out_base = resolve_outdir(outdir)
     kept = _kept_rows(cfg, record)
+    check = record and cfg.assert_energy
     snap_at = _snapshot_steps(cfg) if write_outputs else set()
     snap_dir = os.path.join(out_base, cfg.outputs["snapshot_dir"])
     series_path = os.path.join(out_base, cfg.outputs["series_path"]) if write_outputs else None
@@ -223,7 +246,7 @@ def run_simulation(cfg: RunConfig, outdir=None, write_outputs=True, record=True)
             snapshot_paths.append(path)
 
     try:
-        state = make_initial_state(cfg.scheme, initial_field(cfg.init, grid), pot)
+        state = make_initial_state(cfg.scheme, initial_field(cfg.init, grid), params.potential)
         records = [record_step(state, params)] if kept(0) else []
     except SCHEME_FAILURES as exc:
         raise SchemeRuntimeError(0, exc, 0.0, cfg.scheme) from exc
@@ -231,12 +254,18 @@ def run_simulation(cfg: RunConfig, outdir=None, write_outputs=True, record=True)
     try:
         snapshot(0, state.phi_n)
         for n in range(1, n_total + 1):
-            # Only kept rows (every row under assert_energy) are built.
+            # Only kept rows (every row under assert_energy) are built; state
+            # stays the last good level until the step's check passes.
             keep = kept(n)
             try:
-                state, rec = step(state, params, record=keep or (record and params.assert_energy))
+                new = step(state, params)
+                if keep or check:
+                    rec = record_step(new, params, state)
+                    if check:
+                        _check_energy_laws(state, new, rec)
             except SCHEME_FAILURES as exc:
                 raise SchemeRuntimeError(n, exc, n * cfg.tau, cfg.scheme, state.phi_n) from exc
+            state = new
             if keep:
                 records.append(rec)
             snapshot(n, state.phi_n)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from isavflow import Field, Grid
+from isavflow import Field, Grid, record_step, step
 from isavflow.config import config_from_dict
 from isavflow.harness import run_simulation
 
@@ -42,6 +42,13 @@ def rng():
 @pytest.fixture
 def grid_pi():
     return Grid(16, 16, TWO_PI, TWO_PI)
+
+
+def step_and_record(state, params):
+    """One step and its record, as a run that keeps the new level's row
+    builds them: (new, record_step(new, params, state))."""
+    new = step(state, params)
+    return new, record_step(new, params, state)
 
 
 def final_field(cfg):

@@ -22,7 +22,7 @@ from isavflow.config import config_from_dict, initial_field
 from isavflow.harness import run_simulation
 from isavflow.spectral import quad_form_hat
 
-from conftest import TWO_PI, random_field
+from conftest import TWO_PI, random_field, step_and_record
 from oracles import (ConstantPotential, e2_energy, quad, quad_form_reference, reference_kernels,
                      reference_mu)
 
@@ -81,7 +81,7 @@ class TestE2Energy:
         pot = cfg.make_potential()
         p = ModelParams(alpha=cfg.model["alpha"], gamma=cfg.model["gamma"], S=cfg.S,
                         tau=cfg.tau, potential=pot)
-        st, _ = step(prev, p, record=False)
+        st = step(prev, p)
         e2 = e2_energy(st.phi_n, prev.phi_n, pot, cfg.S)
         eo = original_energy(st.phi_n, pot)
         assert e2 == pytest.approx(eo, rel=1e-6)
@@ -146,7 +146,7 @@ class TestRecordStep:
     def test_decrement_matches_independent_recomputation(self, rng):
         g, pot, p, state = self.setup_state(rng)
         sym = p.symbols(g)
-        new, rec = step(state, p)
+        new, rec = step_and_record(state, p)
         e_new = original_energy(new.phi_n, pot)
         e_old = original_energy(state.phi_n, pot)
         ghalf_sq = quad_form_hat(g, Field(g, reference_mu(state, new, p)).spectrum(), sym.g_sym)
@@ -155,29 +155,33 @@ class TestRecordStep:
 
     def test_record_of_a_state_stepped_without_records(self, rng):
         # a fast-path state carries no energy parts; the record rebuilds them
-        # and lands on the values the recording step computed
+        # and lands on the values of the record built right after its step
         g, pot, p, state = self.setup_state(rng)
-        fast, none = step(state, p, record=False)
-        _, rec = step(state, p)
+        fast = step(state, p)
+        assert fast.F_n is None and fast.e_lin is None
+        _, rec = step_and_record(state, p)
         late = record_step(fast, p)
-        assert none is None
         assert (late.E_orig, late.E_mod, late.r_drift) == (rec.E_orig, rec.E_mod, rec.r_drift)
         assert late.D_be is None
-        # with prev given, a record reads only its two states: from a
-        # trajectory stepped without records it equals the recording
-        # step's record, bit for bit
+        # with prev given, a record reads only its two states: after n
+        # steps without records it equals, bit for bit, the record of
+        # level n of a trajectory that recorded every level
         for scheme in Scheme:
-            fast, slow = (make_initial_state(scheme, state.phi_n, pot) for _ in range(2))
+            slow, recs = make_initial_state(scheme, state.phi_n, pot), []
             for _ in range(3):
-                prev, (fast, _) = fast, step(fast, p, record=False)
-                slow, rec = step(slow, p)
-                assert record_step(fast, p, prev) == rec, scheme
+                slow, rec = step_and_record(slow, p)
+                recs.append(rec)
+            for n, rec in enumerate(recs, 1):
+                fast = make_initial_state(scheme, state.phi_n, pot)
+                for _ in range(n):
+                    prev, fast = fast, step(fast, p)
+                assert record_step(fast, p, prev) == rec, (scheme, n)
 
     def test_drift_sign_convention(self, rng):
         from isavflow import bulk_energy
 
         g, pot, p, state = self.setup_state(rng)
-        new, rec = step(state, p)
+        new, rec = step_and_record(state, p)
         r_exact = math.sqrt(bulk_energy(pot, new.phi_n))
         assert rec.r_drift == pytest.approx(r_exact - new.r_report, abs=1e-14)
 
@@ -215,7 +219,7 @@ class TestEnergyColumnsMatchOracle:
         prev = None  # (state, E_orig, E2) of the previous level
         for n, rec in enumerate(records):
             if n:
-                state, _ = step(state, p)
+                state = step(state, p)
             phi = state.phi_n
             e_lin = 0.5 * quad_form_reference(g, phi.spectrum(), lap)
             E_orig = e_lin + quad(g, reference_kernels(pot, phi.values)[0])

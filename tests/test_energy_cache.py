@@ -13,7 +13,7 @@ from isavflow.config import initial_field
 from isavflow.harness import run_simulation
 from isavflow.spectral import Grid
 
-from conftest import ex1_config
+from conftest import ex1_config, step_and_record
 from oracles import e2_energy
 
 SCHEMES = [s.value for s in Scheme]
@@ -68,7 +68,10 @@ def test_no_level_energy_is_evaluated_twice(scheme, every, nx, monkeypatch):
     record_step(state, params)
     levels = [state]
     for n in range(1, n_total + 1):
-        state, _ = step(state, params, record=n % every == 0 or n == n_total)
+        new = step(state, params)
+        if n % every == 0 or n == n_total:
+            record_step(new, params, state)
+        state = new
         levels.append(state)
     ws = params.symbols(phi0.grid)
 
@@ -108,7 +111,7 @@ def test_each_call_gets_the_E2_of_its_own_S():
                          tau=cfg.tau, potential=pot)
     state = make_initial_state("isav-bdf", initial_field(cfg.init, cfg.make_grid()), pot)
     for _ in range(2):
-        state, _ = step(state, params)
+        state, _ = step_and_record(state, params)
     ws = params.symbols(state.phi_n.grid)
 
     def fresh(S):  # the E2 of a copy of the state that has kept nothing

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from isavflow import (ConfigError, Field, Grid, ModelParams, NonPositiveBulkEnergyError, Scheme,
-                      SchemeRuntimeError, make_initial_state, step)
+                      SchemeRuntimeError, make_initial_state, record_step, step)
 from isavflow import harness
 from isavflow.cli import main
 from isavflow.config import PRESETS, config_from_dict, initial_field, load_config
@@ -356,8 +356,7 @@ class TestRunSimulation:
                              tau=base.tau, potential=base.make_potential())
         state = make_initial_state(scheme, initial_field(base.init, grid), params.potential)
         for _ in range(base.n_steps()):
-            state, rec = step(state, params, record=False)
-            assert rec is None
+            state = step(state, params)
         for values in finals:
             assert np.array_equal(values, state.phi_n.values)
 
@@ -378,9 +377,9 @@ class TestRunSimulation:
     @pytest.mark.parametrize("every", [1, 3])
     @pytest.mark.parametrize("scheme", [s.value for s in Scheme])
     def test_one_record_per_kept_row(self, scheme, every, monkeypatch):
-        # record_step is bound in schemes (a step's record) and in harness
-        # (the t=0 row); across both it runs once per row, and BE and BDF
-        # runs keep the same levels
+        # record_step is bound in schemes (a trace-site alias, called by
+        # nothing) and in harness (the run loop); across both it runs once
+        # per row, and BE and BDF runs keep the same levels
         from isavflow import harness, schemes
 
         calls = []
@@ -399,9 +398,10 @@ class TestRunSimulation:
         assert sorted(calls) == kept
 
     def test_readme_library_loop_matches_run_simulation(self, monkeypatch):
-        # the README's loop, run verbatim but for its scheme and with step
-        # wrapped to keep its records, gives exactly the rows and the final
-        # field of the ex2 preset run (S > 0) for each of the four schemes
+        # the README's loop, run verbatim but for its scheme and with
+        # record_step wrapped to keep its records, gives exactly the rows
+        # and the final field of the ex2 preset run (S > 0) for each of the
+        # four schemes
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         code = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
         assert code.count("scheme = Scheme.ISAV_BE\n") == 1
@@ -409,12 +409,12 @@ class TestRunSimulation:
 
         records = []
 
-        def kept_step(*args, **kwargs):
-            state, rec = step(*args, **kwargs)
+        def kept_record(*args, **kwargs):
+            rec = record_step(*args, **kwargs)
             records.append(rec)
-            return state, rec
+            return rec
 
-        monkeypatch.setattr(isavflow, "step", kept_step)
+        monkeypatch.setattr(isavflow, "record_step", kept_record)
         for scheme in [s.value for s in Scheme]:
             records.clear()
             namespace = {}
@@ -449,10 +449,10 @@ class TestRunSimulation:
     def test_any_interrupt_after_t0_writes_the_kept_rows(self, tmp_path, monkeypatch):
         interrupt, real_step = KeyboardInterrupt(), harness.step
 
-        def step_until_3(state, params, record=True):
+        def step_until_3(state, params):
             if state.step_index + 1 == 3:
                 raise interrupt
-            return real_step(state, params, record)
+            return real_step(state, params)
 
         monkeypatch.setattr(harness, "step", step_until_3)
         cfg = self.base(tmp_path)
@@ -842,19 +842,57 @@ class TestCli:
         assert main(["run", str(path)]) == 2
         assert "not UTF-8" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("override, why", [
-        ({"outputs": 5}, "outputs: must be an object"),
-        ({"init": 5}, "init: must be an object"),
-        ({"init": {"kind": "random", "seed": -1}}, "init.seed: must be a nonnegative integer"),
-        ({"tau": 10**400}, "tau: must be finite"),  # a 401-digit JSON integer
-        ({"tau": 1e-320}, "t_end: must be an integer multiple of tau"),  # t_end/tau = inf
-    ], ids=["outputs-a-number", "init-a-number", "negative-seed", "401-digit-tau", "tau-1e-320"])
-    def test_malformed_config_exits_2(self, tmp_path, capsys, override, why):
-        path = write_cfg(tmp_path, {"preset": "ex1-isav-be", "grid": {"nx": 8, "ny": 8},
-                                    **override})
+    EX1_8 = {"preset": "ex1-isav-be", "grid": {"nx": 8, "ny": 8}}
+    EPS_FINITE = "potential.eps: must keep eps^2 and 1/eps^2 finite"
+
+    @pytest.mark.parametrize("doc, why", [
+        ({**EX1_8, "outputs": 5}, "outputs: must be an object"),
+        ({**EX1_8, "init": 5}, "init: must be an object"),
+        ({**EX1_8, "init": {"kind": "random", "seed": -1}},
+         "init.seed: must be a nonnegative integer"),
+        ({**EX1_8, "tau": 10**400}, "tau: must be finite"),  # a 401-digit JSON integer
+        ({**EX1_8, "tau": 1e-320}, "t_end: must be an integer multiple of tau"),  # t_end/tau = inf
+        # 1/eps^2 underflows to 1/0: the preset's S formula and the double
+        # well's bulk integral divided by it
+        ({"preset": "ex2-isav-be", "potential": {"eps": 1e-200}}, EPS_FINITE),
+        ({**MINIMAL, "potential": {"kind": "double-well", "eps": 1e-200}}, EPS_FINITE),
+        ({"preset": "ex2-isav-be", "potential": {"eps": 1e200}}, EPS_FINITE),  # eps^2 overflows
+        ({**EX1_8, "grid": {"nx": 10**400, "ny": 8}}, "grid.nx: must be even and in [4, "),
+        ({**MINIMAL, "grid": {**MINIMAL["grid"], "ly": 5e-324}},
+         "grid: lx or ly too small for its nx or ny: the largest |k|^2 overflows"),
+    ], ids=["outputs-a-number", "init-a-number", "negative-seed", "401-digit-tau", "tau-1e-320",
+            "preset-eps-1e-200", "double-well-eps-1e-200", "eps-1e200", "401-digit-nx",
+            "ly-5e-324"])
+    def test_malformed_config_exits_2(self, tmp_path, capsys, doc, why):
+        path = write_cfg(tmp_path, doc)
         assert main(["run", path, "--outdir", str(tmp_path)]) == 2
         assert f"config error: {why}" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "series.csv")
+
+    TAU_S = "tau*S and tau*gamma must be finite"
+
+    @pytest.mark.parametrize("command", ["run", "converge", "compare"])
+    @pytest.mark.parametrize("doc, why", [
+        ({"preset": "ex1-isav-be", "S": 1e308, "tau": 10.0, "t_end": 10.0}, TAU_S),
+        ({"preset": "ex1-sav-be", "S": 1e308, "tau": 10.0, "t_end": 10.0}, TAU_S),
+        ({**EX1_8, "model": {"gamma": 1e308}, "tau": 10.0, "t_end": 10.0}, TAU_S),
+        # the preset's S = 10/eps^2 overflows, at eps = 1e-160 with 1/eps^2 itself
+        ({"preset": "ex3-isav-be", "potential": {"eps": 1e-160}}, EPS_FINITE),
+        ({"preset": "ex3-isav-be", "potential": {"eps": 1e-154}}, TAU_S),
+    ], ids=["isav-be-S-1e308", "sav-be-S-1e308", "gamma-1e308", "ex3-eps-1e-160",
+            "ex3-eps-1e-154"])
+    def test_unsteppable_parameters_exit_2_before_any_output(self, tmp_path, capsys, doc, why,
+                                                             command):
+        # validation passes, but tau*S or tau*gamma is beyond the float range
+        path = write_cfg(tmp_path, doc)
+        out = tmp_path / "out"
+        tau = str(doc.get("tau", 0.01))
+        args = {"run": [path],
+                "converge": [path, "--taus", tau, "--ref-tau", tau],
+                "compare": [path, write_cfg(tmp_path, {**doc, "scheme": "isav-bdf"}, "b.json")]}
+        assert main([command, *args[command], "--outdir", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {why}\n"
+        assert [p for p in out.rglob("*") if p.is_file()] == []
 
     @staticmethod
     def _snapshot_run(tmp_path):
@@ -879,10 +917,10 @@ class TestCli:
 
         import isavflow.harness as harness
 
-        def removing_step(state, params, record=True):
+        def removing_step(state, params):
             if state.step_index == 3:
                 shutil.rmtree(tmp_path / "snaps")
-            return step(state, params, record)
+            return step(state, params)
 
         monkeypatch.setattr(harness, "step", removing_step)
         self._assert_partial_run(tmp_path, capsys, self._snapshot_run(tmp_path))

@@ -72,7 +72,9 @@ def test_tracer_wraps_a_run_and_restores_the_sites(tmp_path):
     assert counts["per_step"]["spectral.forward"] == 1.0
     assert counts["per_step"]["spectral.inverse"] == 1.0
     assert counts["per_step"]["schemes.rank_one"] == 1.0
-    assert counts["per_step"]["diagnostics.record_step"] == 1.0
+    # every level's record, level 0's included, built by the loop outside the step
+    assert counts["total"]["diagnostics.record_step"] == cfg.n_steps() + 1
+    assert counts["per_step"]["diagnostics.record_step"] == 0.0
 
 
 @contextlib.contextmanager
@@ -99,17 +101,19 @@ def fused_counted_as_F(tracer):
         DoubleWell.f = traced
 
 
-# Bulk-integral evaluations over the loop's n steps, as (per step, offset).
-# A step reuses the integrals an earlier step computed, and a step without
-# records never evaluates F at phi^{n+1}. Every first step is a BE step
-# that takes F at phi^0 from the initial state; a later BE step evaluates
-# F at phi^n. BDF2 always needs F at its extrapolant, and isav-bdf without
-# records also at phi^n, which no step before it evaluated.
+# Bulk-integral evaluations inside the loop's n steps, as (per step,
+# offset). A step reuses the integrals an earlier step or record computed,
+# and never evaluates F at phi^{n+1}: the record of the new level, built by
+# the loop outside the step, does. Every first step is a BE step that takes
+# F at phi^0 from the initial state; a later BE step evaluates F at phi^n
+# unless that level's record already did. BDF2 always needs F at its
+# extrapolant, and isav-bdf without records also at phi^n, which nothing
+# before it evaluated.
 F_IN_LOOP = {
-    ("sav-be", True): (1, 0), ("sav-be", False): (1, -1),
-    ("isav-be", True): (1, 0), ("isav-be", False): (1, -1),
-    ("sav-bdf", True): (2, -1), ("sav-bdf", False): (1, -1),
-    ("isav-bdf", True): (2, -1), ("isav-bdf", False): (2, -2),
+    ("sav-be", True): (0, 0), ("sav-be", False): (1, -1),
+    ("isav-be", True): (0, 0), ("isav-be", False): (1, -1),
+    ("sav-bdf", True): (1, -1), ("sav-bdf", False): (1, -1),
+    ("isav-bdf", True): (1, -1), ("isav-bdf", False): (2, -2),
 }
 
 # All bulk-integral evaluations of the 6-step run, the initial state's
@@ -154,8 +158,9 @@ def test_downsampled_records_add_no_bulk_integrals(scheme, tmp_path):
 
 @pytest.mark.parametrize("assert_energy", [False, True])
 def test_records_built_only_for_kept_rows(assert_energy, tmp_path):
-    # record_every=4 over 6 loop steps keeps the rows of steps 4 and 6;
-    # with the energy assertions on, every step builds what they check
+    # record_every=4 over 6 loop steps keeps the rows of steps 0, 4 and 6;
+    # with the energy assertions on, every level's record is built for
+    # them to check
     cfg = replace(small_config("isav-be", tmp_path), assert_energy=assert_energy,
                   outputs={"record_every": 4, "series_path": str(tmp_path / "s.csv"),
                            "snapshot_dir": str(tmp_path), "field_snapshot_times": []})
@@ -163,7 +168,7 @@ def test_records_built_only_for_kept_rows(assert_energy, tmp_path):
         res = run_simulation(cfg)
     n = tracer.counts()["steps_in_loop"]
     assert [r.step for r in res.records] == [0, 4, 6]
-    assert tracer.calls_in_step["diagnostics.record_step"] == (n if assert_energy else 2)
+    assert tracer.calls["diagnostics.record_step"] == (n if assert_energy else 2) + 1
 
 
 def test_resample_transforms_are_traced(rng):

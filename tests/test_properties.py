@@ -16,7 +16,7 @@ from isavflow import (DoubleWell, Field, FloryHugginsRegularized, Grid, ModelPar
                       make_initial_state, resample, step, suggest_S)
 from isavflow.spectral import _fold_half, quad_form_hat
 
-from conftest import even_symbol, random_field
+from conftest import even_symbol, random_field, step_and_record
 from oracles import (ConstantPotential, RankOneSystem, _axis_map, apply_symbol,
                      dense_solve_oracle, quad_form_reference, rank_one_solve, reference_kernels)
 
@@ -168,12 +168,12 @@ def test_potential_without_fused_f_still_steps(scheme, rng, monkeypatch):
                         fused.append(F_sum) or f(self, phi, out, work, F_sum))
     params = ModelParams(alpha=1.0, gamma=0.2, S=0.0, tau=0.05, potential=pot)
     state = make_initial_state(scheme, random_field(g, rng), pot)
-    state, _ = step(state, params, record=False)
-    state, _ = step(state, params, record=False)
+    state = step(state, params)
+    state = step(state, params)
     assert fused == [False, True]
     assert state.r_report == pytest.approx(math.sqrt(6.0))
     for _ in range(3):
-        state, rec = step(state, params)
+        state, rec = step_and_record(state, params)
         assert rec.E_orig == pytest.approx(rec.E_mod)
 
 

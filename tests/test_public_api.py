@@ -30,17 +30,18 @@ MODULE_ALL = {
     "config": ["ConfigError", "RunConfig", "load_config", "config_from_dict",
                "initial_field", "preset_summary"],
     "diagnostics": ["StepRecord", "original_energy", "h1_error", "record_step"],
-    "harness": ["SchemeRuntimeError", "run_simulation", "convergence_study", "compare_schemes",
-                "write_series_csv", "write_snapshot", "read_snapshot", "resolve_outdir"],
+    "harness": ["EnergyLawViolation", "SchemeRuntimeError", "run_simulation", "convergence_study",
+                "compare_schemes", "write_series_csv", "write_snapshot", "read_snapshot",
+                "resolve_outdir"],
     "potentials": ["DoubleWell", "FloryHugginsRegularized", "NonPositiveBulkEnergyError",
                    "bulk_energy", "suggest_S"],
-    "schemes": ["Scheme", "ModelParams", "SchemeState", "EnergyLawViolation",
-                "make_initial_state", "step"],
+    "schemes": ["Scheme", "ModelParams", "SchemeState", "make_initial_state", "step"],
     "spectral": ["Grid", "Field", "quad_form_hat", "resample"],
 }
 
 # In order: StepRecord's order is the series CSV's column order.
 DATACLASS_FIELDS = {
+    "ModelParams": ["alpha", "gamma", "S", "tau", "potential", "_symbols"],
     "SchemeState": ["scheme", "phi_n", "step_index", "phi_nm1", "r_n", "r_nm1", "r_report",
                     "F_n", "F_nm1", "e_lin", "E2"],
     "StepRecord": ["step", "t", "E_orig", "E_mod", "E2", "D_be", "D_bdf", "r_drift", "mass",
@@ -77,6 +78,14 @@ def test_module_all_total():
 def test_dataclass_fields(name):
     fields = [f.name for f in dataclasses.fields(getattr(isavflow, name))]
     assert fields == DATACLASS_FIELDS[name]
+
+
+def test_step_only_steps():
+    # a step takes the state and the parameters and returns the new state;
+    # its record is record_step(new, params, state), built by the caller
+    sig = inspect.signature(isavflow.step)
+    assert list(sig.parameters) == ["state", "params"]
+    assert sig.return_annotation == "SchemeState"
 
 
 def test_every_definition_is_exported_or_named_elsewhere():

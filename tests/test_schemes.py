@@ -22,8 +22,9 @@ from isavflow import (
 )
 from isavflow.config import config_from_dict, initial_field
 from isavflow.diagnostics import h1_error
+from isavflow.harness import _check_energy_laws
 
-from conftest import TWO_PI, ex1_config, final_field, random_field
+from conftest import TWO_PI, ex1_config, final_field, random_field, step_and_record
 from oracles import ConstantPotential, apply_symbol, inner, quad, reference_kernels, reference_step
 
 
@@ -42,14 +43,14 @@ class TestLinearDecayClosedForms:
     def test_sav_be_single_mode(self):
         g, phi0 = cos_field()
         p = const_params()
-        st, _ = step(make_initial_state(Scheme.SAV_BE, phi0, p.potential), p)
+        st = step(make_initial_state(Scheme.SAV_BE, phi0, p.potential), p)
         # factor 1/(1 + tau*gamma*|k|^2) = 1/1.01
         assert np.abs(st.phi_n.values - phi0.values / 1.01).max() < 1e-14
 
     def test_isav_be_single_mode(self):
         g, phi0 = cos_field()
         p = const_params(S=6.0)
-        st, _ = step(make_initial_state(Scheme.ISAV_BE, phi0, p.potential), p)
+        st = step(make_initial_state(Scheme.ISAV_BE, phi0, p.potential), p)
         # factor (1 + tau*gamma*S)/(1 + tau*gamma*(1 + S)) = 1.06/1.07
         assert np.abs(st.phi_n.values - phi0.values * (1.06 / 1.07)).max() < 1e-14
 
@@ -65,7 +66,7 @@ class TestLinearDecayClosedForms:
         if scheme == Scheme.SAV_BDF:
             state.r_nm1 = state.r_n
         state.step_index = 1
-        st, _ = step(state, p)
+        st = step(state, p)
         assert np.abs(st.phi_n.values - a * a * phi0.values).max() < 1e-13
 
 
@@ -78,7 +79,7 @@ class TestStateDiscipline:
         m0 = state.phi_n.values.mean()
         prev = record_step(state, p).E_orig
         for _ in range(5):
-            state, rec = step(state, p)
+            state, rec = step_and_record(state, p)
             assert rec.D_be <= 1e-10 * (1 + abs(prev))
             prev = rec.E_orig
         # fractional alpha > 0 still kills the zero mode
@@ -96,7 +97,7 @@ class TestCarriedSpectrum:
         phi0 = Field(g, rng.uniform(-0.8, 0.8, g.shape))
         state = make_initial_state(scheme, phi0, pot)
         for _ in range(50):
-            state, _ = step(state, p)
+            state = step(state, p)
         carried = state.phi_n.hat
         assert carried is not None
         fresh = g.forward(state.phi_n.values)
@@ -113,7 +114,7 @@ class TestConservation:
         m0 = phi0.values.mean()
         state = make_initial_state(scheme, phi0, pot)
         for _ in range(5):
-            state, _ = step(state, p)
+            state = step(state, p)
             assert abs(state.phi_n.values.mean() - m0) < 1e-13
 
 
@@ -129,7 +130,7 @@ class TestModifiedEnergyLaw:
             )
             e_prev = None
             for _ in range(10):
-                state, rec = step(state, p)
+                state, rec = step_and_record(state, p)
                 if e_prev is not None:
                     assert rec.E_mod <= e_prev + 1e-12 * abs(e_prev)
                 e_prev = rec.E_mod
@@ -141,7 +142,7 @@ class TestModifiedEnergyLaw:
         p = ModelParams(alpha=0.0, gamma=0.1, S=0.0, tau=0.05, potential=pot)
         state = make_initial_state(Scheme.SAV_BE, phi0, pot)
         e0 = 0.5 * inner(apply_symbol(phi0, cfg.make_grid().lap_sym), phi0) + bulk_energy(pot, phi0)
-        _, rec = step(state, p)
+        _, rec = step_and_record(state, p)
         assert rec.E_mod <= e0
 
 
@@ -156,7 +157,7 @@ class TestOriginalEnergyLaw:
         )
         prev = record_step(state, p).E_orig
         for _ in range(20):
-            state, rec = step(state, p)
+            state, rec = step_and_record(state, p)
             assert rec.D_be <= 1e-10 * (1.0 + abs(prev))
             assert rec.E_orig <= prev + 1e-10 * (1.0 + abs(prev))
             prev = rec.E_orig
@@ -169,20 +170,22 @@ class TestOriginalEnergyLaw:
         p = ModelParams(alpha=0.0, gamma=0.1, S=0.0, tau=0.05, potential=pot)
         state = make_initial_state(Scheme.ISAV_BE, initial_field(cfg.init, g), pot)
         for _ in range(10):
-            state, _ = step(state, p)
+            state = step(state, p)
         assert np.isfinite(state.phi_n.values).all()
 
     def test_assertion_raises_on_violation(self):
-        # stiff well, no damping, large step: the original energy rises
+        # stiff well, no damping, large step: the original energy rises,
+        # and the run loop's check of each step's record says so
         g = Grid(32, 32, 6.4, 6.4)
         pot = DoubleWell(eps=0.01, c_add=1.0)
-        p = ModelParams(alpha=1.0, gamma=0.01, S=0.0, tau=0.01,
-                        potential=pot, assert_energy=True)
+        p = ModelParams(alpha=1.0, gamma=0.01, S=0.0, tau=0.01, potential=pot)
         phi0 = initial_field({"kind": "squares"}, g)
         state = make_initial_state(Scheme.ISAV_BE, phi0, pot)
         with pytest.raises(EnergyLawViolation):
             for _ in range(50):
-                state, _ = step(state, p)
+                new, rec = step_and_record(state, p)
+                _check_energy_laws(state, new, rec)
+                state = new
 
 
 class TestAuxiliaryScalarUpdate:
@@ -193,7 +196,7 @@ class TestAuxiliaryScalarUpdate:
         p = ModelParams(alpha=0.0, gamma=0.3, S=1.0, tau=0.05, potential=pot)
         phi0 = Field(g, rng.uniform(-1.0, 1.0, g.shape))
         state = make_initial_state(Scheme.ISAV_BE, phi0, pot)
-        new, _ = step(state, p)
+        new = step(state, p)
         r_func = math.sqrt(bulk_energy(pot, phi0))
         b = Field(g, pot.f(phi0.values) / r_func)
         expected = 0.5 * inner(b, Field(g, new.phi_n.values - phi0.values))
@@ -208,7 +211,7 @@ class TestAuxiliaryScalarUpdate:
             g = cfg.make_grid()
             p = ModelParams(alpha=0.0, gamma=0.1, S=cfg.S, tau=tau, potential=pot)
             state = make_initial_state(Scheme.ISAV_BE, initial_field(cfg.init, g), pot)
-            new, rec = step(state, p)
+            new, rec = step_and_record(state, p)
             gaps.append(abs(rec.r_drift))
         assert gaps[0] / gaps[1] >= 3.0
 
@@ -218,7 +221,7 @@ class TestAuxiliaryScalarUpdate:
         state = make_initial_state(Scheme.ISAV_BE, random_field(g, rng, 0.3), pot)
         assert state.r_n is None
         p = ModelParams(alpha=0.0, gamma=1.0, S=0.0, tau=0.01, potential=pot)
-        new, _ = step(state, p)
+        new = step(state, p)
         assert new.r_n is None and new.r_report is not None
 
 
@@ -234,8 +237,8 @@ class TestBdfPair:
         sav.phi_nm1, sav.r_nm1, sav.step_index = phi0, r1, 1
         isav = make_initial_state(Scheme.ISAV_BDF, phi1, pot)
         isav.phi_nm1, isav.step_index = phi0, 1
-        a, _ = step(sav, p)
-        b, _ = step(isav, p)
+        a = step(sav, p)
+        b = step(isav, p)
         assert np.array_equal(a.phi_n.values, b.phi_n.values)
 
     @pytest.mark.parametrize("pot", [
@@ -252,8 +255,8 @@ class TestBdfPair:
         p = ModelParams(alpha=1.0, gamma=0.2, S=3.0, tau=0.05, potential=pot)
         state = make_initial_state(scheme, Field(g, rng.uniform(0.1, 0.9, g.shape)), pot)
         for _ in range(3):
-            state, _ = step(state, p, record=False)
-        new, _ = step(state, p, record=False)
+            state = step(state, p)
+        new = step(state, p)
 
         def r_of(values):
             return math.sqrt(quad(g, reference_kernels(pot, values)[0]))
@@ -286,10 +289,10 @@ class TestBootstrap:
         pot = ConstantPotential(c_add=1.0)
         p = ModelParams(alpha=0.0, gamma=0.1, S=0.0, tau=0.1, potential=pot)
         phi0 = Field(g, np.full(g.shape, 0.7))
-        state, _ = step(make_initial_state(Scheme.SAV_BDF, phi0, pot), p)
+        state = step(make_initial_state(Scheme.SAV_BDF, phi0, pot), p)
         assert np.allclose(state.phi_n.values, phi0.values)
         assert state.step_index == 1
-        new, _ = step(state, p)
+        new = step(state, p)
         assert np.allclose(new.phi_n.values, phi0.values)
 
     def test_smooth_data_smoke(self):
@@ -297,7 +300,7 @@ class TestBootstrap:
         g = cfg.make_grid()
         pot = cfg.make_potential()
         p = ModelParams(alpha=0.0, gamma=0.1, S=cfg.S, tau=0.05, potential=pot)
-        state, _ = step(
+        state = step(
             make_initial_state(Scheme.ISAV_BDF, initial_field(cfg.init, g), pot), p
         )
         assert state.step_index == 1
@@ -310,8 +313,8 @@ class TestBootstrap:
         p = ModelParams(alpha=1.0, gamma=0.1, S=0.0, tau=0.01, potential=pot)
         phi0 = Field(g, rng.uniform(-0.5, 0.5, g.shape))
         # the first sav-bdf step is the isav-be step with S = 0
-        be, _ = step(make_initial_state(Scheme.ISAV_BE, phi0, pot), p)
-        state, _ = step(make_initial_state(Scheme.SAV_BDF, phi0, pot), p)
+        be = step(make_initial_state(Scheme.ISAV_BE, phi0, pot), p)
+        state = step(make_initial_state(Scheme.SAV_BDF, phi0, pot), p)
         assert state.r_nm1 == pytest.approx(math.sqrt(bulk_energy(pot, phi0)))
         assert state.r_n == pytest.approx(be.r_report)
 
@@ -350,7 +353,10 @@ class TestLibraryLoop:
         monkeypatch.setattr(schemes, "Scratch", lambda *a: built.append(a) or real(*a))
         g, p, state = self.setup_loop(rng)
         for record in (True, False, True):
-            state, _ = step(state, p, record=record)
+            new = step(state, p)
+            if record:
+                record_step(new, p, state)
+            state = new
         assert len(built) == 1
         assert p.symbols(g) is p.symbols(g)
 
@@ -359,7 +365,7 @@ class TestLibraryLoop:
 
         g, p, _ = self.setup_loop(rng)
         sym = p.symbols(g)
-        copy = replace(p, S=0.0, assert_energy=True)
+        copy = replace(p, S=0.0)
         assert copy.symbols(g) is not sym
         assert np.array_equal(copy.symbols(g).g_sym, sym.g_sym)
         assert p.symbols(g) is sym
@@ -373,10 +379,12 @@ class TestLibraryLoop:
         # energies from that state, recorded or not
         for scheme in (Scheme.SAV_BDF, Scheme.ISAV_BDF):
             g, p, state0 = self.setup_loop(rng, scheme)
-            states = [step(state0, p)[0]] * 2
+            states = [step(state0, p)] * 2
             for n in range(4):
-                full, rec_full = step(states[0], p)
-                fast, rec_fast = step(states[1], p, record=n == 3)
+                full, rec_full = step_and_record(states[0], p)
+                fast = step(states[1], p)
+                if n == 3:
+                    rec_fast = record_step(fast, p, states[1])
                 states = [full, fast]
             assert rec_fast == rec_full and rec_fast.D_bdf is not None
 
@@ -418,10 +426,12 @@ class TestMatchesReferenceStep:
                              tau=cfg.tau, potential=cfg.make_potential())
         state = make_initial_state(scheme, initial_field(cfg.init, grid), params.potential)
         for _ in range(3 if later else 0):
-            state, _ = step(state, params, record=False)
+            state = step(state, params)
         assert (state.phi_nm1 is not None) == (later and "bdf" in scheme)
         want, r_want = reference_step(state, params)
-        new, _ = step(state, params, record)
+        new = step(state, params)
+        if record:  # a record of the new level leaves its field and scalar as they are
+            record_step(new, params, state)
         assert np.abs(new.phi_n.values - want).max() <= 1e-12 * np.abs(want).max()
         # a carried scalar can come out near 0 as the difference of terms
         # of the size of r[phi^n] = sqrt(int F(phi^n)), which sets its scale

@@ -6,8 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from isavflow import ModelParams, Scheme, make_initial_state, step
+from isavflow import ModelParams, Scheme, make_initial_state, record_step, step
 from isavflow.config import config_from_dict, initial_field
+
+from conftest import step_and_record
 
 
 def prepare(scheme, example="ex1", nx=16, params=None):
@@ -16,6 +18,12 @@ def prepare(scheme, example="ex1", nx=16, params=None):
     params = params or ModelParams(alpha=cfg.model["alpha"], gamma=cfg.model["gamma"],
                                    S=cfg.S, tau=cfg.tau, potential=cfg.make_potential())
     return make_initial_state(scheme, initial_field(cfg.init, grid), params.potential), params
+
+
+def advance(state, params, record):
+    """One step, and its record when record is set (else None)."""
+    new = step(state, params)
+    return new, record_step(new, params, state) if record else None
 
 
 def state_arrays(state):
@@ -27,24 +35,25 @@ def state_arrays(state):
 
 
 class TestAllocationBudget:
-    # One isav-be step at 64^2 after a first step has built the scratch
-    # buffers, in real-array equivalents (64*64*8 bytes). The kept arrays
-    # are the new field and its spectrum (2.03; measured 2.05-2.07) with
-    # records on or off: a record takes mu's dissipation from the two
-    # levels in the scratch arrays. The transients above them measure 0.14
-    # with records (the contiguous copies that the quadratic forms' strided
-    # vdot makes of two spectrum columns) and 0.03 without.
+    # One isav-be step at 64^2, and its record with records on, after a
+    # first one has built the scratch buffers, in real-array equivalents
+    # (64*64*8 bytes). The kept arrays are the new field and its spectrum
+    # (2.03; measured 2.05-2.07) with records on or off: a record takes
+    # mu's dissipation from the two levels in the scratch arrays. The
+    # transients above them measure 0.14 with records (the contiguous
+    # copies that the quadratic forms' strided vdot makes of two spectrum
+    # columns) and 0.03 without.
     REAL = 64 * 64 * 8
 
     @pytest.mark.parametrize("example", ["ex1", "ex4"])
     @pytest.mark.parametrize("record, kept, transient", [(True, 2.03, 0.3), (False, 2.03, 0.3)])
     def test_step_allocates_only_what_it_returns(self, example, record, kept, transient):
         state, params = prepare("isav-be", example, nx=64)
-        state, _ = step(state, params, record)
+        state, _ = advance(state, params, record)
         tracemalloc.start()
         try:
             start, _ = tracemalloc.get_traced_memory()
-            new, _ = step(state, params, record)
+            new, _ = advance(state, params, record)
             end, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -63,7 +72,7 @@ class TestScratchIsolation:
         # the recording step after two without records takes the previous
         # level's energies from that state, through the scratch buffers
         for record in (True, False, False, True):
-            state, rec = step(state, params, record)
+            state, rec = advance(state, params, record)
             arrays = state_arrays(state)
             if rec is not None:
                 arrays += [v for v in vars(rec).values() if isinstance(v, np.ndarray)]
@@ -85,12 +94,12 @@ class TestScratchIsolation:
                 s, p = prepare(scheme)
                 recs = []
                 for _ in range(6):
-                    s, rec = step(s, p)
+                    s, rec = step_and_record(s, p)
                     recs.append((s.phi_n.values, rec))
                 alone.append(recs)
             for n in range(6):
-                sa, ra = step(sa, params)
-                sb, rb = step(sb, params)
+                sa, ra = step_and_record(sa, params)
+                sb, rb = step_and_record(sb, params)
                 for (values, rec), (s, r) in zip((alone[0][n], alone[1][n]), ((sa, ra), (sb, rb))):
                     assert np.array_equal(values, s.phi_n.values)
                     assert rec == r
