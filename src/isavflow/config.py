@@ -234,6 +234,8 @@ def config_from_dict(doc: dict) -> RunConfig:
     kx, ky = (math.pi * grid[n] / grid[l] for n, l in (("nx", "lx"), ("ny", "ly")))
     _expect(kx * kx + ky * ky <= sys.float_info.max / 2, "grid",
             "lx or ly too small for its nx or ny: the largest |k|^2 overflows")
+    _expect(math.isfinite(grid["lx"] / grid["nx"] * (grid["ly"] / grid["ny"])), "grid",
+            "lx or ly too large for its nx or ny: the cell area overflows")
 
     m = doc.get("model")
     _expect(isinstance(m, dict), "model", "must be an object with alpha, gamma")
@@ -276,6 +278,8 @@ def config_from_dict(doc: dict) -> RunConfig:
     t_end = _number(doc.get("t_end"), "t_end", positive=True)
     _expect(is_step_multiple(t_end, tau), "t_end",
             f"must be an integer multiple of tau (t_end/tau = {t_end / tau})")
+    _expect(round(t_end / tau) >= 1, "t_end",
+            f"must span at least one step of tau (t_end/tau = {t_end / tau})")
 
     init = doc.get("init")
     _expect(isinstance(init, dict), "init", "must be an object with a kind")

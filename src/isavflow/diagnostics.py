@@ -74,31 +74,28 @@ def record_step(state, params, prev=None) -> StepRecord:
     BDF2 step, makes tau ||G^{1/2} mu||^2 = tau/k^2 ||G^{-1/2} delta||^2,
     G^{-1} being 0 on a zero mode that G does not see. Every energy comes
     from the states' energies, which keep what they evaluate, so a record
-    costs no transform; its temporaries go into the run's scratch. When
-    prev holds state's previous BDF level, int F there is taken once for both.
+    costs no transform; its temporaries go into the run's scratch. A BDF
+    state shares its prev level with the state its step started from, so
+    int F there is taken once for both.
     """
-    grid = state.phi_n.grid
+    level = state.level
+    grid = level.phi.grid
     ws = params.symbols(grid)
     S = params.S if state.scheme.is_improved else 0.0
-    if prev is not None and state.phi_nm1 is prev.phi_n:
-        state.F_nm1 = prev.bulk_n(params.potential, ws.real[1:])
-    values = state.phi_n.values
+    values = level.phi.values
     e_lin, F, E2 = state.energies(params.potential, S, ws)
     E_orig = e_lin + F
-    E_mod = e_lin + state.r_report**2 if state.r_report is not None else None
-    r_drift = None
-    if state.r_report is not None:
-        r_drift = math.sqrt(F) - state.r_report if F > 0 else math.nan
     D_be = D_bdf = None
     if prev is not None:
         e_lin_prev, F_prev, E2_prev = prev.energies(params.potential, S, ws)
         delta, work = ws.spec[2], ws.spec[3]
-        np.subtract(state.phi_n.spectrum(), prev.phi_n.spectrum(), out=delta)
-        bdf = state.scheme.is_bdf and prev.phi_nm1 is not None
+        old = prev.level.phi.spectrum()
+        np.subtract(level.phi.spectrum(), old, out=delta)
+        bdf = prev.prev is not None
         if bdf:  # 3 (phi^{n+1} - phi^n) - phi^n + phi^{n-1}
             delta *= 3.0
-            delta -= prev.phi_n.spectrum()
-            delta += prev.phi_nm1.spectrum()
+            delta -= old
+            delta += prev.prev.phi.spectrum()
         dissipation = (quad_form_hat(grid, delta, ws.g_inv_c, work)
                        / ((4.0 if bdf else 1.0) * params.tau))
         D_be = E_orig - (e_lin_prev + F_prev) + dissipation
@@ -108,11 +105,11 @@ def record_step(state, params, prev=None) -> StepRecord:
         step=state.step_index,
         t=state.step_index * params.tau,
         E_orig=E_orig,
-        E_mod=E_mod,
+        E_mod=e_lin + level.r**2,
         E2=E2,
         D_be=D_be,
         D_bdf=D_bdf,
-        r_drift=r_drift,
+        r_drift=math.sqrt(F) - level.r if F > 0 else math.nan,
         mass=float(np.add.reduce(values, axis=None)) / values.size,  # the bits of mean()
         min_phi=float(values.min()),
         max_phi=float(values.max()),

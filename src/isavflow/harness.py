@@ -56,20 +56,18 @@ class EnergyLawViolation(RuntimeError):
 SCHEME_FAILURES = (NonPositiveBulkEnergyError, EnergyLawViolation, NonFiniteFieldError)
 
 
-def _check_energy_laws(old, new, rec):
-    """The BE energy laws of the step old -> new, rec being record_step(new,
-    params, old), which has filled old's energies; BDF steps are not checked."""
-    if new.scheme == Scheme.SAV_BE:
-        e_mod_old = old.e_lin + old.r_n**2
-        if rec.E_mod > e_mod_old + MODIFIED_ENERGY_RTOL * abs(e_mod_old):
+def _check_energy_laws(scheme, old, rec):
+    """The BE energy laws of one step of scheme, old and rec being the records
+    of the levels it starts from and reaches; BDF steps are not checked."""
+    if scheme == Scheme.SAV_BE:
+        if rec.E_mod > old.E_mod + MODIFIED_ENERGY_RTOL * abs(old.E_mod):
             raise EnergyLawViolation(
-                f"modified energy rose at step {new.step_index}: {e_mod_old} -> {rec.E_mod}"
+                f"modified energy rose at step {rec.step}: {old.E_mod} -> {rec.E_mod}"
             )
-    elif new.scheme == Scheme.ISAV_BE and rec.D_be is not None:
-        tol = ORIGINAL_ENERGY_RTOL * (1.0 + abs(old.e_lin + old.F_n))
-        if rec.D_be > tol:
+    elif scheme == Scheme.ISAV_BE:
+        if rec.D_be > ORIGINAL_ENERGY_RTOL * (1.0 + abs(old.E_orig)):
             raise EnergyLawViolation(
-                f"original-energy decrement positive at step {new.step_index}: {rec.D_be}"
+                f"original-energy decrement positive at step {rec.step}: {rec.D_be}"
             )
 
 
@@ -247,28 +245,30 @@ def run_simulation(cfg: RunConfig, outdir=None, write_outputs=True, record=True)
 
     try:
         state = make_initial_state(cfg.scheme, initial_field(cfg.init, grid), params.potential)
-        records = [record_step(state, params)] if kept(0) else []
+        rec = record_step(state, params) if kept(0) else None
+        records = [rec] if kept(0) else []
     except SCHEME_FAILURES as exc:
         raise SchemeRuntimeError(0, exc, 0.0, cfg.scheme) from exc
 
     try:
-        snapshot(0, state.phi_n)
+        snapshot(0, state.level.phi)
         for n in range(1, n_total + 1):
-            # Only kept rows (every row under assert_energy) are built; state
-            # stays the last good level until the step's check passes.
+            # Only kept rows (every row under assert_energy, where each step's
+            # check reads the previous level's record) are built; state stays
+            # the last good level until the step's check passes.
             keep = kept(n)
             try:
                 new = step(state, params)
                 if keep or check:
-                    rec = record_step(new, params, state)
+                    old, rec = rec, record_step(new, params, state)
                     if check:
-                        _check_energy_laws(state, new, rec)
+                        _check_energy_laws(new.scheme, old, rec)
             except SCHEME_FAILURES as exc:
-                raise SchemeRuntimeError(n, exc, n * cfg.tau, cfg.scheme, state.phi_n) from exc
+                raise SchemeRuntimeError(n, exc, n * cfg.tau, cfg.scheme, state.level.phi) from exc
             state = new
             if keep:
                 records.append(rec)
-            snapshot(n, state.phi_n)
+            snapshot(n, state.level.phi)
     finally:
         if write_outputs:
             write_series_csv(series_path, map(vars, records))
@@ -302,8 +302,8 @@ def convergence_study(base_cfg: RunConfig, taus=None, grids=None,
     and the table isolates spatial accuracy.
     Orders are log2(e_coarse / e_fine) between consecutive rows, None
     where either error is 0. Every time step must be positive and divide
-    t_end by the same rule as a config's tau; every grid size must be even
-    and at least 4.
+    t_end, at least once, by the same rule as a config's tau; every grid
+    size must be even and at least 4.
     """
     if (taus is None) == (grids is None):
         raise ConfigError("convergence: give exactly one of taus or grids")
@@ -315,9 +315,11 @@ def convergence_study(base_cfg: RunConfig, taus=None, grids=None,
                 raise ConfigError(f"convergence: time step {tau} is not positive and finite")
         if not is_step_multiple(base_cfg.t_end, ref_tau):
             raise ConfigError("convergence: t_end must be an integer multiple of ref_tau")
-        for tau in taus:
+        for tau in (ref_tau, *taus):
             if not is_step_multiple(base_cfg.t_end, float(tau)):
                 raise ConfigError(f"convergence: t_end is not a multiple of tau={tau}")
+            if round(base_cfg.t_end / tau) < 1:
+                raise ConfigError(f"convergence: t_end spans no step of tau={tau}")
         ref_cfg = replace(base_cfg, scheme=Scheme.SAV_BDF.value, tau=ref_tau)
         members = [replace(base_cfg, tau=float(tau)) for tau in taus]
         labels = [cfg.n_steps() for cfg in members]
@@ -333,7 +335,7 @@ def convergence_study(base_cfg: RunConfig, taus=None, grids=None,
     if out_path is not None:
         _claim_path(out_path)
     ref, *finals = (
-        run_simulation(cfg, write_outputs=False, record=False).final_state.phi_n
+        run_simulation(cfg, write_outputs=False, record=False).final_state.level.phi
         for cfg in (ref_cfg, *members)
     )
     rows = _order_rows(labels, [h1_error(phi, ref) for phi in finals])

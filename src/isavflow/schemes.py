@@ -20,8 +20,8 @@ re-evaluated). Every step is one linear solve with a constant-coefficient
 diagonal operator perturbed by a rank-one term, done in Fourier space by
 two diagonal solves and a scalar correction (see :func:`_rank_one_core`).
 The BDF2 schemes need two levels, so :func:`step` takes their first step
-by backward Euler with the re-evaluated scalar; ``phi_nm1`` is BDF history
-only.
+by backward Euler with the re-evaluated scalar; a state's ``prev`` level is
+BDF history only.
 """
 
 from __future__ import annotations
@@ -134,51 +134,46 @@ class Scratch:
 
 
 @dataclass
+class Level:
+    """One time level: the field phi, its auxiliary scalar r (carried by the
+    SAV schemes, reconstructed and only reported by the improved ones), and
+    a cache of its energies. F = int F(phi) (unchecked for positivity),
+    filled by bulk, and e_lin = 1/2 ||L^{1/2} phi||^2 are evaluated on first
+    use and then kept, so none is taken twice; None means not evaluated yet.
+    """
+
+    phi: Field
+    r: float
+    F: float | None = None
+    e_lin: float | None = None
+
+    def bulk(self, potential: Potential, work=None) -> float:
+        """int F(phi), evaluated on first use (work as for bulk_quad)."""
+        if self.F is None:
+            self.F = bulk_quad(potential, self.phi, work)
+        return self.F
+
+
+@dataclass
 class SchemeState:
-    """What the next step needs, and a cache of its own level's energies.
-
-    phi_nm1 is the previous level of a BDF state, None on BE states and at
-    t=0. The SAV schemes carry their auxiliary scalar in r_n (and r_nm1 for
-    BDF2); the improved schemes carry none, and r_report holds the latest
-    scalar, carried or reconstructed, for records.
-
-    Every energy of a level is evaluated on first use and then kept here, so
-    none is taken twice; None means not evaluated yet. F_n and F_nm1 are the
-    bulk integrals at phi_n and phi_nm1 (unchecked for positivity), filled
-    by bulk_n and bulk_nm1; e_lin = 1/2 ||L^{1/2} phi_n||^2 and E2 (the
-    S-free parts of a two-level BDF state's three-level modified energy) are
+    """What the next step needs: the state's level and, on a BDF state after
+    its first step, prev, the level of the state that step started from
+    (that very object, so the two states share its energies). E2 caches the
+    S-free parts of a two-level BDF state's three-level modified energy,
     filled by energies.
     """
 
     scheme: Scheme
-    phi_n: Field
+    level: Level
     step_index: int = 0
-    phi_nm1: Field | None = None
-    r_n: float | None = None
-    r_nm1: float | None = None
-    r_report: float | None = None
-    F_n: float | None = None
-    F_nm1: float | None = None
-    e_lin: float | None = None
+    prev: Level | None = None
     E2: tuple[float, float] | None = None
 
-    def bulk_n(self, potential: Potential, work=None) -> float:
-        """int F(phi_n), evaluated on first use (work as for bulk_quad)."""
-        if self.F_n is None:
-            self.F_n = bulk_quad(potential, self.phi_n, work)
-        return self.F_n
-
-    def bulk_nm1(self, potential: Potential, work=None) -> float:
-        """int F(phi_nm1), evaluated on first use (work as for bulk_quad)."""
-        if self.F_nm1 is None:
-            self.F_nm1 = bulk_quad(potential, self.phi_nm1, work)
-        return self.F_nm1
-
     def energies(self, potential: Potential, S: float, ws: Scratch):
-        """(e_lin, int F(phi_n), E2 with damping S) of the state's level, each
+        """(e_lin, int F, E2 with damping S) of the state's level, each
         evaluated on first use from the carried spectra (no transform), with
         ws, the run's Scratch, for temporaries, and kept. E2 is None unless
-        the state holds two BDF levels; it is the three-level modified energy
+        the state has a prev level; it is the three-level modified energy
 
             1/4 (||L^{1/2} phi^n||^2 + ||L^{1/2}(2 phi^n - phi^{n-1})||^2)
             + 1/2 [ r[phi^n]^2 + (2 r[phi^n] - r[phi^{n-1}])^2 ]
@@ -188,39 +183,33 @@ class SchemeState:
         may still log the other columns). The state keeps E2 without its last
         term and the node sum of (phi^n - phi^{n-1})^2, so each S gets its own.
         """
-        grid, F = self.phi_n.grid, self.bulk_n(potential, ws.real[1:])
-        if self.e_lin is None:
-            self.e_lin = 0.5 * quad_form_hat(grid, self.phi_n.spectrum(), ws.lap_c, ws.spec[3])
-        if self.E2 is None and self.scheme.is_bdf and self.phi_nm1 is not None:
-            F_m = self.bulk_nm1(potential, ws.real[1:])
+        lv, pv = self.level, self.prev
+        grid, F = lv.phi.grid, lv.bulk(potential, ws.real[1:])
+        if lv.e_lin is None:
+            lv.e_lin = 0.5 * quad_form_hat(grid, lv.phi.spectrum(), ws.lap_c, ws.spec[3])
+        if self.E2 is None and pv is not None:
+            F_m = pv.bulk(potential, ws.real[1:])
             self.E2 = (math.nan, math.nan)
             if F > 0.0 and F_m > 0.0:
-                star = np.multiply(self.phi_n.spectrum(), 2.0, out=ws.spec[0])
-                star -= self.phi_nm1.spectrum()
-                diff = np.subtract(self.phi_n.values, self.phi_nm1.values, out=ws.real[0])
+                star = np.multiply(lv.phi.spectrum(), 2.0, out=ws.spec[0])
+                star -= pv.phi.spectrum()
+                diff = np.subtract(lv.phi.values, pv.phi.values, out=ws.real[0])
                 r_n, r_m = math.sqrt(F), math.sqrt(F_m)
                 self.E2 = (
-                    0.5 * (self.e_lin + 0.5 * quad_form_hat(grid, star, ws.lap_c, ws.spec[1]))
+                    0.5 * (lv.e_lin + 0.5 * quad_form_hat(grid, star, ws.lap_c, ws.spec[1]))
                     + 0.5 * (r_n**2 + (2.0 * r_n - r_m) ** 2),
                     float(np.vdot(diff, diff)),
                 )
         E2 = None if self.E2 is None else self.E2[0] + 0.5 * S * grid.cell_area * self.E2[1]
-        return self.e_lin, F, E2
+        return lv.e_lin, F, E2
 
 
 def make_initial_state(scheme: Scheme, phi0: Field, potential: Potential) -> SchemeState:
     """State at t=0, ready for step with any of the four schemes."""
     scheme = Scheme(scheme)
     F0 = bulk_energy(potential, phi0)
-    r0 = math.sqrt(F0)
     phi0.spectrum()  # carried by every state, so that a step transforms only f
-    return SchemeState(
-        scheme=scheme,
-        phi_n=phi0,
-        r_n=r0 if not scheme.is_improved else None,
-        r_report=r0,
-        F_n=F0,
-    )
+    return SchemeState(scheme=scheme, level=Level(phi0, math.sqrt(F0), F0))
 
 
 # ---------------------------------------------------------------------------
@@ -298,9 +287,10 @@ def step(state: SchemeState, params: ModelParams) -> SchemeState:
               c = (4 r^n - r^{n-1})/3 - <b, 4 phi^n - phi^{n-1}>/6,
               r^{n+1} = c + <b,phi^{n+1}>/2.
 
-    A BDF state without phi^{n-1} (the state at t=0) takes the BE step
+    A BDF state without a prev level (the state at t=0) takes the BE step
     with the re-evaluated scalar r^n = r[phi^n] and the run's own S, and
-    its result carries phi^n as the history of the next, BDF2, step.
+    its result keeps the level of phi^n as prev, the history of the next,
+    BDF2, step.
 
     The scalar policy fixes r^n and S: the SAV schemes use their carried
     scalars and S = 0; the improved schemes re-evaluate r[phi] = sqrt(int
@@ -328,27 +318,27 @@ def step(state: SchemeState, params: ModelParams) -> SchemeState:
     Returns the new state. Its record, if wanted, is record_step(new,
     params, state), which reads only the two states.
     """
-    scheme = state.scheme
-    bdf = scheme.is_bdf and state.phi_nm1 is not None
-    grid = state.phi_n.grid
+    scheme, lv, pv = state.scheme, state.level, state.prev
+    bdf = pv is not None
+    grid = lv.phi.grid
     ws = params.symbols(grid)
     r0, r1, r2, r3 = ws.real
     f_hat, hist, z, wf = ws.spec
     pot, tau = params.potential, params.tau
     S = params.S if scheme.is_improved else 0.0
-    phi, phi_hat = state.phi_n.values, state.phi_n.spectrum()
+    phi, phi_hat = lv.phi.values, lv.phi.spectrum()
     if bdf:
-        phim, phim_hat = state.phi_nm1.values, state.phi_nm1.spectrum()
+        phim_hat = pv.phi.spectrum()
         star = np.multiply(phi, 2.0, out=r0)
-        star -= phim
+        star -= pv.phi.values
         F_star = None
     else:
-        star, F_star = phi, state.F_n
+        star, F_star = phi, lv.F
     if F_star is None:
         f, F_sum = pot.f(star, r1, (r2, r3), F_sum=True)
         F_star = grid.cell_area * F_sum
         if not bdf:
-            state.F_n = F_star
+            lv.F = F_star
     else:
         f = pot.f(star, r1, (r2, r3))
     r_star = math.sqrt(check_bulk(F_star))
@@ -357,10 +347,10 @@ def step(state: SchemeState, params: ModelParams) -> SchemeState:
     if bdf:
         ip = (4.0 * _parseval(grid, wf, phi_hat) - _parseval(grid, wf, phim_hat)) / r_star
         if scheme.is_improved:
-            F_n, F_m = state.bulk_n(pot, (r1, r2, r3)), state.bulk_nm1(pot, (r1, r2, r3))
+            F_n, F_m = lv.bulk(pot, (r1, r2, r3)), pv.bulk(pot, (r1, r2, r3))
             r_hist = (4.0 * math.sqrt(check_bulk(F_n)) - math.sqrt(check_bulk(F_m))) / 3.0
         else:
-            r_hist = (4.0 * state.r_n - state.r_nm1) / 3.0
+            r_hist = (4.0 * lv.r - pv.r) / 3.0
         c = r_hist - ip / 6.0
         k = 2.0 * tau
         g_d, cn_d, cm_d = _solve_factors(ws, grid.lap_sym, tau, S, True)
@@ -368,7 +358,7 @@ def step(state: SchemeState, params: ModelParams) -> SchemeState:
         hist -= np.multiply(cm_d, phim_hat, out=z)
     else:
         ip = _parseval(grid, wf, phi_hat) / r_star
-        r = state.r_n if scheme is Scheme.SAV_BE else r_star
+        r = lv.r if scheme is Scheme.SAV_BE else r_star
         c = r - 0.5 * ip
         k = tau
         g_d, cn_d, _ = _solve_factors(ws, grid.lap_sym, tau, S, False)
@@ -376,13 +366,5 @@ def step(state: SchemeState, params: ModelParams) -> SchemeState:
     np.multiply(g_d, f_hat, out=z)
     new_values, new_hat, bracket = _rank_one_core(grid, z, hist, wf, 0.5 * k, k * c, r_star, wf)
     r_new = c + 0.5 * bracket if bdf else r + 0.5 * (bracket - ip)
-    return SchemeState(
-        scheme=scheme,
-        phi_n=Field(grid, new_values, new_hat),
-        step_index=state.step_index + 1,
-        phi_nm1=state.phi_n if scheme.is_bdf else None,
-        r_n=None if scheme.is_improved else r_new,
-        r_nm1=state.r_n if scheme.is_bdf else None,
-        r_report=r_new,
-        F_nm1=state.F_n if scheme.is_bdf else None,
-    )
+    return SchemeState(scheme, Level(Field(grid, new_values, new_hat), r_new),
+                       state.step_index + 1, prev=lv if scheme.is_bdf else None)

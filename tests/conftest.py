@@ -53,7 +53,7 @@ def step_and_record(state, params):
 
 def final_field(cfg):
     """phi(t_end) of a run without records or outputs."""
-    return run_simulation(cfg, write_outputs=False, record=False).final_state.phi_n
+    return run_simulation(cfg, write_outputs=False, record=False).final_state.level.phi
 
 
 def ex1_config(scheme, alpha, tau, nx=64, t_end=0.5):

@@ -151,15 +151,15 @@ def reference_mu(prev, new, params) -> np.ndarray:
     phi^n) (BE) or S*(phi^{n+1} - 2 phi^n + phi^{n-1}) (BDF2) for the
     improved schemes, with b = f(phi*)/sqrt(int F(phi*)) formed at the
     step's extrapolant. The step is BE for the BE schemes and for a BDF
-    state without phi^{n-1}, as in schemes.step."""
-    g, pot = new.phi_n.grid, params.potential
-    phi, old = new.phi_n.values, prev.phi_n.values
-    bdf = new.scheme.is_bdf and prev.phi_nm1 is not None
-    star = 2.0 * old - prev.phi_nm1.values if bdf else old
+    state without a prev level, as in schemes.step."""
+    g, pot = new.level.phi.grid, params.potential
+    phi, old = new.level.phi.values, prev.level.phi.values
+    bdf = new.scheme.is_bdf and prev.prev is not None
+    star = 2.0 * old - prev.prev.phi.values if bdf else old
     b = pot.f(star) / math.sqrt(bulk_energy(pot, Field(g, star)))
-    mu = apply_symbol(new.phi_n, g.lap_sym).values + new.r_report * b
+    mu = apply_symbol(new.level.phi, g.lap_sym).values + new.level.r * b
     if new.scheme.is_improved:
-        mu += params.S * (phi - 2.0 * old + prev.phi_nm1.values if bdf else phi - old)
+        mu += params.S * (phi - 2.0 * old + prev.prev.phi.values if bdf else phi - old)
     return mu
 
 
@@ -172,11 +172,11 @@ def reference_step(state, params):
     (k/2) <b,z1>) z1. Slow, and shares nothing with the step beyond the
     transforms and the potential's F and f."""
     scheme = state.scheme
-    g = state.phi_n.grid
-    phi = Field(g, state.phi_n.values)  # transformed afresh, not carried
+    g = state.level.phi.grid
+    phi = Field(g, state.level.phi.values)  # transformed afresh, not carried
     pot, tau = params.potential, params.tau
     improved = scheme in (Scheme.ISAV_BE, Scheme.ISAV_BDF)
-    bdf = scheme in (Scheme.SAV_BDF, Scheme.ISAV_BDF) and state.phi_nm1 is not None
+    bdf = scheme in (Scheme.SAV_BDF, Scheme.ISAV_BDF) and state.prev is not None
     S = params.S if improved else 0.0
     lap = g.lap_sym
     G = params.gamma * lap**params.alpha  # 0**0 = 1: G = gamma*I for alpha = 0
@@ -185,7 +185,7 @@ def reference_step(state, params):
         return math.sqrt(g.cell_area * pot.F(values))
 
     if bdf:
-        phim = Field(g, state.phi_nm1.values)
+        phim = Field(g, state.prev.phi.values)
         star = 2.0 * phi.values - phim.values
         a, k = 3.0, 2.0 * tau
     else:
@@ -193,12 +193,13 @@ def reference_step(state, params):
         a, k = 1.0, tau
     b = Field(g, pot.f(star) / r_of(star))
     if bdf:
-        r_n, r_m = (r_of(phi.values), r_of(phim.values)) if improved else (state.r_n, state.r_nm1)
+        r_n, r_m = ((r_of(phi.values), r_of(phim.values)) if improved
+                    else (state.level.r, state.prev.r))
         c = (4.0 * r_n - r_m) / 3.0 - inner(b, Field(g, 4.0 * phi.values - phim.values)) / 6.0
         hist = (apply_symbol(phi, 4.0 + 4.0 * tau * S * G).values
                 - apply_symbol(phim, 1.0 + 2.0 * tau * S * G).values)
     else:
-        r_n = state.r_n if scheme is Scheme.SAV_BE else r_of(phi.values)
+        r_n = state.level.r if scheme is Scheme.SAV_BE else r_of(phi.values)
         c = r_n - 0.5 * inner(b, phi)
         hist = apply_symbol(phi, 1.0 + tau * S * G).values
     gb = apply_symbol(b, G)

@@ -215,16 +215,17 @@ class TestCriterion8SolverOracle:
         # rebuild mu from its definition and check the flow relation
         mu = reference_mu(old, new, p)
         if scheme.is_bdf:
-            dphi = (3.0 * new.phi_n.values - 4.0 * old.phi_n.values + old.phi_nm1.values) / (2.0 * p.tau)
+            dphi = (3.0 * new.level.phi.values - 4.0 * old.level.phi.values
+                    + old.prev.phi.values) / (2.0 * p.tau)
         else:
-            dphi = (new.phi_n.values - old.phi_n.values) / p.tau
+            dphi = (new.level.phi.values - old.level.phi.values) / p.tau
         gmu = apply_symbol(Field(g, mu), sym.g_sym).values
         scale = max(np.abs(dphi).max(), 1.0)
         residual = np.abs(dphi + gmu).max() / scale
         assert residual <= 1e-10
         # the record's dissipation, taken from the levels, is that of this mu
         dissipation = p.tau * quad_form_hat(g, Field(g, mu).spectrum(), sym.g_sym)
-        decrement = original_energy(new.phi_n, pot) - original_energy(old.phi_n, pot)
+        decrement = original_energy(new.level.phi, pot) - original_energy(old.level.phi, pot)
         assert abs(rec.D_be - decrement - dissipation) <= 1e-10 * max(dissipation, 1.0)
         print(f"criterion 8 PASS ({scheme.value}): relation residual {residual:.2e}")
 

@@ -106,13 +106,18 @@ MINIMAL_DW = {"scheme": "isav-be", "grid": {"nx": 8, "ny": 8, "lx": 6.0, "ly": 6
 @example(doc={"preset": "ex3-isav-be", "potential": {"eps": 1e-160}})
 @example(doc={"preset": "ex3-isav-be", "potential": {"eps": 1e-154}})
 @example(doc={"preset": "ex1-isav-be", "grid": {"nx": 10**400}})
+@example(doc={"preset": "ex1-isav-be", "grid": {"nx": 8, "ny": 8, "lx": 1e200, "ly": 1e200}})
+@example(doc={"preset": "ex1-isav-be", "grid": {"nx": 8, "ny": 8}, "tau": 1e16})
 def test_validation_raises_only_config_errors(doc):
     # config_from_dict, then the run's ModelParams, symbols and step 1's
     # solve factors on a grid of at most 8^2 (never finer than the config's
-    # own, so its wavenumbers are no larger)
+    # own, so its wavenumbers are no larger); a config that validates has
+    # a finite cell area and at least one step
     try:
         cfg = config_from_dict(doc)
         g = cfg.grid
+        assert math.isfinite(g["lx"] / g["nx"] * (g["ly"] / g["ny"]))
+        assert cfg.n_steps() >= 1
         _run_params(cfg, Grid(min(g["nx"], 8), min(g["ny"], 8), g["lx"], g["ly"]))
     except ConfigError:
         pass

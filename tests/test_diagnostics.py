@@ -82,8 +82,8 @@ class TestE2Energy:
         p = ModelParams(alpha=cfg.model["alpha"], gamma=cfg.model["gamma"], S=cfg.S,
                         tau=cfg.tau, potential=pot)
         st = step(prev, p)
-        e2 = e2_energy(st.phi_n, prev.phi_n, pot, cfg.S)
-        eo = original_energy(st.phi_n, pot)
+        e2 = e2_energy(st.level.phi, prev.level.phi, pot, cfg.S)
+        eo = original_energy(st.level.phi, pot)
         assert e2 == pytest.approx(eo, rel=1e-6)
 
 
@@ -138,7 +138,7 @@ class TestRecordStep:
         g, pot, p, state = self.setup_state(rng)
         rec = record_step(state, p)
         assert rec.step == 0 and rec.t == 0.0
-        assert rec.E_orig == pytest.approx(original_energy(state.phi_n, pot), rel=1e-13)
+        assert rec.E_orig == pytest.approx(original_energy(state.level.phi, pot), rel=1e-13)
         assert rec.E_mod == pytest.approx(rec.E_orig, rel=1e-13)
         assert rec.r_drift == 0.0
         assert rec.D_be is None and rec.D_bdf is None and rec.E2 is None
@@ -147,8 +147,8 @@ class TestRecordStep:
         g, pot, p, state = self.setup_state(rng)
         sym = p.symbols(g)
         new, rec = step_and_record(state, p)
-        e_new = original_energy(new.phi_n, pot)
-        e_old = original_energy(state.phi_n, pot)
+        e_new = original_energy(new.level.phi, pot)
+        e_old = original_energy(state.level.phi, pot)
         ghalf_sq = quad_form_hat(g, Field(g, reference_mu(state, new, p)).spectrum(), sym.g_sym)
         assert rec.D_be == pytest.approx(e_new - e_old + p.tau * ghalf_sq, rel=1e-10, abs=1e-12)
         assert rec.E_orig == pytest.approx(e_new, rel=1e-12)
@@ -158,7 +158,7 @@ class TestRecordStep:
         # and lands on the values of the record built right after its step
         g, pot, p, state = self.setup_state(rng)
         fast = step(state, p)
-        assert fast.F_n is None and fast.e_lin is None
+        assert fast.level.F is None and fast.level.e_lin is None
         _, rec = step_and_record(state, p)
         late = record_step(fast, p)
         assert (late.E_orig, late.E_mod, late.r_drift) == (rec.E_orig, rec.E_mod, rec.r_drift)
@@ -167,12 +167,12 @@ class TestRecordStep:
         # steps without records it equals, bit for bit, the record of
         # level n of a trajectory that recorded every level
         for scheme in Scheme:
-            slow, recs = make_initial_state(scheme, state.phi_n, pot), []
+            slow, recs = make_initial_state(scheme, state.level.phi, pot), []
             for _ in range(3):
                 slow, rec = step_and_record(slow, p)
                 recs.append(rec)
             for n, rec in enumerate(recs, 1):
-                fast = make_initial_state(scheme, state.phi_n, pot)
+                fast = make_initial_state(scheme, state.level.phi, pot)
                 for _ in range(n):
                     prev, fast = fast, step(fast, p)
                 assert record_step(fast, p, prev) == rec, (scheme, n)
@@ -182,15 +182,15 @@ class TestRecordStep:
 
         g, pot, p, state = self.setup_state(rng)
         new, rec = step_and_record(state, p)
-        r_exact = math.sqrt(bulk_energy(pot, new.phi_n))
-        assert rec.r_drift == pytest.approx(r_exact - new.r_report, abs=1e-14)
+        r_exact = math.sqrt(bulk_energy(pot, new.level.phi))
+        assert rec.r_drift == pytest.approx(r_exact - new.level.r, abs=1e-14)
 
     def test_mass_and_range(self, rng):
         g, pot, p, state = self.setup_state(rng)
         rec = record_step(state, p)
-        assert rec.mass == state.phi_n.values.mean()  # sum/size keeps the bits of mean()
-        assert rec.min_phi == state.phi_n.values.min()
-        assert rec.max_phi == state.phi_n.values.max()
+        assert rec.mass == state.level.phi.values.mean()  # sum/size keeps the bits of mean()
+        assert rec.min_phi == state.level.phi.values.min()
+        assert rec.max_phi == state.level.phi.values.max()
 
 
 class TestEnergyColumnsMatchOracle:
@@ -220,13 +220,13 @@ class TestEnergyColumnsMatchOracle:
         for n, rec in enumerate(records):
             if n:
                 state = step(state, p)
-            phi = state.phi_n
+            phi = state.level.phi
             e_lin = 0.5 * quad_form_reference(g, phi.spectrum(), lap)
             E_orig = e_lin + quad(g, reference_kernels(pot, phi.values)[0])
             E2 = None
-            if scheme.endswith("-bdf") and state.phi_nm1 is not None:
-                E2 = e2_energy(phi, state.phi_nm1, pot, S)
-            expect = {"E_orig": E_orig, "E_mod": e_lin + state.r_report**2, "E2": E2,
+            if scheme.endswith("-bdf") and state.prev is not None:
+                E2 = e2_energy(phi, state.prev.phi, pot, S)
+            expect = {"E_orig": E_orig, "E_mod": e_lin + state.level.r**2, "E2": E2,
                       "D_be": None, "D_bdf": None}
             if prev is not None:
                 mu_hat = g.forward(reference_mu(prev[0], state, p))

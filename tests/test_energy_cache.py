@@ -76,8 +76,8 @@ def test_no_level_energy_is_evaluated_twice(scheme, every, nx, monkeypatch):
     ws = params.symbols(phi0.grid)
 
     for level in levels:
-        assert bulk[id(level.phi_n.values)] <= 1  # its int F
-        assert quad[id(level.phi_n.hat)] <= 1  # its e_lin
+        assert bulk[id(level.level.phi.values)] <= 1  # its int F
+        assert quad[id(level.level.phi.hat)] <= 1  # its e_lin
     # every E2 is one quadratic form of the work spectrum 2 phi^n - phi^{n-1}
     n_E2 = sum(level.E2 is not None for level in levels)
     assert quad[id(ws.spec[0])] == n_E2
@@ -99,7 +99,7 @@ def test_energy_assertions_change_nothing(scheme, every):
     cfg = replace(cfg, outputs={**cfg.outputs, "record_every": every})
     plain = run_simulation(cfg, write_outputs=False)
     checked = run_simulation(replace(cfg, assert_energy=True), write_outputs=False)
-    assert np.array_equal(checked.final_state.phi_n.values, plain.final_state.phi_n.values)
+    assert np.array_equal(checked.final_state.level.phi.values, plain.final_state.level.phi.values)
     assert len(plain.records) == len(checked.records) == cfg.n_steps() // every + 1
     assert checked.records == plain.records
 
@@ -112,7 +112,7 @@ def test_each_call_gets_the_E2_of_its_own_S():
     state = make_initial_state("isav-bdf", initial_field(cfg.init, cfg.make_grid()), pot)
     for _ in range(2):
         state, _ = step_and_record(state, params)
-    ws = params.symbols(state.phi_n.grid)
+    ws = params.symbols(state.level.phi.grid)
 
     def fresh(S):  # the E2 of a copy of the state that has kept nothing
         return replace(state, E2=None).energies(pot, S, ws)[2]
@@ -122,4 +122,5 @@ def test_each_call_gets_the_E2_of_its_own_S():
     assert state.energies(pot, 6.0, ws)[2] == damped
     assert state.energies(pot, 0.0, ws)[2] == undamped
     assert state.energies(pot, 6.0, ws)[2] == damped
-    assert undamped == pytest.approx(e2_energy(state.phi_n, state.phi_nm1, pot, 0.0), rel=1e-12)
+    assert undamped == pytest.approx(e2_energy(state.level.phi, state.prev.phi, pot, 0.0),
+                                     rel=1e-12)

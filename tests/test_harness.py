@@ -348,7 +348,7 @@ class TestRunSimulation:
             run_simulation(
                 replace(base, outputs={**base.outputs, "record_every": every}),
                 write_outputs=False,
-            ).final_state.phi_n.values
+            ).final_state.level.phi.values
             for every in (1, 10)
         ]
         grid = base.make_grid()
@@ -358,7 +358,7 @@ class TestRunSimulation:
         for _ in range(base.n_steps()):
             state = step(state, params)
         for values in finals:
-            assert np.array_equal(values, state.phi_n.values)
+            assert np.array_equal(values, state.level.phi.values)
 
     @pytest.mark.parametrize("scheme", [s.value for s in Scheme])
     def test_downsampled_rows_match_full_records(self, scheme):
@@ -425,7 +425,8 @@ class TestRunSimulation:
             assert run.final_state.scheme == scheme
             assert len(records) == 100
             assert records == run.records[1:], scheme
-            assert np.array_equal(namespace["state"].phi_n.values, run.final_state.phi_n.values)
+            assert np.array_equal(namespace["state"].level.phi.values,
+                                  run.final_state.level.phi.values)
 
     def test_runtime_failure_reports_step_and_writes_partial(self, tmp_path):
         # zero damping on a stiff well with assertions on trips quickly
@@ -810,8 +811,10 @@ class TestCli:
         ["--taus", "-0.05"],
         ["--taus", "abc"],
         ["--taus", ","],
+        ["--taus", "1e16,0.25"],  # t_end/tau = 5e-17 rounds to 0 steps
+        ["--taus", "0.05", "--ref-tau", "1e16"],
     ], ids=["odd-grid", "grid-2", "odd-ref-nx", "zero-tau", "zero-ref-tau", "ref-tau-1e-320",
-            "negative-tau", "non-number", "empty"])
+            "negative-tau", "non-number", "empty", "tau-of-no-steps", "ref-tau-of-no-steps"])
     def test_converge_bad_arguments_exit_2(self, tmp_path, capsys, args):
         path = write_cfg(tmp_path, {
             "preset": "ex1-isav-be", "tau": 0.05, "t_end": 0.5,
@@ -852,6 +855,8 @@ class TestCli:
          "init.seed: must be a nonnegative integer"),
         ({**EX1_8, "tau": 10**400}, "tau: must be finite"),  # a 401-digit JSON integer
         ({**EX1_8, "tau": 1e-320}, "t_end: must be an integer multiple of tau"),  # t_end/tau = inf
+        # t_end/tau = 5e-17 is within 4 ulp of the integer 0: a run of no steps
+        ({**EX1_8, "tau": 1e16}, "t_end: must span at least one step of tau"),
         # 1/eps^2 underflows to 1/0: the preset's S formula and the double
         # well's bulk integral divided by it
         ({"preset": "ex2-isav-be", "potential": {"eps": 1e-200}}, EPS_FINITE),
@@ -860,9 +865,12 @@ class TestCli:
         ({**EX1_8, "grid": {"nx": 10**400, "ny": 8}}, "grid.nx: must be even and in [4, "),
         ({**MINIMAL, "grid": {**MINIMAL["grid"], "ly": 5e-324}},
          "grid: lx or ly too small for its nx or ny: the largest |k|^2 overflows"),
+        # (1e200/8)^2 overflows, so every energy would be inf or nan from t=0
+        ({**EX1_8, "grid": {"nx": 8, "ny": 8, "lx": 1e200, "ly": 1e200}},
+         "grid: lx or ly too large for its nx or ny: the cell area overflows"),
     ], ids=["outputs-a-number", "init-a-number", "negative-seed", "401-digit-tau", "tau-1e-320",
-            "preset-eps-1e-200", "double-well-eps-1e-200", "eps-1e200", "401-digit-nx",
-            "ly-5e-324"])
+            "tau-1e16", "preset-eps-1e-200", "double-well-eps-1e-200", "eps-1e200",
+            "401-digit-nx", "ly-5e-324", "cell-area-1e200-squared"])
     def test_malformed_config_exits_2(self, tmp_path, capsys, doc, why):
         path = write_cfg(tmp_path, doc)
         assert main(["run", path, "--outdir", str(tmp_path)]) == 2

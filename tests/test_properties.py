@@ -171,7 +171,7 @@ def test_potential_without_fused_f_still_steps(scheme, rng, monkeypatch):
     state = step(state, params)
     state = step(state, params)
     assert fused == [False, True]
-    assert state.r_report == pytest.approx(math.sqrt(6.0))
+    assert state.level.r == pytest.approx(math.sqrt(6.0))
     for _ in range(3):
         state, rec = step_and_record(state, params)
         assert rec.E_orig == pytest.approx(rec.E_mod)

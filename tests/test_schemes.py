@@ -23,6 +23,7 @@ from isavflow import (
 from isavflow.config import config_from_dict, initial_field
 from isavflow.diagnostics import h1_error
 from isavflow.harness import _check_energy_laws
+from isavflow.schemes import Level
 
 from conftest import TWO_PI, ex1_config, final_field, random_field, step_and_record
 from oracles import ConstantPotential, apply_symbol, inner, quad, reference_kernels, reference_step
@@ -45,14 +46,14 @@ class TestLinearDecayClosedForms:
         p = const_params()
         st = step(make_initial_state(Scheme.SAV_BE, phi0, p.potential), p)
         # factor 1/(1 + tau*gamma*|k|^2) = 1/1.01
-        assert np.abs(st.phi_n.values - phi0.values / 1.01).max() < 1e-14
+        assert np.abs(st.level.phi.values - phi0.values / 1.01).max() < 1e-14
 
     def test_isav_be_single_mode(self):
         g, phi0 = cos_field()
         p = const_params(S=6.0)
         st = step(make_initial_state(Scheme.ISAV_BE, phi0, p.potential), p)
         # factor (1 + tau*gamma*S)/(1 + tau*gamma*(1 + S)) = 1.06/1.07
-        assert np.abs(st.phi_n.values - phi0.values * (1.06 / 1.07)).max() < 1e-14
+        assert np.abs(st.level.phi.values - phi0.values * (1.06 / 1.07)).max() < 1e-14
 
     @pytest.mark.parametrize("scheme", [Scheme.SAV_BDF, Scheme.ISAV_BDF])
     def test_bdf_single_mode(self, scheme):
@@ -62,12 +63,10 @@ class TestLinearDecayClosedForms:
         lam = p.gamma * 1.0
         a = (4.0 + math.sqrt(16.0 - 4.0 * (3.0 + 2.0 * p.tau * lam))) / (2.0 * (3.0 + 2.0 * p.tau * lam))
         state = make_initial_state(scheme, Field(g, a * phi0.values), p.potential)
-        state.phi_nm1 = phi0
-        if scheme == Scheme.SAV_BDF:
-            state.r_nm1 = state.r_n
+        state.prev = Level(phi0, state.level.r)
         state.step_index = 1
         st = step(state, p)
-        assert np.abs(st.phi_n.values - a * a * phi0.values).max() < 1e-13
+        assert np.abs(st.level.phi.values - a * a * phi0.values).max() < 1e-13
 
 
 class TestStateDiscipline:
@@ -76,14 +75,14 @@ class TestStateDiscipline:
         pot = DoubleWell(eps=0.5, c_add=1.0)
         p = ModelParams(alpha=0.5, gamma=0.2, S=2.0, tau=0.05, potential=pot)
         state = make_initial_state(Scheme.ISAV_BE, Field(g, rng.uniform(-0.5, 0.5, g.shape)), pot)
-        m0 = state.phi_n.values.mean()
+        m0 = state.level.phi.values.mean()
         prev = record_step(state, p).E_orig
         for _ in range(5):
             state, rec = step_and_record(state, p)
             assert rec.D_be <= 1e-10 * (1 + abs(prev))
             prev = rec.E_orig
         # fractional alpha > 0 still kills the zero mode
-        assert abs(state.phi_n.values.mean() - m0) < 1e-13
+        assert abs(state.level.phi.values.mean() - m0) < 1e-13
 
 
 class TestCarriedSpectrum:
@@ -98,9 +97,9 @@ class TestCarriedSpectrum:
         state = make_initial_state(scheme, phi0, pot)
         for _ in range(50):
             state = step(state, p)
-        carried = state.phi_n.hat
+        carried = state.level.phi.hat
         assert carried is not None
-        fresh = g.forward(state.phi_n.values)
+        fresh = g.forward(state.level.phi.values)
         assert np.abs(carried - fresh).max() <= 1e-12 * np.abs(fresh).max()
 
 
@@ -115,7 +114,7 @@ class TestConservation:
         state = make_initial_state(scheme, phi0, pot)
         for _ in range(5):
             state = step(state, p)
-            assert abs(state.phi_n.values.mean() - m0) < 1e-13
+            assert abs(state.level.phi.values.mean() - m0) < 1e-13
 
 
 class TestModifiedEnergyLaw:
@@ -171,7 +170,7 @@ class TestOriginalEnergyLaw:
         state = make_initial_state(Scheme.ISAV_BE, initial_field(cfg.init, g), pot)
         for _ in range(10):
             state = step(state, p)
-        assert np.isfinite(state.phi_n.values).all()
+        assert np.isfinite(state.level.phi.values).all()
 
     def test_assertion_raises_on_violation(self):
         # stiff well, no damping, large step: the original energy rises,
@@ -181,11 +180,12 @@ class TestOriginalEnergyLaw:
         p = ModelParams(alpha=1.0, gamma=0.01, S=0.0, tau=0.01, potential=pot)
         phi0 = initial_field({"kind": "squares"}, g)
         state = make_initial_state(Scheme.ISAV_BE, phi0, pot)
+        rec = record_step(state, p)
         with pytest.raises(EnergyLawViolation):
             for _ in range(50):
-                new, rec = step_and_record(state, p)
-                _check_energy_laws(state, new, rec)
-                state = new
+                old = rec
+                state, rec = step_and_record(state, p)
+                _check_energy_laws(state.scheme, old, rec)
 
 
 class TestAuxiliaryScalarUpdate:
@@ -199,8 +199,8 @@ class TestAuxiliaryScalarUpdate:
         new = step(state, p)
         r_func = math.sqrt(bulk_energy(pot, phi0))
         b = Field(g, pot.f(phi0.values) / r_func)
-        expected = 0.5 * inner(b, Field(g, new.phi_n.values - phi0.values))
-        assert new.r_report - r_func == pytest.approx(expected, rel=1e-12, abs=1e-15)
+        expected = 0.5 * inner(b, Field(g, new.level.phi.values - phi0.values))
+        assert new.level.r - r_func == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
     def test_first_step_reconstruction_gap_is_second_order(self):
         # |r[phi^1] - r~^1| shrinks ~4x when tau halves on smooth data
@@ -215,14 +215,26 @@ class TestAuxiliaryScalarUpdate:
             gaps.append(abs(rec.r_drift))
         assert gaps[0] / gaps[1] >= 3.0
 
-    def test_improved_schemes_carry_no_scalar(self, rng):
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_only_sav_steps_read_the_scalar(self, scheme, rng):
+        # the SAV schemes step with their carried scalars; the improved
+        # schemes re-evaluate r[phi] and only report theirs, so garbage
+        # in a level's r leaves their step bit for bit as it was
         g = Grid(8, 8, 1.0, 1.0)
         pot = DoubleWell(eps=1.0, c_add=1.0)
-        state = make_initial_state(Scheme.ISAV_BE, random_field(g, rng, 0.3), pot)
-        assert state.r_n is None
-        p = ModelParams(alpha=0.0, gamma=1.0, S=0.0, tau=0.01, potential=pot)
-        new = step(state, p)
-        assert new.r_n is None and new.r_report is not None
+        p = ModelParams(alpha=0.0, gamma=1.0, S=2.0, tau=0.01, potential=pot)
+        state = make_initial_state(scheme, random_field(g, rng, 0.3), pot)
+        for _ in range(2):
+            state = step(state, p)
+        clean = step(state, p)
+        for level in (state.level, state.prev):
+            if level is not None:
+                level.r = 10.0 * level.r + 1.0
+        garbled = step(state, p)
+        same = (np.array_equal(garbled.level.phi.values, clean.level.phi.values)
+                and np.array_equal(garbled.level.phi.hat, clean.level.phi.hat)
+                and garbled.level.r == clean.level.r)
+        assert same == scheme.is_improved
 
 
 class TestBdfPair:
@@ -234,12 +246,12 @@ class TestBdfPair:
         phi0 = random_field(g, rng)
         r1 = math.sqrt(bulk_energy(pot, phi1))
         sav = make_initial_state(Scheme.SAV_BDF, phi1, pot)
-        sav.phi_nm1, sav.r_nm1, sav.step_index = phi0, r1, 1
+        sav.prev, sav.step_index = Level(phi0, r1), 1
         isav = make_initial_state(Scheme.ISAV_BDF, phi1, pot)
-        isav.phi_nm1, isav.step_index = phi0, 1
+        isav.prev, isav.step_index = Level(phi0, r1), 1
         a = step(sav, p)
         b = step(isav, p)
-        assert np.array_equal(a.phi_n.values, b.phi_n.values)
+        assert np.array_equal(a.level.phi.values, b.level.phi.values)
 
     @pytest.mark.parametrize("pot", [
         DoubleWell(eps=0.5, c_add=1.0),
@@ -261,12 +273,12 @@ class TestBdfPair:
         def r_of(values):
             return math.sqrt(quad(g, reference_kernels(pot, values)[0]))
 
-        phi, phim = state.phi_n.values, state.phi_nm1.values
+        phi, phim = state.level.phi.values, state.prev.phi.values
         star = 2.0 * phi - phim
         b = reference_kernels(pot, star)[1] / r_of(star)
-        r_n, r_m = (r_of(phi), r_of(phim)) if scheme.is_improved else (state.r_n, state.r_nm1)
-        lhs = 3.0 * new.r_report - 4.0 * r_n + r_m
-        rhs = 0.5 * quad(g, b * (3.0 * new.phi_n.values - 4.0 * phi + phim))
+        r_n, r_m = (r_of(phi), r_of(phim)) if scheme.is_improved else (state.level.r, state.prev.r)
+        lhs = 3.0 * new.level.r - 4.0 * r_n + r_m
+        rhs = 0.5 * quad(g, b * (3.0 * new.level.phi.values - 4.0 * phi + phim))
         assert abs(lhs - rhs) <= 1e-12 * r_of(phi)
 
     def test_extrapolant_failure_is_an_error(self):
@@ -276,24 +288,36 @@ class TestBdfPair:
         ones = Field(g, np.ones(g.shape))
         state = make_initial_state(Scheme.SAV_BDF, Field(g, 0.9 * np.ones(g.shape)), pot)
         # extrapolant 2*phi^n - phi^{n-1} = 1 exactly, where the well vanishes
-        state.phi_nm1 = Field(g, 0.8 * np.ones(g.shape))
-        state.r_nm1 = state.r_n
+        state.prev = Level(Field(g, 0.8 * np.ones(g.shape)), state.level.r)
         state.step_index = 1
         with pytest.raises(NonPositiveBulkEnergyError):
             step(state, p)
 
 
 class TestBootstrap:
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_bdf_state_shares_the_level_it_stepped_from(self, scheme, rng):
+        # prev is the very Level of the state a BDF step started from, so
+        # its energies serve both states; a BE state keeps no other level
+        g = Grid(8, 8, TWO_PI, TWO_PI)
+        pot = DoubleWell(eps=0.5, c_add=1.0)
+        p = ModelParams(alpha=1.0, gamma=0.1, S=2.0, tau=0.05, potential=pot)
+        state = make_initial_state(scheme, random_field(g, rng, 0.5), pot)
+        assert state.prev is None
+        for _ in range(4):
+            new = step(state, p)
+            assert new.prev is (state.level if scheme.is_bdf else None)
+            state = new
     def test_constant_field_degenerate_history(self):
         g = Grid(8, 8, TWO_PI, TWO_PI)
         pot = ConstantPotential(c_add=1.0)
         p = ModelParams(alpha=0.0, gamma=0.1, S=0.0, tau=0.1, potential=pot)
         phi0 = Field(g, np.full(g.shape, 0.7))
         state = step(make_initial_state(Scheme.SAV_BDF, phi0, pot), p)
-        assert np.allclose(state.phi_n.values, phi0.values)
+        assert np.allclose(state.level.phi.values, phi0.values)
         assert state.step_index == 1
         new = step(state, p)
-        assert np.allclose(new.phi_n.values, phi0.values)
+        assert np.allclose(new.level.phi.values, phi0.values)
 
     def test_smooth_data_smoke(self):
         cfg = ex1_config("isav-bdf", alpha=0.0, tau=0.05)
@@ -304,8 +328,8 @@ class TestBootstrap:
             make_initial_state(Scheme.ISAV_BDF, initial_field(cfg.init, g), pot), p
         )
         assert state.step_index == 1
-        assert np.isfinite(state.phi_n.values).all()
-        assert np.isfinite(state.phi_nm1.values).all()
+        assert np.isfinite(state.level.phi.values).all()
+        assert np.isfinite(state.prev.phi.values).all()
 
     def test_scalar_seeding_for_sav_variant(self, rng):
         g = Grid(16, 16, TWO_PI, TWO_PI)
@@ -315,8 +339,8 @@ class TestBootstrap:
         # the first sav-bdf step is the isav-be step with S = 0
         be = step(make_initial_state(Scheme.ISAV_BE, phi0, pot), p)
         state = step(make_initial_state(Scheme.SAV_BDF, phi0, pot), p)
-        assert state.r_nm1 == pytest.approx(math.sqrt(bulk_energy(pot, phi0)))
-        assert state.r_n == pytest.approx(be.r_report)
+        assert state.prev.r == pytest.approx(math.sqrt(bulk_energy(pot, phi0)))
+        assert state.level.r == pytest.approx(be.level.r)
 
 
 class TestModelParams:
@@ -427,13 +451,13 @@ class TestMatchesReferenceStep:
         state = make_initial_state(scheme, initial_field(cfg.init, grid), params.potential)
         for _ in range(3 if later else 0):
             state = step(state, params)
-        assert (state.phi_nm1 is not None) == (later and "bdf" in scheme)
+        assert (state.prev is not None) == (later and "bdf" in scheme)
         want, r_want = reference_step(state, params)
         new = step(state, params)
         if record:  # a record of the new level leaves its field and scalar as they are
             record_step(new, params, state)
-        assert np.abs(new.phi_n.values - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.abs(new.level.phi.values - want).max() <= 1e-12 * np.abs(want).max()
         # a carried scalar can come out near 0 as the difference of terms
         # of the size of r[phi^n] = sqrt(int F(phi^n)), which sets its scale
-        r_scale = max(abs(r_want), math.sqrt(bulk_energy(params.potential, state.phi_n)))
-        assert abs(new.r_report - r_want) <= 1e-12 * r_scale
+        r_scale = max(abs(r_want), math.sqrt(bulk_energy(params.potential, state.level.phi)))
+        assert abs(new.level.r - r_want) <= 1e-12 * r_scale

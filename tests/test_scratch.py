@@ -28,8 +28,9 @@ def advance(state, params, record):
 
 def state_arrays(state):
     out = []
-    for field in (state.phi_n, state.phi_nm1):
-        if field is not None:
+    for level in (state.level, state.prev):
+        if level is not None:
+            field = level.phi
             out += [field.values] + ([field.hat] if field.hat is not None else [])
     return out
 
@@ -66,7 +67,7 @@ class TestScratchIsolation:
     @pytest.mark.parametrize("scheme", [s.value for s in Scheme])
     def test_no_scratch_escapes_a_step(self, scheme):
         state, params = prepare(scheme)
-        grid = state.phi_n.grid
+        grid = state.level.phi.grid
         ws = params.symbols(grid)
         scratch = ws.real + ws.spec
         # the recording step after two without records takes the previous
@@ -95,11 +96,11 @@ class TestScratchIsolation:
                 recs = []
                 for _ in range(6):
                     s, rec = step_and_record(s, p)
-                    recs.append((s.phi_n.values, rec))
+                    recs.append((s.level.phi.values, rec))
                 alone.append(recs)
             for n in range(6):
                 sa, ra = step_and_record(sa, params)
                 sb, rb = step_and_record(sb, params)
                 for (values, rec), (s, r) in zip((alone[0][n], alone[1][n]), ((sa, ra), (sb, rb))):
-                    assert np.array_equal(values, s.phi_n.values)
+                    assert np.array_equal(values, s.level.phi.values)
                     assert rec == r
