@@ -19,6 +19,6 @@ from .potentials import (
     suggest_S,
 )
 from .schemes import ModelParams, Scheme, SchemeState, make_initial_state, step
-from .spectral import Field, Grid, resample
+from .spectral import Field, Grid
 
 __version__ = "0.1.0"

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .potentials import Potential, bulk_quad
-from .spectral import Field, quad_form_hat, resample
+from .spectral import Field, _fold_half, _map_x, quad_form_hat
 
 __all__ = [
     "StepRecord",
@@ -52,12 +52,18 @@ def original_energy(phi: Field, potential: Potential) -> float:
 
 
 def h1_error(u: Field, ref: Field) -> float:
-    """H1 norm of u - ref; a reference on another grid over the same domain
-    is restricted/interpolated spectrally first."""
-    if ref.grid != u.grid:
-        ref = resample(ref, u.grid)
-    grid = u.grid
-    hat = grid.forward(u.values - ref.values)
+    """H1 norm of u - ref from the fields' spectra, which a solver's fields
+    carry. A reference on another grid over the same domain is folded onto
+    u's half spectrum: the modes both grids resolve are copied and the
+    Nyquist modes folded or split, as _map_x and _fold_half do."""
+    grid, g = u.grid, ref.grid
+    ref_hat = ref.spectrum()
+    if g != grid:
+        if not (np.isclose(g.lx, grid.lx) and np.isclose(g.ly, grid.ly)):
+            raise ValueError("h1_error requires matching domain lengths")
+        scale = (grid.nx * grid.ny) / (g.nx * g.ny)
+        ref_hat = _map_x(_fold_half(ref_hat, grid.ny), grid.nx) * scale
+    hat = u.spectrum() - ref_hat
     return math.sqrt(
         quad_form_hat(grid, hat) + quad_form_hat(grid, hat, grid.lap_sym)
     )

@@ -212,14 +212,19 @@ def run_simulation(cfg: RunConfig, outdir=None, write_outputs=True, record=True)
     record=False no diagnostics are built, the series is empty and the
     energy-law assertions (which check records) are off; the trajectory is
     the same. The series and snapshot directories are made before the
-    first step; a path that cannot hold them is a ConfigError. A scheme
+    first step; a path that cannot hold them, or a grid too large to
+    allocate with its symbols, is a ConfigError. A scheme
     failure (nonpositive bulk integral, violated assertion, non-finite
     field) or a snapshot that cannot be written (OutputWriteError) aborts
     the run with the failing step and its context. Whatever stops a run
     once level 0 is built, the kept rows are written before it propagates.
     """
-    grid = cfg.make_grid()
-    params = _run_params(cfg, grid)
+    try:
+        grid = cfg.make_grid()
+        params = _run_params(cfg, grid)
+    except MemoryError as exc:
+        g = cfg.grid
+        raise ConfigError(f"grid: nx={g['nx']} by ny={g['ny']} is too large to allocate") from exc
     out_base = resolve_outdir(outdir)
     kept = _kept_rows(cfg, record)
     check = record and cfg.assert_energy

@@ -20,7 +20,6 @@ __all__ = [
     "Grid",
     "Field",
     "quad_form_hat",
-    "resample",
 ]
 
 
@@ -158,8 +157,9 @@ def _map_x(hat: np.ndarray, nx_dst: int) -> np.ndarray:
     The modes resolved on both grids are copied as two slices. A downsample
     folds the target's +-Nyquist pair into its one Nyquist row; an upsample
     splits the source's Nyquist row in half between the target's +-Nyquist
-    rows. Both keep real fields real and reproduce nodal values of the
-    trigonometric interpolant.
+    rows. Both keep real fields real. An upsample reproduces nodal values
+    of the trigonometric interpolant; a downsample drops the modes the
+    target cannot resolve, so it does so only for a band-limited field.
     """
     n_src = hat.shape[0]
     if nx_dst == n_src:
@@ -194,19 +194,3 @@ def _fold_half(hat: np.ndarray, ny_dst: int) -> np.ndarray:
         out[:, m] *= 0.5
     return out
 
-
-def resample(field: Field, new_grid: Grid) -> Field:
-    """Spectral restriction/interpolation of a field onto another grid.
-
-    Both grids must cover the same physical domain. The result samples the
-    trigonometric interpolant of the input at the new grid's nodes. The
-    transforms are the grids' own, on the rfft2 half spectrum.
-    """
-    g = field.grid
-    if not (np.isclose(g.lx, new_grid.lx) and np.isclose(g.ly, new_grid.ly)):
-        raise ValueError("resample requires matching domain lengths")
-    if g.shape == new_grid.shape:
-        return Field(new_grid, field.values.copy())
-    hat_new = _map_x(_fold_half(field.spectrum(), new_grid.ny), new_grid.nx)
-    scale = (new_grid.nx * new_grid.ny) / (g.nx * g.ny)
-    return Field(new_grid, new_grid.inverse(hat_new) * scale)

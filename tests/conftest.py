@@ -6,6 +6,7 @@ import pytest
 from isavflow import Field, Grid, record_step, step
 from isavflow.config import config_from_dict
 from isavflow.harness import run_simulation
+from isavflow.spectral import _fold_half, _map_x
 
 try:
     from hypothesis import settings
@@ -32,6 +33,13 @@ def even_symbol(grid, rng, lo=0.0, hi=1.0):
 
 def random_field(grid, rng, scale=1.0):
     return Field(grid, scale * rng.standard_normal(grid.shape))
+
+
+def fold(hat, src, dst):
+    """A half spectrum on grid src folded onto grid dst's, as h1_error folds
+    a reference from another grid; for a field that dst resolves, the
+    spectrum of its trigonometric interpolant at dst's nodes."""
+    return _map_x(_fold_half(hat, dst.ny), dst.nx) * ((dst.nx * dst.ny) / (src.nx * src.ny))
 
 
 @pytest.fixture

@@ -125,6 +125,37 @@ class TestH1Error:
         u = Field(coarse, np.sin(Xc) * np.sin(Yc))
         assert h1_error(u, ref) < 1e-12
 
+    @staticmethod
+    def solver_field(n, rng):
+        """phi after three isav-be steps from random data on an n^2 grid: a
+        field that carries the spectrum its step solved for."""
+        pot = DoubleWell(eps=0.5)
+        params = ModelParams(alpha=0.0, gamma=1.0, S=8.0, tau=0.01, potential=pot)
+        grid = Grid(n, n, TWO_PI, TWO_PI)
+        state = make_initial_state("isav-be", Field(grid, rng.uniform(-1, 1, grid.shape)), pot)
+        for _ in range(3):
+            state = step(state, params)
+        assert state.level.phi.hat is not None
+        return state.level.phi
+
+    @pytest.mark.parametrize("n_ref", [16, 32, 8])
+    def test_carried_spectra_match_fresh_fields(self, rng, n_ref):
+        u, ref = self.solver_field(16, rng), self.solver_field(n_ref, rng)
+        fresh = h1_error(Field(u.grid, u.values), Field(ref.grid, ref.values))
+        assert h1_error(u, ref) == pytest.approx(fresh, rel=1e-13)
+
+    def test_carried_spectra_need_no_transform(self, rng, monkeypatch):
+        u = self.solver_field(16, rng)
+        refs = [self.solver_field(n, rng) for n in (16, 32, 8)]
+
+        def no_transform(*args, **kwargs):
+            raise AssertionError("h1_error transformed a field")
+
+        monkeypatch.setattr(Grid, "forward", no_transform)
+        monkeypatch.setattr(Grid, "inverse", no_transform)
+        for ref in refs:
+            assert h1_error(u, ref) > 0.0
+
 
 class TestRecordStep:
     def setup_state(self, rng):

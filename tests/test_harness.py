@@ -762,14 +762,17 @@ class TestCli:
         assert os.path.exists(out)
 
     def test_converge_has_no_order_next_to_a_zero_error(self, tmp_path, capsys):
-        # the 16^2 member runs exactly as the 16^2 reference does: its error is 0
+        # the 16^2 member runs exactly as the 16^2 reference does and carries
+        # the same spectrum: its error is 0; the 8^2 and 32^2 members fold
+        # the reference down and up
         path = write_cfg(tmp_path, {"preset": "ex1-isav-be", "t_end": 0.1})
         out = tmp_path / "t.csv"
-        args = ["--grids", "16,32", "--ref-nx", "16", "--out", str(out)]
+        args = ["--grids", "8,16,32", "--ref-nx", "16", "--out", str(out)]
         assert main(["converge", path, *args]) == 0
         rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
-        assert [(r[0], r[2]) for r in rows] == [("16", ""), ("32", "")]
-        assert float(rows[0][1]) == 0.0 and float(rows[1][1]) > 0.0
+        assert [(r[0], r[2]) for r in rows] == [("8", ""), ("16", ""), ("32", "")]
+        errors = [float(r[1]) for r in rows]
+        assert errors[1] == 0.0 and errors[0] > 0.0 and errors[2] > 0.0
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0])
     def test_overflowing_solve_factors_exit_2_before_any_output(self, tmp_path, capsys, alpha):
@@ -900,6 +903,32 @@ class TestCli:
                 "compare": [path, write_cfg(tmp_path, {**doc, "scheme": "isav-bdf"}, "b.json")]}
         assert main([command, *args[command], "--outdir", str(out)]) == 2
         assert capsys.readouterr().err == f"config error: {why}\n"
+        assert [p for p in out.rglob("*") if p.is_file()] == []
+
+    @pytest.mark.parametrize("command", ["run", "converge", "compare"])
+    @pytest.mark.parametrize("site", ["grid", "symbols", "factors"])
+    def test_unallocatable_grid_exits_2_before_any_output(self, tmp_path, capsys, monkeypatch,
+                                                          command, site):
+        # validation accepts nx = 2**40, which fails only where the grid,
+        # its symbols or step 1's factors are allocated; the MemoryError is
+        # simulated, so no such grid is ever built, and the other two sites
+        # raise it on a grid that is
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError
+
+        owner, attr = {"grid": (Grid, "__post_init__"), "symbols": (ModelParams, "symbols"),
+                       "factors": (harness, "_solve_factors")}[site]
+        monkeypatch.setattr(owner, attr, out_of_memory)
+        nx = 2**40 if site == "grid" else 8
+        doc = {"preset": "ex1-isav-be", "grid": {"nx": nx, "ny": 4}}
+        path = write_cfg(tmp_path, doc)
+        out = tmp_path / "out"
+        args = {"run": [path],
+                "converge": [path, "--taus", "0.01", "--ref-tau", "0.01"],
+                "compare": [path, write_cfg(tmp_path, {**doc, "scheme": "isav-bdf"}, "b.json")]}
+        assert main([command, *args[command], "--outdir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: grid: nx={nx} by ny=4 is too large to allocate\n")
         assert [p for p in out.rglob("*") if p.is_file()] == []
 
     @staticmethod

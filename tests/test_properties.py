@@ -1,4 +1,4 @@
-"""Property tests of the rank-one solve, of spectral resampling and of the
+"""Property tests of the rank-one solve, of the cross-grid spectral fold and of the
 energy quadratic form, over random even grids (non-square included), of
 the integrating potential kernels, over values on every branch, and of
 suggest_S's exact bracket rule, drawn by hypothesis."""
@@ -13,10 +13,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from isavflow import (DoubleWell, Field, FloryHugginsRegularized, Grid, ModelParams, Scheme,
-                      make_initial_state, resample, step, suggest_S)
+                      h1_error, make_initial_state, step, suggest_S)
 from isavflow.spectral import _fold_half, quad_form_hat
 
-from conftest import even_symbol, random_field, step_and_record
+from conftest import even_symbol, fold, random_field, step_and_record
 from oracles import (ConstantPotential, RankOneSystem, _axis_map, apply_symbol,
                      dense_solve_oracle, quad_form_reference, rank_one_solve, reference_kernels)
 
@@ -64,32 +64,41 @@ def test_quad_form_matches_six_pass_reference(nx, ny, seed, with_symbol):
         assert np.array_equal(work, symbol * hat)
 
 
-def resample_by_matrix(field, new_grid):
-    """resample with the x axis mapped by the dense mode-copy matrix."""
-    g = field.grid
-    hat = _axis_map(g.nx, new_grid.nx) @ _fold_half(field.spectrum(), new_grid.ny)
-    return new_grid.inverse(hat) * ((new_grid.nx * new_grid.ny) / (g.nx * g.ny))
+def fold_by_matrix(hat, src, dst):
+    """fold with the x axis mapped by the dense mode-copy matrix."""
+    scale = (dst.nx * dst.ny) / (src.nx * src.ny)
+    return (_axis_map(src.nx, dst.nx) @ _fold_half(hat, dst.ny)) * scale
 
 
 @given(src=st.tuples(even(4, 128), even(4, 128)), dst=st.tuples(even(4, 128), even(4, 128)),
        seed=seeds)
-def test_resample_matches_mode_copy_matrix(src, dst, seed):
+def test_fold_matches_mode_copy_matrix(src, dst, seed):
     assume(src != dst)
     rng = np.random.default_rng(seed)
     u = random_field(Grid(*src, 1.0, 2.0), rng)
     new_grid = Grid(*dst, 1.0, 2.0)
-    assert np.array_equal(resample(u, new_grid).values, resample_by_matrix(u, new_grid))
+    by_matrix = fold_by_matrix(u.spectrum(), u.grid, new_grid)
+    assert np.array_equal(fold(u.spectrum(), u.grid, new_grid), by_matrix)
+    # h1_error against u as a reference folds u's spectrum the same way
+    v = random_field(new_grid, rng)
+    hat = v.spectrum() - by_matrix
+    assert h1_error(v, u) == math.sqrt(
+        quad_form_hat(new_grid, hat) + quad_form_hat(new_grid, hat, new_grid.lap_sym))
 
 
 @given(coarse=st.tuples(even(4, 16), even(4, 16)), extra=st.tuples(even(0, 48), even(0, 48)),
        seed=seeds)
-def test_resample_up_down_round_trip(coarse, extra, seed):
+def test_fold_up_down_round_trip(coarse, extra, seed):
     rng = np.random.default_rng(seed)
     g = Grid(*coarse, 1.0, 3.0)
     fine = Grid(coarse[0] + extra[0], coarse[1] + extra[1], 1.0, 3.0)
     u = random_field(g, rng)
-    back = resample(resample(u, fine), g)
-    assert np.abs(back.values - u.values).max() < 1e-13
+    hat = u.spectrum()
+    back = fold(fold(hat, g, fine), fine, g)
+    # the copies and halvings are exact: what remains is the two scale
+    # factors and the Hermitian rounding of u's Nyquist columns
+    assert np.abs(back - hat).max() <= 4 * np.finfo(float).eps * np.abs(hat).max()
+    assert np.abs(g.inverse(back) - u.values).max() < 1e-13
 
 
 GARBAGE = st.sampled_from([math.nan, math.inf, -1e300, 7.0])

@@ -22,7 +22,7 @@ TOP_LEVEL = [
     "SchemeRuntimeError", "SchemeState", "StepRecord", "bulk_energy",
     "compare_schemes", "config_from_dict", "convergence_study", "h1_error", "initial_field",
     "load_config", "make_initial_state", "original_energy",
-    "read_snapshot", "record_step", "resample", "run_simulation", "step", "suggest_S",
+    "read_snapshot", "record_step", "run_simulation", "step", "suggest_S",
     "write_snapshot",
 ]
 
@@ -36,7 +36,7 @@ MODULE_ALL = {
     "potentials": ["DoubleWell", "FloryHugginsRegularized", "NonPositiveBulkEnergyError",
                    "bulk_energy", "suggest_S"],
     "schemes": ["Scheme", "ModelParams", "SchemeState", "make_initial_state", "step"],
-    "spectral": ["Grid", "Field", "quad_form_hat", "resample"],
+    "spectral": ["Grid", "Field", "quad_form_hat"],
 }
 
 # In order: StepRecord's order is the series CSV's column order.
@@ -55,7 +55,7 @@ def test_top_level_names():
         if not name.startswith("_") and not inspect.ismodule(value)
     )
     assert public == sorted(TOP_LEVEL)
-    assert len(TOP_LEVEL) == 29
+    assert len(TOP_LEVEL) == 28
 
 
 @pytest.mark.parametrize("module", sorted(MODULE_ALL))
@@ -71,7 +71,7 @@ def test_module_all_total():
         if hasattr(importlib.import_module(f"isavflow.{info.name}"), "__all__")
     }
     assert with_all == set(MODULE_ALL)
-    assert sum(len(names) for names in MODULE_ALL.values()) == 33
+    assert sum(len(names) for names in MODULE_ALL.values()) == 32
 
 
 @pytest.mark.parametrize("name", sorted(DATACLASS_FIELDS))

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from isavflow import DoubleWell, Field, Grid, ModelParams, resample
+from isavflow import DoubleWell, Field, Grid, ModelParams, h1_error
 from isavflow.spectral import quad_form_hat
 
-from conftest import TWO_PI, even_symbol, random_field
+from conftest import TWO_PI, even_symbol, fold, random_field
 from oracles import apply_symbol, inner, quad
 
 
@@ -197,16 +197,22 @@ class TestTransformProperties:
                 assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
 
-class TestResample:
+class TestFold:
+    """h1_error folds a reference from another grid onto the member's half
+    spectrum; for a reference the member's grid resolves, that is the
+    spectrum of its trigonometric interpolant at the member's nodes, which
+    these tests check by its nodal values and through h1_error."""
+
     def test_exact_on_resolved_modes(self):
         fine = Grid(64, 64, TWO_PI, TWO_PI)
         coarse = Grid(16, 16, TWO_PI, TWO_PI)
         X, Y = fine.nodes()
         u = Field(fine, np.sin(3 * X) * np.cos(2 * Y) + 0.5 * np.cos(5 * X))
-        down = resample(u, coarse)
         Xc, Yc = coarse.nodes()
-        exact = np.sin(3 * Xc) * np.cos(2 * Yc) + 0.5 * np.cos(5 * Xc)
-        assert np.abs(down.values - exact).max() < 1e-12
+        exact = Field(coarse, np.sin(3 * Xc) * np.cos(2 * Yc) + 0.5 * np.cos(5 * Xc))
+        down = coarse.inverse(fold(u.spectrum(), fine, coarse))
+        assert np.abs(down - exact.values).max() < 1e-12
+        assert h1_error(exact, u) < 1e-12
 
     def test_matches_nodal_subsampling_when_nested(self, rng):
         fine = Grid(64, 64, 1.0, 1.0)
@@ -216,17 +222,21 @@ class TestResample:
         hat[:5, :5] = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
         hat[0, 0] = hat[0, 0].real
         u = Field(fine, fine.inverse(hat))
-        down = resample(u, coarse)
-        assert np.abs(down.values - u.values[::4, ::4]).max() < 1e-12
+        down = coarse.inverse(fold(u.spectrum(), fine, coarse))
+        assert np.abs(down - u.values[::4, ::4]).max() < 1e-12
+        assert h1_error(Field(coarse, u.values[::4, ::4]), u) < 1e-12
 
     def test_up_down_round_trip(self, rng):
         coarse = Grid(8, 8, 1.0, 1.0)
         fine = Grid(32, 32, 1.0, 1.0)
         u = random_field(coarse, rng)
-        back = resample(resample(u, fine), coarse)
-        assert np.abs(back.values - u.values).max() < 1e-13
+        hat = u.spectrum()
+        back = fold(fold(hat, coarse, fine), fine, coarse)
+        assert np.abs(back - hat).max() <= 4 * np.finfo(float).eps * np.abs(hat).max()
+        assert np.abs(coarse.inverse(back) - u.values).max() < 1e-13
 
     def test_domain_mismatch(self, rng):
         u = random_field(Grid(8, 8, 1.0, 1.0), rng)
-        with pytest.raises(ValueError, match="domain"):
-            resample(u, Grid(8, 8, 2.0, 1.0))
+        for other in (Grid(8, 8, 2.0, 1.0), Grid(16, 16, 1.0, 2.0)):
+            with pytest.raises(ValueError, match="domain"):
+                h1_error(u, random_field(other, rng))
