@@ -87,13 +87,12 @@ def record_step(state, params, prev=None) -> StepRecord:
     level = state.level
     grid = level.phi.grid
     ws = params.symbols(grid)
-    S = params.S if state.scheme.is_improved else 0.0
     values = level.phi.values
-    e_lin, F, E2 = state.energies(params.potential, S, ws)
+    e_lin, F, E2 = state.energies(params)
     E_orig = e_lin + F
     D_be = D_bdf = None
     if prev is not None:
-        e_lin_prev, F_prev, E2_prev = prev.energies(params.potential, S, ws)
+        e_lin_prev, F_prev, E2_prev = prev.energies(params)
         delta, work = ws.spec[2], ws.spec[3]
         old = prev.level.phi.spectrum()
         np.subtract(level.phi.spectrum(), old, out=delta)

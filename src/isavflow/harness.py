@@ -1,4 +1,5 @@
-"""Experiment drivers: single runs, convergence studies, scheme comparisons.
+"""Experiment drivers: single runs, convergence studies, scheme comparisons,
+all three stepping through levels, the one loop over a run's time levels.
 
 Runs emit one CSV row per recorded step with a fixed column order and
 optional plain-text field snapshots that round-trip bit-exactly. A
@@ -13,6 +14,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+from collections import deque
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -20,19 +22,18 @@ import numpy as np
 from .config import ConfigError, RunConfig, initial_field, is_step_multiple
 from .diagnostics import StepRecord, h1_error, record_step
 from .potentials import NonPositiveBulkEnergyError
-from .schemes import ModelParams, Scheme, SchemeState, _solve_factors, make_initial_state, step
+from .schemes import ModelParams, Scheme, _solve_factors, make_initial_state, step
 from .spectral import Field, Grid, NonFiniteFieldError
 
 __all__ = [
     "EnergyLawViolation",
     "SchemeRuntimeError",
+    "levels",
     "run_simulation",
     "convergence_study",
     "compare_schemes",
-    "write_series_csv",
     "write_snapshot",
     "read_snapshot",
-    "resolve_outdir",
 ]
 
 SERIES_COLUMNS = tuple(f.name for f in fields(StepRecord))
@@ -101,8 +102,7 @@ class OutputWriteError(RuntimeError):
 @dataclass
 class SimulationResult:
     records: list
-    final_state: SchemeState
-    series_path: str | None = None
+    series_path: str
     snapshot_paths: list | None = None
 
 
@@ -175,19 +175,6 @@ def read_snapshot(path):
     return Field(grid, values), t
 
 
-def _kept_rows(cfg: RunConfig, record: bool):
-    """The levels a run keeps a row for: with records on, level 0, every
-    record_every-th level and the last one, for every scheme alike."""
-    every, n_total = cfg.outputs["record_every"], cfg.n_steps()
-    return lambda n: record and (n % every == 0 or n == n_total)
-
-
-def _snapshot_steps(cfg: RunConfig) -> set:
-    """The step indices of the requested snapshot times, which the config
-    has checked to be distinct multiples of tau in [0, t_end]."""
-    return {round(t / cfg.tau) for t in cfg.outputs["field_snapshot_times"]}
-
-
 def _run_params(cfg: RunConfig, grid: Grid) -> ModelParams:
     """A run's ModelParams, with the symbols and step 1's solve factors on
     grid built here rather than in step 1, so that parameters no step can
@@ -203,21 +190,19 @@ def _run_params(cfg: RunConfig, grid: Grid) -> ModelParams:
     return params
 
 
-def run_simulation(cfg: RunConfig, outdir=None, write_outputs=True, record=True) -> SimulationResult:
-    """Integrate from t=0 to t_end, recording diagnostics along the way.
+def levels(cfg: RunConfig, record=True):
+    """Yield (state, rec) for level 0 and then for each step's level, from
+    t=0 to t_end. rec is the level's StepRecord on a kept row (level 0,
+    every record_every-th level and the last) and None otherwise; with
+    record=False no record is built and the energy-law assertions, which
+    check records, are off. Only kept rows are built, but every row under
+    assert_energy, where each step's check reads the previous level's
+    record. The trajectory is the same either way.
 
-    With the default record_every=1 the series holds n_steps+1 rows
-    including t=0; with more, it holds the rows of levels 0, the multiples
-    of record_every and n_steps, and only those rows are built. With
-    record=False no diagnostics are built, the series is empty and the
-    energy-law assertions (which check records) are off; the trajectory is
-    the same. The series and snapshot directories are made before the
-    first step; a path that cannot hold them, or a grid too large to
-    allocate with its symbols, is a ConfigError. A scheme
-    failure (nonpositive bulk integral, violated assertion, non-finite
-    field) or a snapshot that cannot be written (OutputWriteError) aborts
-    the run with the failing step and its context. Whatever stops a run
-    once level 0 is built, the kept rows are written before it propagates.
+    A grid too large to allocate with its symbols, or parameters no step
+    can take, is a ConfigError before level 0. A scheme failure (nonpositive
+    bulk integral, violated assertion, non-finite field) is a
+    SchemeRuntimeError with the failing step and the last good level.
     """
     try:
         grid = cfg.make_grid()
@@ -225,64 +210,71 @@ def run_simulation(cfg: RunConfig, outdir=None, write_outputs=True, record=True)
     except MemoryError as exc:
         g = cfg.grid
         raise ConfigError(f"grid: nx={g['nx']} by ny={g['ny']} is too large to allocate") from exc
-    out_base = resolve_outdir(outdir)
-    kept = _kept_rows(cfg, record)
+    every, n_total = cfg.outputs["record_every"], cfg.n_steps()
     check = record and cfg.assert_energy
-    snap_at = _snapshot_steps(cfg) if write_outputs else set()
-    snap_dir = os.path.join(out_base, cfg.outputs["snapshot_dir"])
-    series_path = os.path.join(out_base, cfg.outputs["series_path"]) if write_outputs else None
-    n_total = cfg.n_steps()
-    if write_outputs:
-        _claim_path(series_path)
-        if snap_at:
-            _claim_path(snap_dir, is_dir=True)
-
-    snapshot_paths = []
-
-    def snapshot(step_index, field):
-        if step_index in snap_at:
-            path = os.path.join(snap_dir, f"phi_step{step_index:06d}.txt")
-            try:
-                write_snapshot(path, field, step_index * cfg.tau)
-            except OSError as exc:
-                raise OutputWriteError(step_index, exc) from exc
-            snapshot_paths.append(path)
-
     try:
         state = make_initial_state(cfg.scheme, initial_field(cfg.init, grid), params.potential)
-        rec = record_step(state, params) if kept(0) else None
-        records = [rec] if kept(0) else []
+        rec = record_step(state, params) if record else None
     except SCHEME_FAILURES as exc:
         raise SchemeRuntimeError(0, exc, 0.0, cfg.scheme) from exc
+    yield state, rec
+    for n in range(1, n_total + 1):
+        keep = record and (n % every == 0 or n == n_total)
+        try:
+            new = step(state, params)
+            if keep or check:
+                old, rec = rec, record_step(new, params, state)
+                if check:
+                    _check_energy_laws(new.scheme, old, rec)
+        except SCHEME_FAILURES as exc:
+            raise SchemeRuntimeError(n, exc, n * cfg.tau, cfg.scheme, state.level.phi) from exc
+        state = new  # the last good level until the step's check passes
+        yield state, rec if keep else None
 
-    try:
-        snapshot(0, state.level.phi)
-        for n in range(1, n_total + 1):
-            # Only kept rows (every row under assert_energy, where each step's
-            # check reads the previous level's record) are built; state stays
-            # the last good level until the step's check passes.
-            keep = kept(n)
+
+def run_simulation(cfg: RunConfig, outdir=None) -> SimulationResult:
+    """Run levels(cfg) and write its kept rows as the series CSV, and the
+    levels at the requested times as snapshots.
+
+    The snapshot directory and then the series' directory are made before
+    level 0, so a path that cannot hold them, a series path that names the
+    snapshot directory included, is a ConfigError. A snapshot that
+    cannot be written aborts the run with an OutputWriteError. Whatever
+    stops a run once level 0 is built, the kept rows are written before it
+    propagates.
+    """
+    out_base = resolve_outdir(outdir)
+    # the config has checked these times to be distinct multiples of tau in [0, t_end]
+    snap_at = {round(t / cfg.tau) for t in cfg.outputs["field_snapshot_times"]}
+    snap_dir = os.path.join(out_base, cfg.outputs["snapshot_dir"])
+    series_path = os.path.join(out_base, cfg.outputs["series_path"])
+    if snap_at:
+        _claim_path(snap_dir, is_dir=True)
+    _claim_path(series_path)
+    snapshot_paths = []
+
+    def snapshot(state):
+        n = state.step_index
+        if n in snap_at:
+            path = os.path.join(snap_dir, f"phi_step{n:06d}.txt")
             try:
-                new = step(state, params)
-                if keep or check:
-                    old, rec = rec, record_step(new, params, state)
-                    if check:
-                        _check_energy_laws(new.scheme, old, rec)
-            except SCHEME_FAILURES as exc:
-                raise SchemeRuntimeError(n, exc, n * cfg.tau, cfg.scheme, state.level.phi) from exc
-            state = new
-            if keep:
+                write_snapshot(path, state.level.phi, n * cfg.tau)
+            except OSError as exc:
+                raise OutputWriteError(n, exc) from exc
+            snapshot_paths.append(path)
+
+    run = levels(cfg)
+    state, rec = next(run)
+    records = [rec]
+    try:
+        snapshot(state)
+        for state, rec in run:
+            if rec is not None:
                 records.append(rec)
-            snapshot(n, state.level.phi)
+            snapshot(state)
     finally:
-        if write_outputs:
-            write_series_csv(series_path, map(vars, records))
-    return SimulationResult(
-        records=records,
-        final_state=state,
-        series_path=series_path,
-        snapshot_paths=snapshot_paths or None,
-    )
+        write_series_csv(series_path, map(vars, records))
+    return SimulationResult(records, series_path, snapshot_paths or None)
 
 
 def _order_rows(labels, errors):
@@ -340,7 +332,7 @@ def convergence_study(base_cfg: RunConfig, taus=None, grids=None,
     if out_path is not None:
         _claim_path(out_path)
     ref, *finals = (
-        run_simulation(cfg, write_outputs=False, record=False).final_state.level.phi
+        deque(levels(cfg, record=False), maxlen=1).pop()[0].level.phi
         for cfg in (ref_cfg, *members)
     )
     rows = _order_rows(labels, [h1_error(phi, ref) for phi in finals])
@@ -373,9 +365,10 @@ def compare_schemes(cfg_a: RunConfig, cfg_b: RunConfig, out_path=None):
         raise ConfigError("compare: outputs.record_every must match between the configs")
     if out_path is not None:
         _claim_path(out_path)
-    # Only run A's records outlive it, not its final state, while B runs.
-    records_a = run_simulation(cfg_a, write_outputs=False).records
-    records_b = run_simulation(cfg_b, write_outputs=False).records
+    # One run after the other: only run A's kept records outlive it while B runs.
+    records_a, records_b = (
+        [rec for _, rec in levels(cfg) if rec is not None] for cfg in (cfg_a, cfg_b)
+    )
     tag_a = cfg_a.scheme.replace("-", "_")
     tag_b = cfg_b.scheme.replace("-", "_")
     data_cols = SERIES_COLUMNS[2:]

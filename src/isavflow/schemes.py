@@ -169,26 +169,29 @@ class SchemeState:
     prev: Level | None = None
     E2: tuple[float, float] | None = None
 
-    def energies(self, potential: Potential, S: float, ws: Scratch):
-        """(e_lin, int F, E2 with damping S) of the state's level, each
-        evaluated on first use from the carried spectra (no transform), with
-        ws, the run's Scratch, for temporaries, and kept. E2 is None unless
-        the state has a prev level; it is the three-level modified energy
+    def energies(self, params: ModelParams):
+        """(e_lin, int F, E2) of the state's level, each evaluated on first
+        use from the carried spectra (no transform), with params' Scratch for
+        temporaries, and kept. E2 is None unless the state has a prev level;
+        it is the three-level modified energy
 
             1/4 (||L^{1/2} phi^n||^2 + ||L^{1/2}(2 phi^n - phi^{n-1})||^2)
             + 1/2 [ r[phi^n]^2 + (2 r[phi^n] - r[phi^{n-1}])^2 ]
             + S/2 ||phi^n - phi^{n-1}||^2,
 
-        r = sqrt(int F), or NaN if either bulk integral is nonpositive (a run
-        may still log the other columns). The state keeps E2 without its last
-        term and the node sum of (phi^n - phi^{n-1})^2, so each S gets its own.
+        S being params.S for the improved schemes and 0 otherwise, r = sqrt(int
+        F), or NaN if either bulk integral is nonpositive (a run may still log
+        the other columns). The state keeps E2 without its last term and the
+        node sum of (phi^n - phi^{n-1})^2, so each params' S gets its own.
         """
         lv, pv = self.level, self.prev
-        grid, F = lv.phi.grid, lv.bulk(potential, ws.real[1:])
+        grid = lv.phi.grid
+        ws = params.symbols(grid)
+        F = lv.bulk(params.potential, ws.real[1:])
         if lv.e_lin is None:
             lv.e_lin = 0.5 * quad_form_hat(grid, lv.phi.spectrum(), ws.lap_c, ws.spec[3])
         if self.E2 is None and pv is not None:
-            F_m = pv.bulk(potential, ws.real[1:])
+            F_m = pv.bulk(params.potential, ws.real[1:])
             self.E2 = (math.nan, math.nan)
             if F > 0.0 and F_m > 0.0:
                 star = np.multiply(lv.phi.spectrum(), 2.0, out=ws.spec[0])
@@ -200,6 +203,7 @@ class SchemeState:
                     + 0.5 * (r_n**2 + (2.0 * r_n - r_m) ** 2),
                     float(np.vdot(diff, diff)),
                 )
+        S = params.S if self.scheme.is_improved else 0.0
         E2 = None if self.E2 is None else self.E2[0] + 0.5 * S * grid.cell_area * self.E2[1]
         return lv.e_lin, F, E2
 

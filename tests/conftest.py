@@ -1,11 +1,13 @@
 """Shared fixtures and helpers for the test suite."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 
 from isavflow import Field, Grid, record_step, step
 from isavflow.config import config_from_dict
-from isavflow.harness import run_simulation
+from isavflow.harness import levels
 from isavflow.spectral import _fold_half, _map_x
 
 try:
@@ -59,9 +61,20 @@ def step_and_record(state, params):
     return new, record_step(new, params, state)
 
 
+def final_state(cfg):
+    """The state at t_end of a run without records or outputs."""
+    return deque(levels(cfg, record=False), maxlen=1).pop()[0]
+
+
 def final_field(cfg):
     """phi(t_end) of a run without records or outputs."""
-    return run_simulation(cfg, write_outputs=False, record=False).final_state.level.phi
+    return final_state(cfg).level.phi
+
+
+def kept_records(cfg):
+    """The records of a run's kept rows, as its series holds them, without
+    writing any output."""
+    return [rec for _, rec in levels(cfg) if rec is not None]
 
 
 def ex1_config(scheme, alpha, tau, nx=64, t_end=0.5):

@@ -23,11 +23,10 @@ from isavflow import (
 )
 from isavflow.config import config_from_dict
 from isavflow.diagnostics import h1_error
-from isavflow.harness import run_simulation
 from isavflow.spectral import quad_form_hat
 
-from conftest import (TWO_PI, even_symbol, ex1_config, ex2_config, final_field, random_field,
-                      step_and_record)
+from conftest import (TWO_PI, even_symbol, ex1_config, ex2_config, final_field, kept_records,
+                      random_field, step_and_record)
 from oracles import (RankOneSystem, apply_symbol, dense_solve_oracle, rank_one_solve,
                      reference_kernels, reference_mu)
 
@@ -103,9 +102,8 @@ class TestCriterion4ModifiedEnergyLaw:
     @pytest.mark.parametrize("tau,t_end", [(0.01, 1.0), (0.001, 1.0)])
     @pytest.mark.parametrize("eps", [0.1, 0.04, 0.01])
     def test_unconditional_monotonicity(self, tau, t_end, eps):
-        res = run_simulation(ex2_config("sav-be", eps=eps, tau=tau, t_end=t_end),
-                             write_outputs=False)
-        e = [r.E_mod for r in res.records]
+        records = kept_records(ex2_config("sav-be", eps=eps, tau=tau, t_end=t_end))
+        e = [r.E_mod for r in records]
         for a, b in zip(e, e[1:]):
             assert b <= a + 1e-12 * abs(a)
         print(f"criterion 4 PASS (tau={tau}, eps={eps}): modified energy monotone "
@@ -116,21 +114,19 @@ class TestCriterion5OriginalEnergyLaw:
     @pytest.mark.parametrize("tau", [0.01, 0.001])
     @pytest.mark.parametrize("eps", [0.1, 0.04, 0.01])
     def test_monotone_with_decrement_bound(self, tau, eps):
-        res = run_simulation(ex2_config("isav-be", eps=eps, tau=tau, t_end=1.0),
-                             write_outputs=False)
-        e = [r.E_orig for r in res.records]
+        records = kept_records(ex2_config("isav-be", eps=eps, tau=tau, t_end=1.0))
+        e = [r.E_orig for r in records]
         for a, b in zip(e, e[1:]):
             assert b <= a + 1e-10 * (1.0 + abs(a))
-        for r, prev in zip(res.records[1:], e):
+        for r, prev in zip(records[1:], e):
             assert r.D_be <= 1e-10 * (1.0 + abs(prev))
         print(f"criterion 5 PASS (tau={tau}, eps={eps}): original energy monotone, "
               f"decrement nonpositive")
 
     @pytest.mark.parametrize("eps", [0.1, 0.04, 0.01])
     def test_large_step_remains_monotone(self, eps):
-        res = run_simulation(ex2_config("isav-be", eps=eps, tau=0.1, t_end=5.0),
-                             write_outputs=False)
-        e = [r.E_orig for r in res.records]
+        records = kept_records(ex2_config("isav-be", eps=eps, tau=0.1, t_end=5.0))
+        e = [r.E_orig for r in records]
         for a, b in zip(e, e[1:]):
             assert b <= a + 1e-10 * (1.0 + abs(a))
         print(f"criterion 5 PASS (tau=0.1, eps={eps}): monotone at large step")
@@ -138,9 +134,8 @@ class TestCriterion5OriginalEnergyLaw:
 
 class TestCriterion6InstabilityWitness:
     def test_sav_be_decrement_goes_positive(self):
-        res = run_simulation(ex2_config("sav-be", eps=0.01, tau=0.001, t_end=1.0),
-                             write_outputs=False)
-        d = [r.D_be for r in res.records if r.D_be is not None]
+        records = kept_records(ex2_config("sav-be", eps=0.01, tau=0.001, t_end=1.0))
+        d = [r.D_be for r in records if r.D_be is not None]
         assert max(d) > 0.0
         print(f"criterion 6 PASS: sav-be decrement reaches {max(d):.3e} > 0")
 
@@ -149,8 +144,7 @@ class TestCriterion6InstabilityWitness:
         # only; at the ex4 preset isav-bdf leaves [0, 1] and raises E_orig,
         # while isav-be at the same settings does neither
         def run(scheme):
-            rows = run_simulation(config_from_dict({"preset": f"ex4-{scheme}"}),
-                                  write_outputs=False).records
+            rows = kept_records(config_from_dict({"preset": f"ex4-{scheme}"}))
             rises = sum(b.E_orig > a.E_orig for a, b in zip(rows, rows[1:]))
             return rises, min(r.min_phi for r in rows), max(r.max_phi for r in rows)
 
@@ -165,8 +159,8 @@ class TestCriterion6InstabilityWitness:
 class TestCriterion7DriftScaling:
     @staticmethod
     def max_drift(scheme, tau):
-        res = run_simulation(ex1_config(scheme, alpha=0.0, tau=tau), write_outputs=False)
-        return max(abs(r.r_drift) for r in res.records if r.step > 0)
+        records = kept_records(ex1_config(scheme, alpha=0.0, tau=tau))
+        return max(abs(r.r_drift) for r in records if r.step > 0)
 
     def test_halving_tau(self):
         improved = self.max_drift("isav-be", 0.5 / 80) / self.max_drift("isav-be", 0.5 / 160)
@@ -233,8 +227,8 @@ class TestCriterion8SolverOracle:
 class TestCriterion9ConservationConsistency:
     def test_mass_conservation_long_run(self):
         cfg = ex2_config("isav-be", eps=0.04, tau=0.001, t_end=1.0, nx=64)
-        res = run_simulation(cfg, write_outputs=False)
-        masses = [r.mass for r in res.records]
+        records = kept_records(cfg)
+        masses = [r.mass for r in records]
         drift = max(abs(m - masses[0]) for m in masses)
         assert drift <= 1e-12
         print(f"criterion 9 PASS: mass drift {drift:.2e} over {len(masses) - 1} steps")
@@ -272,17 +266,17 @@ class TestCriterion10FloryHugginsRobustness:
         })
 
     def test_improved_scheme_stays_physical(self):
-        res = run_simulation(self.ex3("isav-be"), write_outputs=False)
-        e = [r.E_orig for r in res.records]
+        records = kept_records(self.ex3("isav-be"))
+        e = [r.E_orig for r in records]
         for a, b in zip(e, e[1:]):
             assert b <= a + 1e-10 * (1.0 + abs(a))
-        lo = min(r.min_phi for r in res.records)
-        hi = max(r.max_phi for r in res.records)
+        lo = min(r.min_phi for r in records)
+        hi = max(r.max_phi for r in records)
         assert np.isfinite([lo, hi]).all()
         print(f"criterion 10 PASS: improved scheme monotone, range [{lo:.3f}, {hi:.3f}]")
 
     def test_carried_scheme_leaves_unit_interval(self):
-        res = run_simulation(self.ex3("sav-be"), write_outputs=False)
-        hi = max(r.max_phi for r in res.records)
+        records = kept_records(self.ex3("sav-be"))
+        hi = max(r.max_phi for r in records)
         assert hi > 1.0
         print(f"criterion 10 PASS: carried-scalar scheme reaches max phi {hi:.3f} > 1")

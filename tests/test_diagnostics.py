@@ -19,10 +19,9 @@ from isavflow import (
     step,
 )
 from isavflow.config import config_from_dict, initial_field
-from isavflow.harness import run_simulation
 from isavflow.spectral import quad_form_hat
 
-from conftest import TWO_PI, random_field, step_and_record
+from conftest import TWO_PI, final_state, kept_records, random_field, step_and_record
 from oracles import (ConstantPotential, e2_energy, quad, quad_form_reference, reference_kernels,
                      reference_mu)
 
@@ -77,7 +76,7 @@ class TestE2Energy:
             "grid": {"nx": 32, "ny": 32, "lx": 6.4, "ly": 6.4},
             "tau": 0.1, "t_end": 100.0,
         })
-        prev = run_simulation(cfg, write_outputs=False, record=False).final_state
+        prev = final_state(cfg)
         pot = cfg.make_potential()
         p = ModelParams(alpha=cfg.model["alpha"], gamma=cfg.model["gamma"], S=cfg.S,
                         tau=cfg.tau, potential=pot)
@@ -239,7 +238,7 @@ class TestEnergyColumnsMatchOracle:
             doc["model"] = {"alpha": float(alpha)}
         cfg = config_from_dict(doc)
         cfg.t_end = 10 * cfg.tau
-        records = run_simulation(cfg, write_outputs=False).records
+        records = kept_records(cfg)
         g, pot = cfg.make_grid(), cfg.make_potential()
         p = ModelParams(alpha=cfg.model["alpha"], gamma=cfg.model["gamma"], S=cfg.S,
                         tau=cfg.tau, potential=pot)

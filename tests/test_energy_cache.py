@@ -10,7 +10,7 @@ import pytest
 from isavflow import DoubleWell, ModelParams, Scheme, make_initial_state, record_step, step
 from isavflow import diagnostics, schemes
 from isavflow.config import initial_field
-from isavflow.harness import run_simulation
+from isavflow.harness import levels
 from isavflow.spectral import Grid
 
 from conftest import ex1_config, step_and_record
@@ -59,35 +59,34 @@ def test_no_level_energy_is_evaluated_twice(scheme, every, nx, monkeypatch):
     pot = cfg.make_potential()
     params = ModelParams(alpha=cfg.model["alpha"], gamma=cfg.model["gamma"], S=cfg.S,
                          tau=cfg.tau, potential=pot)
-    S = params.S if Scheme(scheme).is_improved else 0.0
     phi0 = initial_field(cfg.init, cfg.make_grid())
     bulk, quad, forward = count_calls(monkeypatch)
 
     # the run loop, keeping every level alive so that array ids stay unique
     state = make_initial_state(scheme, phi0, pot)
     record_step(state, params)
-    levels = [state]
+    states = [state]
     for n in range(1, n_total + 1):
         new = step(state, params)
         if n % every == 0 or n == n_total:
             record_step(new, params, state)
         state = new
-        levels.append(state)
+        states.append(state)
     ws = params.symbols(phi0.grid)
 
-    for level in levels:
+    for level in states:
         assert bulk[id(level.level.phi.values)] <= 1  # its int F
         assert quad[id(level.level.phi.hat)] <= 1  # its e_lin
     # every E2 is one quadratic form of the work spectrum 2 phi^n - phi^{n-1}
-    n_E2 = sum(level.E2 is not None for level in levels)
+    n_E2 = sum(level.E2 is not None for level in states)
     assert quad[id(ws.spec[0])] == n_E2
     assert (n_E2 > 0) == Scheme(scheme).is_bdf
 
     forward.clear()
-    for level in levels:
-        first = level.energies(pot, S, ws)
+    for level in states:
+        first = level.energies(params)
         bulk.clear(), quad.clear()
-        assert level.energies(pot, S, ws) == first
+        assert level.energies(params) == first
         assert not (+bulk or +quad)  # a pure cache read
     assert not +forward  # built from the carried spectra
 
@@ -97,11 +96,12 @@ def test_no_level_energy_is_evaluated_twice(scheme, every, nx, monkeypatch):
 def test_energy_assertions_change_nothing(scheme, every):
     cfg = ex1_config(scheme, 0.0, 0.025, nx=16)
     cfg = replace(cfg, outputs={**cfg.outputs, "record_every": every})
-    plain = run_simulation(cfg, write_outputs=False)
-    checked = run_simulation(replace(cfg, assert_energy=True), write_outputs=False)
-    assert np.array_equal(checked.final_state.level.phi.values, plain.final_state.level.phi.values)
-    assert len(plain.records) == len(checked.records) == cfg.n_steps() // every + 1
-    assert checked.records == plain.records
+    plain, checked = (list(levels(c)) for c in (cfg, replace(cfg, assert_energy=True)))
+    assert len(plain) == len(checked) == cfg.n_steps() + 1
+    for (state_p, rec_p), (state_c, rec_c) in zip(plain, checked):
+        assert np.array_equal(state_c.level.phi.values, state_p.level.phi.values)
+        assert rec_c == rec_p
+    assert sum(rec is not None for _, rec in plain) == cfg.n_steps() // every + 1
 
 
 def test_each_call_gets_the_E2_of_its_own_S():
@@ -112,15 +112,15 @@ def test_each_call_gets_the_E2_of_its_own_S():
     state = make_initial_state("isav-bdf", initial_field(cfg.init, cfg.make_grid()), pot)
     for _ in range(2):
         state, _ = step_and_record(state, params)
-    ws = params.symbols(state.level.phi.grid)
+    undamped_params = replace(params, S=0.0)
 
-    def fresh(S):  # the E2 of a copy of the state that has kept nothing
-        return replace(state, E2=None).energies(pot, S, ws)[2]
+    def fresh(p):  # the E2 of a copy of the state that has kept nothing
+        return replace(state, E2=None).energies(p)[2]
 
-    damped, undamped = fresh(6.0), fresh(0.0)
+    damped, undamped = fresh(params), fresh(undamped_params)
     assert damped > undamped
-    assert state.energies(pot, 6.0, ws)[2] == damped
-    assert state.energies(pot, 0.0, ws)[2] == undamped
-    assert state.energies(pot, 6.0, ws)[2] == damped
+    assert state.energies(params)[2] == damped
+    assert state.energies(undamped_params)[2] == undamped
+    assert state.energies(params)[2] == damped
     assert undamped == pytest.approx(e2_energy(state.level.phi, state.prev.phi, pot, 0.0),
                                      rel=1e-12)

@@ -19,12 +19,13 @@ from isavflow.harness import (
     SERIES_COLUMNS,
     compare_schemes,
     convergence_study,
+    levels,
     read_snapshot,
     run_simulation,
     write_snapshot,
 )
 
-from conftest import TWO_PI, ex1_config, random_field
+from conftest import TWO_PI, ex1_config, kept_records, random_field
 
 
 def write_cfg(tmp_path, doc, name="cfg.json"):
@@ -342,33 +343,35 @@ class TestRunSimulation:
 
     @pytest.mark.parametrize("scheme", [s.value for s in Scheme])
     def test_records_never_change_the_trajectory(self, scheme):
-        # the record flag only adds diagnostics; the field must be bit-identical
+        # records only add diagnostics: every level that levels yields has
+        # the field and scalar bits of a bare loop of steps, with records
+        # off, kept every 1 or 3 levels, or built at every level for the
+        # energy-law assertions
         base = ex1_config(scheme, alpha=1.0, tau=0.01, nx=16, t_end=0.3)
-        finals = [
-            run_simulation(
-                replace(base, outputs={**base.outputs, "record_every": every}),
-                write_outputs=False,
-            ).final_state.level.phi.values
-            for every in (1, 10)
-        ]
         grid = base.make_grid()
         params = ModelParams(alpha=1.0, gamma=base.model["gamma"], S=base.S,
                              tau=base.tau, potential=base.make_potential())
         state = make_initial_state(scheme, initial_field(base.init, grid), params.potential)
+        bits = [(state.level.phi.values.tobytes(), state.level.r.hex())]
         for _ in range(base.n_steps()):
             state = step(state, params)
-        for values in finals:
-            assert np.array_equal(values, state.level.phi.values)
+            bits.append((state.level.phi.values.tobytes(), state.level.r.hex()))
+        runs = [levels(base, record=False), levels(replace(base, assert_energy=True))] + [
+            levels(replace(base, outputs={**base.outputs, "record_every": every}))
+            for every in (1, 3)
+        ]
+        for run in runs:
+            assert [(st.level.phi.values.tobytes(), st.level.r.hex()) for st, _ in run] == bits
 
     @pytest.mark.parametrize("scheme", [s.value for s in Scheme])
     def test_downsampled_rows_match_full_records(self, scheme):
         # levels whose row is dropped build no record, yet every kept row,
         # decrements included, equals that of a run recording every step
         base = ex1_config(scheme, alpha=1.0, tau=0.01, nx=16, t_end=0.3)
-        full = {r.step: r for r in run_simulation(base, write_outputs=False).records}
+        full = {r.step: r for r in kept_records(base)}
         for every in (2, 7):
             cfg = replace(base, outputs={**base.outputs, "record_every": every})
-            rows = run_simulation(cfg, write_outputs=False).records
+            rows = kept_records(cfg)
             assert len(rows) < len(full)
             assert rows[-1].D_be is not None
             for row in rows:
@@ -391,13 +394,13 @@ class TestRunSimulation:
             monkeypatch.setattr(module, "record_step", counted)
         base = ex1_config(scheme, alpha=1.0, tau=0.05, nx=16, t_end=0.5)
         cfg = replace(base, outputs={**base.outputs, "record_every": every})
-        rows = run_simulation(cfg, write_outputs=False).records
+        rows = kept_records(cfg)
         n_total = cfg.n_steps()
         kept = [n for n in range(n_total + 1) if n % every == 0 or n == n_total]
         assert [r.step for r in rows] == kept
         assert sorted(calls) == kept
 
-    def test_readme_library_loop_matches_run_simulation(self, monkeypatch):
+    def test_readme_library_loop_matches_levels(self, monkeypatch):
         # the README's loop, run verbatim but for its scheme and with
         # record_step wrapped to keep its records, gives exactly the rows
         # and the final field of the ex2 preset run (S > 0) for each of the
@@ -420,13 +423,13 @@ class TestRunSimulation:
             namespace = {}
             exec(code.replace("scheme = Scheme.ISAV_BE\n", f"scheme = Scheme({scheme!r})\n"),
                  namespace)
-            run = run_simulation(config_from_dict({"preset": f"ex2-{scheme}"}),
-                                 write_outputs=False)
-            assert run.final_state.scheme == scheme
+            kept = []
+            for final, rec in levels(config_from_dict({"preset": f"ex2-{scheme}"})):
+                kept.append(rec)
+            assert final.scheme == scheme
             assert len(records) == 100
-            assert records == run.records[1:], scheme
-            assert np.array_equal(namespace["state"].level.phi.values,
-                                  run.final_state.level.phi.values)
+            assert records == kept[1:], scheme
+            assert np.array_equal(namespace["state"].level.phi.values, final.level.phi.values)
 
     def test_runtime_failure_reports_step_and_writes_partial(self, tmp_path):
         # zero damping on a stiff well with assertions on trips quickly
@@ -838,6 +841,22 @@ class TestCli:
         assert main(["compare", pa, pb, "--out", out]) == 0
         assert os.path.exists(out)
 
+    @pytest.mark.parametrize("command", ["converge", "compare"])
+    def test_the_table_is_the_only_output(self, tmp_path, command):
+        # converge and compare step their runs without writing them: the
+        # series and snapshots that the configs name are never made
+        base = {"preset": "ex1-sav-be", "tau": 0.05, "t_end": 0.25, "S": 6.0,
+                "grid": {"nx": 8, "ny": 8, "lx": TWO_PI, "ly": TWO_PI},
+                "outputs": {"series_path": "series.csv", "snapshot_dir": "snaps",
+                            "field_snapshot_times": [0.0, 0.25]}}
+        pa = write_cfg(tmp_path, base, "a.json")
+        pb = write_cfg(tmp_path, {**base, "scheme": "isav-be"}, "b.json")
+        out = tmp_path / "out"
+        args = {"converge": [pa, "--taus", "0.05,0.025", "--ref-tau", "0.0125"],
+                "compare": [pa, pb]}[command]
+        assert main([command, *args, "--out", "table.csv", "--outdir", str(out)]) == 0
+        assert [p.relative_to(out) for p in out.rglob("*")] == [Path("table.csv")]
+
     def test_config_path_is_a_directory_exit_2(self, tmp_path, capsys):
         assert main(["run", str(tmp_path)]) == 2
         assert "cannot read" in capsys.readouterr().err
@@ -979,7 +998,10 @@ class TestCli:
         ({"series_path": "file/s.csv"}, "cannot create its directory"),
         ({"snapshot_dir": "file/snaps", "field_snapshot_times": [0.0]}, "cannot create its directory"),
         ({"series_path": "dir"}, "is a directory"),
-    ], ids=["series-under-a-file", "snapshots-under-a-file", "series-a-directory"])
+        ({"series_path": "x", "snapshot_dir": "x", "field_snapshot_times": [0.1]},
+         "is a directory"),
+    ], ids=["series-under-a-file", "snapshots-under-a-file", "series-a-directory",
+            "series-the-snapshot-directory"])
     def test_unwritable_run_output_exits_2_before_the_first_step(self, tmp_path, capsys,
                                                                   monkeypatch, outputs, why):
         # run's output directories are made before step 1, so a path that
@@ -1010,7 +1032,7 @@ class TestCli:
         def no_sweep(*args, **kwargs):
             raise AssertionError("the sweep started")
 
-        monkeypatch.setattr(harness, "run_simulation", no_sweep)
+        monkeypatch.setattr(harness, "levels", no_sweep)
         base = {"preset": "ex1-sav-be", "tau": 0.05, "t_end": 0.25,
                 "grid": {"nx": 8, "ny": 8, "lx": TWO_PI, "ly": TWO_PI}}
         pa = write_cfg(tmp_path, base, "a.json")

@@ -19,9 +19,9 @@ import pytest
 from isavflow import DoubleWell, Field, Grid, Scheme
 from isavflow.config import config_from_dict
 from isavflow.diagnostics import h1_error
-from isavflow.harness import run_simulation
+from isavflow.harness import levels, run_simulation
 
-from conftest import TWO_PI
+from conftest import TWO_PI, kept_records
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -132,7 +132,8 @@ F_TOTAL = {
 def test_bulk_integrals_per_step(scheme, record, tmp_path):
     cfg = small_config(scheme, tmp_path)
     with tracing.Tracer() as tracer, fused_counted_as_F(tracer):
-        run_simulation(cfg, write_outputs=False, record=record)
+        for _ in levels(cfg, record=record):
+            pass
     n = tracer.counts()["steps_in_loop"]
     assert n == cfg.n_steps() == 6
     per, offset = F_IN_LOOP[(scheme, record)]
@@ -150,8 +151,7 @@ def test_downsampled_records_add_no_bulk_integrals(scheme, tmp_path):
     calls = []
     for every in (1, 2, 3, 4):
         with tracing.Tracer() as tracer, fused_counted_as_F(tracer):
-            run_simulation(replace(base, outputs={**base.outputs, "record_every": every}),
-                           write_outputs=False)
+            kept_records(replace(base, outputs={**base.outputs, "record_every": every}))
         calls.append(tracer.calls["potentials.DoubleWell.F"])
     assert max(calls) == calls[0]
 
