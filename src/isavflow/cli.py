@@ -56,7 +56,10 @@ def build_parser() -> argparse.ArgumentParser:
     group = conv.add_mutually_exclusive_group(required=True)
     group.add_argument("--taus", help="comma-separated time steps")
     group.add_argument("--grids", help="comma-separated grid sizes n (n x n)")
-    conv.add_argument("--ref-tau", type=float, default=1e-5)
+    conv.add_argument("--ref-tau", type=float, default=1e-5,
+                      help="temporal sweeps: make the reference as accurate as sav-bdf at "
+                           "this step; it is a Richardson extrapolation of coarser sav-bdf "
+                           "runs, at most about twice the steps of one run at it")
     conv.add_argument("--ref-nx", type=int, default=64)
     conv.add_argument("--out", default="convergence.csv")
     conv.add_argument("--outdir", default=None)
@@ -86,13 +89,22 @@ def main(argv=None) -> int:
             taus = _parse_list(args.taus, float, "--taus") if args.taus else None
             grids = _parse_list(args.grids, int, "--grids") if args.grids else None
             out = os.path.join(resolve_outdir(args.outdir), args.out)
-            rows = convergence_study(
+            rows, reference = convergence_study(
                 cfg, taus=taus, grids=grids,
                 ref_tau=args.ref_tau, ref_grid_n=args.ref_nx, out_path=out,
             )
             for r in rows:
                 order = "--" if r["order"] is None else f"{r['order']:.2f}"
                 print(f"{r['resolution']:>8}  {r['h1_error']:.6e}  {order}")
+            if reference is not None:
+                # a table may show the reference's error rather than the
+                # member's unless the reference is far more accurate
+                h, est = reference
+                finest = max(rows, key=lambda r: r["resolution"])["h1_error"]
+                print(f"reference: Richardson h={h!r}, estimated H1 error {est:.6e}")
+                if not est < 1e-2 * finest:
+                    print(f"warning: the reference's estimated H1 error {est:.6e} is not "
+                          f"below 1e-2 of the finest member's {finest:.6e}", file=sys.stderr)
             print(f"wrote {out}")
         elif args.command == "compare":
             cfg_a = load_config(args.config_a)

@@ -287,20 +287,67 @@ def _order_rows(labels, errors):
     return rows
 
 
+def _final_phi(cfg: RunConfig) -> Field:
+    """phi(t_end) of a run without records or outputs."""
+    return deque(levels(cfg, record=False), maxlen=1).pop()[0].level.phi
+
+
+def _richardson(fine: Field, coarse: Field) -> Field:
+    """(4 fine - coarse)/3 from two runs at steps h and 2h, in values and in
+    the spectra the runs carry, so an error against it takes no transform."""
+    return Field(fine.grid, (4.0 * fine.values - coarse.values) / 3.0,
+                 (4.0 * fine.spectrum() - coarse.spectrum()) / 3.0)
+
+
+def _temporal_reference(base_cfg: RunConfig, ref_tau: float, finest_tau: float):
+    """A reference for a temporal sweep whose finest member steps finest_tau,
+    as accurate as the three-level SAV scheme at ref_tau: (R(h), h, its
+    estimated H1 error), R(h) the Richardson extrapolation of that scheme's
+    runs at h and 2h.
+
+    The first h is finest_tau/4; each pass halves it, adding one run to the
+    two it reuses. With errors C h^2 of a run and C' h^3 of R, the estimates
+    are ||u(h) - u(2h)||/3 for u(h) and ||R(h) - R(2h)||/7 for R(h). The
+    loop stops at the first h where R's estimate is no larger than
+    (ref_tau/h)^2 times u(h)'s, the estimated error at ref_tau, and at the
+    latest once h <= ref_tau.
+    """
+    def run(tau):
+        return _final_phi(replace(base_cfg, scheme=Scheme.SAV_BDF.value, tau=tau))
+
+    h = finest_tau / 4
+    coarse, mid, fine = (run(tau) for tau in (4 * h, 2 * h, h))
+    while True:
+        ref = _richardson(fine, mid)
+        est = h1_error(ref, _richardson(mid, coarse)) / 7
+        if h <= ref_tau or est <= (ref_tau / h) ** 2 * h1_error(fine, mid) / 3:
+            return ref, h, est
+        h /= 2
+        coarse, mid, fine = mid, fine, run(h)
+
+
 def convergence_study(base_cfg: RunConfig, taus=None, grids=None,
                       ref_tau=1e-5, ref_grid_n=64, out_path=None):
-    """H1-error table against a reference run.
+    """H1-error table against a reference run: (rows, reference), reference
+    being (h, its estimated H1 error) in temporal mode and None in spatial
+    mode.
 
-    Temporal mode (taus given): every member shares the grid of base_cfg;
-    the reference is the three-level SAV scheme at ref_tau on that grid.
+    Temporal mode (taus given): every member shares the grid of base_cfg.
+    ref_tau sets the reference's accuracy, not its step: the reference is
+    the Richardson extrapolation of the three-level SAV scheme at the
+    coarsest h that is estimated to be as accurate as that scheme at
+    ref_tau (see _temporal_reference). It costs three runs from a quarter
+    of the finest member's step, and one more for each halving of h; at
+    most about twice as many steps as one run at ref_tau, when h reaches
+    ref_tau.
     Spatial mode (grids given): every member runs at base_cfg.tau on an
     n-by-n grid; the reference is the *same* scheme at the same tau on a
     ref_grid_n^2 grid, so the temporal discretization error cancels exactly
     and the table isolates spatial accuracy.
     Orders are log2(e_coarse / e_fine) between consecutive rows, None
-    where either error is 0. Every time step must be positive and divide
-    t_end, at least once, by the same rule as a config's tau; every grid
-    size must be even and at least 4.
+    where either error is 0. Every time step, ref_tau included, must be
+    positive and divide t_end, at least once, by the same rule as a
+    config's tau; every grid size must be even and at least 4.
     """
     if (taus is None) == (grids is None):
         raise ConfigError("convergence: give exactly one of taus or grids")
@@ -317,7 +364,6 @@ def convergence_study(base_cfg: RunConfig, taus=None, grids=None,
                 raise ConfigError(f"convergence: t_end is not a multiple of tau={tau}")
             if round(base_cfg.t_end / tau) < 1:
                 raise ConfigError(f"convergence: t_end spans no step of tau={tau}")
-        ref_cfg = replace(base_cfg, scheme=Scheme.SAV_BDF.value, tau=ref_tau)
         members = [replace(base_cfg, tau=float(tau)) for tau in taus]
         labels = [cfg.n_steps() for cfg in members]
     else:
@@ -331,14 +377,15 @@ def convergence_study(base_cfg: RunConfig, taus=None, grids=None,
         labels = [int(n) for n in grids]
     if out_path is not None:
         _claim_path(out_path)
-    ref, *finals = (
-        deque(levels(cfg, record=False), maxlen=1).pop()[0].level.phi
-        for cfg in (ref_cfg, *members)
-    )
-    rows = _order_rows(labels, [h1_error(phi, ref) for phi in finals])
+    if taus is not None:
+        ref, h, est = _temporal_reference(base_cfg, ref_tau, min(cfg.tau for cfg in members))
+        reference = (h, est)
+    else:
+        ref, reference = _final_phi(ref_cfg), None
+    rows = _order_rows(labels, [h1_error(_final_phi(cfg), ref) for cfg in members])
     if out_path is not None:
         write_series_csv(out_path, rows, ("resolution", "h1_error", "order"))
-    return rows
+    return rows, reference
 
 
 def _comparable_dict(cfg: RunConfig) -> dict:

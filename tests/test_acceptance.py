@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
-Run with ``pytest tests/test_acceptance.py -v -s``. The expensive shared
-ingredient (the tau=1e-5 reference trajectory per dissipation exponent) is
+Run with ``pytest tests/test_acceptance.py -v -s``. The shared temporal
+reference per dissipation exponent (as accurate as sav-bdf at tau=1e-5) is
 computed once per session.
 """
 

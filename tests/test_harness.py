@@ -1,5 +1,6 @@
 """Configuration loading, presets, CSV/snapshot IO, CLI contract."""
 
+import itertools
 import json
 import math
 import os
@@ -15,8 +16,11 @@ from isavflow import (ConfigError, Field, Grid, ModelParams, NonPositiveBulkEner
 from isavflow import harness
 from isavflow.cli import main
 from isavflow.config import PRESETS, config_from_dict, initial_field, load_config
+from isavflow.diagnostics import h1_error
 from isavflow.harness import (
     SERIES_COLUMNS,
+    _richardson,
+    _temporal_reference,
     compare_schemes,
     convergence_study,
     levels,
@@ -25,7 +29,7 @@ from isavflow.harness import (
     write_snapshot,
 )
 
-from conftest import TWO_PI, ex1_config, kept_records, random_field
+from conftest import TWO_PI, ex1_config, final_field, kept_records, random_field
 
 
 def write_cfg(tmp_path, doc, name="cfg.json"):
@@ -549,6 +553,19 @@ def json_roundtrip(cfg):
     return json.loads(json.dumps(cfg.to_dict()))
 
 
+@pytest.fixture
+def level_runs(monkeypatch):
+    """(scheme, tau, nx) of every run that the harness starts, in order."""
+    runs = []
+
+    def spy(cfg, record=True):
+        runs.append((cfg.scheme, cfg.tau, cfg.grid["nx"]))
+        return levels(cfg, record)
+
+    monkeypatch.setattr(harness, "levels", spy)
+    return runs
+
+
 class TestConvergenceDriver:
     def test_requires_exactly_one_sweep(self):
         cfg = config_from_dict({"preset": "ex1-isav-be", "tau": 0.05,
@@ -562,7 +579,8 @@ class TestConvergenceDriver:
         cfg = config_from_dict({"preset": "ex1-isav-be", "tau": 0.01, "t_end": 0.05,
                                 "grid": {"nx": 16, "ny": 16, "lx": TWO_PI, "ly": TWO_PI}})
         out = str(tmp_path / "table.csv")
-        rows = convergence_study(cfg, grids=[4, 8], ref_grid_n=32, out_path=out)
+        rows, reference = convergence_study(cfg, grids=[4, 8], ref_grid_n=32, out_path=out)
+        assert reference is None
         assert [r["resolution"] for r in rows] == [4, 8]
         assert rows[0]["order"] is None and rows[1]["order"] is not None
         assert rows[1]["h1_error"] < rows[0]["h1_error"]
@@ -571,10 +589,82 @@ class TestConvergenceDriver:
     def test_temporal_mode_first_order(self):
         cfg = config_from_dict({"preset": "ex1-isav-be", "tau": 0.01, "t_end": 0.1,
                                 "grid": {"nx": 16, "ny": 16, "lx": TWO_PI, "ly": TWO_PI}})
-        rows = convergence_study(cfg, taus=[0.1 / 10, 0.1 / 20, 0.1 / 40], ref_tau=1e-4)
+        rows, _ = convergence_study(cfg, taus=[0.1 / 10, 0.1 / 20, 0.1 / 40], ref_tau=1e-4)
         assert [r["resolution"] for r in rows] == [10, 20, 40]
         for r in rows[1:]:
             assert 0.8 <= r["order"] <= 1.2
+
+    def test_spatial_mode_runs_the_reference_and_each_member_once(self, level_runs):
+        # the reference is one run of the same scheme and step on the finer
+        # grid, and the errors are the H1 distances of the members' final
+        # fields to its final field, bit for bit
+        cfg = config_from_dict({"preset": "ex1-isav-be", "tau": 0.01, "t_end": 0.05,
+                                "grid": {"nx": 16, "ny": 16, "lx": TWO_PI, "ly": TWO_PI}})
+        rows, reference = convergence_study(cfg, grids=[4, 8], ref_grid_n=32)
+        assert reference is None
+        assert level_runs == [("isav-be", 0.01, n) for n in (32, 4, 8)]
+
+        def on_grid(n):
+            return final_field(replace(cfg, grid={**cfg.grid, "nx": n, "ny": n}))
+
+        ref = on_grid(32)
+        assert [r["h1_error"] for r in rows] == [h1_error(on_grid(n), ref) for n in (4, 8)]
+
+    def test_reference_is_as_accurate_as_sav_bdf_at_ref_tau(self):
+        # the conserved flow on 16^2 with members down to 0.02: the reference
+        # extrapolates sav-bdf runs at h = 0.005, five times ref_tau, and is
+        # nearer the solution than the plain run at ref_tau; a run at tau has
+        # the estimated error ||u(tau) - u(2 tau)||/3
+        cfg = ex1_config("sav-bdf", 1.0, tau=0.02, nx=16, t_end=0.2)
+        ref, h, est = _temporal_reference(cfg, 1e-3, 0.02)
+        assert h == 0.02 / 4
+
+        def plain(tau):
+            return final_field(replace(cfg, tau=tau))
+
+        u_r = plain(1e-3)
+        bound = h1_error(u_r, plain(2e-3)) / 3
+        assert est <= bound
+        # each within its estimated error of the solution, so within twice
+        # u(ref_tau)'s of each other
+        assert h1_error(ref, u_r) <= 2 * bound
+        # against R of runs at ref_tau/8 and ref_tau/4, far nearer the solution
+        solution = _richardson(plain(1e-3 / 8), plain(1e-3 / 4))
+        assert h1_error(ref, solution) <= h1_error(u_r, solution)
+
+    def test_reference_stops_at_the_first_step_that_meets_its_criterion(self, level_runs):
+        # the reference halves h from a quarter of the finest member's step,
+        # one new sav-bdf run per pass, until R's estimated error is no
+        # larger than that of a sav-bdf run at ref_tau; then the members run
+        cfg = ex1_config("isav-bdf", 1.0, tau=0.01, nx=16, t_end=0.1)
+        _, (h, est) = convergence_study(cfg, taus=[0.02, 0.01], ref_tau=1e-4)
+        taus = [0.01 / 2**k for k in range(5)]
+        assert level_runs == ([("sav-bdf", tau, 16) for tau in taus]
+                              + [("isav-bdf", tau, 16) for tau in (0.02, 0.01)])
+        u = [final_field(replace(cfg, scheme="sav-bdf", tau=tau)) for tau in taus]
+
+        def estimates(k):  # R's and u's estimated errors at h = taus[k]
+            return (h1_error(_richardson(u[k], u[k - 1]), _richardson(u[k - 1], u[k - 2])) / 7,
+                    (1e-4 / taus[k]) ** 2 * h1_error(u[k], u[k - 1]) / 3)
+
+        assert [r <= p for r, p in map(estimates, (2, 3, 4))] == [False, False, True]
+        assert (h, est) == (taus[4], estimates(4)[0])
+
+    @pytest.mark.parametrize("ref_tau, n_runs", [(0.01, 3), (0.01 / 16, 5)],
+                             ids=["member-step", "a-sixteenth"])
+    def test_reference_steps_no_finer_than_ref_tau(self, level_runs, monkeypatch, ref_tau,
+                                                   n_runs):
+        # an extrapolation that never settles (each one shifted by 1 from
+        # the last) never meets the criterion: the loop stops once h <= ref_tau
+        shift = itertools.count()
+        monkeypatch.setattr(harness, "_richardson",
+                            lambda fine, coarse: Field(fine.grid, fine.values + next(shift)))
+        cfg = config_from_dict({"preset": "ex1-isav-be", "t_end": 0.1,
+                                "grid": {"nx": 8, "ny": 8, "lx": TWO_PI, "ly": TWO_PI}})
+        _, (h, _) = convergence_study(cfg, taus=[0.01], ref_tau=ref_tau)
+        taus = [0.01 / 2**k for k in range(n_runs)]
+        assert h == taus[-1] <= ref_tau
+        assert level_runs == [("sav-bdf", tau, 8) for tau in taus] + [("isav-be", 0.01, 8)]
 
     def test_tau_divisibility_matches_config_rule(self):
         # one rule for config taus and sweep members: 4 ulp of the step count
@@ -755,7 +845,7 @@ class TestCli:
         assert main(["run", path]) == 2
         assert "init.path: " in capsys.readouterr().err
 
-    def test_converge_cli(self, tmp_path):
+    def test_converge_cli(self, tmp_path, capsys):
         path = write_cfg(tmp_path, {
             "preset": "ex1-isav-be", "tau": 0.01, "t_end": 0.05,
             "grid": {"nx": 16, "ny": 16, "lx": TWO_PI, "ly": TWO_PI},
@@ -763,6 +853,34 @@ class TestCli:
         out = str(tmp_path / "table.csv")
         assert main(["converge", path, "--grids", "4,8", "--ref-nx", "32", "--out", out]) == 0
         assert os.path.exists(out)
+        assert "reference" not in capsys.readouterr().out
+
+    def test_converge_reports_its_reference(self, tmp_path, capsys):
+        # one stdout line with the temporal reference's step and estimated
+        # error; the table's columns are unchanged
+        doc = {"preset": "ex1-isav-be", "t_end": 0.1,
+               "grid": {"nx": 8, "ny": 8, "lx": TWO_PI, "ly": TWO_PI}}
+        out = tmp_path / "t.csv"
+        assert main(["converge", write_cfg(tmp_path, doc), "--taus", "0.01", "--ref-tau", "0.01",
+                     "--out", str(out)]) == 0
+        _, h, est = _temporal_reference(config_from_dict(doc), 0.01, 0.01)
+        printed = capsys.readouterr()
+        assert f"reference: Richardson h={h!r}, estimated H1 error {est:.6e}\n" in printed.out
+        assert printed.err == ""
+        assert out.read_text().splitlines()[0] == "resolution,h1_error,order"
+
+    def test_converge_warns_when_its_reference_is_not_far_more_accurate(self, tmp_path, capsys):
+        # the sharp ex2 interfaces at the member's step: the reference
+        # extrapolates runs at a quarter of it, and its estimated error is
+        # not below 1e-2 of the member's, which stderr says
+        doc = {"preset": "ex2-sav-bdf", "t_end": 0.04,
+               "grid": {"nx": 16, "ny": 16, "lx": 6.4, "ly": 6.4}}
+        args = ["--taus", "0.01", "--ref-tau", "0.01", "--out", str(tmp_path / "t.csv")]
+        assert main(["converge", write_cfg(tmp_path, doc), *args]) == 0
+        printed = capsys.readouterr()
+        assert "reference: Richardson h=0.0025, estimated H1 error " in printed.out
+        assert printed.err.startswith("warning: the reference's estimated H1 error ")
+        assert "is not below 1e-2 of the finest member's " in printed.err
 
     def test_converge_has_no_order_next_to_a_zero_error(self, tmp_path, capsys):
         # the 16^2 member runs exactly as the 16^2 reference does and carries
