@@ -175,19 +175,25 @@ def read_snapshot(path):
     return Field(grid, values), t
 
 
-def _run_params(cfg: RunConfig, grid: Grid) -> ModelParams:
-    """A run's ModelParams, with the symbols and step 1's solve factors on
-    grid built here rather than in step 1, so that parameters no step can
-    take (tau*S or tau*gamma beyond the float range, factors or an inverse
+def _run_params(cfg: RunConfig):
+    """(grid, params) of a run, with the symbols and every solve factor its
+    scheme takes (backward Euler, and BDF2 for a -bdf scheme) built here, not
+    in a step: a grid too large to allocate and parameters no step can take
+    (tau*S or tau*gamma beyond the float range, factors or an inverse
     mobility that overflow) are a ConfigError before any output."""
+    scheme, g = Scheme(cfg.scheme), cfg.grid
     try:
+        grid = cfg.make_grid()
         params = ModelParams(alpha=cfg.model["alpha"], gamma=cfg.model["gamma"], S=cfg.S,
                              tau=cfg.tau, potential=cfg.make_potential())
+        ws = params.symbols(grid)
+        for bdf in (False, True) if scheme.is_bdf else (False,):
+            _solve_factors(ws, grid.lap_sym, cfg.tau, cfg.S if scheme.is_improved else 0.0, bdf)
+    except MemoryError as exc:
+        raise ConfigError(f"grid: nx={g['nx']} by ny={g['ny']} is too large to allocate") from exc
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    _solve_factors(params.symbols(grid), grid.lap_sym, cfg.tau,
-                   cfg.S if Scheme(cfg.scheme).is_improved else 0.0, False)
-    return params
+    return grid, params
 
 
 def levels(cfg: RunConfig, record=True):
@@ -204,12 +210,7 @@ def levels(cfg: RunConfig, record=True):
     bulk integral, violated assertion, non-finite field) is a
     SchemeRuntimeError with the failing step and the last good level.
     """
-    try:
-        grid = cfg.make_grid()
-        params = _run_params(cfg, grid)
-    except MemoryError as exc:
-        g = cfg.grid
-        raise ConfigError(f"grid: nx={g['nx']} by ny={g['ny']} is too large to allocate") from exc
+    grid, params = _run_params(cfg)
     every, n_total = cfg.outputs["record_every"], cfg.n_steps()
     check = record and cfg.assert_energy
     try:

@@ -108,7 +108,7 @@ class Scratch:
     products with spectra need no float-to-complex cast buffer; the bits are
     those of the real symbols), and work arrays: ``real`` on the grid and
     ``spec`` (complex) on the half spectrum. A g_inv that overflows (a
-    subnormal gamma*|k|^(2*alpha)) is a ConfigError.
+    subnormal gamma*|k|^(2*alpha)) raises ValueError.
 
     Every user writes a work array in full before reading it, and keeps
     nothing that aliases one past its return, so callers may share a Scratch.
@@ -122,9 +122,7 @@ class Scratch:
             with np.errstate(over="raise"):
                 g_inv = np.divide(1.0, self.g_sym, out=np.zeros_like(lap), where=self.g_sym > 0)
         except FloatingPointError as exc:
-            from .config import ConfigError  # config imports this module
-
-            raise ConfigError(f"1/(gamma*|k|^(2*alpha)) overflows at gamma={gamma}") from exc
+            raise ValueError(f"1/(gamma*|k|^(2*alpha)) overflows at gamma={gamma}") from exc
         self.g_inv_c = g_inv.astype(complex)
         self.lap_c = lap.astype(complex)
         self.weight_c = grid.mode_weight.astype(complex)
@@ -247,7 +245,7 @@ def _solve_factors(ws: Scratch, lap, tau, S, bdf):
     products with spectra need no cast buffer (the bits are those of the
     real symbols). The key carries S because schemes that share a
     ModelParams damp with S or with 0. A factor whose arithmetic overflows
-    (tau*gamma too large for the grid's wavenumbers) is a ConfigError.
+    (tau*gamma too large for the grid's wavenumbers) raises ValueError.
     """
     key = (S, bdf)
     out = ws.factors.get(key)
@@ -267,10 +265,8 @@ def _solve_factors(ws: Scratch, lap, tau, S, bdf):
                 inv_diag = 1.0 / (1.0 + tau * g * (lap + S))
                 out = (g * inv_diag, (1.0 + tau * S * g) * inv_diag, None)
     except FloatingPointError as exc:
-        from .config import ConfigError  # config imports this module
-
-        raise ConfigError(f"the solve factors overflow at tau={tau}, S={S}: "
-                          "tau*gamma is too large for the grid") from exc
+        raise ValueError(f"the solve factors overflow at tau={tau}, S={S}: "
+                         "tau*gamma is too large for the grid") from exc
     out = tuple(None if a is None else a.astype(complex) for a in out)
     ws.factors[key] = out
     return out

@@ -1,8 +1,9 @@
 """Config validation is total: whatever JSON-shaped document it is given,
-validating it and setting up the run's first step either succeeds or raises
-ConfigError, drawn by hypothesis. No run is started."""
+validating it and setting up the run, every solve factor included, either
+succeeds or raises ConfigError, drawn by hypothesis. No run is started."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -10,7 +11,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from isavflow import ConfigError, Grid
+from isavflow import ConfigError
 from isavflow.config import DEFAULT_OUTPUTS, KNOWN_KEYS, PRESETS, SCHEME_NAMES, config_from_dict
 from isavflow.harness import _run_params
 
@@ -108,16 +109,17 @@ MINIMAL_DW = {"scheme": "isav-be", "grid": {"nx": 8, "ny": 8, "lx": 6.0, "ly": 6
 @example(doc={"preset": "ex1-isav-be", "grid": {"nx": 10**400}})
 @example(doc={"preset": "ex1-isav-be", "grid": {"nx": 8, "ny": 8, "lx": 1e200, "ly": 1e200}})
 @example(doc={"preset": "ex1-isav-be", "grid": {"nx": 8, "ny": 8}, "tau": 1e16})
+@example(doc={"preset": "ex1-isav-bdf", "grid": {"nx": 8, "ny": 8}, "model": {"gamma": 7e307}})
 def test_validation_raises_only_config_errors(doc):
-    # config_from_dict, then the run's ModelParams, symbols and step 1's
-    # solve factors on a grid of at most 8^2 (never finer than the config's
-    # own, so its wavenumbers are no larger); a config that validates has
-    # a finite cell area and at least one step
+    # config_from_dict, then the run's grid, ModelParams, symbols and every
+    # solve factor its scheme takes, on a grid of at most 8^2 (never finer
+    # than the config's own, so its wavenumbers are no larger); a config
+    # that validates has a finite cell area and at least one step
     try:
         cfg = config_from_dict(doc)
         g = cfg.grid
         assert math.isfinite(g["lx"] / g["nx"] * (g["ly"] / g["ny"]))
         assert cfg.n_steps() >= 1
-        _run_params(cfg, Grid(min(g["nx"], 8), min(g["ny"], 8), g["lx"], g["ly"]))
+        _run_params(replace(cfg, grid={**g, "nx": min(g["nx"], 8), "ny": min(g["ny"], 8)}))
     except ConfigError:
         pass

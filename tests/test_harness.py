@@ -895,12 +895,15 @@ class TestCli:
         errors = [float(r[1]) for r in rows]
         assert errors[1] == 0.0 and errors[0] > 0.0 and errors[2] > 0.0
 
-    @pytest.mark.parametrize("alpha", [0.0, 1.0])
-    def test_overflowing_solve_factors_exit_2_before_any_output(self, tmp_path, capsys, alpha):
+    @pytest.mark.parametrize("scheme, alpha, gamma", [
+        ("isav-be", 0.0, 1e308), ("isav-be", 1.0, 1e308), ("isav-bdf", 0.0, 7e307)])
+    def test_overflowing_solve_factors_exit_2_before_any_output(self, tmp_path, capsys, scheme,
+                                                                alpha, gamma):
         # tau*gamma is finite, but tau*gamma*|k|^2 overflows on the grid (and,
-        # for alpha = 1, so does the mobility symbol gamma*|k|^2 itself)
-        path = write_cfg(tmp_path, {"preset": "ex1-isav-be", "grid": {"nx": 8, "ny": 8},
-                                    "model": {"alpha": alpha, "gamma": 1e308}})
+        # for alpha = 1, so does the mobility symbol gamma*|k|^2 itself); at
+        # gamma = 7e307 only the BDF2 factors, used from step 2, overflow
+        path = write_cfg(tmp_path, {"preset": f"ex1-{scheme}", "grid": {"nx": 8, "ny": 8},
+                                    "model": {"alpha": alpha, "gamma": gamma}})
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["run", path, "--outdir", str(tmp_path)]) == 2
@@ -1047,7 +1050,7 @@ class TestCli:
     def test_unallocatable_grid_exits_2_before_any_output(self, tmp_path, capsys, monkeypatch,
                                                           command, site):
         # validation accepts nx = 2**40, which fails only where the grid,
-        # its symbols or step 1's factors are allocated; the MemoryError is
+        # its symbols or its solve factors are allocated; the MemoryError is
         # simulated, so no such grid is ever built, and the other two sites
         # raise it on a grid that is
         def out_of_memory(*args, **kwargs):

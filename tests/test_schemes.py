@@ -361,6 +361,24 @@ class TestModelParams:
         with pytest.raises(ValueError, match=match):
             ModelParams(**{**good, **bad})
 
+    @pytest.mark.parametrize("scheme, gamma, fails_at, match", [
+        (Scheme.ISAV_BDF, 7e307, 2, "the solve factors overflow"),
+        (Scheme.ISAV_BE, 1e308, 1, "the solve factors overflow"),
+        (Scheme.ISAV_BE, 1e-310, 1, "overflows at gamma"),
+    ], ids=["bdf2-factors", "be-factors", "inverse-mobility"])
+    def test_step_raises_value_error_where_it_first_needs_what_overflows(
+            self, scheme, gamma, fails_at, match):
+        # the library raises plain ValueError; a run maps it to ConfigError
+        g = Grid(8, 8, TWO_PI, TWO_PI)
+        pot = DoubleWell()
+        p = ModelParams(alpha=0.0, gamma=gamma, S=6.0, tau=0.05, potential=pot)
+        state = make_initial_state(scheme, initial_field({"kind": "ex1"}, g), pot)
+        for _ in range(fails_at - 1):
+            state = step(state, p)
+        with pytest.raises(ValueError, match=match) as exc:
+            step(state, p)
+        assert type(exc.value) is ValueError
+
 
 class TestLibraryLoop:
     def setup_loop(self, rng, scheme=Scheme.ISAV_BE):
