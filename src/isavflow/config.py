@@ -231,6 +231,9 @@ def config_from_dict(doc: dict) -> RunConfig:
         "lx": _number(g.get("lx"), "grid.lx", positive=True),
         "ly": _number(g.get("ly"), "grid.ly", positive=True),
     }
+    # numpy allocates no array beyond sys.maxsize bytes; a run's largest takes <= 16*nx*ny
+    _expect(16 * grid["nx"] * grid["ny"] <= sys.maxsize, "grid",
+            f"nx={grid['nx']} by ny={grid['ny']} is too large to allocate")
     kx, ky = (math.pi * grid[n] / grid[l] for n, l in (("nx", "lx"), ("ny", "ly")))
     _expect(kx * kx + ky * ky <= sys.float_info.max / 2, "grid",
             "lx or ly too small for its nx or ny: the largest |k|^2 overflows")
@@ -258,21 +261,16 @@ def config_from_dict(doc: dict) -> RunConfig:
         sigma = _number(p.get("sigma"), "potential.sigma", positive=True)
         _expect(sigma <= 0.5, "potential.sigma", "must lie in (0, 1/2]")
         potential["sigma"] = sigma
-    if "c_add" in p:
-        potential["c_add"] = _number(p["c_add"], "potential.c_add")
-        _expect(potential["c_add"] >= 0, "potential.c_add", "must be nonnegative")
-    elif preset is not None:
-        potential["c_add"] = preset["c_add"](eps)
-    else:
-        potential["c_add"] = 0.0
+    c_add = p.get("c_add", preset["c_add"](eps) if preset is not None else 0.0)
+    potential["c_add"] = _number(c_add, "potential.c_add")
+    _expect(potential["c_add"] >= 0, "potential.c_add", "must be nonnegative")
 
     raw_S = doc.get("S", "paper-preset" if preset is not None else None)
     if raw_S == "paper-preset":
         _expect(preset is not None, "S", "'paper-preset' needs a preset to resolve against")
-        S = preset["S"](eps)
-    else:
-        S = _number(raw_S, "S")
-        _expect(S >= 0, "S", "must be nonnegative")
+        raw_S = preset["S"](eps)
+    S = _number(raw_S, "S")
+    _expect(S >= 0, "S", "must be nonnegative")
 
     tau = _number(doc.get("tau"), "tau", positive=True)
     t_end = _number(doc.get("t_end"), "t_end", positive=True)

@@ -15,11 +15,11 @@ import csv
 import math
 import os
 from collections import deque
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, initial_field, is_step_multiple
+from .config import ConfigError, RunConfig, config_from_dict, initial_field
 from .diagnostics import StepRecord, h1_error, record_step
 from .potentials import NonPositiveBulkEnergyError
 from .schemes import ModelParams, Scheme, _solve_factors, make_initial_state, step
@@ -288,6 +288,15 @@ def _order_rows(labels, errors):
     return rows
 
 
+def _derive(cfg: RunConfig, what: str, **changes) -> RunConfig:
+    """cfg with changes and default outputs (a sweep writes none of a run's
+    own), checked by the config rules; a ConfigError is raised naming what."""
+    try:
+        return config_from_dict({**vars(cfg), "outputs": {}, **changes})
+    except ConfigError as exc:
+        raise ConfigError(f"convergence: {what}: {exc}") from exc
+
+
 def _final_phi(cfg: RunConfig) -> Field:
     """phi(t_end) of a run without records or outputs."""
     return deque(levels(cfg, record=False), maxlen=1).pop()[0].level.phi
@@ -314,7 +323,8 @@ def _temporal_reference(base_cfg: RunConfig, ref_tau: float, finest_tau: float):
     latest once h <= ref_tau.
     """
     def run(tau):
-        return _final_phi(replace(base_cfg, scheme=Scheme.SAV_BDF.value, tau=tau))
+        return _final_phi(_derive(base_cfg, f"reference tau={tau}",
+                                  scheme=Scheme.SAV_BDF.value, tau=tau))
 
     h = finest_tau / 4
     coarse, mid, fine = (run(tau) for tau in (4 * h, 2 * h, h))
@@ -346,36 +356,24 @@ def convergence_study(base_cfg: RunConfig, taus=None, grids=None,
     ref_grid_n^2 grid, so the temporal discretization error cancels exactly
     and the table isolates spatial accuracy.
     Orders are log2(e_coarse / e_fine) between consecutive rows, None
-    where either error is 0. Every time step, ref_tau included, must be
-    positive and divide t_end, at least once, by the same rule as a
-    config's tau; every grid size must be even and at least 4.
+    where either error is 0. Every member, the spatial reference and a
+    base_cfg stepping ref_tau are checked by the config rules (see
+    _derive) before anything runs or is written.
     """
     if (taus is None) == (grids is None):
         raise ConfigError("convergence: give exactly one of taus or grids")
     if not (taus or grids):
         raise ConfigError("convergence: the sweep has no members")
     if taus is not None:
-        for tau in (ref_tau, *taus):
-            if not (math.isfinite(tau) and tau > 0):
-                raise ConfigError(f"convergence: time step {tau} is not positive and finite")
-        if not is_step_multiple(base_cfg.t_end, ref_tau):
-            raise ConfigError("convergence: t_end must be an integer multiple of ref_tau")
-        for tau in (ref_tau, *taus):
-            if not is_step_multiple(base_cfg.t_end, float(tau)):
-                raise ConfigError(f"convergence: t_end is not a multiple of tau={tau}")
-            if round(base_cfg.t_end / tau) < 1:
-                raise ConfigError(f"convergence: t_end spans no step of tau={tau}")
-        members = [replace(base_cfg, tau=float(tau)) for tau in taus]
+        _derive(base_cfg, f"ref_tau={ref_tau}", tau=ref_tau)
+        members = [_derive(base_cfg, f"tau={tau}", tau=tau) for tau in taus]
         labels = [cfg.n_steps() for cfg in members]
     else:
-        for n in (ref_grid_n, *grids):
-            if not (n >= 4 and n % 2 == 0):
-                raise ConfigError(f"convergence: grid size {n} is not even and at least 4")
         ref_cfg, *members = (
-            replace(base_cfg, grid={**base_cfg.grid, "nx": int(n), "ny": int(n)})
+            _derive(base_cfg, f"grid {n}", grid={**base_cfg.grid, "nx": n, "ny": n})
             for n in (ref_grid_n, *grids)
         )
-        labels = [int(n) for n in grids]
+        labels = list(grids)
     if out_path is not None:
         _claim_path(out_path)
     if taus is not None:
@@ -417,8 +415,7 @@ def compare_schemes(cfg_a: RunConfig, cfg_b: RunConfig, out_path=None):
     records_a, records_b = (
         [rec for _, rec in levels(cfg) if rec is not None] for cfg in (cfg_a, cfg_b)
     )
-    tag_a = cfg_a.scheme.replace("-", "_")
-    tag_b = cfg_b.scheme.replace("-", "_")
+    tag_a, tag_b = (Scheme(cfg.scheme).name.lower() for cfg in (cfg_a, cfg_b))
     data_cols = SERIES_COLUMNS[2:]
     header = ["step", "t"] + [f"{c}_{tag_a}" for c in data_cols] + [f"{c}_{tag_b}" for c in data_cols]
     rows = []

@@ -1,6 +1,7 @@
 """Config validation is total: whatever JSON-shaped document it is given,
 validating it and setting up the run, every solve factor included, either
-succeeds or raises ConfigError, drawn by hypothesis. No run is started."""
+succeeds or raises ConfigError, drawn by hypothesis; a validated config
+validates again to itself. No run is started."""
 
 import math
 from dataclasses import replace
@@ -114,12 +115,17 @@ def test_validation_raises_only_config_errors(doc):
     # config_from_dict, then the run's grid, ModelParams, symbols and every
     # solve factor its scheme takes, on a grid of at most 8^2 (never finer
     # than the config's own, so its wavenumbers are no larger); a config
-    # that validates has a finite cell area and at least one step
+    # that validates has a finite cell area and at least one step, and is
+    # the config of its own fields, as a sweep derives its runs' configs
     try:
         cfg = config_from_dict(doc)
-        g = cfg.grid
-        assert math.isfinite(g["lx"] / g["nx"] * (g["ly"] / g["ny"]))
-        assert cfg.n_steps() >= 1
+    except ConfigError:
+        return
+    assert config_from_dict(vars(cfg)) == cfg
+    g = cfg.grid
+    assert math.isfinite(g["lx"] / g["nx"] * (g["ly"] / g["ny"]))
+    assert cfg.n_steps() >= 1
+    try:
         _run_params(replace(cfg, grid={**g, "nx": min(g["nx"], 8), "ny": min(g["ny"], 8)}))
     except ConfigError:
         pass

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -951,6 +952,32 @@ class TestCli:
         assert "config error: " in capsys.readouterr().err
         assert not (tmp_path / "t.csv").exists()
 
+    @pytest.mark.parametrize("doc, args, why", [
+        # the 64^2 reference grid's largest |k|^2 overflows, the 4^2 base grid's does not
+        ({"preset": "ex1-isav-be", "grid": {"nx": 4, "ny": 4, "lx": 1e-152, "ly": 1e-152},
+          "tau": 0.05, "t_end": 0.1, "potential": {"c_add": 1.0},
+          "init": {"kind": "random", "seed": 0}},
+         ["--grids", "4,8", "--ref-nx", "64"],
+         "convergence: grid 64: grid: lx or ly too small for its nx or ny"),
+        ({"preset": "ex1-isav-be", "grid": {"nx": 8, "ny": 8}},
+         ["--grids", "4,9223372036854775808", "--ref-nx", "16"],
+         f"convergence: grid 9223372036854775808: grid.nx: must be even and in [4, "
+         f"{sys.maxsize}]"),
+        ({"preset": "ex1-isav-be", "grid": {"nx": 8, "ny": 8}, "t_end": 0.1},
+         ["--taus", "0.01,0.03"],
+         "convergence: tau=0.03: t_end: must be an integer multiple of tau"),
+    ], ids=["ref-grid-k-overflows", "grid-beyond-maxsize", "member-tau-not-dividing"])
+    def test_converge_members_checked_by_config_rules(self, tmp_path, capsys, doc, args, why):
+        # each member and the reference is a config validated as one, and
+        # the error names it
+        out = tmp_path / "out"
+        path = write_cfg(tmp_path, doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["converge", path, *args, "--outdir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {why}")
+        assert not out.exists()
+
     def test_compare_cli(self, tmp_path):
         base = {
             "preset": "ex1-sav-be", "tau": 0.05, "t_end": 0.25, "S": 6.0,
@@ -1011,9 +1038,12 @@ class TestCli:
         # (1e200/8)^2 overflows, so every energy would be inf or nan from t=0
         ({**EX1_8, "grid": {"nx": 8, "ny": 8, "lx": 1e200, "ly": 1e200}},
          "grid: lx or ly too large for its nx or ny: the cell area overflows"),
+        # the preset's S = 10/eps^2 overflows while 1/eps^2 does not, and is
+        # checked as a written S is
+        ({"preset": "ex3-isav-be", "potential": {"eps": 1e-154}}, "S: must be finite"),
     ], ids=["outputs-a-number", "init-a-number", "negative-seed", "401-digit-tau", "tau-1e-320",
             "tau-1e16", "preset-eps-1e-200", "double-well-eps-1e-200", "eps-1e200",
-            "401-digit-nx", "ly-5e-324", "cell-area-1e200-squared"])
+            "401-digit-nx", "ly-5e-324", "cell-area-1e200-squared", "ex3-eps-1e-154"])
     def test_malformed_config_exits_2(self, tmp_path, capsys, doc, why):
         path = write_cfg(tmp_path, doc)
         assert main(["run", path, "--outdir", str(tmp_path)]) == 2
@@ -1029,9 +1059,7 @@ class TestCli:
         ({**EX1_8, "model": {"gamma": 1e308}, "tau": 10.0, "t_end": 10.0}, TAU_S),
         # the preset's S = 10/eps^2 overflows, at eps = 1e-160 with 1/eps^2 itself
         ({"preset": "ex3-isav-be", "potential": {"eps": 1e-160}}, EPS_FINITE),
-        ({"preset": "ex3-isav-be", "potential": {"eps": 1e-154}}, TAU_S),
-    ], ids=["isav-be-S-1e308", "sav-be-S-1e308", "gamma-1e308", "ex3-eps-1e-160",
-            "ex3-eps-1e-154"])
+    ], ids=["isav-be-S-1e308", "sav-be-S-1e308", "gamma-1e308", "ex3-eps-1e-160"])
     def test_unsteppable_parameters_exit_2_before_any_output(self, tmp_path, capsys, doc, why,
                                                              command):
         # validation passes, but tau*S or tau*gamma is beyond the float range
@@ -1046,20 +1074,22 @@ class TestCli:
         assert [p for p in out.rglob("*") if p.is_file()] == []
 
     @pytest.mark.parametrize("command", ["run", "converge", "compare"])
-    @pytest.mark.parametrize("site", ["grid", "symbols", "factors"])
+    @pytest.mark.parametrize("site", ["grid", "symbols", "factors", "beyond-address-space"])
     def test_unallocatable_grid_exits_2_before_any_output(self, tmp_path, capsys, monkeypatch,
                                                           command, site):
         # validation accepts nx = 2**40, which fails only where the grid,
         # its symbols or its solve factors are allocated; the MemoryError is
         # simulated, so no such grid is ever built, and the other two sites
-        # raise it on a grid that is
+        # raise it on a grid that is. Validation rejects nx = 2**62 itself,
+        # whose arrays numpy could not even ask for; nothing is simulated
         def out_of_memory(*args, **kwargs):
             raise MemoryError
 
-        owner, attr = {"grid": (Grid, "__post_init__"), "symbols": (ModelParams, "symbols"),
-                       "factors": (harness, "_solve_factors")}[site]
-        monkeypatch.setattr(owner, attr, out_of_memory)
-        nx = 2**40 if site == "grid" else 8
+        if site != "beyond-address-space":
+            owner, attr = {"grid": (Grid, "__post_init__"), "symbols": (ModelParams, "symbols"),
+                           "factors": (harness, "_solve_factors")}[site]
+            monkeypatch.setattr(owner, attr, out_of_memory)
+        nx = {"grid": 2**40, "beyond-address-space": 2**62}.get(site, 8)
         doc = {"preset": "ex1-isav-be", "grid": {"nx": nx, "ny": 4}}
         path = write_cfg(tmp_path, doc)
         out = tmp_path / "out"
