@@ -2,10 +2,10 @@
 
 Subcommands: ``run`` integrates one configuration, ``converge`` sweeps the
 time step or the grid and writes an error table, ``compare`` runs two
-configurations differing only in scheme and merges their series, and
-``presets list`` prints the built-in experiment presets. Exit codes:
-0 success, 2 configuration error, 3 runtime scheme failure, 4 a snapshot
-that could not be written mid-run.
+configurations differing only in scheme and output paths and merges their
+series, and ``presets list`` prints the built-in experiment presets. Exit
+codes: 0 success, 2 configuration error, 3 runtime scheme failure, 4 a
+snapshot that could not be written mid-run.
 
 The ISAVFLOW_OUTDIR environment variable redirects all relative output
 paths.
@@ -64,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     conv.add_argument("--out", default="convergence.csv")
     conv.add_argument("--outdir", default=None)
 
-    comp = sub.add_parser("compare", help="run two configs differing only in scheme")
+    comp = sub.add_parser("compare", help="run two configs differing only in scheme and output paths")
     comp.add_argument("config_a")
     comp.add_argument("config_b")
     comp.add_argument("--out", default="compare.csv")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +42,7 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    """Validated run description; field order fixes the layout of to_dict."""
+    """Validated run description; field order fixes the layout of asdict(cfg)."""
 
     scheme: str
     grid: dict
@@ -69,9 +69,6 @@ class RunConfig:
         return FloryHugginsRegularized(
             eps=p["eps"], beta=p["beta"], sigma=p["sigma"], c_add=p["c_add"]
         )
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 # --- presets ---------------------------------------------------------------
@@ -273,6 +270,8 @@ def config_from_dict(doc: dict) -> RunConfig:
     _expect(S >= 0, "S", "must be nonnegative")
 
     tau = _number(doc.get("tau"), "tau", positive=True)
+    _expect(math.isfinite(tau * S) and math.isfinite(tau * gamma), "tau",
+            "tau*S and tau*gamma must be finite")
     t_end = _number(doc.get("t_end"), "t_end", positive=True)
     _expect(is_step_multiple(t_end, tau), "t_end",
             f"must be an integer multiple of tau (t_end/tau = {t_end / tau})")

@@ -5,8 +5,8 @@ Runs emit one CSV row per recorded step with a fixed column order and
 optional plain-text field snapshots that round-trip bit-exactly. A
 convergence study sweeps the time step or the grid against a reference
 solution and reports H1 errors with observed orders; a comparison study
-runs two configs that differ only in the scheme and merges their series
-for side-by-side plotting.
+runs two configs that differ only in the scheme and output paths and
+merges their series for side-by-side plotting.
 """
 
 from __future__ import annotations
@@ -213,22 +213,19 @@ def levels(cfg: RunConfig, record=True):
     grid, params = _run_params(cfg)
     every, n_total = cfg.outputs["record_every"], cfg.n_steps()
     check = record and cfg.assert_energy
-    try:
-        state = make_initial_state(cfg.scheme, initial_field(cfg.init, grid), params.potential)
-        rec = record_step(state, params) if record else None
-    except SCHEME_FAILURES as exc:
-        raise SchemeRuntimeError(0, exc, 0.0, cfg.scheme) from exc
-    yield state, rec
-    for n in range(1, n_total + 1):
+    state = rec = None
+    for n in range(n_total + 1):
         keep = record and (n % every == 0 or n == n_total)
         try:
-            new = step(state, params)
+            new = step(state, params) if state else make_initial_state(
+                cfg.scheme, initial_field(cfg.init, grid), params.potential)
             if keep or check:
                 old, rec = rec, record_step(new, params, state)
-                if check:
+                if check and old:
                     _check_energy_laws(new.scheme, old, rec)
         except SCHEME_FAILURES as exc:
-            raise SchemeRuntimeError(n, exc, n * cfg.tau, cfg.scheme, state.level.phi) from exc
+            raise SchemeRuntimeError(n, exc, n * cfg.tau, cfg.scheme,
+                                     state and state.level.phi) from exc
         state = new  # the last good level until the step's check passes
         yield state, rec if keep else None
 
@@ -252,29 +249,22 @@ def run_simulation(cfg: RunConfig, outdir=None) -> SimulationResult:
     if snap_at:
         _claim_path(snap_dir, is_dir=True)
     _claim_path(series_path)
-    snapshot_paths = []
-
-    def snapshot(state):
-        n = state.step_index
-        if n in snap_at:
-            path = os.path.join(snap_dir, f"phi_step{n:06d}.txt")
-            try:
-                write_snapshot(path, state.level.phi, n * cfg.tau)
-            except OSError as exc:
-                raise OutputWriteError(n, exc) from exc
-            snapshot_paths.append(path)
-
-    run = levels(cfg)
-    state, rec = next(run)
-    records = [rec]
+    records, snapshot_paths = [], []
     try:
-        snapshot(state)
-        for state, rec in run:
+        for state, rec in levels(cfg):
             if rec is not None:
                 records.append(rec)
-            snapshot(state)
+            n = state.step_index
+            if n in snap_at:
+                path = os.path.join(snap_dir, f"phi_step{n:06d}.txt")
+                try:
+                    write_snapshot(path, state.level.phi, n * cfg.tau)
+                except OSError as exc:
+                    raise OutputWriteError(n, exc) from exc
+                snapshot_paths.append(path)
     finally:
-        write_series_csv(series_path, map(vars, records))
+        if records:
+            write_series_csv(series_path, map(vars, records))
     return SimulationResult(records, series_path, snapshot_paths or None)
 
 
@@ -387,28 +377,21 @@ def convergence_study(base_cfg: RunConfig, taus=None, grids=None,
     return rows, reference
 
 
-def _comparable_dict(cfg: RunConfig) -> dict:
-    d = cfg.to_dict()
-    d.pop("scheme")
-    d.pop("outputs")
-    return d
-
-
 def compare_schemes(cfg_a: RunConfig, cfg_b: RunConfig, out_path=None):
-    """Run two configs that differ only in the scheme; merge their series.
+    """Run two configs that differ only in the scheme and output paths; merge their series.
 
     The merged table holds step, t, then every series column suffixed by
-    the scheme name, aligned row by row (both runs share tau and t_end by
+    the scheme name, aligned row by row (both runs keep the same levels by
     construction).
     """
     if cfg_a.scheme == cfg_b.scheme:
         raise ConfigError("compare: the two configs use the same scheme")
-    if cfg_a.tau != cfg_b.tau or cfg_a.t_end != cfg_b.t_end:
-        raise ConfigError("compare: tau and t_end must match between the configs")
-    if _comparable_dict(cfg_a) != _comparable_dict(cfg_b):
-        raise ConfigError("compare: configs must be identical apart from the scheme")
-    if cfg_a.outputs["record_every"] != cfg_b.outputs["record_every"]:
-        raise ConfigError("compare: outputs.record_every must match between the configs")
+    a, b = ({**vars(cfg), "scheme": None, "outputs": None,
+             "outputs.record_every": cfg.outputs["record_every"]} for cfg in (cfg_a, cfg_b))
+    differ = [key for key in a if a[key] != b[key]]
+    if differ:
+        raise ConfigError("compare: configs must be identical apart from the scheme and their "
+                          f"output paths; they differ in {', '.join(differ)}")
     if out_path is not None:
         _claim_path(out_path)
     # One run after the other: only run A's kept records outlive it while B runs.

@@ -36,11 +36,6 @@ def _as_array(phi, trusted=False):
     return a
 
 
-def _as_input(out):
-    """out shaped as the input was: an array, or a float for a scalar."""
-    return out if out.ndim else float(out)
-
-
 @dataclass(frozen=True)
 class Potential:
     """Base for bulk densities, as a run uses them: the node sum of F, f = F'
@@ -50,7 +45,8 @@ class Potential:
     written into out when it is given (else into a new array), and may
     overwrite work, a pair of arrays shaped like phi; with F_sum=True it
     returns (f(phi), the node sum of F) from what the two share. None of out
-    and work may be phi itself or overlap another. A subclass implements F
+    and work may be phi itself or overlap another; phi is an array, and f
+    and fprime return numpy values of its shape. A subclass implements F
     and f to this contract, and fprime and, where f' has kinks, breakpoints.
 
     Inputs are scanned for NaN (ValueError), except in calls that hand in
@@ -100,12 +96,11 @@ class DoubleWell(Potential):
         total = self._sum(s) if F_sum else None
         np.multiply(s, p, out=out)
         out /= self.eps**2
-        f = _as_input(out)
-        return (f, total) if F_sum else f
+        return (out, total) if F_sum else out
 
     def fprime(self, phi):
         p = _as_array(phi)
-        return _as_input((3.0 * p**2 - 1.0) / self.eps**2)
+        return (3.0 * p**2 - 1.0) / self.eps**2
 
 
 @dataclass(frozen=True)
@@ -195,14 +190,13 @@ class FloryHugginsRegularized(Potential):
         t *= self.beta
         out += t
         out /= self.eps**2
-        f = _as_input(out)
-        return (f, self._scaled(total, p)) if F_sum else f
+        return (out, self._scaled(total, p)) if F_sum else out
 
     def fprime(self, phi):
         p = _as_array(phi)
         s = self.sigma
         out = 1.0 / np.maximum(p, s) + 1.0 / np.maximum(1.0 - p, s) - 2.0 * self.beta
-        return _as_input(out / self.eps**2)
+        return out / self.eps**2
 
     def breakpoints(self):
         return (self.sigma, 1.0 - self.sigma)

@@ -6,6 +6,7 @@ computed once per session.
 """
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -85,11 +86,11 @@ class TestCriterion3SpatialAccuracy:
     def test_spectral_decay(self, scheme, alpha):
         cfg = ex1_config(scheme, alpha, tau=1e-5, t_end=1e-3)
         ref = final_field(
-            config_from_dict({**cfg.to_dict(), "grid": {**cfg.grid, "nx": 64, "ny": 64}})
+            config_from_dict({**asdict(cfg), "grid": {**cfg.grid, "nx": 64, "ny": 64}})
         )
         errors = []
         for n in (4, 8, 12, 16, 20):
-            member = config_from_dict({**cfg.to_dict(), "grid": {**cfg.grid, "nx": n, "ny": n}})
+            member = config_from_dict({**asdict(cfg), "grid": {**cfg.grid, "nx": n, "ny": n}})
             errors.append(h1_error(final_field(member), ref))
         for a, b in zip(errors, errors[1:]):
             assert b < a or (a < self.FLOOR and b < self.FLOOR)

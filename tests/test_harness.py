@@ -6,7 +6,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -61,8 +61,8 @@ class TestConfigValidation:
 
     def test_echo_dump_round_trips(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path, MINIMAL))
-        dumped = json.dumps(cfg.to_dict())
-        again = json.dumps(config_from_dict(json.loads(dumped)).to_dict())
+        dumped = json.dumps(asdict(cfg))
+        again = json.dumps(asdict(config_from_dict(json.loads(dumped))))
         assert dumped == again
 
     def test_alpha_out_of_range(self):
@@ -528,21 +528,31 @@ class TestCompare:
     def test_rejects_mismatched_tau(self):
         a, b = self.pair()
         b2 = config_from_dict({**json_roundtrip(b), "tau": 0.025})
-        with pytest.raises(ConfigError, match="tau and t_end"):
+        with pytest.raises(ConfigError, match="they differ in tau$"):
             compare_schemes(a, b2)
 
     def test_rejects_other_differences(self):
         a, b = self.pair()
         b2 = config_from_dict({**json_roundtrip(b), "S": 7.0})
-        with pytest.raises(ConfigError, match="identical"):
+        with pytest.raises(ConfigError, match="identical apart from the scheme and their "
+                                              "output paths; they differ in S$"):
             compare_schemes(a, b2)
+
+    def test_output_paths_may_differ(self):
+        # the scheme, the series path and the snapshot times are a run's
+        # own; the table is the same as for two configs without them
+        a, b = self.pair()
+        doc_b = json_roundtrip(b)
+        b2 = config_from_dict({**doc_b, "outputs": {
+            **doc_b["outputs"], "series_path": "b.csv", "field_snapshot_times": [0.1]}})
+        assert compare_schemes(a, b2) == compare_schemes(a, b)
 
     def test_rejects_mismatched_record_every(self, tmp_path, capsys):
         # rows are paired by position, so both runs must keep the same levels
         a, b = self.pair()
         doc_b = json_roundtrip(b)
         b5 = config_from_dict({**doc_b, "outputs": {**doc_b["outputs"], "record_every": 5}})
-        with pytest.raises(ConfigError, match="record_every"):
+        with pytest.raises(ConfigError, match="they differ in outputs.record_every$"):
             compare_schemes(a, b5)
         pa = write_cfg(tmp_path, json_roundtrip(a), "a.json")
         pb = write_cfg(tmp_path, json_roundtrip(b5), "b.json")
@@ -551,7 +561,7 @@ class TestCompare:
 
 
 def json_roundtrip(cfg):
-    return json.loads(json.dumps(cfg.to_dict()))
+    return json.loads(json.dumps(asdict(cfg)))
 
 
 @pytest.fixture
@@ -791,6 +801,19 @@ class TestCli:
         assert err.rstrip().endswith(f"; t={step_index * 0.01}, scheme isav-be, "
                                      f"last good level in [{last[-2]}, {last[-1]}]")
 
+    def test_level_0_failure_exit_code(self, tmp_path, capsys):
+        # the bulk integral of the squares start is 0 without c_add: a scheme
+        # failure at step 0, with no last good level and no series written
+        series = tmp_path / "s.csv"
+        path = write_cfg(tmp_path, {"preset": "ex2-isav-be", "grid": {"nx": 16, "ny": 16},
+                                    "potential": {"c_add": 0.0}, "t_end": 0.05,
+                                    "outputs": {"series_path": str(series)}})
+        assert main(["run", path]) == 3
+        assert capsys.readouterr().err == (
+            "runtime error: scheme failed at step 0: integrated bulk energy is 0.0; add a "
+            "constant to the potential; t=0.0, scheme isav-be\n")
+        assert not series.exists()
+
     def test_non_finite_field_exit_code(self, tmp_path, capsys):
         # a +-1e80 start overflows the bulk energy and the first step's
         # field turns non-finite: a scheme failure at step 1 with the
@@ -966,7 +989,14 @@ class TestCli:
         ({"preset": "ex1-isav-be", "grid": {"nx": 8, "ny": 8}, "t_end": 0.1},
          ["--taus", "0.01,0.03"],
          "convergence: tau=0.03: t_end: must be an integer multiple of tau"),
-    ], ids=["ref-grid-k-overflows", "grid-beyond-maxsize", "member-tau-not-dividing"])
+        # tau*S overflows at the second member only: reported before the
+        # reference and the first member run
+        ({"preset": "ex1-isav-be", "grid": {"nx": 8, "ny": 8}, "S": 1e308, "tau": 1.0,
+          "t_end": 10.0},
+         ["--taus", "1,10", "--ref-tau", "1"],
+         "convergence: tau=10.0: tau: tau*S and tau*gamma must be finite"),
+    ], ids=["ref-grid-k-overflows", "grid-beyond-maxsize", "member-tau-not-dividing",
+            "member-tau-S-overflows"])
     def test_converge_members_checked_by_config_rules(self, tmp_path, capsys, doc, args, why):
         # each member and the reference is a config validated as one, and
         # the error names it
@@ -1050,7 +1080,7 @@ class TestCli:
         assert f"config error: {why}" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "series.csv")
 
-    TAU_S = "tau*S and tau*gamma must be finite"
+    TAU_S = "tau: tau*S and tau*gamma must be finite"
 
     @pytest.mark.parametrize("command", ["run", "converge", "compare"])
     @pytest.mark.parametrize("doc, why", [
@@ -1062,7 +1092,7 @@ class TestCli:
     ], ids=["isav-be-S-1e308", "sav-be-S-1e308", "gamma-1e308", "ex3-eps-1e-160"])
     def test_unsteppable_parameters_exit_2_before_any_output(self, tmp_path, capsys, doc, why,
                                                              command):
-        # validation passes, but tau*S or tau*gamma is beyond the float range
+        # tau*S or tau*gamma beyond the float range breaks a config rule
         path = write_cfg(tmp_path, doc)
         out = tmp_path / "out"
         tau = str(doc.get("tau", 0.01))
