@@ -3,9 +3,9 @@
 A run is described by a single JSON document. A ``preset`` key expands to
 the parameter set of one of the four canonical experiments before the
 user's own keys are applied on top, so a minimal config can be as short as
-``{"preset": "ex1-isav-be"}``. Validation errors carry the dotted path of
-the offending field and abort with a dedicated exception that the CLI maps
-to exit code 2.
+``{"preset": "ex1-isav-be"}``. One table, KEYS, gives every key's default
+and rules; validation errors carry the dotted path of the offending field
+and abort with a dedicated exception that the CLI maps to exit code 2.
 """
 
 from __future__ import annotations
@@ -59,16 +59,12 @@ class RunConfig:
         return int(round(self.t_end / self.tau))
 
     def make_grid(self) -> Grid:
-        g = self.grid
-        return Grid(g["nx"], g["ny"], g["lx"], g["ly"])
+        return Grid(**self.grid)
 
     def make_potential(self) -> Potential:
-        p = self.potential
-        if p["kind"] == "double-well":
-            return DoubleWell(eps=p["eps"], c_add=p["c_add"])
-        return FloryHugginsRegularized(
-            eps=p["eps"], beta=p["beta"], sigma=p["sigma"], c_add=p["c_add"]
-        )
+        p = dict(self.potential)
+        kind = DoubleWell if p.pop("kind") == "double-well" else FloryHugginsRegularized
+        return kind(**p)
 
 
 # --- presets ---------------------------------------------------------------
@@ -125,202 +121,198 @@ PRESETS["ex4"] = {
     "base": {**PRESETS["ex3"]["base"], "init": {"kind": "random", "seed": 0}},
 }
 
-DEFAULT_OUTPUTS = {
-    "series_path": "series.csv",
-    "snapshot_dir": "snapshots",
-    "field_snapshot_times": [],
-    "record_every": 1,
-}
-
-# The keys each object of a document may hold ("" is the top level), fixed
-# per section rather than per kind, so a preset's base merges with any override.
-KNOWN_KEYS = {
-    "": ("scheme", "grid", "model", "potential", "S", "tau", "t_end", "init", "outputs",
-         "assert_energy"),
-    "grid": ("nx", "ny", "lx", "ly"),
-    "model": ("alpha", "gamma"),
-    "potential": ("kind", "eps", "beta", "sigma", "c_add"),
-    "init": ("kind", "seed", "path"),
-    "outputs": tuple(DEFAULT_OUTPUTS),
-}
-
 
 def preset_summary() -> str:
     lines = [f"{name:4s}  {p['doc']}" for name, p in PRESETS.items()]
     return "\n".join(lines + ["", "A preset may carry a scheme suffix, e.g. ex1-isav-be."])
 
 
-def _deep_merge(base: dict, override: dict) -> dict:
-    out = dict(base)
-    for k, v in override.items():
-        if isinstance(v, dict) and isinstance(out.get(k), dict):
-            out[k] = _deep_merge(out[k], v)
-        else:
-            out[k] = v
-    return out
+def _expand(doc: dict) -> dict:
+    """doc with its preset, if it names one, expanded: the preset's base and
+    scheme suffix under doc's own keys, object by object, and the preset's
+    formulas in eps for an S that is missing or "paper-preset" and for a
+    missing c_add."""
+    doc = dict(doc)
+    raw_name = doc.pop("preset", None)
+    if raw_name is None:
+        return doc
+    name = str(raw_name)
+    scheme = next((s for s in SCHEME_NAMES if name.endswith("-" + s)), None)
+    preset = PRESETS.get(name[: -len(scheme) - 1] if scheme else name)
+    if preset is None:
+        raise ConfigError(f"preset: unknown preset {raw_name!r}")
+    base = {"scheme": scheme, **preset["base"], "S": preset["S"],
+            "potential": {"c_add": preset["c_add"], **preset["base"]["potential"]}}
+    doc = {**base, **{k: {**base[k], **v} if isinstance(v, dict) and isinstance(base.get(k), dict)
+                      else v for k, v in doc.items()}}
+    if doc["S"] == "paper-preset":
+        doc["S"] = preset["S"]
+    return doc
 
 
-def _split_preset(name: str):
-    for sch in SCHEME_NAMES:
-        suffix = "-" + sch
-        if name.endswith(suffix):
-            return name[: -len(suffix)], sch
-    return name, None
+def _check(path, value, rules, config):
+    """value put through rules in order. A rule (test, message), or (test,
+    message, the values at which test flips), fails the document with
+    "path: message" unless test(value, config) holds, config holding the keys
+    checked before; message may be a function of the same two. Any other
+    function of (value, config) converts the value."""
+    for rule in rules:
+        if callable(rule):
+            value = rule(value, config)
+        elif not rule[0](value, config):
+            raise ConfigError(f"{path}: {rule[1](value, config) if callable(rule[1]) else rule[1]}")
+    return value
 
 
-def is_step_multiple(t_end: float, tau: float) -> bool:
-    """Whether t_end is an integer multiple of tau, to 4 ulp of a finite step count."""
-    steps = t_end / tau
-    return math.isfinite(steps) and (
-        abs(steps - round(steps)) <= 4 * np.finfo(float).eps * max(1.0, steps))
+def _is(*types):
+    """A test that the value is of one of types, a bool being no number."""
+    return lambda v, c: isinstance(v, types) and (bool in types or not isinstance(v, bool))
 
 
-def _expect(cond, path, msg):
-    if not cond:
-        raise ConfigError(f"{path}: {msg}")
+def _on_step(name):
+    """The rule that a time is an integer multiple of tau, to 4 ulp of a finite step count."""
+    def test(t, c):
+        steps = t / c["tau"]
+        return math.isfinite(steps) and (
+            abs(steps - round(steps)) <= 4 * np.finfo(float).eps * max(1.0, steps))
+    return test, lambda t, c: f"must be an integer multiple of tau ({name}/tau = {t / c['tau']})"
 
 
-def _number(raw, path, positive=False):
-    _expect(isinstance(raw, (int, float)) and not isinstance(raw, bool), path, "must be a number")
-    _expect(abs(raw) <= sys.float_info.max, path, "must be finite")  # exact for any int
-    v = float(raw)
-    if positive:
-        _expect(v > 0, path, "must be positive")
-    return v
+MAX = sys.float_info.max
+# A number is finite (exactly, for any int) and a float from then on.
+NUMBER = ((_is(int, float), "must be a number"),
+          (lambda v, c: abs(v) <= MAX, "must be finite"),
+          lambda v, c: float(v))
+POSITIVE = (*NUMBER, (lambda v, c: v > 0, "must be positive", (0.0,)))
+NONNEGATIVE = (*NUMBER, (lambda v, c: v >= 0, "must be nonnegative", (0.0,)))
+GRID_N = ((_is(int), "must be an integer"),
+          (lambda v, c: 4 <= v <= sys.maxsize and v % 2 == 0,
+           f"must be even and in [4, {sys.maxsize}]", (4, sys.maxsize)))
+
+
+def _max_k2(g):
+    kx, ky = math.pi * g["nx"] / g["lx"], math.pi * g["ny"] / g["ly"]
+    return kx * kx + ky * ky
+
+
+# Rules that span keys run right after the last key they read; these check
+# the whole grid, once ly is checked.
+GRID_FITS = (
+    # numpy allocates no array beyond sys.maxsize bytes; a run's largest takes <= 16*nx*ny
+    (lambda g, c: 16 * g["nx"] * g["ny"] <= sys.maxsize,
+     lambda g, c: f"nx={g['nx']} by ny={g['ny']} is too large to allocate"),
+    (lambda g, c: _max_k2(g) <= MAX / 2,
+     "lx or ly too small for its nx or ny: the largest |k|^2 overflows"),
+    (lambda g, c: math.isfinite(g["lx"] / g["nx"] * (g["ly"] / g["ny"])),
+     "lx or ly too large for its nx or ny: the cell area overflows"),
+)
+SNAPSHOT_TIME = (
+    *NUMBER,
+    (lambda t, c: 0.0 <= t <= c["t_end"],
+     lambda t, c: f"must lie in [0, t_end] = [0, {c['t_end']!r}]"),
+    _on_step("t"),
+)
+
+
+def _snapshot_times(times, c):
+    """Each time checked by SNAPSHOT_TIME at its own index; no two name one step."""
+    steps = {}
+    for i, t in enumerate(times):
+        path = f"outputs.field_snapshot_times[{i}]"
+        n = round(_check(path, t, SNAPSHOT_TIME, c) / c["tau"])
+        if steps.setdefault(n, i) != i:
+            raise ConfigError(f"{path}: names step {n}, as entry {steps[n]} does")
+    return [float(t) for t in times]
+
+
+def _formula(v, c):
+    """A preset's formula for S or c_add, at the checked eps."""
+    return v(c["potential"]["eps"]) if callable(v) else v
+
+
+def _key(*rules, default=None, kinds=None):
+    return default, kinds, rules
+
+
+# Every key a document may hold, by dotted path, in the order its rules run:
+# (the value of a missing key, the kinds of its object that read it, None
+# for all, and its rules). An object's own entry comes before its keys. A
+# preset's formulas for S and c_add reach the rules as values (see _expand).
+KEYS = {
+    "scheme": _key((lambda v, c: v in SCHEME_NAMES, f"must be one of {SCHEME_NAMES}")),
+    "grid": _key((_is(dict), "must be an object with nx, ny, lx, ly")),
+    "grid.nx": _key(*GRID_N),
+    "grid.ny": _key(*GRID_N),
+    "grid.lx": _key(*POSITIVE),
+    "grid.ly": _key(*POSITIVE,  # and then the grid as a whole
+                    lambda ly, c: _check("grid", {**c["grid"], "ly": ly}, GRID_FITS, c)["ly"]),
+    "model": _key((_is(dict), "must be an object with alpha, gamma")),
+    "model.alpha": _key(*NUMBER, (lambda v, c: v == 0.0 or 0.0 < v <= 1.0,
+                                  "must be 0 or in (0, 1]", (0.0, 1.0))),
+    "model.gamma": _key(*POSITIVE),
+    "potential": _key((_is(dict), "must be an object")),
+    "potential.kind": _key((lambda v, c: v in ("double-well", "flory-huggins"),
+                            "must be 'double-well' or 'flory-huggins'")),
+    "potential.eps": _key(*POSITIVE, (
+        lambda v, c: 0.0 < v * v < math.inf and 1.0 / (v * v) < math.inf,
+        "must keep eps^2 and 1/eps^2 finite", (MAX ** 0.5, MAX ** -0.5))),
+    "potential.beta": _key(*NUMBER, kinds=("flory-huggins",)),
+    "potential.sigma": _key(*POSITIVE, (lambda v, c: v <= 0.5, "must lie in (0, 1/2]", (0.5,)),
+                            kinds=("flory-huggins",)),
+    "potential.c_add": _key(_formula, *NONNEGATIVE, default=0.0),
+    "S": _key((lambda v, c: v != "paper-preset",
+               "'paper-preset' needs a preset to resolve against"), _formula, *NONNEGATIVE),
+    "tau": _key(*POSITIVE, (
+        lambda v, c: math.isfinite(v * c["S"]) and math.isfinite(v * c["model"]["gamma"]),
+        "tau*S and tau*gamma must be finite")),
+    "t_end": _key(*POSITIVE, _on_step("t_end"), (
+        lambda v, c: round(v / c["tau"]) >= 1,
+        lambda v, c: f"must span at least one step of tau (t_end/tau = {v / c['tau']})")),
+    "init": _key((_is(dict), "must be an object with a kind")),
+    "init.kind": _key((lambda v, c: v in ("ex1", "squares", "disks", "random", "file"),
+                       "must be one of ex1, squares, disks, random, file")),
+    "init.seed": _key((lambda v, c: _is(int)(v, c) and v >= 0,
+                       "must be a nonnegative integer", (0,)), default=0, kinds=("random",)),
+    "init.path": _key((_is(str), "must be a string path"), kinds=("file",)),
+    "outputs": _key((_is(dict), "must be an object"), default={}),
+    "outputs.series_path": _key((_is(str), "must be a string"), default="series.csv"),
+    "outputs.snapshot_dir": _key((_is(str), "must be a string"), default="snapshots"),
+    "outputs.field_snapshot_times": _key((_is(list), "must be a list of times"),
+                                         _snapshot_times, default=[]),
+    "outputs.record_every": _key((lambda v, c: _is(int)(v, c) and v >= 1,
+                                  "must be a positive integer", (1,)), default=1),
+    "assert_energy": _key((_is(bool), "must be a boolean"), default=False),
+}
+
+# The keys each object of a document may hold ("" is the top level), fixed
+# per object rather than per kind, so a preset's base merges with any override.
+KNOWN_KEYS = {}
+for _path in KEYS:
+    KNOWN_KEYS.setdefault(_path.rpartition(".")[0], []).append(_path.rpartition(".")[2])
+DEFAULT_OUTPUTS = {k: KEYS[f"outputs.{k}"][0] for k in KNOWN_KEYS["outputs"]}
 
 
 def config_from_dict(doc: dict) -> RunConfig:
-    """Validate a raw config document, expanding any preset first."""
+    """Validate a raw config document, expanding any preset first: no object
+    may hold a key it does not know, then each key of KEYS is checked in turn."""
     if not isinstance(doc, dict):
-        raise ConfigError(": top level must be a JSON object")
-    doc = dict(doc)
-    preset = None
-    raw_name = doc.pop("preset", None)
-    if raw_name is not None:
-        base_name, scheme_from_preset = _split_preset(str(raw_name))
-        if base_name not in PRESETS:
-            raise ConfigError(f"preset: unknown preset {raw_name!r}")
-        preset = PRESETS[base_name]
-        merged = _deep_merge(preset["base"], doc)
-        if scheme_from_preset is not None and "scheme" not in doc:
-            merged["scheme"] = scheme_from_preset
-        doc = merged
-
+        raise ConfigError("the top level must be a JSON object")
+    doc = _expand(doc)
     for section, keys in KNOWN_KEYS.items():
         obj = doc.get(section) if section else doc
         unknown = sorted(str(k) for k in obj if k not in keys) if isinstance(obj, dict) else ()
         if unknown:
             raise ConfigError(f"{section + '.' if section else ''}{unknown[0]}: unknown field")
-
-    scheme = doc.get("scheme")
-    _expect(scheme in SCHEME_NAMES, "scheme", f"must be one of {SCHEME_NAMES}")
-
-    g = doc.get("grid")
-    _expect(isinstance(g, dict), "grid", "must be an object with nx, ny, lx, ly")
-    for key in ("nx", "ny"):
-        n = g.get(key)
-        _expect(isinstance(n, int) and not isinstance(n, bool), f"grid.{key}", "must be an integer")
-        _expect(4 <= n <= sys.maxsize and n % 2 == 0, f"grid.{key}",
-                f"must be even and in [4, {sys.maxsize}]")
-    grid = {
-        "nx": g["nx"],
-        "ny": g["ny"],
-        "lx": _number(g.get("lx"), "grid.lx", positive=True),
-        "ly": _number(g.get("ly"), "grid.ly", positive=True),
-    }
-    # numpy allocates no array beyond sys.maxsize bytes; a run's largest takes <= 16*nx*ny
-    _expect(16 * grid["nx"] * grid["ny"] <= sys.maxsize, "grid",
-            f"nx={grid['nx']} by ny={grid['ny']} is too large to allocate")
-    kx, ky = (math.pi * grid[n] / grid[l] for n, l in (("nx", "lx"), ("ny", "ly")))
-    _expect(kx * kx + ky * ky <= sys.float_info.max / 2, "grid",
-            "lx or ly too small for its nx or ny: the largest |k|^2 overflows")
-    _expect(math.isfinite(grid["lx"] / grid["nx"] * (grid["ly"] / grid["ny"])), "grid",
-            "lx or ly too large for its nx or ny: the cell area overflows")
-
-    m = doc.get("model")
-    _expect(isinstance(m, dict), "model", "must be an object with alpha, gamma")
-    alpha = _number(m.get("alpha"), "model.alpha")
-    _expect(alpha == 0.0 or 0.0 < alpha <= 1.0, "model.alpha", "must be 0 or in (0, 1]")
-    gamma = _number(m.get("gamma"), "model.gamma", positive=True)
-    model = {"alpha": alpha, "gamma": gamma}
-
-    p = doc.get("potential")
-    _expect(isinstance(p, dict), "potential", "must be an object")
-    kind = p.get("kind")
-    _expect(kind in ("double-well", "flory-huggins"), "potential.kind",
-            "must be 'double-well' or 'flory-huggins'")
-    eps = _number(p.get("eps"), "potential.eps", positive=True)
-    _expect(0.0 < eps * eps < math.inf and 1.0 / (eps * eps) < math.inf, "potential.eps",
-            "must keep eps^2 and 1/eps^2 finite")
-    potential = {"kind": kind, "eps": eps}
-    if kind == "flory-huggins":
-        potential["beta"] = _number(p.get("beta"), "potential.beta")
-        sigma = _number(p.get("sigma"), "potential.sigma", positive=True)
-        _expect(sigma <= 0.5, "potential.sigma", "must lie in (0, 1/2]")
-        potential["sigma"] = sigma
-    c_add = p.get("c_add", preset["c_add"](eps) if preset is not None else 0.0)
-    potential["c_add"] = _number(c_add, "potential.c_add")
-    _expect(potential["c_add"] >= 0, "potential.c_add", "must be nonnegative")
-
-    raw_S = doc.get("S", "paper-preset" if preset is not None else None)
-    if raw_S == "paper-preset":
-        _expect(preset is not None, "S", "'paper-preset' needs a preset to resolve against")
-        raw_S = preset["S"](eps)
-    S = _number(raw_S, "S")
-    _expect(S >= 0, "S", "must be nonnegative")
-
-    tau = _number(doc.get("tau"), "tau", positive=True)
-    _expect(math.isfinite(tau * S) and math.isfinite(tau * gamma), "tau",
-            "tau*S and tau*gamma must be finite")
-    t_end = _number(doc.get("t_end"), "t_end", positive=True)
-    _expect(is_step_multiple(t_end, tau), "t_end",
-            f"must be an integer multiple of tau (t_end/tau = {t_end / tau})")
-    _expect(round(t_end / tau) >= 1, "t_end",
-            f"must span at least one step of tau (t_end/tau = {t_end / tau})")
-
-    init = doc.get("init")
-    _expect(isinstance(init, dict), "init", "must be an object with a kind")
-    kind_i = init.get("kind")
-    _expect(kind_i in ("ex1", "squares", "disks", "random", "file"), "init.kind",
-            "must be one of ex1, squares, disks, random, file")
-    if kind_i == "random":
-        seed = init.get("seed", 0)
-        _expect(isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0,
-                "init.seed", "must be a nonnegative integer")
-        init = {"kind": "random", "seed": seed}
-    elif kind_i == "file":
-        _expect(isinstance(init.get("path"), str), "init.path", "must be a string path")
-        init = {"kind": "file", "path": init["path"]}
-    else:
-        init = {"kind": kind_i}
-
-    _expect(isinstance(doc.get("outputs", {}), dict), "outputs", "must be an object")
-    outputs = _deep_merge(DEFAULT_OUTPUTS, doc.get("outputs", {}))
-    _expect(isinstance(outputs["series_path"], str), "outputs.series_path", "must be a string")
-    _expect(isinstance(outputs["snapshot_dir"], str), "outputs.snapshot_dir", "must be a string")
-    times = outputs["field_snapshot_times"]
-    _expect(isinstance(times, list), "outputs.field_snapshot_times", "must be a list of times")
-    outputs["field_snapshot_times"] = []
-    steps = {}
-    for i, raw_t in enumerate(times):
-        path = f"outputs.field_snapshot_times[{i}]"
-        t = _number(raw_t, path)
-        _expect(0.0 <= t <= t_end, path, f"must lie in [0, t_end] = [0, {t_end!r}]")
-        _expect(is_step_multiple(t, tau), path,
-                f"must be an integer multiple of tau (t/tau = {t / tau})")
-        n = round(t / tau)
-        _expect(n not in steps, path, f"names step {n}, as entry {steps.get(n)} does")
-        steps[n] = i
-        outputs["field_snapshot_times"].append(t)
-    re = outputs["record_every"]
-    _expect(isinstance(re, int) and not isinstance(re, bool) and re >= 1,
-            "outputs.record_every", "must be a positive integer")
-
-    assert_energy = doc.get("assert_energy", False)
-    _expect(isinstance(assert_energy, bool), "assert_energy", "must be a boolean")
-
-    return RunConfig(scheme=scheme, grid=grid, model=model, potential=potential, S=S, tau=tau,
-                     t_end=t_end, init=init, outputs=outputs, assert_energy=assert_energy)
+    config, raw = {}, {"": doc}
+    for path, (default, kinds, rules) in KEYS.items():
+        section, _, key = path.rpartition(".")
+        obj = config[section] if section else config
+        if kinds is None or obj["kind"] in kinds:
+            value = _check(path, raw[section].get(key, default), rules, config)
+            if isinstance(value, dict):  # an object: its own keys fill a new one
+                raw[path], value = value, {}
+            obj[key] = value
+    return RunConfig(**config)
 
 
 def load_config(path) -> RunConfig:

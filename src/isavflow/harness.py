@@ -269,13 +269,9 @@ def run_simulation(cfg: RunConfig, outdir=None) -> SimulationResult:
 
 
 def _order_rows(labels, errors):
-    rows = []
-    prev = None
-    for label, err in zip(labels, errors):
-        order = math.log2(prev / err) if prev and err else None
-        rows.append({"resolution": label, "h1_error": err, "order": order})
-        prev = err
-    return rows
+    return [{"resolution": label, "h1_error": err,
+             "order": math.log2(prev / err) if prev and err else None}
+            for label, err, prev in zip(labels, errors, [None, *errors])]
 
 
 def _derive(cfg: RunConfig, what: str, **changes) -> RunConfig:
@@ -382,7 +378,8 @@ def compare_schemes(cfg_a: RunConfig, cfg_b: RunConfig, out_path=None):
 
     The merged table holds step, t, then every series column suffixed by
     the scheme name, aligned row by row (both runs keep the same levels by
-    construction).
+    construction). B is set up before the table's directory is made or A
+    takes a step, and a ConfigError from B's set-up leads with B's scheme.
     """
     if cfg_a.scheme == cfg_b.scheme:
         raise ConfigError("compare: the two configs use the same scheme")
@@ -392,6 +389,13 @@ def compare_schemes(cfg_a: RunConfig, cfg_b: RunConfig, out_path=None):
     if differ:
         raise ConfigError("compare: configs must be identical apart from the scheme and their "
                           f"output paths; they differ in {', '.join(differ)}")
+    # B's set-up is settled before anything is made, by a trial that is
+    # dropped; should it fail, A's own set-up error comes first.
+    try:
+        _run_params(cfg_b)
+    except ConfigError as exc:
+        _run_params(cfg_a)
+        raise ConfigError(f"{cfg_b.scheme}: {exc}") from exc
     if out_path is not None:
         _claim_path(out_path)
     # One run after the other: only run A's kept records outlive it while B runs.

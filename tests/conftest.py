@@ -1,8 +1,13 @@
 """Shared fixtures and helpers for the test suite."""
 
+import os
 from collections import deque
 
-import numpy as np
+# One BLAS thread, set before numpy loads: a thread pool can stall a small
+# product for a second on a machine with few cores.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
 import pytest
 
 from isavflow import Field, Grid, record_step, step

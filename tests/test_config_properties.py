@@ -1,6 +1,7 @@
 """Config validation is total: whatever JSON-shaped document it is given,
 validating it and setting up the run, every solve factor included, either
-succeeds or raises ConfigError, drawn by hypothesis; a validated config
+succeeds or raises ConfigError, drawn by hypothesis, with values at and next
+to the bounds that the config table gives its rules; a validated config
 validates again to itself. No run is started."""
 
 import math
@@ -13,7 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isavflow import ConfigError
-from isavflow.config import DEFAULT_OUTPUTS, KNOWN_KEYS, PRESETS, SCHEME_NAMES, config_from_dict
+from isavflow.config import (DEFAULT_OUTPUTS, KEYS, KNOWN_KEYS, PRESETS, SCHEME_NAMES,
+                             config_from_dict)
 from isavflow.harness import _run_params
 
 # Numbers at and beyond the edges of what a run can take: non-finite,
@@ -35,6 +37,24 @@ json_values = st.recursive(
     max_leaves=6,
 )
 any_known_key = sorted({k for keys in KNOWN_KEYS.values() for k in keys})
+
+
+def around(bound):
+    """bound and its neighbours on both sides: the next floats, or the next
+    integers for an integer bound."""
+    if isinstance(bound, int):
+        return [bound - 1, bound, bound + 1]
+    return [math.nextafter(bound, -math.inf), bound, math.nextafter(bound, math.inf)]
+
+
+# Each key's values at and next to the bounds of its rules in the config
+# table, by the key's path in a document; a rule that carries its bounds is
+# (test, message, bounds).
+AT_BOUNDS = {
+    tuple(path.split(".")): [v for rule in rules if isinstance(rule, tuple) and len(rule) == 3
+                             for b in rule[2] for v in around(b)]
+    for path, (_, _, rules) in KEYS.items()
+}
 
 
 def full_documents():
@@ -67,22 +87,28 @@ def is_number(value):
 @st.composite
 def documents(draw):
     """A preset document with one or two of its entries, at any depth,
-    set to an edge number, scaled by an extreme, set to any JSON value or
-    dropped, plus maybe a stray key, known to some section, at the top."""
+    set to an edge number, scaled by an extreme, set at or next to a bound
+    of its rules, set to any JSON value or dropped, plus maybe a stray key,
+    known to some section, at the top."""
     doc = draw(st.sampled_from(list(full_documents())))
     doc = {k: dict(v) if isinstance(v, dict) else v for k, v in doc.items()}
     for _ in range(draw(st.integers(1, 2))):
         paths = list(leaf_paths(doc))
         if not paths:
             break
-        how = draw(st.sampled_from(["edge", "edge", "edge", "scale", "scale", "json", "drop"]))
+        how = draw(st.sampled_from(["edge", "edge", "edge", "scale", "scale", "bound", "bound",
+                                    "json", "drop"]))
         numeric = [p for p in paths if p == ("S",) or is_number(lookup(doc, p))]
-        path = draw(st.sampled_from(numeric if how in ("edge", "scale") and numeric else paths))
+        bounded = [p for p in paths if AT_BOUNDS.get(p)]
+        pool = {"edge": numeric, "scale": numeric, "bound": bounded}.get(how)
+        path = draw(st.sampled_from(pool or paths))
         parent = lookup(doc, path[:-1])
         if how == "drop":
             del parent[path[-1]]
         elif how == "json":
             parent[path[-1]] = draw(json_values)
+        elif how == "bound" and path in bounded:
+            parent[path[-1]] = draw(st.sampled_from(AT_BOUNDS[path]))
         elif how == "scale" and is_number(parent[path[-1]]) and abs(parent[path[-1]]) <= 1e308:
             parent[path[-1]] *= draw(st.sampled_from(EXTREMES))
         else:

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 import warnings
 from dataclasses import asdict, replace
@@ -16,7 +17,7 @@ from isavflow import (ConfigError, Field, Grid, ModelParams, NonPositiveBulkEner
                       SchemeRuntimeError, make_initial_state, record_step, step)
 from isavflow import harness
 from isavflow.cli import main
-from isavflow.config import PRESETS, config_from_dict, initial_field, load_config
+from isavflow.config import KNOWN_KEYS, PRESETS, config_from_dict, initial_field, load_config
 from isavflow.diagnostics import h1_error
 from isavflow.harness import (
     SERIES_COLUMNS,
@@ -92,6 +93,38 @@ class TestConfigValidation:
             with pytest.raises(ConfigError, match=rf"^{path}: unknown field$"):
                 config_from_dict(doc)
 
+    @pytest.mark.parametrize("path, value, why", [
+        ("potential.sigma", 0.5, None),
+        ("potential.sigma", math.nextafter(0.5, 1.0), "potential.sigma: must lie in (0, 1/2]"),
+        ("model.alpha", 0.0, None),
+        ("model.alpha", 5e-324, None),
+        ("model.alpha", 1.0, None),
+        ("model.alpha", math.nextafter(1.0, 2.0), "model.alpha: must be 0 or in (0, 1]"),
+        ("model.alpha", -5e-324, "model.alpha: must be 0 or in (0, 1]"),
+        ("model.gamma", 5e-324, None),
+        ("model.gamma", 0.0, "model.gamma: must be positive"),
+        ("grid.nx", 4, None),
+        ("grid.nx", 3, "grid.nx: must be even and in [4, "),
+        ("potential.c_add", 0.0, None),
+        ("potential.c_add", -5e-324, "potential.c_add: must be nonnegative"),
+        ("S", 0.0, None),
+        ("S", -5e-324, "S: must be nonnegative"),
+        ("init.seed", 0, None),
+        ("init.seed", -1, "init.seed: must be a nonnegative integer"),
+        ("outputs.record_every", 1, None),
+        ("outputs.record_every", 0, "outputs.record_every: must be a positive integer"),
+    ])
+    def test_rules_at_their_bounds(self, path, value, why):
+        # each bound falls on the side its message names
+        doc = {"preset": "ex4-isav-be", "grid": {"nx": 8, "ny": 8}, "outputs": {}}
+        *obj, key = path.split(".")
+        (doc.setdefault(obj[0], {}) if obj else doc)[key] = value
+        if why is None:
+            config_from_dict(doc)
+        else:
+            with pytest.raises(ConfigError, match="^" + re.escape(why)):
+                config_from_dict(doc)
+
     def test_nonintegral_step_count(self):
         with pytest.raises(ConfigError, match="t_end"):
             config_from_dict({**MINIMAL, "tau": 0.3, "t_end": 1.0})
@@ -160,6 +193,15 @@ class TestShippedConfigs:
         written = sorted(p.name for p in snaps.iterdir()) if snaps.exists() else []
         steps = sorted(round(t / cfg.tau) for t in cfg.outputs["field_snapshot_times"])
         assert written == [f"phi_step{n:06d}.txt" for n in steps]
+
+    def test_readme_key_list_matches_the_table(self):
+        # the README's sentence on the keys each object accepts lists the
+        # config table's keys, object by object, in its order
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        sentence = readme.split("accepts only its own keys (", 1)[1].split(")", 1)[0]
+        listed = re.findall(r"`(\w+)`: `([^`]+)`", " ".join(sentence.split()))
+        assert [(obj, keys.split()) for obj, keys in listed] == [
+            (obj, list(keys)) for obj, keys in KNOWN_KEYS.items() if obj]
 
     def test_readme_example_validates(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
@@ -246,6 +288,11 @@ class TestInitialConditions:
         write_snapshot(str(path), f, t=0.25)
         loaded = initial_field({"kind": "file", "path": str(path)}, g)
         assert np.array_equal(loaded.values, f.values)
+
+    def test_unknown_kind(self):
+        # a validated config names a known kind; a library caller may not
+        with pytest.raises(ConfigError, match=r"^init\.kind: unknown kind 'spiral'$"):
+            initial_field({"kind": "spiral"}, Grid(8, 8, 1.0, 1.0))
 
     def test_file_init_grid_mismatch(self, tmp_path, rng):
         g = Grid(8, 8, 1.0, 1.0)
@@ -1035,6 +1082,23 @@ class TestCli:
         assert main([command, *args, "--out", "table.csv", "--outdir", str(out)]) == 0
         assert [p.relative_to(out) for p in out.rglob("*")] == [Path("table.csv")]
 
+    def test_compare_settles_config_b_before_config_a_runs(self, tmp_path, capsys, monkeypatch):
+        # B's solve factors overflow where A's, without the S term, do not:
+        # the error names B's scheme, before the table's directory is made
+        # or A takes a step
+        def no_step(*args, **kwargs):
+            raise AssertionError("a step was taken")
+
+        monkeypatch.setattr(harness, "step", no_step)
+        doc = {"preset": "ex1-sav-be", "grid": {"nx": 8, "ny": 8},
+               "model": {"alpha": 0.0, "gamma": 10.0}, "S": 1e308, "tau": 1.0, "t_end": 3.0}
+        pa = write_cfg(tmp_path, doc, "a.json")
+        pb = write_cfg(tmp_path, {**doc, "scheme": "isav-be"}, "b.json")
+        out = tmp_path / "out"
+        assert main(["compare", pa, pb, "--outdir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: isav-be: ")
+        assert not out.exists()
+
     def test_config_path_is_a_directory_exit_2(self, tmp_path, capsys):
         assert main(["run", str(tmp_path)]) == 2
         assert "cannot read" in capsys.readouterr().err
@@ -1071,9 +1135,11 @@ class TestCli:
         # the preset's S = 10/eps^2 overflows while 1/eps^2 does not, and is
         # checked as a written S is
         ({"preset": "ex3-isav-be", "potential": {"eps": 1e-154}}, "S: must be finite"),
+        ([1, 2], "the top level must be a JSON object"),
     ], ids=["outputs-a-number", "init-a-number", "negative-seed", "401-digit-tau", "tau-1e-320",
             "tau-1e16", "preset-eps-1e-200", "double-well-eps-1e-200", "eps-1e200",
-            "401-digit-nx", "ly-5e-324", "cell-area-1e200-squared", "ex3-eps-1e-154"])
+            "401-digit-nx", "ly-5e-324", "cell-area-1e200-squared", "ex3-eps-1e-154",
+            "top-level-a-list"])
     def test_malformed_config_exits_2(self, tmp_path, capsys, doc, why):
         path = write_cfg(tmp_path, doc)
         assert main(["run", path, "--outdir", str(tmp_path)]) == 2

@@ -35,6 +35,12 @@ class TestDoubleWell:
         with pytest.raises(ValueError, match="NaN"):
             DoubleWell(eps=1.0).f(np.array([0.0, np.nan]))
 
+    @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan])
+    def test_rejects_nonpositive_eps(self, eps):
+        # the library's own guard; a validated config never reaches it
+        with pytest.raises(ValueError, match="^eps must be positive, got"):
+            DoubleWell(eps=eps)
+
 
 def fh_branches(beta, sigma):
     """Independent transcription of the three-branch construction (before
@@ -127,6 +133,12 @@ class TestFloryHuggins:
     def test_rejects_bad_sigma(self):
         with pytest.raises(ValueError, match="sigma"):
             FloryHugginsRegularized(eps=1.0, beta=1.0, sigma=0.6)
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan])
+    def test_rejects_nonpositive_eps(self, eps):
+        # the library's own guard; a validated config never reaches it
+        with pytest.raises(ValueError, match="^eps must be positive, got"):
+            FloryHugginsRegularized(eps=eps, beta=1.0, sigma=0.5)
 
 
 def around(v):

@@ -1,6 +1,8 @@
 """Time-stepper behavior: closed forms, conservation, energy laws, BDF start."""
 
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from isavflow import (
 )
 from isavflow.config import config_from_dict, initial_field
 from isavflow.diagnostics import h1_error
-from isavflow.harness import _check_energy_laws
+from isavflow.harness import _check_energy_laws, levels
 from isavflow.schemes import Level
 
 from conftest import TWO_PI, ex1_config, final_field, random_field, step_and_record
@@ -186,6 +188,15 @@ class TestOriginalEnergyLaw:
                 old = rec
                 state, rec = step_and_record(state, p)
                 _check_energy_laws(state.scheme, old, rec)
+
+    def test_sav_be_assertion_raises_on_a_modified_energy_rise(self):
+        # the modified-energy law of sav-be holds on a real step; a rise
+        # beyond its slack is reported with the step
+        (_, old), (_, rec) = itertools.islice(levels(ex1_config("sav-be", 0.0, 0.05, nx=8)), 2)
+        _check_energy_laws(Scheme.SAV_BE, old, rec)
+        risen = replace(rec, E_mod=old.E_mod + 1e-11 * abs(old.E_mod))
+        with pytest.raises(EnergyLawViolation, match="^modified energy rose at step 1: "):
+            _check_energy_laws(Scheme.SAV_BE, old, risen)
 
 
 class TestAuxiliaryScalarUpdate:
@@ -403,8 +414,6 @@ class TestLibraryLoop:
         assert p.symbols(g) is p.symbols(g)
 
     def test_copies_build_their_own_symbols(self, rng):
-        from dataclasses import replace
-
         g, p, _ = self.setup_loop(rng)
         sym = p.symbols(g)
         copy = replace(p, S=0.0)
