@@ -151,13 +151,8 @@ def write_snapshot(path, field: Field, t: float) -> None:
     round-trips float64 exactly. The directory must exist: a run makes it
     before its first step, so one removed mid-run fails the write."""
     g = field.grid
-    # One %-format call per row; '%.17g' prints the same text as
-    # f"{v:.17g}" for every float64, -0.0 and subnormals included.
-    line = " ".join(["%.17g"] * g.ny) + "\n"
-    with open(path, "w") as fh:
-        fh.write(f"{g.nx} {g.ny} {g.lx:.17g} {g.ly:.17g} {t:.17g}\n")
-        for row in field.values:
-            fh.write(line % tuple(row.tolist()))
+    np.savetxt(path, field.values, fmt="%.17g", comments="",
+               header=f"{g.nx} {g.ny} {g.lx:.17g} {g.ly:.17g} {t:.17g}")
 
 
 def read_snapshot(path):
@@ -175,12 +170,23 @@ def read_snapshot(path):
     return Field(grid, values), t
 
 
-def _run_params(cfg: RunConfig):
-    """(grid, params) of a run, with the symbols and every solve factor its
-    scheme takes (backward Euler, and BDF2 for a -bdf scheme) built here, not
-    in a step: a grid too large to allocate and parameters no step can take
-    (tau*S or tau*gamma beyond the float range, factors or an inverse
-    mobility that overflow) are a ConfigError before any output."""
+def levels(cfg: RunConfig, record=True):
+    """Set a run up: its grid, parameters, symbols and every solve factor
+    its scheme takes (backward Euler, and BDF2 for a -bdf scheme). A grid
+    too large to allocate, or parameters no step can take (tau*S or
+    tau*gamma beyond the float range, factors or an inverse mobility that
+    overflow), is a ConfigError raised by the call itself.
+
+    Returns an iterator of (state, rec) for level 0 and then each step's
+    level to t_end. rec is the level's StepRecord on a kept row (level 0,
+    every record_every-th level and the last) and None otherwise; with
+    record=False no record is built and the energy-law assertions, which
+    check records, are off. Only kept rows are built, but every row under
+    assert_energy, where each step's check reads the previous level's
+    record. The trajectory is the same either way. A scheme failure
+    (nonpositive bulk integral, violated assertion, non-finite field) is a
+    SchemeRuntimeError with the failing step and the last good level.
+    """
     scheme, g = Scheme(cfg.scheme), cfg.grid
     try:
         grid = cfg.make_grid()
@@ -193,50 +199,36 @@ def _run_params(cfg: RunConfig):
         raise ConfigError(f"grid: nx={g['nx']} by ny={g['ny']} is too large to allocate") from exc
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return grid, params
-
-
-def levels(cfg: RunConfig, record=True):
-    """Yield (state, rec) for level 0 and then for each step's level, from
-    t=0 to t_end. rec is the level's StepRecord on a kept row (level 0,
-    every record_every-th level and the last) and None otherwise; with
-    record=False no record is built and the energy-law assertions, which
-    check records, are off. Only kept rows are built, but every row under
-    assert_energy, where each step's check reads the previous level's
-    record. The trajectory is the same either way.
-
-    A grid too large to allocate with its symbols, or parameters no step
-    can take, is a ConfigError before level 0. A scheme failure (nonpositive
-    bulk integral, violated assertion, non-finite field) is a
-    SchemeRuntimeError with the failing step and the last good level.
-    """
-    grid, params = _run_params(cfg)
     every, n_total = cfg.outputs["record_every"], cfg.n_steps()
     check = record and cfg.assert_energy
-    state = rec = None
-    for n in range(n_total + 1):
-        keep = record and (n % every == 0 or n == n_total)
-        try:
-            new = step(state, params) if state else make_initial_state(
-                cfg.scheme, initial_field(cfg.init, grid), params.potential)
-            if keep or check:
-                old, rec = rec, record_step(new, params, state)
-                if check and old:
-                    _check_energy_laws(new.scheme, old, rec)
-        except SCHEME_FAILURES as exc:
-            raise SchemeRuntimeError(n, exc, n * cfg.tau, cfg.scheme,
-                                     state and state.level.phi) from exc
-        state = new  # the last good level until the step's check passes
-        yield state, rec if keep else None
+
+    def run():
+        state = rec = None
+        for n in range(n_total + 1):
+            keep = record and (n % every == 0 or n == n_total)
+            try:
+                new = step(state, params) if state else make_initial_state(
+                    cfg.scheme, initial_field(cfg.init, grid), params.potential)
+                if keep or check:
+                    old, rec = rec, record_step(new, params, state)
+                    if check and old:
+                        _check_energy_laws(new.scheme, old, rec)
+            except SCHEME_FAILURES as exc:
+                raise SchemeRuntimeError(n, exc, n * cfg.tau, cfg.scheme,
+                                         state and state.level.phi) from exc
+            state = new  # the last good level until the step's check passes
+            yield state, rec if keep else None
+
+    return run()
 
 
 def run_simulation(cfg: RunConfig, outdir=None) -> SimulationResult:
     """Run levels(cfg) and write its kept rows as the series CSV, and the
     levels at the requested times as snapshots.
 
-    The snapshot directory and then the series' directory are made before
-    level 0, so a path that cannot hold them, a series path that names the
-    snapshot directory included, is a ConfigError. A snapshot that
+    The run is set up, then the snapshot and series directories are made:
+    a path that cannot hold them, a series path that names the snapshot
+    directory included, is a ConfigError before level 0. A snapshot that
     cannot be written aborts the run with an OutputWriteError. Whatever
     stops a run once level 0 is built, the kept rows are written before it
     propagates.
@@ -246,12 +238,13 @@ def run_simulation(cfg: RunConfig, outdir=None) -> SimulationResult:
     snap_at = {round(t / cfg.tau) for t in cfg.outputs["field_snapshot_times"]}
     snap_dir = os.path.join(out_base, cfg.outputs["snapshot_dir"])
     series_path = os.path.join(out_base, cfg.outputs["series_path"])
+    run = levels(cfg)
     if snap_at:
         _claim_path(snap_dir, is_dir=True)
     _claim_path(series_path)
     records, snapshot_paths = [], []
     try:
-        for state, rec in levels(cfg):
+        for state, rec in run:
             if rec is not None:
                 records.append(rec)
             n = state.step_index
@@ -274,13 +267,17 @@ def _order_rows(labels, errors):
             for label, err, prev in zip(labels, errors, [None, *errors])]
 
 
-def _derive(cfg: RunConfig, what: str, **changes) -> RunConfig:
+def _derive(cfg: RunConfig, what: str, settle=False, **changes) -> RunConfig:
     """cfg with changes and default outputs (a sweep writes none of a run's
-    own), checked by the config rules; a ConfigError is raised naming what."""
+    own), checked by the config rules and, if settle, set up by a levels
+    call that is dropped; a ConfigError is raised naming what."""
     try:
-        return config_from_dict({**vars(cfg), "outputs": {}, **changes})
+        derived = config_from_dict({**vars(cfg), "outputs": {}, **changes})
+        if settle:
+            levels(derived)
     except ConfigError as exc:
         raise ConfigError(f"convergence: {what}: {exc}") from exc
+    return derived
 
 
 def _final_phi(cfg: RunConfig) -> Field:
@@ -342,9 +339,10 @@ def convergence_study(base_cfg: RunConfig, taus=None, grids=None,
     ref_grid_n^2 grid, so the temporal discretization error cancels exactly
     and the table isolates spatial accuracy.
     Orders are log2(e_coarse / e_fine) between consecutive rows, None
-    where either error is 0. Every member, the spatial reference and a
-    base_cfg stepping ref_tau are checked by the config rules (see
-    _derive) before anything runs or is written.
+    where either error is 0. Every member, the spatial reference and the
+    temporal reference's first run (its largest step) are set up, and a
+    base_cfg stepping ref_tau is checked by the config rules (see _derive),
+    before anything runs or is written.
     """
     if (taus is None) == (grids is None):
         raise ConfigError("convergence: give exactly one of taus or grids")
@@ -352,18 +350,21 @@ def convergence_study(base_cfg: RunConfig, taus=None, grids=None,
         raise ConfigError("convergence: the sweep has no members")
     if taus is not None:
         _derive(base_cfg, f"ref_tau={ref_tau}", tau=ref_tau)
-        members = [_derive(base_cfg, f"tau={tau}", tau=tau) for tau in taus]
+        members = [_derive(base_cfg, f"tau={tau}", settle=True, tau=tau) for tau in taus]
         labels = [cfg.n_steps() for cfg in members]
+        finest = min(cfg.tau for cfg in members)
+        _derive(base_cfg, f"reference tau={finest}", settle=True, scheme=Scheme.SAV_BDF.value,
+                tau=finest)
     else:
         ref_cfg, *members = (
-            _derive(base_cfg, f"grid {n}", grid={**base_cfg.grid, "nx": n, "ny": n})
+            _derive(base_cfg, f"grid {n}", settle=True, grid={**base_cfg.grid, "nx": n, "ny": n})
             for n in (ref_grid_n, *grids)
         )
         labels = list(grids)
     if out_path is not None:
         _claim_path(out_path)
     if taus is not None:
-        ref, h, est = _temporal_reference(base_cfg, ref_tau, min(cfg.tau for cfg in members))
+        ref, h, est = _temporal_reference(base_cfg, ref_tau, finest)
         reference = (h, est)
     else:
         ref, reference = _final_phi(ref_cfg), None
@@ -378,8 +379,8 @@ def compare_schemes(cfg_a: RunConfig, cfg_b: RunConfig, out_path=None):
 
     The merged table holds step, t, then every series column suffixed by
     the scheme name, aligned row by row (both runs keep the same levels by
-    construction). B is set up before the table's directory is made or A
-    takes a step, and a ConfigError from B's set-up leads with B's scheme.
+    construction). Both are set up before the table's directory is made,
+    and a ConfigError from B's set-up leads with B's scheme.
     """
     if cfg_a.scheme == cfg_b.scheme:
         raise ConfigError("compare: the two configs use the same scheme")
@@ -389,29 +390,25 @@ def compare_schemes(cfg_a: RunConfig, cfg_b: RunConfig, out_path=None):
     if differ:
         raise ConfigError("compare: configs must be identical apart from the scheme and their "
                           f"output paths; they differ in {', '.join(differ)}")
-    # B's set-up is settled before anything is made, by a trial that is
-    # dropped; should it fail, A's own set-up error comes first.
+    # B's set-up is a trial, dropped before A's arrays are built; should it
+    # fail, A's own set-up error comes first.
     try:
-        _run_params(cfg_b)
+        levels(cfg_b)
     except ConfigError as exc:
-        _run_params(cfg_a)
+        levels(cfg_a)
         raise ConfigError(f"{cfg_b.scheme}: {exc}") from exc
+    run_a = levels(cfg_a)
     if out_path is not None:
         _claim_path(out_path)
     # One run after the other: only run A's kept records outlive it while B runs.
-    records_a, records_b = (
-        [rec for _, rec in levels(cfg) if rec is not None] for cfg in (cfg_a, cfg_b)
-    )
+    records_a = [rec for _, rec in run_a if rec is not None]
+    records_b = [rec for _, rec in levels(cfg_b) if rec is not None]
     tag_a, tag_b = (Scheme(cfg.scheme).name.lower() for cfg in (cfg_a, cfg_b))
     data_cols = SERIES_COLUMNS[2:]
     header = ["step", "t"] + [f"{c}_{tag_a}" for c in data_cols] + [f"{c}_{tag_b}" for c in data_cols]
-    rows = []
-    for ra, rb in zip(records_a, records_b):
-        row = {"step": ra.step, "t": ra.t}
-        for c in data_cols:
-            row[f"{c}_{tag_a}"] = getattr(ra, c)
-            row[f"{c}_{tag_b}"] = getattr(rb, c)
-        rows.append(row)
+    rows = [{"step": ra.step, "t": ra.t, **{f"{c}_{tag_a}": getattr(ra, c) for c in data_cols},
+             **{f"{c}_{tag_b}": getattr(rb, c) for c in data_cols}}
+            for ra, rb in zip(records_a, records_b)]
     if out_path is not None:
         write_series_csv(out_path, rows, header)
     return rows

@@ -10,7 +10,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np  # noqa: E402
 import pytest
 
-from isavflow import Field, Grid, record_step, step
+from isavflow import Field, Grid, harness, record_step, step
 from isavflow.config import config_from_dict
 from isavflow.harness import _temporal_reference, levels
 from isavflow.spectral import _fold_half, _map_x
@@ -80,6 +80,25 @@ def kept_records(cfg):
     """The records of a run's kept rows, as its series holds them, without
     writing any output."""
     return [rec for _, rec in levels(cfg) if rec is not None]
+
+
+def started_runs(monkeypatch):
+    """(scheme, tau, nx) of every run that the harness starts, in order: a
+    run counts when its first level is drawn, not when levels sets it up,
+    so a set-up trial that is dropped is no run."""
+    runs = []
+
+    def spy(cfg, record=True):
+        run = levels(cfg, record)
+
+        def drawn():
+            runs.append((cfg.scheme, cfg.tau, cfg.grid["nx"]))
+            yield from run
+
+        return drawn()
+
+    monkeypatch.setattr(harness, "levels", spy)
+    return runs
 
 
 def ex1_config(scheme, alpha, tau, nx=64, t_end=0.5):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from isavflow import ConfigError
 from isavflow.config import (DEFAULT_OUTPUTS, KEYS, KNOWN_KEYS, PRESETS, SCHEME_NAMES,
                              config_from_dict)
-from isavflow.harness import _run_params
+from isavflow.harness import levels
 
 # Numbers at and beyond the edges of what a run can take: non-finite,
 # zero, negative, beyond the float range, and extremes of either sign,
@@ -138,11 +138,12 @@ MINIMAL_DW = {"scheme": "isav-be", "grid": {"nx": 8, "ny": 8, "lx": 6.0, "ly": 6
 @example(doc={"preset": "ex1-isav-be", "grid": {"nx": 8, "ny": 8}, "tau": 1e16})
 @example(doc={"preset": "ex1-isav-bdf", "grid": {"nx": 8, "ny": 8}, "model": {"gamma": 7e307}})
 def test_validation_raises_only_config_errors(doc):
-    # config_from_dict, then the run's grid, ModelParams, symbols and every
-    # solve factor its scheme takes, on a grid of at most 8^2 (never finer
-    # than the config's own, so its wavenumbers are no larger); a config
-    # that validates has a finite cell area and at least one step, and is
-    # the config of its own fields, as a sweep derives its runs' configs
+    # config_from_dict, then the set-up that a levels call makes (the run's
+    # grid, ModelParams, symbols and every solve factor its scheme takes)
+    # on a grid of at most 8^2 (never finer than the config's own, so its
+    # wavenumbers are no larger); a config that validates has a finite
+    # cell area and at least one step, and is the config of its own
+    # fields, as a sweep derives its runs' configs
     try:
         cfg = config_from_dict(doc)
     except ConfigError:
@@ -152,6 +153,6 @@ def test_validation_raises_only_config_errors(doc):
     assert math.isfinite(g["lx"] / g["nx"] * (g["ly"] / g["ny"]))
     assert cfg.n_steps() >= 1
     try:
-        _run_params(replace(cfg, grid={**g, "nx": min(g["nx"], 8), "ny": min(g["ny"], 8)}))
+        levels(replace(cfg, grid={**g, "nx": min(g["nx"], 8), "ny": min(g["ny"], 8)}))
     except ConfigError:
         pass

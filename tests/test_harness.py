@@ -31,7 +31,8 @@ from isavflow.harness import (
     write_snapshot,
 )
 
-from conftest import TWO_PI, ex1_config, final_field, kept_records, random_field
+from conftest import (TWO_PI, ex1_config, final_field, kept_records, random_field,
+                      started_runs)
 
 
 def write_cfg(tmp_path, doc, name="cfg.json"):
@@ -483,6 +484,14 @@ class TestRunSimulation:
             assert records == kept[1:], scheme
             assert np.array_equal(namespace["state"].level.phi.values, final.level.phi.values)
 
+    def test_levels_sets_the_run_up_in_the_call(self):
+        # tau*gamma*|k|^2 overflows on the grid: the call raises, before
+        # any level is drawn
+        cfg = config_from_dict({"preset": "ex1-isav-be", "grid": {"nx": 8, "ny": 8},
+                                "model": {"gamma": 1e308}})
+        with pytest.raises(ConfigError, match="^the solve factors overflow"):
+            levels(cfg)
+
     def test_runtime_failure_reports_step_and_writes_partial(self, tmp_path):
         # zero damping on a stiff well with assertions on trips quickly
         doc = {
@@ -613,15 +622,7 @@ def json_roundtrip(cfg):
 
 @pytest.fixture
 def level_runs(monkeypatch):
-    """(scheme, tau, nx) of every run that the harness starts, in order."""
-    runs = []
-
-    def spy(cfg, record=True):
-        runs.append((cfg.scheme, cfg.tau, cfg.grid["nx"]))
-        return levels(cfg, record)
-
-    monkeypatch.setattr(harness, "levels", spy)
-    return runs
+    return started_runs(monkeypatch)
 
 
 class TestConvergenceDriver:
@@ -966,20 +967,31 @@ class TestCli:
         errors = [float(r[1]) for r in rows]
         assert errors[1] == 0.0 and errors[0] > 0.0 and errors[2] > 0.0
 
-    @pytest.mark.parametrize("scheme, alpha, gamma", [
-        ("isav-be", 0.0, 1e308), ("isav-be", 1.0, 1e308), ("isav-bdf", 0.0, 7e307)])
-    def test_overflowing_solve_factors_exit_2_before_any_output(self, tmp_path, capsys, scheme,
-                                                                alpha, gamma):
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("scheme, doc", [
+        ("isav-be", {"model": {"alpha": 0.0, "gamma": 1e308}}),
+        ("isav-be", {"model": {"alpha": 1.0, "gamma": 1e308}}),
+        ("isav-bdf", {"model": {"alpha": 0.0, "gamma": 7e307}}),
+        ("isav-be", {"model": {"alpha": 0.0, "gamma": 10.0}, "S": 1e308, "tau": 1.0,
+                     "t_end": 3.0, "outputs": {"series_path": "sub/s.csv"}}),
+    ], ids=["gamma-1e308", "alpha-1-gamma-1e308", "bdf-gamma-7e307", "tau-gamma-S"])
+    def test_overflowing_solve_factors_exit_2_before_any_output(self, tmp_path, capsys, command,
+                                                                scheme, doc):
         # tau*gamma is finite, but tau*gamma*|k|^2 overflows on the grid (and,
         # for alpha = 1, so does the mobility symbol gamma*|k|^2 itself); at
-        # gamma = 7e307 only the BDF2 factors, used from step 2, overflow
-        path = write_cfg(tmp_path, {"preset": f"ex1-{scheme}", "grid": {"nx": 8, "ny": 8},
-                                    "model": {"alpha": alpha, "gamma": gamma}})
+        # gamma = 7e307 only the BDF2 factors, used from step 2, overflow; at
+        # S = 1e308 tau*gamma*S does, which the sav twin that compare runs
+        # second, damping without S, survives
+        doc = {"preset": f"ex1-{scheme}", "grid": {"nx": 8, "ny": 8}, **doc}
+        path = write_cfg(tmp_path, doc)
+        twin = write_cfg(tmp_path, {**doc, "scheme": scheme.replace("isav", "sav")}, "b.json")
+        out = tmp_path / "out"
+        args = {"run": [path], "compare": [path, twin]}[command]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(["run", path, "--outdir", str(tmp_path)]) == 2
-        assert "config error: the solve factors overflow" in capsys.readouterr().err
-        assert not os.path.exists(tmp_path / "series.csv")
+            assert main([command, *args, "--outdir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: the solve factors overflow")
+        assert not out.exists()
 
     def test_huge_gamma_records_exact_decrements(self, tmp_path):
         # tau*||G^{1/2} mu||^2 comes from the levels, not from mu's spectrum,
@@ -1042,17 +1054,27 @@ class TestCli:
           "t_end": 10.0},
          ["--taus", "1,10", "--ref-tau", "1"],
          "convergence: tau=10.0: tau: tau*S and tau*gamma must be finite"),
+        # the solve factors overflow at the second member only: its set-up
+        # fails before the reference and the first member run
+        ({"preset": "ex1-isav-be", "grid": {"nx": 8, "ny": 8},
+          "model": {"alpha": 0.0, "gamma": 1.0}, "potential": {"c_add": 1.0},
+          "tau": 1e306, "t_end": 5e306},
+         ["--taus", "1e306,5e306", "--ref-tau", "1e306"],
+         "convergence: tau=5e+306: the solve factors overflow"),
     ], ids=["ref-grid-k-overflows", "grid-beyond-maxsize", "member-tau-not-dividing",
-            "member-tau-S-overflows"])
-    def test_converge_members_checked_by_config_rules(self, tmp_path, capsys, doc, args, why):
-        # each member and the reference is a config validated as one, and
-        # the error names it
+            "member-tau-S-overflows", "member-factors-overflow"])
+    def test_converge_members_checked_by_config_rules(self, tmp_path, capsys, monkeypatch, doc,
+                                                      args, why):
+        # each member and the reference is a config validated and set up as
+        # one, and the error names it; no run starts
+        runs = started_runs(monkeypatch)
         out = tmp_path / "out"
         path = write_cfg(tmp_path, doc)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["converge", path, *args, "--outdir", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {why}")
+        assert runs == []
         assert not out.exists()
 
     def test_compare_cli(self, tmp_path):
@@ -1167,7 +1189,7 @@ class TestCli:
                 "compare": [path, write_cfg(tmp_path, {**doc, "scheme": "isav-bdf"}, "b.json")]}
         assert main([command, *args[command], "--outdir", str(out)]) == 2
         assert capsys.readouterr().err == f"config error: {why}\n"
-        assert [p for p in out.rglob("*") if p.is_file()] == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "converge", "compare"])
     @pytest.mark.parametrize("site", ["grid", "symbols", "factors", "beyond-address-space"])
@@ -1193,9 +1215,13 @@ class TestCli:
                 "converge": [path, "--taus", "0.01", "--ref-tau", "0.01"],
                 "compare": [path, write_cfg(tmp_path, {**doc, "scheme": "isav-bdf"}, "b.json")]}
         assert main([command, *args[command], "--outdir", str(out)]) == 2
+        # converge names the member whose set-up failed; validation, which
+        # rejects nx = 2**62 when the config loads, names no run
+        member = ("convergence: tau=0.01: "
+                  if command == "converge" and site != "beyond-address-space" else "")
         assert capsys.readouterr().err == (
-            f"config error: grid: nx={nx} by ny=4 is too large to allocate\n")
-        assert [p for p in out.rglob("*") if p.is_file()] == []
+            f"config error: {member}grid: nx={nx} by ny=4 is too large to allocate\n")
+        assert not out.exists()
 
     @staticmethod
     def _snapshot_run(tmp_path):
@@ -1274,12 +1300,7 @@ class TestCli:
                                                        command, where, why):
         # the table's directory is made before the first step, so a path
         # that cannot hold the table fails at once, not after the sweep
-        import isavflow.harness as harness
-
-        def no_sweep(*args, **kwargs):
-            raise AssertionError("the sweep started")
-
-        monkeypatch.setattr(harness, "levels", no_sweep)
+        runs = started_runs(monkeypatch)
         base = {"preset": "ex1-sav-be", "tau": 0.05, "t_end": 0.25,
                 "grid": {"nx": 8, "ny": 8, "lx": TWO_PI, "ly": TWO_PI}}
         pa = write_cfg(tmp_path, base, "a.json")
@@ -1289,4 +1310,5 @@ class TestCli:
         args = [pa, "--taus", "0.05"] if command == "converge" else [pa, pb]
         assert main([command, *args, "--out", str(tmp_path / where)]) == 2
         assert why in capsys.readouterr().err
+        assert runs == []
         assert (tmp_path / "file").read_text() == ""

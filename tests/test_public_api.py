@@ -96,6 +96,10 @@ def test_one_loop_over_levels():
     # levels is the loop over steps; run_simulation only writes what it yields
     assert list(inspect.signature(isavflow.harness.levels).parameters) == ["cfg", "record"]
     assert list(inspect.signature(isavflow.run_simulation).parameters) == ["cfg", "outdir"]
+    # and the one way to set a run up: the call builds the run's parameters
+    # and returns the loop, so a set-up error needs no level to be drawn
+    assert not inspect.isgeneratorfunction(isavflow.harness.levels)
+    assert Path(isavflow.harness.__file__).read_text().count("ModelParams(") == 1
 
 
 def test_every_definition_is_exported_or_named_elsewhere():
