@@ -4,8 +4,8 @@ Subcommands: ``run`` integrates one configuration, ``converge`` sweeps the
 time step or the grid and writes an error table, ``compare`` runs two
 configurations differing only in scheme and output paths and merges their
 series, and ``presets list`` prints the built-in experiment presets. Exit
-codes: 0 success, 2 configuration error, 3 runtime scheme failure, 4 a
-snapshot that could not be written mid-run.
+codes: 0 success, 2 configuration error, 3 runtime scheme failure, 4 an
+output that could not be written: a snapshot mid-run, or a series or table.
 
 The ISAVFLOW_OUTDIR environment variable redirects all relative output
 paths.
@@ -58,8 +58,9 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--grids", help="comma-separated grid sizes n (n x n)")
     conv.add_argument("--ref-tau", type=float, default=1e-5,
                       help="temporal sweeps: make the reference as accurate as sav-bdf at "
-                           "this step; it is a Richardson extrapolation of coarser sav-bdf "
-                           "runs, at most about twice the steps of one run at it")
+                           "this step; it is a Richardson extrapolation of sav-bdf runs whose "
+                           "step halves from up to 4 times the finest member's, down to this "
+                           "one at the latest")
     conv.add_argument("--ref-nx", type=int, default=64)
     conv.add_argument("--out", default="convergence.csv")
     conv.add_argument("--outdir", default=None)

@@ -63,10 +63,12 @@ def h1_error(u: Field, ref: Field) -> float:
             raise ValueError("h1_error requires matching domain lengths")
         scale = (grid.nx * grid.ny) / (g.nx * g.ny)
         ref_hat = _map_x(_fold_half(ref_hat, grid.ny), grid.nx) * scale
-    hat = u.spectrum() - ref_hat
-    return math.sqrt(
-        quad_form_hat(grid, hat) + quad_form_hat(grid, hat, grid.lap_sym)
-    )
+    return _h1_norm(grid, u.spectrum() - ref_hat)
+
+
+def _h1_norm(grid, hat) -> float:
+    """H1 norm of the field whose half spectrum on grid is hat."""
+    return math.sqrt(quad_form_hat(grid, hat) + quad_form_hat(grid, hat, grid.lap_sym))
 
 
 def record_step(state, params, prev=None) -> StepRecord:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .config import ConfigError, RunConfig, config_from_dict, initial_field
-from .diagnostics import StepRecord, h1_error, record_step
+from .diagnostics import StepRecord, _h1_norm, h1_error, record_step
 from .potentials import NonPositiveBulkEnergyError
 from .schemes import ModelParams, Scheme, _solve_factors, make_initial_state, step
 from .spectral import Field, Grid, NonFiniteFieldError
@@ -90,13 +90,9 @@ class SchemeRuntimeError(RuntimeError):
 
 
 class OutputWriteError(RuntimeError):
-    """A step's snapshot could not be written mid-run (a full disk, the
-    directory removed); carries the step index, and its __cause__ is the OSError."""
-
-    def __init__(self, step_index: int, cause: OSError):
-        self.step_index = step_index
-        super().__init__(f"cannot write the snapshot of step {step_index} ({cause}); "
-                         f"the series holds the rows through step {step_index}")
+    """An output could not be written (a full disk, its directory removed):
+    a snapshot mid-run, or a series or table once its rows are in hand. Its
+    __cause__ is the OSError."""
 
 
 @dataclass
@@ -131,6 +127,18 @@ def write_series_csv(path, rows, columns=SERIES_COLUMNS) -> None:
         w.writerow(columns)
         for row in rows:
             w.writerow([_fmt(row[c]) for c in columns])
+
+
+def _write_rows(path, rows, columns=SERIES_COLUMNS) -> None:
+    """write_series_csv, its OSError raised as an OutputWriteError naming
+    path. The error is raised outside the handler, so a scheme failure that
+    a run's partial series is written after stays its __context__."""
+    try:
+        write_series_csv(path, rows, columns)
+        return
+    except OSError as exc:
+        cause = exc
+    raise OutputWriteError(f"cannot write {path} ({cause.strerror or cause})") from cause
 
 
 def _claim_path(path, is_dir=False) -> None:
@@ -175,7 +183,8 @@ def levels(cfg: RunConfig, record=True):
     its scheme takes (backward Euler, and BDF2 for a -bdf scheme). A grid
     too large to allocate, or parameters no step can take (tau*S or
     tau*gamma beyond the float range, factors or an inverse mobility that
-    overflow), is a ConfigError raised by the call itself.
+    overflow), is a ConfigError raised by the call itself, as is a file
+    initial datum that cannot be read or does not fit the grid.
 
     Returns an iterator of (state, rec) for level 0 and then each step's
     level to t_end. rec is the level's StepRecord on a kept row (level 0,
@@ -199,6 +208,9 @@ def levels(cfg: RunConfig, record=True):
         raise ConfigError(f"grid: nx={g['nx']} by ny={g['ny']} is too large to allocate") from exc
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    # a file datum is read here, as the one whose sampling can fail; the
+    # others are sampled at level 0, so a dropped set-up allocates no field
+    phi0 = initial_field(cfg.init, grid) if cfg.init["kind"] == "file" else None
     every, n_total = cfg.outputs["record_every"], cfg.n_steps()
     check = record and cfg.assert_energy
 
@@ -208,7 +220,7 @@ def levels(cfg: RunConfig, record=True):
             keep = record and (n % every == 0 or n == n_total)
             try:
                 new = step(state, params) if state else make_initial_state(
-                    cfg.scheme, initial_field(cfg.init, grid), params.potential)
+                    cfg.scheme, phi0 or initial_field(cfg.init, grid), params.potential)
                 if keep or check:
                     old, rec = rec, record_step(new, params, state)
                     if check and old:
@@ -253,11 +265,13 @@ def run_simulation(cfg: RunConfig, outdir=None) -> SimulationResult:
                 try:
                     write_snapshot(path, state.level.phi, n * cfg.tau)
                 except OSError as exc:
-                    raise OutputWriteError(n, exc) from exc
+                    raise OutputWriteError(
+                        f"cannot write the snapshot of step {n} ({exc}); "
+                        f"the series holds the rows through step {n}") from exc
                 snapshot_paths.append(path)
     finally:
         if records:
-            write_series_csv(series_path, map(vars, records))
+            _write_rows(series_path, map(vars, records))
     return SimulationResult(records, series_path, snapshot_paths or None)
 
 
@@ -285,39 +299,59 @@ def _final_phi(cfg: RunConfig) -> Field:
     return deque(levels(cfg, record=False), maxlen=1).pop()[0].level.phi
 
 
-def _richardson(fine: Field, coarse: Field) -> Field:
-    """(4 fine - coarse)/3 from two runs at steps h and 2h, in values and in
-    the spectra the runs carry, so an error against it takes no transform."""
-    return Field(fine.grid, (4.0 * fine.values - coarse.values) / 3.0,
-                 (4.0 * fine.spectrum() - coarse.spectrum()) / 3.0)
+# The two Richardson columns as integer combinations of the runs u(h), u(2h),
+# u(4h) and u(8h), finest first: the weights and divisor of R(h), then those
+# of R(h) - R(2h), whose divisor makes its H1 norm R's estimated error.
+RICHARDSON_COLUMNS = (((4, -1), 3, (4, -5, 1), 3 * 7),
+                      ((32, -12, 1), 21, (32, -44, 13, -1), 21 * 15))
+
+
+def _combine(arrays, weights, div):
+    return sum(w * a for w, a in zip(weights, arrays)) / div
+
+
+def _reference_top(t_end: float, finest_tau: float) -> float:
+    """The largest step of the temporal reference: the largest of 4, 2 and
+    1 times finest_tau that divides t_end into whole steps."""
+    n = round(t_end / finest_tau)
+    return finest_tau * next(k for k in (4, 2, 1) if n % k == 0)
 
 
 def _temporal_reference(base_cfg: RunConfig, ref_tau: float, finest_tau: float):
     """A reference for a temporal sweep whose finest member steps finest_tau,
-    as accurate as the three-level SAV scheme at ref_tau: (R(h), h, its
-    estimated H1 error), R(h) the Richardson extrapolation of that scheme's
-    runs at h and 2h.
+    as accurate as the three-level SAV scheme at ref_tau: (R, h, its
+    estimated H1 error), R a Richardson extrapolation of that scheme's runs
+    u at h and coarser steps.
 
-    The first h is finest_tau/4; each pass halves it, adding one run to the
-    two it reuses. With errors C h^2 of a run and C' h^3 of R, the estimates
-    are ||u(h) - u(2h)||/3 for u(h) and ||R(h) - R(2h)||/7 for R(h). The
-    loop stops at the first h where R's estimate is no larger than
-    (ref_tau/h)^2 times u(h)'s, the estimated error at ref_tau, and at the
-    latest once h <= ref_tau.
+    The runs step from _reference_top's H down, each pass halving h and
+    adding one run. With errors C h^2 of u(h), the first column R1(h) =
+    (4 u(h) - u(2h))/3 errs by O(h^3), estimated as ||R1(h) - R1(2h)||/7
+    from the third run on; the second, R2(h) = (8 R1(h) - R1(2h))/7, by
+    O(h^4), estimated as ||R2(h) - R2(2h)||/15 from the fourth. The loop
+    returns the column with the smaller estimate at the first pass where
+    that is no larger than (ref_tau/h)^2 ||u(h) - u(2h)||/3, the estimated
+    error of a run at ref_tau, and at the latest once h <= ref_tau. Both
+    are combinations of the last four runs' values and the spectra they
+    carry, so an error against R takes no transform.
     """
-    def run(tau):
-        return _final_phi(_derive(base_cfg, f"reference tau={tau}",
-                                  scheme=Scheme.SAV_BDF.value, tau=tau))
+    def run(tau):  # u(tau)'s values and spectrum, without the grid its run built
+        u = _final_phi(_derive(base_cfg, f"reference tau={tau}",
+                               scheme=Scheme.SAV_BDF.value, tau=tau))
+        return u.values, u.spectrum()
 
-    h = finest_tau / 4
-    coarse, mid, fine = (run(tau) for tau in (4 * h, 2 * h, h))
+    grid, h, runs = base_cfg.make_grid(), _reference_top(base_cfg.t_end, finest_tau), []
     while True:
-        ref = _richardson(fine, mid)
-        est = h1_error(ref, _richardson(mid, coarse)) / 7
-        if h <= ref_tau or est <= (ref_tau / h) ** 2 * h1_error(fine, mid) / 3:
-            return ref, h, est
+        runs.insert(0, run(h))
+        values, hats = zip(*runs)
+        table = [(_h1_norm(grid, _combine(hats, diff, est_div)), weights, div)
+                 for weights, div, diff, est_div in RICHARDSON_COLUMNS if len(diff) <= len(runs)]
+        if table:
+            est, weights, div = min(table)
+            if h <= ref_tau or est <= (ref_tau / h) ** 2 * _h1_norm(grid, hats[0] - hats[1]) / 3:
+                ref = Field(grid, _combine(values, weights, div), _combine(hats, weights, div))
+                return ref, h, est
         h /= 2
-        coarse, mid, fine = mid, fine, run(h)
+        del runs[3:], values, hats  # free the coarsest run, which no later pass combines
 
 
 def convergence_study(base_cfg: RunConfig, taus=None, grids=None,
@@ -328,12 +362,12 @@ def convergence_study(base_cfg: RunConfig, taus=None, grids=None,
 
     Temporal mode (taus given): every member shares the grid of base_cfg.
     ref_tau sets the reference's accuracy, not its step: the reference is
-    the Richardson extrapolation of the three-level SAV scheme at the
-    coarsest h that is estimated to be as accurate as that scheme at
-    ref_tau (see _temporal_reference). It costs three runs from a quarter
-    of the finest member's step, and one more for each halving of h; at
-    most about twice as many steps as one run at ref_tau, when h reaches
-    ref_tau.
+    a Richardson extrapolation of the three-level SAV scheme, of the first
+    or the second column, at the coarsest h where it is estimated to be as
+    accurate as that scheme at ref_tau (see _temporal_reference). Its runs
+    start at 4, 2 or 1 times the finest member's step, the largest that
+    divides t_end; it takes at least three, and one more for each halving
+    of h, down to ref_tau at the latest.
     Spatial mode (grids given): every member runs at base_cfg.tau on an
     n-by-n grid; the reference is the *same* scheme at the same tau on a
     ref_grid_n^2 grid, so the temporal discretization error cancels exactly
@@ -353,8 +387,9 @@ def convergence_study(base_cfg: RunConfig, taus=None, grids=None,
         members = [_derive(base_cfg, f"tau={tau}", settle=True, tau=tau) for tau in taus]
         labels = [cfg.n_steps() for cfg in members]
         finest = min(cfg.tau for cfg in members)
-        _derive(base_cfg, f"reference tau={finest}", settle=True, scheme=Scheme.SAV_BDF.value,
-                tau=finest)
+        top = _reference_top(base_cfg.t_end, finest)
+        _derive(base_cfg, f"reference tau={top}", settle=True, scheme=Scheme.SAV_BDF.value,
+                tau=top)
     else:
         ref_cfg, *members = (
             _derive(base_cfg, f"grid {n}", settle=True, grid={**base_cfg.grid, "nx": n, "ny": n})
@@ -370,7 +405,7 @@ def convergence_study(base_cfg: RunConfig, taus=None, grids=None,
         ref, reference = _final_phi(ref_cfg), None
     rows = _order_rows(labels, [h1_error(_final_phi(cfg), ref) for cfg in members])
     if out_path is not None:
-        write_series_csv(out_path, rows, ("resolution", "h1_error", "order"))
+        _write_rows(out_path, rows, ("resolution", "h1_error", "order"))
     return rows, reference
 
 
@@ -410,5 +445,5 @@ def compare_schemes(cfg_a: RunConfig, cfg_b: RunConfig, out_path=None):
              **{f"{c}_{tag_b}": getattr(rb, c) for c in data_cols}}
             for ra, rb in zip(records_a, records_b)]
     if out_path is not None:
-        write_series_csv(out_path, rows, header)
+        _write_rows(out_path, rows, header)
     return rows

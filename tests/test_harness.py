@@ -21,7 +21,6 @@ from isavflow.config import KNOWN_KEYS, PRESETS, config_from_dict, initial_field
 from isavflow.diagnostics import h1_error
 from isavflow.harness import (
     SERIES_COLUMNS,
-    _richardson,
     _temporal_reference,
     compare_schemes,
     convergence_study,
@@ -548,6 +547,27 @@ class TestRunSimulation:
                 "field_snapshot_times": [0.0]}))
         assert info.value.__cause__ is disk_full and not hasattr(info.value, "cause")
 
+    def test_a_series_unwritable_after_a_scheme_failure_keeps_the_failure_as_context(
+            self, tmp_path, monkeypatch):
+        # the scheme fails at step 1 and the partial series then cannot be
+        # written: the output error is raised, caused by the OSError, with
+        # the scheme failure as its context
+        failure, disk_full = NonPositiveBulkEnergyError("at phi*"), OSError(28, "disk full")
+
+        def failing_step(state, params):
+            raise failure
+
+        def full_disk(path, rows, columns):
+            raise disk_full
+
+        monkeypatch.setattr(harness, "step", failing_step)
+        monkeypatch.setattr(harness, "write_series_csv", full_disk)
+        with pytest.raises(harness.OutputWriteError) as info:
+            run_simulation(self.base(tmp_path))
+        assert info.value.__cause__ is disk_full
+        assert isinstance(info.value.__context__, SchemeRuntimeError)
+        assert info.value.__context__.__cause__ is failure
+
     def test_outdir_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ISAVFLOW_OUTDIR", str(tmp_path / "redirected"))
         cfg = config_from_dict({**MINIMAL, "t_end": 0.2})
@@ -625,6 +645,22 @@ def level_runs(monkeypatch):
     return started_runs(monkeypatch)
 
 
+def combination(fields, weights, div):
+    """sum(w u)/div over the fields u and their weights w, in values and in spectra."""
+    return Field(fields[0].grid, sum(w * u.values for w, u in zip(weights, fields)) / div,
+                 sum(w * u.spectrum() for w, u in zip(weights, fields)) / div)
+
+
+def richardson_estimates(u, k):
+    """The estimated errors at the k-th run of a reference ladder, u being
+    its runs from the coarsest: R1's, ||R1(h) - R1(2h)||/7 = ||4 u(h) -
+    5 u(2h) + u(4h)||/21, and from the fourth run on R2's, ||R2(h) -
+    R2(2h)||/15 = ||32 u(h) - 44 u(2h) + 13 u(4h) - u(8h)||/315."""
+    runs, zero = u[k::-1], Field(u[k].grid, np.zeros(u[k].grid.shape))
+    columns = [((4, -5, 1), 21), ((32, -44, 13, -1), 315)][:k - 1]
+    return [h1_error(combination(runs, w, div), zero) for w, div in columns]
+
+
 class TestConvergenceDriver:
     def test_requires_exactly_one_sweep(self):
         cfg = config_from_dict({"preset": "ex1-isav-be", "tau": 0.05,
@@ -669,14 +705,16 @@ class TestConvergenceDriver:
         ref = on_grid(32)
         assert [r["h1_error"] for r in rows] == [h1_error(on_grid(n), ref) for n in (4, 8)]
 
-    def test_reference_is_as_accurate_as_sav_bdf_at_ref_tau(self):
-        # the conserved flow on 16^2 with members down to 0.02: the reference
-        # extrapolates sav-bdf runs at h = 0.005, five times ref_tau, and is
-        # nearer the solution than the plain run at ref_tau; a run at tau has
-        # the estimated error ||u(tau) - u(2 tau)||/3
-        cfg = ex1_config("sav-bdf", 1.0, tau=0.02, nx=16, t_end=0.2)
-        ref, h, est = _temporal_reference(cfg, 1e-3, 0.02)
-        assert h == 0.02 / 4
+    @pytest.mark.parametrize("alpha, h", [(0.0, 0.01), (1.0, 0.005)])
+    def test_reference_is_as_accurate_as_sav_bdf_at_ref_tau(self, alpha, h):
+        # ex1 on 16^2 with members down to 0.02, ten steps: the ladder starts
+        # at 0.04 and the reference extrapolates sav-bdf runs down to h, ten
+        # or five times ref_tau, and is nearer the solution than the plain
+        # run at ref_tau; a run at tau has the estimated error
+        # ||u(tau) - u(2 tau)||/3
+        cfg = ex1_config("sav-bdf", alpha, tau=0.02, nx=16, t_end=0.2)
+        ref, ref_h, est = _temporal_reference(cfg, 1e-3, 0.02)
+        assert ref_h == h
 
         def plain(tau):
             return final_field(replace(cfg, tau=tau))
@@ -687,42 +725,55 @@ class TestConvergenceDriver:
         # each within its estimated error of the solution, so within twice
         # u(ref_tau)'s of each other
         assert h1_error(ref, u_r) <= 2 * bound
-        # against R of runs at ref_tau/8 and ref_tau/4, far nearer the solution
-        solution = _richardson(plain(1e-3 / 8), plain(1e-3 / 4))
+        # against R1 of runs at ref_tau/8 and ref_tau/4, far nearer the solution
+        solution = combination([plain(1e-3 / 8), plain(1e-3 / 4)], (4, -1), 3)
         assert h1_error(ref, solution) <= h1_error(u_r, solution)
 
-    def test_reference_stops_at_the_first_step_that_meets_its_criterion(self, level_runs):
-        # the reference halves h from a quarter of the finest member's step,
-        # one new sav-bdf run per pass, until R's estimated error is no
-        # larger than that of a sav-bdf run at ref_tau; then the members run
-        cfg = ex1_config("isav-bdf", 1.0, tau=0.01, nx=16, t_end=0.1)
-        _, (h, est) = convergence_study(cfg, taus=[0.02, 0.01], ref_tau=1e-4)
-        taus = [0.01 / 2**k for k in range(5)]
-        assert level_runs == ([("sav-bdf", tau, 16) for tau in taus]
-                              + [("isav-bdf", tau, 16) for tau in (0.02, 0.01)])
+    @pytest.mark.parametrize("t_end, top, n_runs", [(0.08, 0.04, 6), (0.1, 0.02, 5),
+                                                    (0.05, 0.01, 4)],
+                             ids=["4f", "2f", "f"])
+    def test_reference_stops_at_the_first_step_that_meets_its_criterion(self, level_runs, t_end,
+                                                                        top, n_runs):
+        # the reference's ladder starts at 4, 2 or 1 times the member's step,
+        # the largest that divides t_end (8, 10 and 5 member steps), and
+        # halves h, one new sav-bdf run per pass, until the smaller of R1's
+        # and R2's estimated errors is no larger than that of a sav-bdf run
+        # at ref_tau; then the member runs
+        cfg = ex1_config("isav-bdf", 1.0, tau=0.01, nx=16, t_end=t_end)
+        _, (h, est) = convergence_study(cfg, taus=[0.01], ref_tau=1e-4)
+        taus = [top / 2**k for k in range(n_runs)]
+        assert level_runs == [("sav-bdf", tau, 16) for tau in taus] + [("isav-bdf", 0.01, 16)]
         u = [final_field(replace(cfg, scheme="sav-bdf", tau=tau)) for tau in taus]
 
-        def estimates(k):  # R's and u's estimated errors at h = taus[k]
-            return (h1_error(_richardson(u[k], u[k - 1]), _richardson(u[k - 1], u[k - 2])) / 7,
-                    (1e-4 / taus[k]) ** 2 * h1_error(u[k], u[k - 1]) / 3)
+        def criterion(k):  # a sav-bdf run's estimated error at ref_tau, from h = taus[k]
+            return (1e-4 / taus[k]) ** 2 * h1_error(u[k], u[k - 1]) / 3
 
-        assert [r <= p for r, p in map(estimates, (2, 3, 4))] == [False, False, True]
-        assert (h, est) == (taus[4], estimates(4)[0])
+        met = [min(richardson_estimates(u, k)) <= criterion(k) for k in range(2, n_runs)]
+        assert met == [False] * (n_runs - 3) + [True]
+        assert (h, est) == (taus[-1], min(richardson_estimates(u, n_runs - 1)))
+        # R1 alone would meet it one run later: no run comes after the one
+        # at which a ladder with R1 only stops
+        taus.append(taus[-1] / 2)
+        u.append(final_field(replace(cfg, scheme="sav-bdf", tau=taus[-1])))
+        assert [richardson_estimates(u, k)[0] <= criterion(k) for k in range(2, n_runs + 1)] == (
+            [False] * (n_runs - 2) + [True])
 
-    @pytest.mark.parametrize("ref_tau, n_runs", [(0.01, 3), (0.01 / 16, 5)],
-                             ids=["member-step", "a-sixteenth"])
+    @pytest.mark.parametrize("ref_tau, n_runs", [(0.05, 3), (0.01, 3), (0.01 / 16, 6)],
+                             ids=["above-the-ladder", "member-step", "a-sixteenth"])
     def test_reference_steps_no_finer_than_ref_tau(self, level_runs, monkeypatch, ref_tau,
                                                    n_runs):
-        # an extrapolation that never settles (each one shifted by 1 from
-        # the last) never meets the criterion: the loop stops once h <= ref_tau
-        shift = itertools.count()
-        monkeypatch.setattr(harness, "_richardson",
-                            lambda fine, coarse: Field(fine.grid, fine.values + next(shift)))
+        # a table whose estimated errors are 1e100 times too large never
+        # meets the criterion: the loop stops once h <= ref_tau, and not
+        # before the third run, from which R1 is estimated; the ladder starts
+        # at 0.02, twice the member's step, which divides t_end
+        monkeypatch.setattr(harness, "RICHARDSON_COLUMNS", [
+            (weights, div, diff, 1e-100 * est_div)
+            for weights, div, diff, est_div in harness.RICHARDSON_COLUMNS])
         cfg = config_from_dict({"preset": "ex1-isav-be", "t_end": 0.1,
                                 "grid": {"nx": 8, "ny": 8, "lx": TWO_PI, "ly": TWO_PI}})
-        _, (h, _) = convergence_study(cfg, taus=[0.01], ref_tau=ref_tau)
-        taus = [0.01 / 2**k for k in range(n_runs)]
-        assert h == taus[-1] <= ref_tau
+        _, (h, est) = convergence_study(cfg, taus=[0.01], ref_tau=ref_tau)
+        taus = [0.02 / 2**k for k in range(n_runs)]
+        assert h == taus[-1] <= ref_tau and est > 1e50
         assert level_runs == [("sav-bdf", tau, 8) for tau in taus] + [("isav-be", 0.01, 8)]
 
     def test_tau_divisibility_matches_config_rule(self):
@@ -943,14 +994,14 @@ class TestCli:
 
     def test_converge_warns_when_its_reference_is_not_far_more_accurate(self, tmp_path, capsys):
         # the sharp ex2 interfaces at the member's step: the reference
-        # extrapolates runs at a quarter of it, and its estimated error is
-        # not below 1e-2 of the member's, which stderr says
+        # extrapolates runs from four times it down to it, and its estimated
+        # error is not below 1e-2 of the member's, which stderr says
         doc = {"preset": "ex2-sav-bdf", "t_end": 0.04,
                "grid": {"nx": 16, "ny": 16, "lx": 6.4, "ly": 6.4}}
         args = ["--taus", "0.01", "--ref-tau", "0.01", "--out", str(tmp_path / "t.csv")]
         assert main(["converge", write_cfg(tmp_path, doc), *args]) == 0
         printed = capsys.readouterr()
-        assert "reference: Richardson h=0.0025, estimated H1 error " in printed.out
+        assert "reference: Richardson h=0.01, estimated H1 error " in printed.out
         assert printed.err.startswith("warning: the reference's estimated H1 error ")
         assert "is not below 1e-2 of the finest member's " in printed.err
 
@@ -1266,6 +1317,41 @@ class TestCli:
         monkeypatch.setattr(harness, "write_snapshot", full_disk)
         self._assert_partial_run(tmp_path, capsys, self._snapshot_run(tmp_path))
         assert os.listdir(tmp_path / "snaps") == ["phi_step000002.txt"]
+
+    @pytest.mark.parametrize("command", ["run", "converge", "compare"])
+    def test_series_or_table_write_raising_exits_4(self, tmp_path, capsys, monkeypatch, command):
+        # a series or table that cannot be written once its rows are in hand
+        # (a full disk) is an output error that names its path
+        def full_disk(path, rows, columns):
+            raise OSError(28, "No space left on device", path)
+
+        monkeypatch.setattr(harness, "write_series_csv", full_disk)
+        doc = {**MINIMAL, "t_end": 0.2}
+        pa = write_cfg(tmp_path, doc, "a.json")
+        pb = write_cfg(tmp_path, {**doc, "scheme": "sav-be"}, "b.json")
+        out = tmp_path / "table.csv"
+        args = {"run": [pa, "--outdir", str(tmp_path)],
+                "converge": [pa, "--taus", "0.1", "--ref-tau", "0.1", "--out", str(out)],
+                "compare": [pa, pb, "--out", str(out)]}[command]
+        assert main([command, *args]) == 4
+        path = tmp_path / "series.csv" if command == "run" else out
+        assert capsys.readouterr().err == (
+            f"output error: cannot write {path} (No space left on device)\n")
+
+    @pytest.mark.parametrize("command", ["run", "converge", "compare"])
+    def test_unreadable_file_datum_exits_2_before_any_output(self, tmp_path, capsys, command):
+        # a file initial datum is read when a run is set up, before any
+        # directory is made
+        doc = {"preset": "ex1-isav-be", "grid": {"nx": 8, "ny": 8},
+               "init": {"kind": "file", "path": str(tmp_path / "missing.txt")}}
+        path = write_cfg(tmp_path, doc)
+        out = tmp_path / "out"
+        args = {"run": [path],
+                "converge": [path, "--taus", "0.01", "--ref-tau", "0.01"],
+                "compare": [path, write_cfg(tmp_path, {**doc, "scheme": "isav-bdf"}, "b.json")]}
+        assert main([command, *args[command], "--outdir", str(out)]) == 2
+        assert "init.path: " in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("outputs, why", [
         ({"series_path": "file/s.csv"}, "cannot create its directory"),
